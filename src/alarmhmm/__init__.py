@@ -22,7 +22,6 @@ from .alarms import (
 from .baseline import (
     BaselineResult,
     Dendrogram,
-    cluster_and_classify,
     dechatter,
     feature_matrix,
     fit_baseline,
@@ -58,6 +57,7 @@ from .hmm import (
     k_best_paths,
     load_hmm,
     posteriors,
+    prefix_paths,
     random_model,
     save_hmm,
     total_log_likelihood,

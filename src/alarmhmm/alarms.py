@@ -274,23 +274,50 @@ def sequence_to_dict(sequence: AlarmSequence) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def sequence_from_dict(payload: dict) -> AlarmSequence:
+    """Check one JSONL record against the sequence schema and build it.
+
+    Booleans are not accepted as integers, times must be finite, and the
+    result must satisfy :meth:`AlarmSequence.validate`.
+    """
     if not isinstance(payload, dict):
         raise SchemaError("sequence record must be a JSON object")
     for key in ("fault", "symbols", "times", "meta"):
         if key not in payload:
             raise SchemaError(f"sequence record is missing the '{key}' field")
     fault = payload["fault"]
-    if fault is not None and not isinstance(fault, int):
+    if fault is not None and not _is_int(fault):
         raise SchemaError("fault must be an integer or null")
     symbols, times, meta = payload["symbols"], payload["times"], payload["meta"]
-    if not isinstance(symbols, list) or not all(isinstance(s, int) for s in symbols):
+    if not isinstance(symbols, list) or not all(_is_int(s) for s in symbols):
         raise SchemaError("symbols must be a list of integers")
     if not isinstance(times, list) or len(times) != len(symbols):
         raise SchemaError("times must be a list matching symbols in length")
+    if not all(_is_finite_number(t) for t in times):
+        raise SchemaError("times must be finite numbers")
     if not isinstance(meta, dict):
         raise SchemaError("meta must be an object")
-    return AlarmSequence(symbols=symbols, times=[float(t) for t in times], fault=fault, meta=meta)
+    size = meta.get("n_measurements")
+    if size is not None and not (_is_int(size) and size >= 1):
+        raise SchemaError("meta n_measurements must be a positive integer")
+    sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
+    try:
+        return sequence.validate()
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def write_sequences_jsonl(path, sequences: list[AlarmSequence]) -> None:

@@ -171,13 +171,6 @@ def fit_baseline(
     )
 
 
-def cluster_and_classify(
-    training: list, test: list, n_clusters: int | None, n_symbols: int
-) -> list[int]:
-    """Predicted fault index per test sequence (see :func:`fit_baseline`)."""
-    return fit_baseline(training, test, n_clusters, n_symbols).predictions
-
-
 def write_predictions_csv(path, rows: list[tuple[int, int | None, int]]) -> None:
     """Rows are (sequence_id, true_fault or None, predicted_fault)."""
     with open(path, "w", newline="") as handle:

@@ -83,6 +83,11 @@ def _codebook_for(sequences, override: int | None) -> AlarmSymbolCodebook:
     raise SchemaError("sequences carry no n_measurements metadata; pass --measurements")
 
 
+def _read_inputs(paths) -> list:
+    """The sequences of every ``--in`` file, pooled in the order given."""
+    return [sequence for path in paths for sequence in read_sequences_jsonl(path)]
+
+
 def _fault_names_from(sequences) -> dict[int, str]:
     names: dict[int, str] = {}
     for seq in sequences:
@@ -143,7 +148,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    sequences = read_sequences_jsonl(args.inputs[0])
+    sequences = _read_inputs(args.inputs)
     labeled = as_labeled(sequences)
     codebook = _codebook_for(sequences, args.measurements)
     config = FitConfig(
@@ -172,7 +177,7 @@ def cmd_train(args) -> int:
 
 def cmd_diagnose(args) -> int:
     model = load_diagnoser(args.model)
-    sequences = read_sequences_jsonl(args.inputs[0])
+    sequences = _read_inputs(args.inputs)
     with open(args.out, "w") as handle:
         for seq in sequences:
             verdict = diagnose(model, seq)
@@ -202,7 +207,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_diagnoser(args.model)
-    sequences = read_sequences_jsonl(args.inputs[0])
+    sequences = _read_inputs(args.inputs)
     labeled = as_labeled(sequences)
     l_max = args.lmax if args.lmax else max(len(item.sequence) for item in labeled)
     curve = evaluate_prefix_accuracy(model, labeled, l_max=l_max)
@@ -220,7 +225,7 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     train_sequences = read_sequences_jsonl(args.train)
     labeled = as_labeled(train_sequences)
-    test_sequences = read_sequences_jsonl(args.inputs[0])
+    test_sequences = _read_inputs(args.inputs)
     codebook = _codebook_for(train_sequences + test_sequences, args.measurements)
     n_clusters = args.clusters if args.clusters else len({item.fault for item in labeled})
     result = baseline_mod.fit_baseline(
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train the HMM diagnoser from labeled sequences")
     train.add_argument("--in", dest="inputs", action="append", required=True,
-                       help="labeled training JSONL")
+                       help="labeled training JSONL (repeatable, pooled in order)")
     train.add_argument("--out", required=True, help="model JSON path")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--max-iters", type=int, default=500)
@@ -325,14 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diagnose", help="decode fault verdicts for alarm sequences")
     diag.add_argument("--model", required=True)
-    diag.add_argument("--in", dest="inputs", action="append", required=True)
+    diag.add_argument("--in", dest="inputs", action="append", required=True,
+                      help="alarm-sequence JSONL (repeatable, pooled in order)")
     diag.add_argument("--out", required=True, help="output JSONL path")
     diag.set_defaults(func=cmd_diagnose)
 
     evaluate = sub.add_parser("evaluate", help="prefix-length accuracy and confusion matrices")
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--in", dest="inputs", action="append", required=True,
-                          help="labeled test JSONL")
+                          help="labeled test JSONL (repeatable, pooled in order)")
     evaluate.add_argument("--lmax", type=int, default=None,
                           help="max prefix length (default: longest test sequence)")
     evaluate.add_argument("--out", required=True, help="output directory")
@@ -340,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = sub.add_parser("baseline", help="successor-matrix clustering baseline classifier")
     base.add_argument("--train", required=True, help="labeled training JSONL")
-    base.add_argument("--in", dest="inputs", action="append", required=True, help="test JSONL")
+    base.add_argument("--in", dest="inputs", action="append", required=True,
+                      help="test JSONL (repeatable, pooled in order)")
     base.add_argument("--clusters", type=int, default=None,
                       help="flat cluster count (default: number of distinct faults)")
     base.add_argument("--measurements", type=int,

@@ -4,9 +4,9 @@ Training seeds one state per fault (diagonally dominant transitions,
 per-fault alarm frequencies as emissions) and then runs unsupervised
 Baum-Welch over all sequences pooled; because the states start from the
 labeled per-fault statistics, state ``i`` is identified with fault ``i``
-throughout.  Diagnosis decodes a sequence with Viterbi and reports the
-most recurring state of the best path as the fault, plus a second opinion
-from the runner-up path.
+throughout.  Diagnosis decodes a sequence once, for its two best paths,
+and reports the most recurring state of the best one as the fault, plus a
+second opinion from the runner-up; one pass yields every prefix verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .hmm import (
     hmm_from_dict,
     hmm_to_dict,
     k_best_paths,
-    viterbi,
+    prefix_paths,
 )
 
 #: trained self-transition mass below this triggers a diagnostic warning,
@@ -226,8 +226,15 @@ def train_diagnoser(
     )
 
 
+def _observations(model: DiagnoserModel, symbols) -> np.ndarray:
+    try:
+        return as_observations(symbols, model.hmm.n_symbols)
+    except DomainError as exc:
+        raise UnknownSymbolError(str(exc)) from None
+
+
 def diagnose(model: DiagnoserModel, sequence, *, secondary: bool = True) -> Diagnosis:
-    """Diagnose one alarm sequence.
+    """Diagnose one alarm sequence with a single list-Viterbi decode.
 
     The primary fault is the most recurring state of the Viterbi path
     (ties to the lowest index).  The secondary fault is the mode of the
@@ -236,29 +243,23 @@ def diagnose(model: DiagnoserModel, sequence, *, secondary: bool = True) -> Diag
     is constant, the second path supplies its own runner-up state.  Only a
     single-path model (one fault) yields no secondary.
     """
-    symbols = getattr(sequence, "symbols", sequence)
-    try:
-        obs = as_observations(symbols, model.hmm.n_symbols)
-    except DomainError as exc:
-        raise UnknownSymbolError(str(exc)) from None
-
+    obs = _observations(model, getattr(sequence, "symbols", sequence))
     n = model.n_faults
-    best = viterbi(model.hmm, obs)
+    paths = k_best_paths(model.hmm, obs, 2 if secondary else 1)
+    best = paths[0]
     primary = _mode(best.states, n)
 
     second_path: StatePath | None = None
     secondary_fault: int | None = None
-    if secondary:
-        paths = k_best_paths(model.hmm, obs, 2)
-        if len(paths) > 1:
-            second_path = paths[1]
-            candidate = _mode(second_path.states, n)
-            if candidate != primary:
-                secondary_fault = candidate
-            else:
-                secondary_fault = _second_mode(best.states, n, primary)
-                if secondary_fault is None:
-                    secondary_fault = _second_mode(second_path.states, n, primary)
+    if len(paths) > 1:
+        second_path = paths[1]
+        candidate = _mode(second_path.states, n)
+        if candidate != primary:
+            secondary_fault = candidate
+        else:
+            secondary_fault = _second_mode(best.states, n, primary)
+            if secondary_fault is None:
+                secondary_fault = _second_mode(second_path.states, n, primary)
     return Diagnosis(
         primary_fault=primary,
         secondary_fault=secondary_fault,
@@ -284,15 +285,12 @@ def evaluate_prefix_accuracy(
     confusion = np.zeros((l_max, n, n), dtype=np.int64)
     n_correct = np.zeros(l_max, dtype=np.int64)
     for item in test:
-        symbols = item.sequence.symbols
         if not 0 <= item.fault < n:
             raise DomainError(f"test label {item.fault} outside the model's faults")
-        verdicts = {
-            p: diagnose(model, symbols[:p], secondary=False).primary_fault
-            for p in range(1, min(l_max, len(symbols)) + 1)
-        }
+        obs = _observations(model, item.sequence.symbols[:l_max])
+        verdicts = [_mode(path.states, n) for path in prefix_paths(model.hmm, obs)]
         for p in range(1, l_max + 1):
-            verdict = verdicts[min(p, len(symbols))]
+            verdict = verdicts[min(p, obs.size) - 1]
             confusion[p - 1, item.fault, verdict] += 1
             if verdict == item.fault:
                 n_correct[p - 1] += 1
@@ -352,7 +350,10 @@ def diagnoser_from_dict(payload: dict) -> DiagnoserModel:
     codebook_doc = payload["codebook"]
     if not isinstance(codebook_doc, dict) or "n_measurements" not in codebook_doc:
         raise ModelFormatError("'codebook' must carry n_measurements")
-    codebook = AlarmSymbolCodebook(int(codebook_doc["n_measurements"]))
+    size = codebook_doc["n_measurements"]
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise ModelFormatError("codebook n_measurements must be a positive integer")
+    codebook = AlarmSymbolCodebook(size)
     try:
         return DiagnoserModel(
             hmm=hmm,

@@ -1,10 +1,11 @@
 """Discrete first-order hidden Markov models.
 
 Scaled forward/backward inference, pooled multi-sequence Baum-Welch
-training and exact (k-best) Viterbi decoding over a finite observation
-alphabet.  The forward/backward pass rescales at every step and keeps the
-normalizers, Viterbi works entirely in log space, so long sequences do not
-underflow.
+training and exact decoding over a finite observation alphabet: one
+list-Viterbi pass serves Viterbi, k-best and every prefix's best path.
+The forward/backward pass rescales at every step and keeps the
+normalizers, decoding works entirely in log space, so long sequences do
+not underflow.
 """
 
 from __future__ import annotations
@@ -403,6 +404,87 @@ def fit(
     return model, np.asarray(trace)
 
 
+def _list_viterbi(model: Hmm, obs: np.ndarray, k: int) -> tuple[list, list]:
+    """Parallel list-Viterbi forward pass (Seshadri & Sundberg 1994).
+
+    ``scores[t][j, r]`` is the log probability of the ``r``-th best path
+    over ``obs[:t+1]`` ending in state ``j``; a cell keeps ``min(k, N**t)``
+    entries and is never padded.  ``back[t][j, r]`` is the flat index
+    ``i * w + r'`` of that path's entry ``[i, r']`` at step ``t - 1``.
+    Candidates rank by total score, emission term included, ties going to
+    the lowest flat index.  Step ``t`` reads only ``obs[:t+1]``.
+    """
+    n = model.n_states
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(model.transition)
+        log_emit = np.log(model.emission)
+        log_initial = np.log(model.initial)
+
+    score = (log_initial + log_emit[:, obs[0]])[:, None]
+    if np.isneginf(score).all():
+        raise InferenceError("no state can produce the observation at step 0")
+    scores, back = [score], [None]
+    columns = np.arange(n)
+    for t in range(1, obs.size):
+        # Row i * w' + r' of cand holds entry [i, r'] extended to every state.
+        cand = (score[:, :, None] + log_trans[:, None, :]).reshape(score.size, n)
+        cand += log_emit[:, obs[t]]
+        width = min(k, score.size)
+        best = np.empty((width, n))
+        picks = np.empty((width, n), dtype=np.int64)
+        for rank in range(width):
+            # A taken entry turns NaN, which fmax skips and == never matches;
+            # argmax over the matches takes the lowest index.
+            best[rank] = np.fmax.reduce(cand, axis=0)
+            picks[rank] = (cand == best[rank]).argmax(axis=0)
+            cand[picks[rank], columns] = np.nan
+        score = best.T
+        if np.isneginf(score[:, 0]).all():
+            raise InferenceError(f"no admissible state path at step {t}")
+        scores.append(score)
+        back.append(picks.T)
+    return scores, back
+
+
+def _backtrace(scores: list, back: list, end: int, k: int) -> list[StatePath]:
+    """The ``k`` best paths over ``obs[:end+1]`` from a list-Viterbi pass.
+
+    Paths come best first; exact score ties are ordered by their trailing
+    states, last state first.
+    """
+    final = scores[end].ravel()
+    # Only entries scoring at least the k-th best score can make the cut.
+    chosen = np.flatnonzero(final >= np.sort(final)[-min(k, final.size)])
+    states = np.empty((end + 1, chosen.size), dtype=np.int64)
+    flat = chosen
+    for t in range(end, 0, -1):
+        states[t] = flat // scores[t].shape[1]
+        flat = back[t].ravel()[flat]
+    states[0] = flat
+    order = np.lexsort((*states, -final[chosen]))[:k]
+    return [
+        StatePath(states=_frozen_array(path, dtype=np.int64), log_prob=float(score))
+        for path, score in zip(states[:, order].T, final[chosen[order]])
+    ]
+
+
+def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
+    """The ``k`` highest-probability state paths, best first (list Viterbi).
+
+    Every (time, state) cell keeps its ``k`` best entries, so the result is
+    exact.  Paths are distinct and ordered by non-increasing log
+    probability; exact ties are ordered by trailing state indices, matching
+    the lowest-index tie rule of :func:`viterbi`, so the first path always
+    equals the Viterbi path.  If fewer than ``k`` distinct paths exist, all
+    of them are returned.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    o = as_observations(obs, model.n_symbols)
+    scores, back = _list_viterbi(model, o, k)
+    return _backtrace(scores, back, o.size - 1, k)
+
+
 def viterbi(model: Hmm, obs) -> StatePath:
     """Most probable state path for ``obs``, computed in log space.
 
@@ -410,98 +492,14 @@ def viterbi(model: Hmm, obs) -> StatePath:
     Raises :class:`InferenceError` when no state can produce the observed
     symbol at some step (possible only for models with exact zeros).
     """
+    return k_best_paths(model, obs, 1)[0]
+
+
+def prefix_paths(model: Hmm, obs) -> list[StatePath]:
+    """``viterbi(model, obs[:p+1])`` for every ``p``, from one decoding pass."""
     o = as_observations(obs, model.n_symbols)
-    t_len, n = o.size, model.n_states
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transition)
-        log_emit = np.log(model.emission)
-        log_initial = np.log(model.initial)
-
-    delta = log_initial + log_emit[:, o[0]]
-    if np.isneginf(delta).all():
-        raise InferenceError("no state can produce the observation at step 0")
-    back = np.zeros((t_len, n), dtype=np.int64)
-    for t in range(1, t_len):
-        cand = delta[:, None] + log_trans
-        best_prev = np.argmax(cand, axis=0)  # ties -> lowest predecessor index
-        delta = cand[best_prev, np.arange(n)] + log_emit[:, o[t]]
-        back[t] = best_prev
-        if np.isneginf(delta).all():
-            raise InferenceError(f"no admissible state path at step {t}")
-
-    last = int(np.argmax(delta))
-    states = np.empty(t_len, dtype=np.int64)
-    states[-1] = last
-    for t in range(t_len - 1, 0, -1):
-        states[t - 1] = back[t, states[t]]
-    return StatePath(states=_frozen_array(states, dtype=np.int64), log_prob=float(delta[last]))
-
-
-def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
-    """The ``k`` highest-probability state paths, best first (list Viterbi).
-
-    Every (time, state) cell keeps its ``k`` best predecessor entries, so
-    the result is exact.  Paths are distinct and ordered by non-increasing
-    log probability; exact ties are ordered by trailing state indices,
-    matching the lowest-index tie rule of :func:`viterbi`, so the first
-    path always equals the Viterbi path.  If fewer than ``k`` distinct
-    paths exist, all of them are returned.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    o = as_observations(obs, model.n_symbols)
-    t_len, n = o.size, model.n_states
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transition)
-        log_emit = np.log(model.emission)
-        log_initial = np.log(model.initial)
-
-    # Cell entries are (score, previous state, previous rank).
-    first = [[(log_initial[j] + log_emit[j, o[0]], -1, -1)] for j in range(n)]
-    if all(np.isneginf(cell[0][0]) for cell in first):
-        raise InferenceError("no state can produce the observation at step 0")
-    history = [first]
-    for t in range(1, t_len):
-        prev_cells = history[-1]
-        new_cells = []
-        for j in range(n):
-            bonus = log_emit[j, o[t]]
-            cands = []
-            for i in range(n):
-                hop = log_trans[i, j]
-                for rank, entry in enumerate(prev_cells[i]):
-                    cands.append((entry[0] + hop + bonus, i, rank))
-            cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-            new_cells.append(cands[:k])
-        if all(np.isneginf(cell[0][0]) for cell in new_cells):
-            raise InferenceError(f"no admissible state path at step {t}")
-        history.append(new_cells)
-
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    for j, cell in enumerate(history[-1]):
-        for rank in range(len(cell)):
-            states = np.empty(t_len, dtype=np.int64)
-            state, r = j, rank
-            for t in range(t_len - 1, 0, -1):
-                states[t] = state
-                _, state, r = history[t][state][r]
-            states[0] = state
-            candidates.append((float(cell[rank][0]), tuple(int(s) for s in states)))
-    # Canonical order: descending score, exact ties by trailing states.
-    candidates.sort(key=lambda c: (-c[0], c[1][::-1]))
-
-    paths: list[StatePath] = []
-    seen: set[tuple[int, ...]] = set()
-    for score, states in candidates:
-        if states in seen:  # cannot happen for list Viterbi, kept as a guard
-            continue
-        seen.add(states)
-        paths.append(
-            StatePath(states=_frozen_array(states, dtype=np.int64), log_prob=score)
-        )
-        if len(paths) == k:
-            break
-    return paths
+    scores, back = _list_viterbi(model, o, 1)
+    return [_backtrace(scores, back, end, 1)[0] for end in range(o.size)]
 
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:

@@ -225,7 +225,7 @@ def generate_scenario_set(
     return train, test
 
 
-def default_scenario_counts(graph: PropagationGraph | None = None) -> dict[int, tuple[int, int]]:
+def default_scenario_counts() -> dict[int, tuple[int, int]]:
     """The bundled 65-train / 42-test split across the ten default faults."""
     return {
         fault: (DEFAULT_TRAIN_COUNTS[fault], DEFAULT_TEST_COUNTS[fault])

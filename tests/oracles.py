@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from alarmhmm import InferenceError
+
 
 def all_paths(n_states: int, t_len: int) -> np.ndarray:
     """All N**T state paths as an (N**T, T) int array, forward-lexicographic."""
@@ -92,6 +94,53 @@ def ranked_paths(model, obs) -> tuple[np.ndarray, np.ndarray]:
 def enum_best_path(model, obs) -> tuple[np.ndarray, float]:
     paths, scores = ranked_paths(model, obs)
     return paths[0], float(scores[0])
+
+
+def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
+    """List Viterbi written as plain loops over (state, predecessor, rank).
+
+    The reference for the vectorized decoder's tie rules: candidates are
+    sorted by (-score, predecessor state, predecessor rank), the emission
+    term already added, and the final entries by (-score, trailing states).
+    Returns ``(states, log_prob)`` pairs, best first.
+    """
+    obs = [int(o) for o in obs]
+    n = model.n_states
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(model.transition)
+        log_emit = np.log(model.emission)
+        log_initial = np.log(model.initial)
+
+    # Cell entries are (score, previous state, previous rank).
+    history = [[[(log_initial[j] + log_emit[j, obs[0]], -1, -1)] for j in range(n)]]
+    if all(np.isneginf(cell[0][0]) for cell in history[0]):
+        raise InferenceError("no state can produce the observation at step 0")
+    for t in range(1, len(obs)):
+        cells = []
+        for j in range(n):
+            bonus = log_emit[j, obs[t]]
+            cands = [
+                (entry[0] + log_trans[i, j] + bonus, i, rank)
+                for i in range(n)
+                for rank, entry in enumerate(history[-1][i])
+            ]
+            cands.sort(key=lambda c: (-c[0], c[1], c[2]))
+            cells.append(cands[:k])
+        if all(np.isneginf(cell[0][0]) for cell in cells):
+            raise InferenceError(f"no admissible state path at step {t}")
+        history.append(cells)
+
+    finals = []
+    for j, cell in enumerate(history[-1]):
+        for rank, entry in enumerate(cell):
+            states = [j]
+            state, r = j, rank
+            for t in range(len(obs) - 1, 0, -1):
+                _, state, r = history[t][state][r]
+                states.append(state)
+            finals.append((states[::-1], float(entry[0])))
+    finals.sort(key=lambda f: (-f[1], f[0][::-1]))
+    return finals[:k]
 
 
 def _scores_close(a: float, b: float, tol: float) -> bool:

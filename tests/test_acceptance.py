@@ -23,7 +23,7 @@ from alarmhmm import (
     viterbi,
 )
 from alarmhmm.alarms import AlarmLimits, AlarmSymbolCodebook, MeasurementTrace, extract_sequence
-from alarmhmm.baseline import cluster_and_classify
+from alarmhmm.baseline import fit_baseline
 from alarmhmm.cli import main
 from alarmhmm.diagnoser import as_labeled, diagnose, evaluate_prefix_accuracy, train_diagnoser
 from alarmhmm.plantsim import (
@@ -74,9 +74,9 @@ def pipeline_runs():
         l_max = max(len(s) for s in test)
         curve = evaluate_prefix_accuracy(model, as_labeled(test), l_max=l_max)
         diagnoser_elapsed += time.perf_counter() - start
-        predictions = cluster_and_classify(
+        predictions = fit_baseline(
             as_labeled(train), test, n_clusters=graph.n_faults, n_symbols=graph.n_symbols
-        )
+        ).predictions
         baseline_accuracy = float(
             np.mean([p == s.fault for p, s in zip(predictions, test)])
         )

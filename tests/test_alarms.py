@@ -1,8 +1,12 @@
 """Alarm limit fitting, persistence-based extraction, and trace/sequence I/O."""
 
+import json
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alarmhmm import DomainError, SchemaError
@@ -22,6 +26,57 @@ from alarmhmm.alarms import (
 )
 
 import oracles
+
+VALID_RECORD = {"fault": 1, "symbols": [3, 0, 5], "times": [0.0, 10.0, 10.0],
+                "meta": {"n_measurements": 4}}
+
+NOT_AN_INT = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers(), max_size=2)
+)
+NOT_A_FINITE_NUMBER = st.one_of(
+    st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.text(max_size=3), st.none(), st.lists(st.floats(), max_size=2),
+)
+
+
+def _replace(field, value):
+    return {**VALID_RECORD, field: value}
+
+
+def _replace_item(field, index, value):
+    items = list(VALID_RECORD[field])
+    items[index] = value
+    return _replace(field, items)
+
+
+def malformed_records():
+    """JSONL records that each break the sequence schema in one way."""
+    return st.one_of(
+        st.sampled_from(sorted(VALID_RECORD)).map(
+            lambda key: {k: v for k, v in VALID_RECORD.items() if k != key}
+        ),
+        NOT_AN_INT.map(lambda v: _replace("fault", v)),
+        st.tuples(st.integers(0, 2), st.one_of(NOT_AN_INT, st.none())).map(
+            lambda a: _replace_item("symbols", *a)
+        ),
+        st.tuples(st.integers(0, 2), NOT_A_FINITE_NUMBER).map(
+            lambda a: _replace_item("times", *a)
+        ),
+        st.one_of(NOT_AN_INT, st.integers(-3, 0)).map(
+            lambda v: _replace("meta", {"n_measurements": v})
+        ),
+        st.one_of(st.text(max_size=3), st.lists(st.integers(), max_size=2), st.integers()).map(
+            lambda v: _replace("meta", v)
+        ),
+        st.sampled_from([
+            _replace("symbols", [3, 0]),            # lengths differ
+            _replace("times", "0.0"),
+            _replace("symbols", [3, 0, 3]),         # a repeated alarm
+            _replace("times", [0.0, 10.0, 5.0]),    # out of order
+            [VALID_RECORD],
+            "record",
+        ]),
+    )
 
 
 def single_limits(mean=10.0, std=1.0, kappa=3.0):
@@ -265,6 +320,16 @@ class TestSequenceJsonl:
             read_sequences_jsonl(path)
         path.write_text('{"fault": "x", "symbols": [1], "times": [0.0], "meta": {}}\n')
         with pytest.raises(SchemaError, match="fault"):
+            read_sequences_jsonl(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(record=malformed_records())
+    @example(record={"fault": True, "symbols": [3, 3, True], "times": [5.0, math.nan, 1.0],
+                     "meta": {}})
+    def test_malformed_records_raise_located_schema_errors(self, record, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "malformed.jsonl"
+        path.write_text(json.dumps(VALID_RECORD) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: "):
             read_sequences_jsonl(path)
 
     def test_validate_enforces_sequence_invariants(self):

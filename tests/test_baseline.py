@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from alarmhmm import DomainError
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.baseline import (
-    cluster_and_classify,
     dechatter,
     dechatter_symbols,
     feature_matrix,
@@ -111,18 +110,18 @@ class TestClustering:
     def test_single_cluster_votes_globally(self):
         training = [(seq([0, 1]), 1), (seq([0, 1]), 1), (seq([4, 5]), 0)]
         test = [seq([8, 9]), seq([0, 1])]
-        assert cluster_and_classify(training, test, 1, 16) == [1, 1]
+        assert fit_baseline(training, test, 1, 16).predictions == [1, 1]
 
     def test_majority_tie_breaks_to_lowest_fault(self):
         training = [(seq([0, 1]), 3), (seq([1, 0]), 2)]
-        assert cluster_and_classify(training, [seq([0, 1])], 1, 4) == [2]
+        assert fit_baseline(training, [seq([0, 1])], 1, 4).predictions == [2]
 
     def test_cluster_count_validated(self):
         training, test = self.disjoint_data()
         with pytest.raises(DomainError, match="n_clusters"):
-            cluster_and_classify(training, test, 0, 16)
+            fit_baseline(training, test, 0, 16)
         with pytest.raises(DomainError, match="n_clusters"):
-            cluster_and_classify(training, test, 5, 16)
+            fit_baseline(training, test, 5, 16)
 
     def test_cluster_count_defaults_to_distinct_faults(self):
         training, test = self.disjoint_data()

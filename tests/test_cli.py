@@ -112,6 +112,14 @@ class TestPipeline:
         assert record["path"] == [expected]
         assert record["primary_fault"] == expected
 
+    def test_repeated_in_pools_every_file(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["simulate", "--seed", "0", "--out", str(data)]) == 0
+        model = tmp_path / "model.json"
+        assert main(["train", "--in", str(data / "train.jsonl"), "--in", str(data / "test.jsonl"),
+                     "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["training"]["n_sequences"] == 65 + 42
+
     def test_model_round_trips_through_cli(self, pipeline):
         tmp_path, data, model = pipeline
         from alarmhmm.diagnoser import load_diagnoser, save_diagnoser
@@ -222,6 +230,18 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-model:")
 
+    @pytest.mark.parametrize("size", ["abc", True, 0, 2.5])
+    def test_invalid_codebook_size(self, pipeline, tmp_path, capsys, size):
+        _, data, model = pipeline
+        doc = json.loads(model.read_text())
+        doc["codebook"]["n_measurements"] = size
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["diagnose", "--model", str(bad), "--in", str(data / "test.jsonl"),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid-model:")
+
     def test_schema_mismatch(self, tmp_path, capsys):
         seqs = tmp_path / "seqs.jsonl"
         seqs.write_text('{"fault": 0, "symbols": "oops", "times": [], "meta": {}}\n')
@@ -233,14 +253,15 @@ class TestErrorReporting:
         _, _, model = pipeline
         seqs = tmp_path / "alien.jsonl"
         seqs.write_text(
-            '{"fault": null, "symbols": [99], "times": [0.0], "meta": {"n_measurements": 5}}\n'
+            '{"fault": 0, "symbols": [99], "times": [0.0], "meta": {"n_measurements": 5}}\n'
         )
-        code = main(["diagnose", "--model", str(model), "--in", str(seqs),
-                     "--out", str(tmp_path / "out.jsonl")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown-symbol:")
-        assert "\n" not in err.rstrip("\n")
+        for command in ("diagnose", "evaluate"):
+            code = main([command, "--model", str(model), "--in", str(seqs),
+                         "--out", str(tmp_path / command)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown-symbol:")
+            assert "\n" not in err.rstrip("\n")
 
     def test_unlabeled_training_data(self, tmp_path, capsys):
         seqs = tmp_path / "seqs.jsonl"

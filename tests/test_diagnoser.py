@@ -191,6 +191,9 @@ class TestDiagnose:
         model = train_diagnoser(training, codebook=book)
         symbols = rng.integers(0, book.n_symbols, size=6).tolist()
         verdict = diagnose(model, symbols)
+        alone = diagnose(model, symbols, secondary=False)
+        assert alone.path.states.tolist() == verdict.path.states.tolist()
+        assert alone.path.log_prob == verdict.path.log_prob
         counts = np.bincount(verdict.path.states, minlength=model.n_faults)
         assert counts[verdict.primary_fault] == counts.max()
         assert verdict.primary_fault == int(np.argmax(counts))
@@ -248,6 +251,23 @@ class TestEvaluation:
         assert curve.confusion.shape == (5, 4, 4)
         assert (curve.confusion.sum(axis=(1, 2)) == len(training)).all()
         assert (curve.n_correct == np.trace(curve.confusion, axis1=1, axis2=2)).all()
+
+    def test_matches_diagnosing_every_prefix(self):
+        rng = np.random.default_rng(4)
+        training, book = disjoint_training()
+        model = train_diagnoser(training, codebook=book)
+        test = [
+            labeled(rng.choice(book.n_symbols, size=int(rng.integers(1, 9)), replace=False), fault)
+            for fault in (0, 1, 2, 3, 0, 1, 2, 3)
+        ]
+        l_max = 7
+        curve = evaluate_prefix_accuracy(model, test, l_max=l_max)
+        confusion = np.zeros((l_max, 4, 4), dtype=np.int64)
+        for item in test:
+            for p in range(1, l_max + 1):
+                verdict = diagnose(model, item.symbols[:p], secondary=False).primary_fault
+                confusion[p - 1, item.fault, verdict] += 1
+        assert np.array_equal(curve.confusion, confusion)
 
     def test_invalid_l_max_rejected(self):
         training, book = disjoint_training()

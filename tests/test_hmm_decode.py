@@ -1,11 +1,21 @@
 """Viterbi and k-best decoding against full path enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmhmm import DomainError, Hmm, InferenceError, k_best_paths, random_model, viterbi
+from alarmhmm import (
+    DomainError,
+    Hmm,
+    InferenceError,
+    k_best_paths,
+    prefix_paths,
+    random_model,
+    viterbi,
+)
 
 import oracles
 
@@ -97,6 +107,41 @@ def test_viterbi_dominates_every_enumerated_path(seed):
     assert path.log_prob >= scores.max() - 1e-12
 
 
+def coarse_case(seed):
+    """A small case whose probabilities are ratios of the integers 0..3.
+
+    That gives exact zeros (so impossible observations and zero-probability
+    paths) and exact ties between paths.
+    """
+    rng = np.random.default_rng(seed)
+    n, m, t = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
+
+    def rows(count, width):
+        weights = rng.integers(0, 4, size=(count, width)).astype(float)
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    model = Hmm(transition=rows(n, n), emission=rows(n, m), initial=rows(1, n)[0])
+    return model, rng.integers(0, m, size=t)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), coarse=st.booleans())
+def test_prefix_paths_equal_viterbi_of_every_prefix(seed, coarse):
+    model, obs = coarse_case(seed) if coarse else small_random_case(seed)
+    try:
+        prefixes = prefix_paths(model, obs)
+    except InferenceError as exc:
+        with pytest.raises(InferenceError, match=f"^{re.escape(str(exc))}$"):
+            viterbi(model, obs)
+        return
+    assert len(prefixes) == len(obs)
+    for p, path in enumerate(prefixes, start=1):
+        expected = viterbi(model, obs[:p])
+        assert path.states.tolist() == expected.states.tolist()
+        assert path.log_prob == expected.log_prob
+
+
 def test_symbol_relabeling_leaves_the_decoded_path_unchanged():
     model, obs = small_random_case(3)
     rng = np.random.default_rng(99)
@@ -140,10 +185,39 @@ class TestKBest:
         as_tuples = [tuple(p.states.tolist()) for p in paths]
         assert len(set(as_tuples)) == 4
 
+    def test_zero_probability_paths_keep_the_index_order(self):
+        # Only [1, 1, 1] has nonzero probability.  The cells rank their
+        # candidates after adding the emission term, so among the
+        # impossible paths the lowest (state, rank) entries survive.
+        model = Hmm(
+            transition=[[1.0, 0.0], [2 / 3, 1 / 3]],
+            emission=[[0.0, 1.0], [0.5, 0.5]],
+            initial=[0.5, 0.5],
+        )
+        paths = k_best_paths(model, [0, 1, 0], 2)
+        assert [p.states.tolist() for p in paths] == [[1, 1, 1], [0, 0, 0]]
+        assert np.isneginf(paths[1].log_prob)
+        assert [(p.states.tolist(), p.log_prob) for p in paths] == oracles.loop_k_best(
+            model, [0, 1, 0], 2
+        )
+
     def test_invalid_k_rejected(self):
         model = random_model(2, 2, seed=1)
         with pytest.raises(DomainError, match="k"):
             k_best_paths(model, [0, 1], 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 2, 3, 7]), coarse=st.booleans())
+    def test_matches_the_loop_reference_exactly(self, seed, k, coarse):
+        model, obs = coarse_case(seed) if coarse else small_random_case(seed)
+        try:
+            expected = oracles.loop_k_best(model, obs, k)
+        except InferenceError as exc:
+            with pytest.raises(InferenceError, match=f"^{re.escape(str(exc))}$"):
+                k_best_paths(model, obs, k)
+            return
+        got = [(p.states.tolist(), p.log_prob) for p in k_best_paths(model, obs, k)]
+        assert got == expected  # same order and the same log-probability bits
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
