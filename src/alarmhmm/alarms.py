@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .documents import is_finite_array, is_int, is_int_array, open_text, require
 from .errors import DomainError, SchemaError
 
 HIGH = "high"
@@ -226,26 +227,25 @@ def extract_sequence(
 
 def read_trace_csv(path) -> MeasurementTrace:
     """Read a ``time,<meas_id>...`` CSV with uniformly spaced time stamps."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(open_text(path, SchemaError, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty trace file") from None
+    if not header or header[0] != "time":
+        raise SchemaError(f"{path}: first column must be 'time'")
+    meas_ids = header[1:]
+    if not meas_ids:
+        raise SchemaError(f"{path}: no measurement columns")
+    times, rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty trace file") from None
-        if not header or header[0] != "time":
-            raise SchemaError(f"{path}: first column must be 'time'")
-        meas_ids = header[1:]
-        if not meas_ids:
-            raise SchemaError(f"{path}: no measurement columns")
-        times, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                times.append(float(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            times.append(float(row[0]))
+            rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
     if len(rows) < 2:
         raise SchemaError(f"{path}: need at least two samples to infer the sample period")
     diffs = np.diff(times)
@@ -274,44 +274,18 @@ def sequence_to_dict(sequence: AlarmSequence) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def sequence_from_dict(payload: dict) -> AlarmSequence:
     """Check one JSONL record against the sequence schema and build it.
 
-    Booleans are not accepted as integers, times must be finite, and the
-    result must satisfy :meth:`AlarmSequence.validate`.
+    Nothing is coerced, and the result satisfies :meth:`AlarmSequence.validate`.
     """
-    if not isinstance(payload, dict):
-        raise SchemaError("sequence record must be a JSON object")
-    for key in ("fault", "symbols", "times", "meta"):
-        if key not in payload:
-            raise SchemaError(f"sequence record is missing the '{key}' field")
-    fault = payload["fault"]
-    if fault is not None and not _is_int(fault):
-        raise SchemaError("fault must be an integer or null")
-    symbols, times, meta = payload["symbols"], payload["times"], payload["meta"]
-    if not isinstance(symbols, list) or not all(_is_int(s) for s in symbols):
-        raise SchemaError("symbols must be a list of integers")
-    if not isinstance(times, list) or len(times) != len(symbols):
-        raise SchemaError("times must be a list matching symbols in length")
-    if not all(_is_finite_number(t) for t in times):
-        raise SchemaError("times must be finite numbers")
-    if not isinstance(meta, dict):
-        raise SchemaError("meta must be an object")
+    fault = require(payload, "fault", lambda value: value is None or is_int(value),
+                    "an integer or null")
+    symbols = require(payload, "symbols", is_int_array, "an array of integers")
+    times = require(payload, "times", is_finite_array, "an array of finite numbers")
+    meta = require(payload, "meta", lambda value: isinstance(value, dict), "an object")
     size = meta.get("n_measurements")
-    if size is not None and not (_is_int(size) and size >= 1):
+    if size is not None and not (is_int(size) and size >= 1):
         raise SchemaError("meta n_measurements must be a positive integer")
     sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
     try:
@@ -328,17 +302,16 @@ def write_sequences_jsonl(path, sequences: list[AlarmSequence]) -> None:
 
 def read_sequences_jsonl(path) -> list[AlarmSequence]:
     sequences = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: not valid JSON ({exc})") from None
-            try:
-                sequences.append(sequence_from_dict(payload))
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(open_text(path, SchemaError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise SchemaError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+        try:
+            sequences.append(sequence_from_dict(payload))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     return sequences

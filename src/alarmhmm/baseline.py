@@ -9,47 +9,33 @@ vote, and classify test sequences by the nearest cluster centroid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from .alarms import AlarmSequence
+from .documents import write_csv
 from .errors import DomainError
 
+#: header of ``predictions.csv``, which ``report`` reads back
+PREDICTION_COLUMNS = ("sequence_id", "true_fault", "predicted_fault")
 
-def _symbols_of(sequence) -> list[int]:
-    return list(getattr(sequence, "symbols", sequence))
 
-
-def dechatter(sequence: AlarmSequence) -> AlarmSequence:
+def dechatter(symbols) -> list[int]:
     """Collapse consecutive repeats of the same symbol to one occurrence."""
-    symbols = _symbols_of(sequence)
-    keep = [i for i, s in enumerate(symbols) if i == 0 or s != symbols[i - 1]]
-    if not isinstance(sequence, AlarmSequence):
-        return AlarmSequence(symbols=[symbols[i] for i in keep], times=[float(i) for i in range(len(keep))])
-    return AlarmSequence(
-        symbols=[sequence.symbols[i] for i in keep],
-        times=[sequence.times[i] for i in keep],
-        fault=sequence.fault,
-        meta=dict(sequence.meta),
-    )
-
-
-def dechatter_symbols(symbols) -> list[int]:
-    symbols = _symbols_of(symbols)
+    symbols = list(symbols)
     return [s for i, s in enumerate(symbols) if i == 0 or s != symbols[i - 1]]
 
 
 def feature_matrix(sequence, n_symbols: int) -> np.ndarray:
     """Successor-count matrix P of the de-chattered sequence.
 
+    ``sequence`` is a symbol list or anything with a ``symbols`` list.
     ``P[i, j]`` counts how often alarm ``j`` immediately follows alarm
     ``i``; the counts sum to the de-chattered length minus one.
     """
-    symbols = np.asarray(dechatter_symbols(sequence), dtype=np.int64)
+    symbols = np.asarray(dechatter(getattr(sequence, "symbols", sequence)), dtype=np.int64)
     if symbols.size and (symbols.min() < 0 or symbols.max() >= n_symbols):
         bad = symbols[(symbols < 0) | (symbols >= n_symbols)][0]
         raise DomainError(f"symbol {bad} outside [0, {n_symbols})")
@@ -119,15 +105,10 @@ def fit_baseline(
     """
     if not training:
         raise DomainError("baseline training set must be non-empty")
-    sequences, faults = [], []
-    for item in training:
-        if hasattr(item, "sequence"):
-            sequences.append(item.sequence)
-            faults.append(int(item.fault))
-        else:
-            seq, fault = item
-            sequences.append(seq)
-            faults.append(int(fault))
+    pairs = [(item.sequence, item.fault) if hasattr(item, "sequence") else item
+             for item in training]
+    sequences = [sequence for sequence, _ in pairs]
+    faults = [int(fault) for _, fault in pairs]
     if n_clusters is None:
         n_clusters = len(set(faults))
     if not 1 <= n_clusters <= len(training):
@@ -173,18 +154,13 @@ def fit_baseline(
 
 def write_predictions_csv(path, rows: list[tuple[int, int | None, int]]) -> None:
     """Rows are (sequence_id, true_fault or None, predicted_fault)."""
-    with open(path, "w", newline="") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["sequence_id", "true_fault", "predicted_fault"])
-        for sequence_id, true_fault, predicted in rows:
-            writer.writerow([sequence_id, "" if true_fault is None else true_fault, predicted])
+    write_csv(path, PREDICTION_COLUMNS, (
+        [sequence_id, "" if true_fault is None else true_fault, predicted]
+        for sequence_id, true_fault, predicted in rows
+    ))
 
 
 def write_dendrogram_csv(path, dendrogram: Dendrogram) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["step", "cluster_a", "cluster_b", "distance"])
-        for step, (a, b, distance) in enumerate(dendrogram.merges):
-            writer.writerow([step, a, b, repr(distance)])
+    write_csv(path, ("step", "cluster_a", "cluster_b", "distance"), (
+        [step, a, b, repr(distance)] for step, (a, b, distance) in enumerate(dendrogram.merges)
+    ))

@@ -9,7 +9,6 @@ byte-identical output files.  Failures exit nonzero with a single
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .alarms import (
     write_sequences_jsonl,
 )
 from .diagnoser import (
+    ACCURACY_COLUMNS,
     as_labeled,
     diagnose,
     evaluate_prefix_accuracy,
@@ -34,6 +34,7 @@ from .diagnoser import (
     write_accuracy_csv,
     write_confusion_csvs,
 )
+from .documents import read_csv, write_csv
 from .errors import (
     AlarmHmmError,
     DomainError,
@@ -51,14 +52,9 @@ _ERROR_KINDS = (
     (InferenceError, "inference-error"),
     (DomainError, "domain-error"),
     (AlarmHmmError, "error"),
+    (FileNotFoundError, "missing-file"),
+    (OSError, "io-error"),
 )
-
-
-def _error_kind(exc: Exception) -> str:
-    for cls, kind in _ERROR_KINDS:
-        if isinstance(exc, cls):
-            return kind
-    return "error"
 
 
 def _parse_counts(text: str, n_faults: int, option: str) -> list[int]:
@@ -151,12 +147,8 @@ def cmd_train(args) -> int:
     sequences = _read_inputs(args.inputs)
     labeled = as_labeled(sequences)
     codebook = _codebook_for(sequences, args.measurements)
-    config = FitConfig(
-        max_iterations=args.max_iters,
-        rel_tol=args.rel_tol,
-        emission_floor=args.emission_floor,
-        seed=args.seed,
-    )
+    config = FitConfig(max_iterations=args.max_iters, rel_tol=args.rel_tol,
+                       emission_floor=args.emission_floor)
     model = train_diagnoser(
         labeled,
         priors=None,
@@ -243,33 +235,25 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _read_csv_rows(path) -> list[dict]:
-    with open(path, newline="") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    return list(csv.DictReader(lines))
-
-
 def cmd_report(args) -> int:
-    accuracy_rows = _read_csv_rows(Path(args.evaluation) / "accuracy.csv")
-    prediction_rows = _read_csv_rows(Path(args.baseline) / "predictions.csv")
+    accuracy_path = Path(args.evaluation) / "accuracy.csv"
+    accuracy_rows = read_csv(accuracy_path, ACCURACY_COLUMNS)
+    prediction_path = Path(args.baseline) / "predictions.csv"
+    prediction_rows = read_csv(prediction_path, baseline_mod.PREDICTION_COLUMNS)
     if not accuracy_rows:
-        raise SchemaError("evaluation accuracy.csv is empty")
+        raise SchemaError(f"{accuracy_path}: no accuracy rows")
+    full = accuracy_rows[-1]["accuracy"]
+    try:
+        hmm_full = float(full)
+    except ValueError:
+        raise SchemaError(f"{accuracy_path}: accuracy {full!r} is not a number") from None
     scored = [row for row in prediction_rows if row["true_fault"] != ""]
     if not scored:
-        raise SchemaError("baseline predictions carry no true fault labels to score")
+        raise SchemaError(f"{prediction_path}: no true fault labels to score")
     correct = sum(row["true_fault"] == row["predicted_fault"] for row in scored)
-    with open(args.out, "w", newline="") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["method", "prefix_length", "accuracy", "n_correct", "n_total"])
-        for row in accuracy_rows:
-            writer.writerow(
-                ["hmm", row["prefix_length"], row["accuracy"], row["n_correct"], row["n_total"]]
-            )
-        writer.writerow(
-            ["baseline", "full", repr(correct / len(scored)), correct, len(scored)]
-        )
-    hmm_full = float(accuracy_rows[-1]["accuracy"])
+    write_csv(args.out, ("method",) + ACCURACY_COLUMNS, [
+        ["hmm"] + [row[column] for column in ACCURACY_COLUMNS] for row in accuracy_rows
+    ] + [["baseline", "full", repr(correct / len(scored)), correct, len(scored)]])
     print(
         f"hmm full-length accuracy {hmm_full:.3f} vs baseline {correct / len(scored):.3f} "
         f"-> {args.out}"
@@ -314,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--in", dest="inputs", action="append", required=True,
                        help="labeled training JSONL (repeatable, pooled in order)")
     train.add_argument("--out", required=True, help="model JSON path")
-    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--max-iters", type=int, default=500)
     train.add_argument("--rel-tol", type=float, default=1e-6)
     train.add_argument("--emission-floor", type=float, default=1e-10)
@@ -369,12 +352,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AlarmHmmError as exc:
+    except (AlarmHmmError, OSError) as exc:
         message = " ".join(str(exc).split())
-        print(f"error: {_error_kind(exc)}: {message}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing-file: {exc}", file=sys.stderr)
+        kind = next(kind for cls, kind in _ERROR_KINDS if isinstance(exc, cls))
+        print(f"error: {kind}: {message}", file=sys.stderr)
         return 1
 
 

@@ -11,15 +11,14 @@ second opinion from the runner-up; one pass yields every prefix verdict.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .alarms import AlarmSequence, AlarmSymbolCodebook
+from .documents import is_array, is_int, load_document, require, save_document, write_csv
 from .errors import DomainError, ModelFormatError, UnknownSymbolError
 from .hmm import (
     FitConfig,
@@ -36,6 +35,12 @@ from .hmm import (
 #: trained self-transition mass below this triggers a diagnostic warning,
 #: since the state-to-fault identity rests on the diagonal structure
 SELF_TRANSITION_WARN = 0.5
+
+#: off-diagonal transition mass of the default hard-masked diagonal structure
+HARD_MASK_OFF_DIAGONAL = 1e-3
+
+#: header of ``accuracy.csv``, which ``report`` reads back
+ACCURACY_COLUMNS = ("prefix_length", "accuracy", "n_correct", "n_total")
 
 
 @dataclass
@@ -124,7 +129,6 @@ def train_diagnoser(
     self_transition: float = 0.9,
     init_smoothing: float = 0.5,
     hard_mask: bool = True,
-    hard_mask_off_diagonal: float = 1e-3,
 ) -> DiagnoserModel:
     """Build and train the diagnoser HMM.
 
@@ -136,7 +140,7 @@ def train_diagnoser(
     unsupervised on all sequences pooled.
 
     By default the diagonal structure is hard: off-diagonal transition
-    mass is pinned at ``hard_mask_off_diagonal`` and not re-estimated,
+    mass is pinned at :data:`HARD_MASK_OFF_DIAGONAL` and not re-estimated,
     which is what keeps each state identified with its seeded fault.  With
     ``hard_mask=False`` the transitions start at ``self_transition`` on
     the diagonal and are re-estimated freely; prolonged unsupervised EM
@@ -155,12 +159,7 @@ def train_diagnoser(
     if missing:
         raise DomainError(f"fault {missing[0]} has no training sequences")
     n_symbols = codebook.n_symbols
-    for item in training:
-        if len(item.sequence) == 0:
-            raise DomainError("training sequences must be non-empty")
-        bad = [s for s in item.sequence.symbols if not 0 <= s < n_symbols]
-        if bad:
-            raise DomainError(f"training symbol {bad[0]} outside [0, {n_symbols})")
+    observations = [as_observations(item.symbols, n_symbols) for item in training]
 
     if priors is not None:
         initial = np.asarray(priors, dtype=float)
@@ -172,28 +171,21 @@ def train_diagnoser(
     else:
         initial = np.full(n_faults, 1.0 / n_faults)
 
-    off_diagonal = hard_mask_off_diagonal if hard_mask else (
+    off_diagonal = HARD_MASK_OFF_DIAGONAL if hard_mask else (
         (1.0 - self_transition) / (n_faults - 1) if n_faults > 1 else 0.0
     )
     transition = np.full((n_faults, n_faults), off_diagonal)
     np.fill_diagonal(transition, 1.0 - off_diagonal * (n_faults - 1))
 
     counts = np.full((n_faults, n_symbols), init_smoothing, dtype=float)
-    for item in training:
-        for symbol in item.sequence.symbols:
-            counts[item.fault, symbol] += 1.0
+    for item, obs in zip(training, observations):
+        np.add.at(counts[item.fault], obs, 1.0)
     emission = counts / counts.sum(axis=1, keepdims=True)
 
     start = Hmm(transition=transition, emission=emission, initial=initial)
     if hard_mask:
-        config = FitConfig(
-            max_iterations=config.max_iterations,
-            rel_tol=config.rel_tol,
-            emission_floor=config.emission_floor,
-            seed=config.seed,
-            update_transitions=False,
-        )
-    model, trace = fit(start, [item.symbols for item in training], config)
+        config = replace(config, update_transitions=False)
+    model, trace = fit(start, observations, config)
 
     diagonal = np.diag(model.transition)
     weak = np.flatnonzero(diagonal < SELF_TRANSITION_WARN)
@@ -215,7 +207,6 @@ def train_diagnoser(
         "max_iterations": config.max_iterations,
         "rel_tol": config.rel_tol,
         "emission_floor": config.emission_floor,
-        "seed": config.seed,
         "self_transition": self_transition,
         "init_smoothing": init_smoothing,
         "hard_mask": hard_mask,
@@ -283,7 +274,6 @@ def evaluate_prefix_accuracy(
         raise DomainError("evaluation requires at least one labeled sequence")
     n = model.n_faults
     confusion = np.zeros((l_max, n, n), dtype=np.int64)
-    n_correct = np.zeros(l_max, dtype=np.int64)
     for item in test:
         if not 0 <= item.fault < n:
             raise DomainError(f"test label {item.fault} outside the model's faults")
@@ -292,8 +282,7 @@ def evaluate_prefix_accuracy(
         for p in range(1, l_max + 1):
             verdict = verdicts[min(p, obs.size) - 1]
             confusion[p - 1, item.fault, verdict] += 1
-            if verdict == item.fault:
-                n_correct[p - 1] += 1
+    n_correct = np.trace(confusion, axis1=1, axis2=2)
     return AccuracyCurve(
         lengths=np.arange(1, l_max + 1),
         accuracy=n_correct / len(test),
@@ -304,12 +293,10 @@ def evaluate_prefix_accuracy(
 
 
 def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["prefix_length", "accuracy", "n_correct", "n_total"])
-        for length, accuracy, correct in zip(curve.lengths, curve.accuracy, curve.n_correct):
-            writer.writerow([int(length), repr(float(accuracy)), int(correct), curve.n_total])
+    write_csv(path, ACCURACY_COLUMNS, (
+        [int(length), repr(float(accuracy)), int(correct), curve.n_total]
+        for length, accuracy, correct in zip(curve.lengths, curve.accuracy, curve.n_correct)
+    ))
 
 
 def write_confusion_csvs(curve: AccuracyCurve, directory) -> list[Path]:
@@ -320,13 +307,11 @@ def write_confusion_csvs(curve: AccuracyCurve, directory) -> list[Path]:
     n = curve.confusion.shape[1]
     for index, length in enumerate(curve.lengths):
         path = directory / f"confusion_L{int(length):02d}.csv"
-        with open(path, "w", newline="") as handle:
-            handle.write("# format_version=1\n")
-            writer = csv.writer(handle)
-            writer.writerow(["true_fault", "diagnosed_fault", "count"])
-            for true_fault in range(n):
-                for diagnosed in range(n):
-                    writer.writerow([true_fault, diagnosed, int(curve.confusion[index, true_fault, diagnosed])])
+        write_csv(path, ("true_fault", "diagnosed_fault", "count"), (
+            [true_fault, diagnosed, int(curve.confusion[index, true_fault, diagnosed])]
+            for true_fault in range(n)
+            for diagnosed in range(n)
+        ))
         written.append(path)
     return written
 
@@ -341,24 +326,17 @@ def diagnoser_to_dict(model: DiagnoserModel) -> dict:
 
 def diagnoser_from_dict(payload: dict) -> DiagnoserModel:
     hmm = hmm_from_dict(payload)
-    for key in ("faults", "codebook"):
-        if key not in payload:
-            raise ModelFormatError(f"diagnoser document is missing the '{key}' section")
-    faults = payload["faults"]
-    if not isinstance(faults, list) or not all(isinstance(name, str) for name in faults):
-        raise ModelFormatError("'faults' must be a list of fault names")
-    codebook_doc = payload["codebook"]
-    if not isinstance(codebook_doc, dict) or "n_measurements" not in codebook_doc:
-        raise ModelFormatError("'codebook' must carry n_measurements")
-    size = codebook_doc["n_measurements"]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ModelFormatError("codebook n_measurements must be a positive integer")
-    codebook = AlarmSymbolCodebook(size)
+    faults = require(payload, "faults", lambda value: is_array(value) and all(
+        isinstance(name, str) for name in value), "an array of fault names", ModelFormatError)
+    codebook = require(payload, "codebook", lambda value: isinstance(value, dict),
+                     "an object", ModelFormatError)
+    size = require(codebook, "n_measurements", lambda value: is_int(value) and value >= 1,
+                 "a positive integer", ModelFormatError)
     try:
         return DiagnoserModel(
             hmm=hmm,
             fault_names=tuple(faults),
-            codebook=codebook,
+            codebook=AlarmSymbolCodebook(size),
             training=payload.get("training", {}),
         )
     except DomainError as exc:
@@ -366,12 +344,8 @@ def diagnoser_from_dict(payload: dict) -> DiagnoserModel:
 
 
 def save_diagnoser(model: DiagnoserModel, path) -> None:
-    Path(path).write_text(json.dumps(diagnoser_to_dict(model), indent=2, sort_keys=True) + "\n")
+    save_document(path, diagnoser_to_dict(model))
 
 
 def load_diagnoser(path) -> DiagnoserModel:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return diagnoser_from_dict(payload)
+    return load_document(path, diagnoser_from_dict, ModelFormatError)

@@ -1,0 +1,119 @@
+"""The versioned JSON documents and CSVs, and the value checks all readers share.
+
+Nothing read is coerced: a boolean is not an integer, and a finite number
+is an int or float that fits a float.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+from .errors import SchemaError
+
+FORMAT_VERSION = "1"
+CSV_VERSION_LINE = f"# format_version={FORMAT_VERSION}"
+
+
+def is_array(value) -> bool:
+    """Whether ``value`` is a JSON array: a list as parsed, or a tuple as written."""
+    return isinstance(value, (list, tuple))
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_int_array(value) -> bool:
+    return is_array(value) and all(is_int(item) for item in value)
+
+
+def is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def is_finite_array(value, ndim: int = 1) -> bool:
+    """Whether ``value`` is an ``ndim``-deep nested array of finite numbers."""
+    if ndim == 0:
+        return is_finite_number(value)
+    return is_array(value) and all(is_finite_array(item, ndim - 1) for item in value)
+
+
+def require(doc, key: str, check, what: str, error: type[SchemaError] = SchemaError):
+    """``doc[key]``, if ``doc`` is an object holding ``key`` and ``check`` accepts its value."""
+    if not isinstance(doc, dict):
+        raise error(f"expected a JSON object with '{key}'")
+    if key not in doc:
+        raise error(f"missing the '{key}' field")
+    if not check(doc[key]):
+        raise error(f"'{key}' must be {what}")
+    return doc[key]
+
+
+def check_version(doc, error: type[SchemaError]) -> None:
+    require(doc, "format_version", lambda value: value == FORMAT_VERSION,
+            repr(FORMAT_VERSION), error)
+
+
+def open_text(path, error: type[SchemaError], newline: str | None = None) -> io.StringIO:
+    """The UTF-8 text of ``path``, read in full, as a stream like ``open(path, newline)``."""
+    try:
+        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def load_document(path, build, error: type[SchemaError]):
+    """``build(document)`` for the JSON document in ``path``; every error names the path."""
+    stream = open_text(path, error)
+    try:
+        document = json.load(stream)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return build(document)
+    except SchemaError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def save_document(path, document: dict) -> None:
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header: tuple[str, ...], rows) -> None:
+    """The version line (ending ``\\n``), then ``header`` and ``rows`` (ending ``\\r\\n``)."""
+    with open(path, "w", newline="") as handle:
+        handle.write(CSV_VERSION_LINE + "\n")
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a versioned CSV, keyed by a header that names all ``columns``."""
+    stream = open_text(path, SchemaError, newline="")
+    version = stream.readline().rstrip("\r\n")
+    if version != CSV_VERSION_LINE:
+        raise SchemaError(f"{path}: first line must be {CSV_VERSION_LINE!r}, got {version!r}")
+    reader = csv.reader(stream)
+    try:
+        header = next(reader, [])
+        missing = [column for column in columns if column not in header]
+        if missing:
+            raise SchemaError(f"{path}: header lacks the '{missing[0]}' column")
+        rows = []
+        for row in filter(None, reader):  # blank lines carry no row
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{reader.line_num + 1}: expected {len(header)} fields")
+            rows.append(dict(zip(header, row)))
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: malformed CSV ({exc})") from None
+    return rows

@@ -10,16 +10,21 @@ not underflow.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .documents import (
+    FORMAT_VERSION,
+    check_version,
+    is_finite_array,
+    is_int,
+    load_document,
+    require,
+    save_document,
+)
 from .errors import DomainError, InferenceError, ModelFormatError
-
-MODEL_FORMAT_VERSION = "1"
 
 #: tolerance used when checking that probability rows sum to one
 ROW_SUM_TOL = 1e-9
@@ -129,21 +134,19 @@ class StatePath:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Stopping, smoothing and reproducibility settings for :func:`fit`.
+    """Stopping and smoothing settings for :func:`fit`.
 
     ``emission_floor`` is applied after every M-step: emission and
     transition rows are renormalized with every entry held at or above the
     floor, which keeps decoding of test sequences containing symbols never
-    seen in training from failing.  ``seed`` is reserved for randomized
-    initialization helpers; ``fit`` itself is fully deterministic.  With
-    ``update_transitions=False`` the transition matrix is held fixed, which
-    backs hard-structured diagnoser variants.
+    seen in training from failing.  With ``update_transitions=False`` the
+    transition matrix is held fixed, which backs hard-structured diagnoser
+    variants.
     """
 
     max_iterations: int = 500
     rel_tol: float = 1e-6
     emission_floor: float = 1e-10
-    seed: int = 0
     update_transitions: bool = True
 
     def __post_init__(self):
@@ -516,7 +519,7 @@ def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:
 
 def hmm_to_dict(model: Hmm) -> dict:
     return {
-        "format_version": MODEL_FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "n_states": model.n_states,
         "n_symbols": model.n_symbols,
         "transition": [list(row) for row in model.transition],
@@ -526,35 +529,25 @@ def hmm_to_dict(model: Hmm) -> dict:
 
 
 def hmm_from_dict(payload: dict) -> Hmm:
-    if not isinstance(payload, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    for key in ("format_version", "n_states", "n_symbols", "transition", "emission", "initial"):
-        if key not in payload:
-            raise ModelFormatError(f"model document is missing the '{key}' field")
-    if payload["format_version"] != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format_version {payload['format_version']!r}"
-        )
+    """Check a model document and build its :class:`Hmm`; nothing is coerced."""
+    check_version(payload, ModelFormatError)
+    sizes = [require(payload, key, is_int, "an integer", ModelFormatError)
+             for key in ("n_states", "n_symbols")]
+    arrays = [require(payload, key, lambda value: is_finite_array(value, ndim),
+                    f"a {ndim}-D array of finite numbers", ModelFormatError)
+              for key, ndim in (("transition", 2), ("emission", 2), ("initial", 1))]
     try:
-        model = Hmm(
-            transition=np.asarray(payload["transition"], dtype=float),
-            emission=np.asarray(payload["emission"], dtype=float),
-            initial=np.asarray(payload["initial"], dtype=float),
-        )
+        model = Hmm(*arrays)
     except (DomainError, ValueError) as exc:
         raise ModelFormatError(f"model arrays are invalid: {exc}") from exc
-    if model.n_states != payload["n_states"] or model.n_symbols != payload["n_symbols"]:
+    if [model.n_states, model.n_symbols] != sizes:
         raise ModelFormatError("declared n_states/n_symbols do not match the stored arrays")
     return model
 
 
 def save_hmm(model: Hmm, path) -> None:
-    Path(path).write_text(json.dumps(hmm_to_dict(model), indent=2, sort_keys=True) + "\n")
+    save_document(path, hmm_to_dict(model))
 
 
 def load_hmm(path) -> Hmm:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return hmm_from_dict(payload)
+    return load_document(path, hmm_from_dict, ModelFormatError)

@@ -11,17 +11,25 @@ scenario spec).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .alarms import HIGH, AlarmSequence, AlarmSymbolCodebook, MeasurementTrace
+from .documents import (
+    FORMAT_VERSION,
+    check_version,
+    is_array,
+    is_finite_array,
+    is_finite_number,
+    is_int,
+    is_int_array,
+    load_document,
+    require,
+    save_document,
+)
 from .errors import DomainError, SchemaError
-
-GRAPH_FORMAT_VERSION = "1"
 
 DEFAULT_MAGNITUDE_RANGE = (0.2, 1.0)
 DEFAULT_SWAP_PROB = 0.02
@@ -78,8 +86,9 @@ class PropagationGraph:
             delays = [stage.delay_s for stage in fault.stages]
             if any(b <= a for a, b in zip(delays, delays[1:])):
                 raise DomainError(f"fault {index}: stage delays must strictly increase")
-            if any(stage.jitter_s < 0 for stage in fault.stages):
-                raise DomainError(f"fault {index}: jitter must be non-negative")
+            # onsets are drawn uniformly from [-jitter, +jitter], a span that must be finite
+            if not all(0.0 <= 2.0 * stage.jitter_s < math.inf for stage in fault.stages):
+                raise DomainError(f"fault {index}: jitter must be non-negative and finite")
             thresholds = fault.depth_thresholds
             if len(thresholds) != len(fault.stages):
                 raise DomainError(f"fault {index}: one depth threshold per stage required")
@@ -109,9 +118,6 @@ class PropagationGraph:
     @property
     def codebook(self) -> AlarmSymbolCodebook:
         return AlarmSymbolCodebook(self.n_measurements)
-
-    def fault_names(self) -> tuple[str, ...]:
-        return tuple(fault.name for fault in self.faults)
 
 
 @dataclass(frozen=True)
@@ -428,68 +434,42 @@ def default_graph() -> PropagationGraph:
 
 
 def graph_to_dict(graph: PropagationGraph) -> dict:
-    return {
-        "format_version": GRAPH_FORMAT_VERSION,
-        "n_measurements": graph.n_measurements,
-        "faults": [
-            {
-                "name": fault.name,
-                "depth_thresholds": list(fault.depth_thresholds),
-                "stages": [
-                    {
-                        "symbols": list(stage.symbols),
-                        "delay_s": stage.delay_s,
-                        "jitter_s": stage.jitter_s,
-                    }
-                    for stage in fault.stages
-                ],
-            }
-            for fault in graph.faults
-        ],
-    }
+    """The graph document: the dataclass fields, with tuples as arrays."""
+    return {"format_version": FORMAT_VERSION, **asdict(graph)}
 
 
 def graph_from_dict(payload: dict) -> PropagationGraph:
-    if not isinstance(payload, dict):
-        raise SchemaError("graph document must be a JSON object")
-    for key in ("format_version", "n_measurements", "faults"):
-        if key not in payload:
-            raise SchemaError(f"graph document is missing the '{key}' field")
-    if payload["format_version"] != GRAPH_FORMAT_VERSION:
-        raise SchemaError(f"unsupported graph format_version {payload['format_version']!r}")
-    try:
-        faults = tuple(
-            FaultPath(
-                name=str(fault["name"]),
-                stages=tuple(
-                    Stage(
-                        symbols=tuple(int(s) for s in stage["symbols"]),
-                        delay_s=float(stage["delay_s"]),
-                        jitter_s=float(stage["jitter_s"]),
-                    )
-                    for stage in fault["stages"]
-                ),
-                depth_thresholds=tuple(float(t) for t in fault["depth_thresholds"]),
-            )
-            for fault in payload["faults"]
+    """Check a graph document and build its :class:`PropagationGraph`; nothing is coerced."""
+    check_version(payload, SchemaError)
+    n_measurements = require(payload, "n_measurements", is_int, "an integer")
+    faults = tuple(
+        FaultPath(
+            name=require(fault, "name", lambda value: isinstance(value, str), "a string"),
+            stages=tuple(
+                Stage(
+                    symbols=tuple(require(stage, "symbols", is_int_array, "an array of integers")),
+                    delay_s=float(require(stage, "delay_s", is_finite_number, "a finite number")),
+                    jitter_s=float(require(stage, "jitter_s", is_finite_number, "a finite number")),
+                )
+                for stage in require(fault, "stages", is_array, "an array")
+            ),
+            depth_thresholds=tuple(float(threshold) for threshold in require(
+                fault, "depth_thresholds", is_finite_array, "an array of finite numbers")),
         )
-        return PropagationGraph(n_measurements=int(payload["n_measurements"]), faults=faults)
+        for fault in require(payload, "faults", is_array, "an array")
+    )
+    try:
+        return PropagationGraph(n_measurements=n_measurements, faults=faults)
     except DomainError as exc:
         raise SchemaError(f"graph violates its invariants: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed graph document: {exc}") from exc
 
 
 def save_graph(graph: PropagationGraph, path) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n")
+    save_document(path, graph_to_dict(graph))
 
 
 def load_graph(path) -> PropagationGraph:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"graph file is not valid JSON: {exc}") from exc
-    return graph_from_dict(payload)
+    return load_document(path, graph_from_dict, SchemaError)
 
 
 def simulate_normal_trace(

@@ -324,7 +324,7 @@ def test_c10_pipeline_determinism(tmp_path):
                          "--in", str(fault_path), "--fault", "3",
                          "--out", str(extracted)]) == 0
             model = root / "model.json"
-            assert main(["train", "--in", str(data / "train.jsonl"), "--seed", "1",
+            assert main(["train", "--in", str(data / "train.jsonl"),
                          "--out", str(model)]) == 0
             verdicts = root / "diagnosis.jsonl"
             assert main(["diagnose", "--model", str(model), "--in", str(data / "test.jsonl"),

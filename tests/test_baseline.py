@@ -11,7 +11,6 @@ from alarmhmm import DomainError
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.baseline import (
     dechatter,
-    dechatter_symbols,
     feature_matrix,
     fit_baseline,
     write_dendrogram_csv,
@@ -27,22 +26,13 @@ def seq(symbols, fault=None):
 
 class TestDechatter:
     def test_collapses_runs(self):
-        assert dechatter_symbols([5, 5, 5, 2, 2, 5]) == [5, 2, 5]
+        assert dechatter([5, 5, 5, 2, 2, 5]) == [5, 2, 5]
 
     def test_distinct_sequence_unchanged(self):
-        assert dechatter_symbols([1, 2, 3]) == [1, 2, 3]
+        assert dechatter([1, 2, 3]) == [1, 2, 3]
 
     def test_empty(self):
-        assert dechatter_symbols([]) == []
-
-    def test_alarm_sequence_keeps_first_activation_times(self):
-        chattering = AlarmSequence(
-            symbols=[5, 5, 2, 2], times=[1.0, 2.0, 3.0, 4.0], fault=7, meta={"k": 1}
-        )
-        cleaned = dechatter(chattering)
-        assert cleaned.symbols == [5, 2]
-        assert cleaned.times == [1.0, 3.0]
-        assert cleaned.fault == 7 and cleaned.meta == {"k": 1}
+        assert dechatter([]) == []
 
 
 class TestFeatureMatrix:
@@ -62,7 +52,7 @@ class TestFeatureMatrix:
     def test_counts_follow_the_dechattered_sequence(self):
         p = feature_matrix([0, 0, 1], 2)
         assert p[0, 1] == 1 and p[0, 0] == 0
-        assert p.sum() == len(dechatter_symbols([0, 0, 1])) - 1
+        assert p.sum() == len(dechatter([0, 0, 1])) - 1
 
     def test_out_of_range_symbol_rejected(self):
         with pytest.raises(DomainError, match="outside"):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -9,12 +10,19 @@ from alarmhmm.alarms import write_trace_csv
 from alarmhmm.cli import main
 from alarmhmm.plantsim import (
     ScenarioSpec,
+    graph_to_dict,
     save_graph,
     simulate_fault_trace,
     simulate_normal_trace,
 )
 
 from test_plantsim import toy_graph
+
+
+def assert_one_error_line(capsys, kind, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: ") and path in err, err
+    assert err.count("\n") == 1, err
 
 
 def read_csv(path):
@@ -262,6 +270,107 @@ class TestErrorReporting:
             err = capsys.readouterr().err
             assert err.startswith("error: unknown-symbol:")
             assert "\n" not in err.rstrip("\n")
+
+    @pytest.mark.parametrize("reader", ["model", "graph", "jsonl", "trace", "report"])
+    def test_non_utf8_bytes_give_one_typed_error_line(self, pipeline, tmp_path, capsys, reader):
+        _, data, model = pipeline
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe not text \x80")
+        evaluation, base = tmp_path / "evaluation", tmp_path / "baseline"
+        argv, kind = {
+            "model": (["diagnose", "--model", bad, "--in", data / "test.jsonl",
+                       "--out", tmp_path / "out.jsonl"], "invalid-model"),
+            "graph": (["simulate", "--graph", bad, "--out", tmp_path / "sim"], "schema-mismatch"),
+            "jsonl": (["train", "--in", bad, "--out", tmp_path / "m.json"], "schema-mismatch"),
+            "trace": (["extract", "--normal", bad, "--in", bad,
+                       "--out", tmp_path / "x.jsonl"], "schema-mismatch"),
+            "report": (["report", "--evaluation", evaluation, "--baseline", base,
+                        "--out", tmp_path / "c.csv"], "schema-mismatch"),
+        }[reader]
+        if reader == "report":
+            main(["baseline", "--train", str(data / "train.jsonl"),
+                  "--in", str(data / "test.jsonl"), "--out", str(base)])
+            evaluation.mkdir()
+            (evaluation / "accuracy.csv").write_bytes(bad.read_bytes())
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv]) == 1
+        assert_one_error_line(capsys, kind, str(bad if reader != "report" else evaluation))
+
+    def test_directory_as_model_is_an_io_error(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        code = main(["diagnose", "--model", str(tmp_path), "--in", str(data / "test.jsonl"),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "io-error", str(tmp_path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["faults"][0]["stages"][0].update(jitter_s=float("nan")),
+        lambda doc: doc.update(n_measurements=41.9),
+        lambda doc: doc["faults"][0]["stages"][0].update(delay_s="150"),
+        lambda doc: doc["faults"][0].update(name=7),
+        lambda doc: doc["faults"][0]["stages"][0].update(jitter_s=1e308),
+    ], ids=["nan-jitter", "float-size", "string-delay", "int-name", "overflowing-jitter"])
+    def test_graph_numbers_are_strict(self, tmp_path, capsys, edit):
+        doc = json.loads(json.dumps(graph_to_dict(toy_graph())))
+        edit(doc)
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        code = main(["simulate", "--graph", str(graph), "--train-counts", "2,2",
+                     "--test-counts", "1,1", "--out", str(tmp_path / "data")])
+        assert code == 1
+        assert_one_error_line(capsys, "schema-mismatch", str(graph))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(initial=[str(p) for p in doc["initial"]]),
+        lambda doc: doc.update(n_states=float(doc["n_states"])),
+        lambda doc: doc["emission"][0].__setitem__(0, True),
+        lambda doc: doc.update(transition=None),
+    ], ids=["string-probabilities", "float-size", "bool-probability", "null-matrix"])
+    def test_model_numbers_are_strict(self, pipeline, tmp_path, capsys, edit):
+        _, data, model = pipeline
+        doc = json.loads(model.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["diagnose", "--model", str(bad), "--in", str(data / "test.jsonl"),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "invalid-model", str(bad))
+
+    @pytest.mark.parametrize("target, edit", [
+        ("predictions.csv", lambda text: text.replace("true_fault", "label")),
+        ("accuracy.csv", lambda text: text.replace("format_version=1", "format_version=9")),
+        ("accuracy.csv", lambda text: text.rsplit("\n", 2)[0] + "\n1,2\n"),
+        ("accuracy.csv", lambda text: text.split("\n", 1)[0] + "\n"),
+        ("accuracy.csv", lambda text: re.sub(r",[^,]*(,\d+,\d+\n)$", r",x\1", text)),
+    ], ids=["no-true-fault-column", "unknown-version", "short-row", "no-header",
+            "non-numeric-accuracy"])
+    def test_report_checks_its_input_csvs(self, pipeline, tmp_path, capsys, target, edit):
+        tmp, data, model = pipeline
+        evaluation, base = tmp_path / "evaluation", tmp_path / "baseline"
+        main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+              "--out", str(evaluation)])
+        main(["baseline", "--train", str(data / "train.jsonl"),
+              "--in", str(data / "test.jsonl"), "--out", str(base)])
+        path = (evaluation if target == "accuracy.csv" else base) / target
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        code = main(["report", "--evaluation", str(evaluation), "--baseline", str(base),
+                     "--out", str(tmp_path / "comparison.csv")])
+        assert code == 1
+        assert_one_error_line(capsys, "schema-mismatch", str(path))
+
+    @pytest.mark.parametrize("command, kind", [("diagnose", "invalid-model"),
+                                               ("train", "schema-mismatch")])
+    def test_integers_too_long_to_convert(self, pipeline, tmp_path, capsys, command, kind):
+        _, data, model = pipeline
+        bad = tmp_path / "bad"
+        bad.write_text('{"format_version": "1", "fault": ' + "1" * 5000 + "}\n")
+        argv = {"diagnose": ["--model", bad, "--in", data / "test.jsonl"],
+                "train": ["--in", bad]}[command]
+        code = main([command] + [str(arg) for arg in argv] + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, kind, str(bad))
 
     def test_unlabeled_training_data(self, tmp_path, capsys):
         seqs = tmp_path / "seqs.jsonl"
