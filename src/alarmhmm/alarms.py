@@ -246,10 +246,19 @@ def read_trace_csv(path) -> MeasurementTrace:
             rows.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+        if not math.isfinite(times[-1]):
+            raise SchemaError(f"{path}:{lineno}: time stamp {row[0]!r} is not finite")
     if len(rows) < 2:
         raise SchemaError(f"{path}: need at least two samples to infer the sample period")
-    diffs = np.diff(times)
-    period = float(np.median(diffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # gaps between huge time stamps
+        diffs = np.diff(times)
+        period = float(np.median(diffs))
+    # Extraction stamps sample i at i * period, counted from the first sample.
+    if not math.isfinite((len(rows) - 1) * period):
+        raise SchemaError(
+            f"{path}:{len(rows) + 1}: sample period {period!r} puts the last sample time "
+            "beyond the float range"
+        )
     if period <= 0 or not np.allclose(diffs, period, rtol=1e-6, atol=1e-9):
         raise SchemaError(f"{path}: time stamps are not uniformly spaced")
     return MeasurementTrace(sample_period=period, values=np.asarray(rows), meas_ids=meas_ids)
@@ -287,6 +296,8 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
     size = meta.get("n_measurements")
     if size is not None and not (is_int(size) and size >= 1):
         raise SchemaError("meta n_measurements must be a positive integer")
+    if meta.get("format_version", SEQUENCE_FORMAT_VERSION) != SEQUENCE_FORMAT_VERSION:
+        raise SchemaError(f"meta format_version must be {SEQUENCE_FORMAT_VERSION!r}")
     sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
     try:
         return sequence.validate()

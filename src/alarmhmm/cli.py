@@ -34,7 +34,7 @@ from .diagnoser import (
     write_accuracy_csv,
     write_confusion_csvs,
 )
-from .documents import read_csv, write_csv
+from .documents import csv_value, is_finite_number, is_int, read_csv, write_csv
 from .errors import (
     AlarmHmmError,
     DomainError,
@@ -235,6 +235,20 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _is_count(value) -> bool:
+    return is_int(value) and value >= 0
+
+
+#: the check every ``accuracy.csv`` field must pass before ``report`` merges it
+_ACCURACY_CHECKS = {
+    "prefix_length": (_is_count, "a non-negative integer"),
+    "accuracy": (lambda value: is_finite_number(value) and 0 <= value <= 1,
+                 "a finite number in [0, 1]"),
+    "n_correct": (_is_count, "a non-negative integer"),
+    "n_total": (_is_count, "a non-negative integer"),
+}
+
+
 def cmd_report(args) -> int:
     accuracy_path = Path(args.evaluation) / "accuracy.csv"
     accuracy_rows = read_csv(accuracy_path, ACCURACY_COLUMNS)
@@ -242,11 +256,14 @@ def cmd_report(args) -> int:
     prediction_rows = read_csv(prediction_path, baseline_mod.PREDICTION_COLUMNS)
     if not accuracy_rows:
         raise SchemaError(f"{accuracy_path}: no accuracy rows")
-    full = accuracy_rows[-1]["accuracy"]
-    try:
-        hmm_full = float(full)
-    except ValueError:
-        raise SchemaError(f"{accuracy_path}: accuracy {full!r} is not a number") from None
+    for index, row in enumerate(accuracy_rows, start=1):
+        for column, (check, what) in _ACCURACY_CHECKS.items():
+            if not check(csv_value(row[column])):
+                raise SchemaError(
+                    f"{accuracy_path}: row {index}: '{column}' must be {what}, "
+                    f"got {row[column]!r}"
+                )
+    hmm_full = csv_value(accuracy_rows[-1]["accuracy"])
     scored = [row for row in prediction_rows if row["true_fault"] != ""]
     if not scored:
         raise SchemaError(f"{prediction_path}: no true fault labels to score")

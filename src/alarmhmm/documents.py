@@ -40,6 +40,14 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def csv_value(text: str):
+    """The JSON value a CSV field spells (``None`` if it spells none), for the checks above."""
+    try:
+        return json.loads(text)
+    except ValueError:  # not JSON, or an integer too long to convert
+        return None
+
+
 def is_finite_array(value, ndim: int = 1) -> bool:
     """Whether ``value`` is an ``ndim``-deep nested array of finite numbers."""
     if ndim == 0:

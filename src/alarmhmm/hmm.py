@@ -1,7 +1,8 @@
 """Discrete first-order hidden Markov models.
 
 Scaled forward/backward inference, pooled multi-sequence Baum-Welch
-training and exact decoding over a finite observation alphabet: one
+training (each E-step sweeps forward/backward over batches of
+sequences at once and builds no pair-posterior tensor) and exact decoding over a finite observation alphabet: one
 list-Viterbi pass serves Viterbi, k-best and every prefix's best path.
 The forward/backward pass rescales at every step and keeps the
 normalizers, decoding works entirely in log space, so long sequences do
@@ -182,6 +183,86 @@ def as_observations(obs, n_symbols: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """Observation sequences stacked time-major, longest first, zero-padded.
+
+    Column ``c`` holds sequence ``order[c]`` of the caller's list, so the
+    first ``active[t]`` columns are the sequences still running at step
+    ``t``; ``active`` has one extra, zero entry after the last step.
+    """
+
+    symbols: np.ndarray  # (L, S) int64
+    order: np.ndarray    # (S,)
+    active: np.ndarray   # (L + 1,)
+
+
+def _batch(seqs: list[np.ndarray]) -> _Batch:
+    lengths = np.array([o.size for o in seqs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max(initial=0) + 1)
+    symbols = np.zeros((steps.size - 1, lengths.size), dtype=np.int64)
+    for column, index in enumerate(order):
+        symbols[: lengths[index], column] = seqs[index]
+    return _Batch(symbols, order, np.count_nonzero(steps[:, None] < lengths, axis=1))
+
+
+def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
+    """``seqs`` in list-order chunks of at most ``n_states`` sequences.
+
+    A chunk's (L, S, N) arrays are then no larger than the (T, N, N)
+    pair posteriors of its longest sequence.  Larger arrays raise the
+    peak memory of a process that goes on allocating after training: once
+    the allocator has freed blocks of several megabytes, it serves more
+    requests from, and keeps more freed memory in, its heap.
+    """
+    return [_batch(seqs[start:start + n_states]) for start in range(0, len(seqs), n_states)]
+
+
+def _forward(model: Hmm, batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward recursion over every sequence of ``batch`` at once.
+
+    Returns ``(emit, alpha, scale)``: the emission probabilities of the
+    observed symbols and the scaled forward variables, both (L, S, N),
+    and the (L, S) scale factors.  ``emit`` and ``alpha`` are zero and
+    ``scale`` one past a sequence's end.  A zero total probability raises
+    :class:`InferenceError` naming the step, taken from the first failing
+    sequence in the caller's list.
+    """
+    emit = model.emission.T[batch.symbols]
+    alpha = np.zeros_like(emit)
+    total = np.ones(batch.symbols.shape)
+    # A failed step turns the rest of its sequence NaN, which is never
+    # <= 0, so each failing sequence shows exactly one failed step.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, k in enumerate(batch.active[:-1]):
+            emit[t, k:] = 0.0
+            prior = model.initial if t == 0 else alpha[t - 1, :k] @ model.transition
+            row = prior * emit[t, :k]
+            total[t, :k] = row.sum(axis=1)
+            alpha[t, :k] = row * (1.0 / total[t, :k, None])
+    failed = total <= 0.0
+    if failed.any():
+        columns = np.flatnonzero(failed.any(axis=0))
+        column = columns[np.argmin(batch.order[columns])]
+        step = int(np.argmax(failed[:, column]))
+        raise InferenceError(f"zero total forward probability at step {step}")
+    return emit, alpha, 1.0 / total
+
+
+def _backward(model: Hmm, batch: _Batch, emit: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Scaled backward variables matching :func:`_forward`, zero past each end."""
+    beta = np.zeros_like(emit)
+    for t in range(beta.shape[0] - 1, -1, -1):
+        k_next, k = batch.active[t + 1], batch.active[t]
+        beta[t, k_next:k] = scale[t, k_next:k, None]
+        if k_next:
+            beta[t, :k_next] = scale[t, :k_next, None] * (
+                (emit[t + 1, :k_next] * beta[t + 1, :k_next]) @ model.transition.T
+            )
+    return beta
+
+
 def forward_backward(model: Hmm, obs) -> TrellisResult:
     """Run the scaled forward and backward recursions.
 
@@ -195,39 +276,14 @@ def forward_backward(model: Hmm, obs) -> TrellisResult:
     :class:`InferenceError` if some step has zero total probability (only
     possible when the model contains exact zeros).
     """
-    o = as_observations(obs, model.n_symbols)
-    t_len, n = o.size, model.n_states
-    emit = model.emission[:, o]  # (N, T)
-    trans = model.transition
-
-    alpha = np.empty((t_len, n))
-    beta = np.empty((t_len, n))
-    scale = np.empty(t_len)
-
-    row = model.initial * emit[:, 0]
-    total = row.sum()
-    if total <= 0.0:
-        raise InferenceError("zero total forward probability at step 0")
-    scale[0] = 1.0 / total
-    alpha[0] = row * scale[0]
-    for t in range(1, t_len):
-        row = (alpha[t - 1] @ trans) * emit[:, t]
-        total = row.sum()
-        if total <= 0.0:
-            raise InferenceError(f"zero total forward probability at step {t}")
-        scale[t] = 1.0 / total
-        alpha[t] = row * scale[t]
-
-    beta[t_len - 1] = scale[t_len - 1]
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = scale[t] * (trans @ (emit[:, t + 1] * beta[t + 1]))
-
-    log_likelihood = float(-np.log(scale).sum())
+    batch = _batch([as_observations(obs, model.n_symbols)])
+    emit, alpha, scale = _forward(model, batch)
+    beta = _backward(model, batch, emit, scale)
     return TrellisResult(
-        scaled_alpha=_frozen_array(alpha),
-        scaled_beta=_frozen_array(beta),
-        scale_factors=_frozen_array(scale),
-        log_likelihood=log_likelihood,
+        scaled_alpha=_frozen_array(alpha[:, 0]),
+        scaled_beta=_frozen_array(beta[:, 0]),
+        scale_factors=_frozen_array(scale[:, 0]),
+        log_likelihood=float(-np.log(scale).sum()),
     )
 
 
@@ -262,9 +318,14 @@ def posteriors(model: Hmm, obs, trellis: TrellisResult) -> Posteriors:
     return Posteriors(gamma=_frozen_array(gamma), xi=_frozen_array(xi))
 
 
+def _log_likelihood(model: Hmm, batches: list[_Batch]) -> float:
+    return float(-sum(np.log(_forward(model, batch)[2]).sum() for batch in batches))
+
+
 def total_log_likelihood(model: Hmm, sequences: Sequence) -> float:
     """Sum of per-sequence log likelihoods under ``model``."""
-    return float(sum(forward_backward(model, s).log_likelihood for s in sequences))
+    seqs = [as_observations(s, model.n_symbols) for s in sequences]
+    return _log_likelihood(model, _batches(seqs, model.n_states))
 
 
 def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
@@ -303,27 +364,35 @@ class _EStats:
     n_sequences: int
 
 
-def _expectation(model: Hmm, seqs: list[np.ndarray]) -> tuple[_EStats, float]:
+def _expectation(model: Hmm, batches: list[_Batch]) -> tuple[_EStats, float]:
+    """Pooled E-step statistics of every sequence, one sweep per batch.
+
+    With these scale factors every ``xi[t]`` already sums to one, so the
+    pooled state-pair posteriors are one matrix product and no ``xi``
+    tensor is built; the trellis is zero past each sequence's end, which
+    drops the pairs that run into the padding.  The (L, S, N) arrays are
+    reused in place, so a sweep holds three of them.
+    """
     n, m = model.n_states, model.n_symbols
-    trans_num = np.zeros((n, n))
-    trans_den = np.zeros(n)
-    emit_by_symbol = np.zeros((m, n))
-    emit_den = np.zeros(n)
-    initial_sum = np.zeros(n)
-    total = 0.0
-    # Accumulation order is fixed: sequences in list order, time within.
-    for o in seqs:
-        trellis = forward_backward(model, o)
-        post = posteriors(model, o, trellis)
-        total += trellis.log_likelihood
-        if o.size >= 2:
-            trans_num += post.xi.sum(axis=0)
-            trans_den += post.gamma[:-1].sum(axis=0)
-        np.add.at(emit_by_symbol, o, post.gamma)
-        emit_den += post.gamma.sum(axis=0)
-        initial_sum += post.gamma[0]
-    stats = _EStats(trans_num, trans_den, emit_by_symbol.T, emit_den, initial_sum, len(seqs))
-    return stats, total
+    stats = _EStats(np.zeros((n, n)), np.zeros(n), np.zeros((n, m)), np.zeros(n), np.zeros(n), 0)
+    log_likelihood = 0.0
+    for batch in batches:
+        emit, alpha, scale = _forward(model, batch)
+        gamma = _backward(model, batch, emit, scale)
+        emit *= gamma
+        stats.trans_num += model.transition * (alpha[:-1].reshape(-1, n).T @ emit[1:].reshape(-1, n))
+        valid = np.arange(batch.order.size) < batch.active[:-1, None]  # (L, S)
+        gamma *= alpha
+        gamma /= np.where(valid, gamma.sum(axis=2), 1.0)[:, :, None]
+        stats.trans_den += np.einsum("ts,tsn->n", valid[1:], gamma[:-1])
+        symbols, rows = batch.symbols.ravel(), gamma.reshape(-1, n)
+        for state in range(n):
+            stats.emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
+        stats.emit_den += gamma.sum(axis=(0, 1))
+        stats.initial_sum += gamma[0].sum(axis=0)
+        stats.n_sequences += batch.order.size
+        log_likelihood -= np.log(scale).sum()
+    return stats, float(log_likelihood)
 
 
 def _maximization(model: Hmm, stats: _EStats, config: FitConfig) -> Hmm:
@@ -385,9 +454,10 @@ def fit(
     if not seqs:
         raise DomainError("fit requires at least one observation sequence")
 
+    batches = _batches(seqs, model.n_states)
     trace: list[float] = []
     for iteration in range(config.max_iterations):
-        stats, log_likelihood = _expectation(model, seqs)
+        stats, log_likelihood = _expectation(model, batches)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(iteration, model, log_likelihood)
@@ -400,7 +470,7 @@ def fit(
     else:
         # Budget exhausted: evaluate once more so the trace ends at the
         # returned model.
-        log_likelihood = total_log_likelihood(model, seqs)
+        log_likelihood = _log_likelihood(model, batches)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(config.max_iterations, model, log_likelihood)

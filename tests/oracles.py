@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from alarmhmm import InferenceError
+from alarmhmm import InferenceError, forward_backward, posteriors
 
 
 def all_paths(n_states: int, t_len: int) -> np.ndarray:
@@ -77,6 +77,52 @@ def enum_pair_posteriors(model, obs) -> np.ndarray:
     for t in range(obs.size - 1):
         np.add.at(xi[t], (paths[:, t], paths[:, t + 1]), probs)
     return xi / total
+
+
+def loop_expectation(model, sequences) -> dict:
+    """Pooled Baum-Welch sums, one sequence at a time through ``xi``.
+
+    The reference for the batched E-step: per sequence, the public
+    ``forward_backward`` and ``posteriors`` (which builds the full
+    (T-1, N, N) ``xi`` tensor), accumulated in list order.
+    """
+    n, m = model.n_states, model.n_symbols
+    sums = dict(trans_num=np.zeros((n, n)), trans_den=np.zeros(n), emit_num=np.zeros((m, n)),
+                emit_den=np.zeros(n), initial_sum=np.zeros(n))
+    for obs in sequences:
+        o = np.asarray(obs, dtype=np.int64)
+        post = posteriors(model, o, forward_backward(model, o))
+        if o.size >= 2:
+            sums["trans_num"] += post.xi.sum(axis=0)
+            sums["trans_den"] += post.gamma[:-1].sum(axis=0)
+        np.add.at(sums["emit_num"], o, post.gamma)
+        sums["emit_den"] += post.gamma.sum(axis=0)
+        sums["initial_sum"] += post.gamma[0]
+    sums["emit_num"] = sums["emit_num"].T
+    return sums
+
+
+def em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One unfloored Baum-Welch update from :func:`loop_expectation`.
+
+    A state with no posterior mass where a row is estimated keeps its old
+    row; every row is then renormalized.  Returns (transition, emission,
+    initial).
+    """
+    sums = loop_expectation(model, sequences)
+
+    def update(old, num, den):
+        rows = np.array(old, dtype=float)
+        seen = den > 0.0
+        rows[seen] = num[seen] / den[seen, None]
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    initial = sums["initial_sum"] / len(sequences)
+    return (
+        update(model.transition, sums["trans_num"], sums["trans_den"]),
+        update(model.emission, sums["emit_num"], sums["emit_den"]),
+        initial / initial.sum(),
+    )
 
 
 def ranked_paths(model, obs) -> tuple[np.ndarray, np.ndarray]:

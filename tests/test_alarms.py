@@ -332,6 +332,17 @@ class TestSequenceJsonl:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: "):
             read_sequences_jsonl(path)
 
+    @pytest.mark.parametrize("version", ["9", 1, None])
+    def test_meta_format_version_is_checked(self, tmp_path, version):
+        path = tmp_path / "seqs.jsonl"
+        current = dict(VALID_RECORD, meta={"format_version": "1"})
+        other = dict(VALID_RECORD, meta={"format_version": version})
+        path.write_text("\n".join(json.dumps(r) for r in (VALID_RECORD, current, other)) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: meta format_version"):
+            read_sequences_jsonl(path)
+        path.write_text("\n".join(json.dumps(r) for r in (VALID_RECORD, current)) + "\n")
+        assert len(read_sequences_jsonl(path)) == 2
+
     def test_validate_enforces_sequence_invariants(self):
         with pytest.raises(DomainError, match="distinct"):
             AlarmSequence(symbols=[1, 1], times=[0.0, 1.0]).validate()

@@ -25,6 +25,12 @@ def assert_one_error_line(capsys, kind, path):
     assert err.count("\n") == 1, err
 
 
+def first_row(text, row):
+    """``text`` of a versioned CSV with its first data row replaced by ``row``."""
+    version, header, _, rest = text.split("\n", 3)
+    return "\n".join([version, header, row + "\r", rest])
+
+
 def read_csv(path):
     with open(path) as handle:
         lines = [line for line in handle if not line.startswith("#")]
@@ -179,6 +185,25 @@ class TestExtract:
         assert record["fault"] == 0
         assert record["symbols"] == scheduled.symbols
         assert record["meta"]["n_measurements"] == 5
+
+    @pytest.mark.parametrize("times, line", [
+        (["0", "inf"], 3),
+        (["0", "10", "nan"], 4),
+        (["-1e308", "0", "1e308"], 4),
+        (["-1.05e308", "-3.5e307", "3.5e307", "1.05e308"], 5),
+    ], ids=["inf", "nan", "1e308", "7e307-period"])
+    def test_time_stamps_and_sample_times_must_be_finite(self, tmp_path, capsys, times, line):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
+        header, *rows = normal.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(
+            [header] + [time + row[row.index(","):] for time, row in zip(times, rows)]
+        ) + "\n")
+        code = main(["extract", "--normal", str(normal), "--in", str(bad),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "schema-mismatch", f"{bad}:{line}: ")
 
     def test_fault_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "normal.csv"
@@ -343,8 +368,16 @@ class TestErrorReporting:
         ("accuracy.csv", lambda text: text.rsplit("\n", 2)[0] + "\n1,2\n"),
         ("accuracy.csv", lambda text: text.split("\n", 1)[0] + "\n"),
         ("accuracy.csv", lambda text: re.sub(r",[^,]*(,\d+,\d+\n)$", r",x\1", text)),
+        ("accuracy.csv", lambda text: first_row(text, "1,abc,x,42")),
+        ("accuracy.csv", lambda text: first_row(text, "1.0,0.5,1,2")),
+        ("accuracy.csv", lambda text: first_row(text, "-1,0.5,1,2")),
+        ("accuracy.csv", lambda text: first_row(text, "1,1.5,3,2")),
+        ("accuracy.csv", lambda text: first_row(text, "1,NaN,1,2")),
+        ("accuracy.csv", lambda text: first_row(text, "1,0.5,-1,2")),
+        ("accuracy.csv", lambda text: first_row(text, "1,0.5,1,true")),
     ], ids=["no-true-fault-column", "unknown-version", "short-row", "no-header",
-            "non-numeric-accuracy"])
+            "non-numeric-accuracy", "garbage-row", "float-prefix", "negative-prefix",
+            "accuracy-above-one", "nan-accuracy", "negative-count", "bool-total"])
     def test_report_checks_its_input_csvs(self, pipeline, tmp_path, capsys, target, edit):
         tmp, data, model = pipeline
         evaluation, base = tmp_path / "evaluation", tmp_path / "baseline"

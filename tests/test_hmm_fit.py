@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alarmhmm import (
     DomainError,
     FitConfig,
     Hmm,
+    InferenceError,
     fit,
     forward_backward,
-    posteriors,
     random_model,
     total_log_likelihood,
 )
+
+import oracles
 
 
 def sample_sequences(model, n_sequences, length, seed):
@@ -88,22 +92,71 @@ def test_pooled_updates_match_posterior_sums():
     sequences = sample_sequences(start, n_sequences=5, length=9, seed=22)
     fitted, _ = fit(start, sequences, FitConfig(max_iterations=1, emission_floor=0.0))
 
-    n, m = start.n_states, start.n_symbols
-    trans_num, trans_den = np.zeros((n, n)), np.zeros(n)
-    emit_num, emit_den = np.zeros((n, m)), np.zeros(n)
-    initial_sum = np.zeros(n)
-    for seq in sequences:
-        post = posteriors(start, seq, forward_backward(start, seq))
-        trans_num += post.xi.sum(axis=0)
-        trans_den += post.gamma[:-1].sum(axis=0)
-        for t, symbol in enumerate(seq):
-            emit_num[:, symbol] += post.gamma[t]
-        emit_den += post.gamma.sum(axis=0)
-        initial_sum += post.gamma[0]
+    sums = oracles.loop_expectation(start, sequences)
+    assert np.allclose(fitted.transition, sums["trans_num"] / sums["trans_den"][:, None],
+                       atol=1e-12)
+    assert np.allclose(fitted.emission, sums["emit_num"] / sums["emit_den"][:, None], atol=1e-12)
+    assert np.allclose(fitted.initial, sums["initial_sum"] / len(sequences), atol=1e-12)
 
-    assert np.allclose(fitted.transition, trans_num / trans_den[:, None], atol=1e-12)
-    assert np.allclose(fitted.emission, emit_num / emit_den[:, None], atol=1e-12)
-    assert np.allclose(fitted.initial, initial_sum / len(sequences), atol=1e-12)
+
+@st.composite
+def ragged_batches(draw):
+    """A model (N 1-5, M 1-6, a third of them with exact zeros) and 1-6
+    sequences of 1-12 symbols sampled from it, so each is possible."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = draw(st.integers(0, 2)) == 0
+
+    def rows(count, width):
+        if not coarse:
+            return rng.dirichlet(np.ones(width), size=count)
+        weights = rng.integers(0, 4, size=(count, width)).astype(float)
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    model = Hmm(transition=rows(n, n), emission=rows(n, m), initial=rows(1, n)[0])
+    sequences = []
+    for length in draw(st.lists(st.integers(1, 12), min_size=1, max_size=6)):
+        state, symbols = rng.choice(n, p=model.initial), []
+        for _ in range(length):
+            symbols.append(int(rng.choice(m, p=model.emission[state])))
+            state = rng.choice(n, p=model.transition[state])
+        sequences.append(symbols)
+    return model, sequences
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=ragged_batches())
+@example(case=(Hmm(transition=[[0.5, 0.5], [0.0, 1.0]], emission=[[1.0, 0.0], [0.25, 0.75]],
+                   initial=[1.0, 0.0]), [[0], [0, 1, 1], [0, 0]]))
+# State 1 is only ever a last state, so its transition row is not re-estimated.
+@example(case=(Hmm(transition=[[0.5, 0.5], [0.0, 1.0]], emission=[[1.0, 0.0], [0.0, 1.0]],
+                   initial=[1.0, 0.0]), [[0, 1], [0], [0, 0, 1]]))
+def test_batched_update_matches_the_per_sequence_xi_reference(case):
+    model, sequences = case
+    fitted, trace = fit(model, sequences, FitConfig(max_iterations=1, emission_floor=0.0))
+    transition, emission, initial = oracles.em_update(model, sequences)
+    assert np.allclose(fitted.transition, transition, rtol=0.0, atol=1e-12)
+    assert np.allclose(fitted.emission, emission, rtol=0.0, atol=1e-12)
+    assert np.allclose(fitted.initial, initial, rtol=0.0, atol=1e-12)
+    per_sequence = sum(forward_backward(model, s).log_likelihood for s in sequences)
+    assert total_log_likelihood(model, sequences) == pytest.approx(per_sequence, rel=1e-12)
+    assert trace[0] == pytest.approx(per_sequence, rel=1e-12)
+
+
+def test_zero_probability_reports_the_first_failing_sequence_in_list_order():
+    # Symbol 1 is impossible: the second sequence fails at step 2, the
+    # third at step 0; the error reports the second's step.
+    model = Hmm(
+        transition=np.full((3, 3), 1 / 3),
+        emission=[[1.0, 0.0]] * 3,
+        initial=np.full(3, 1 / 3),
+    )
+    sequences = [[0, 0], [0, 0, 1, 0], [1]]
+    with pytest.raises(InferenceError, match=r"step 2$"):
+        fit(model, sequences)
+    with pytest.raises(InferenceError, match=r"step 2$"):
+        total_log_likelihood(model, sequences)
 
 
 def test_length_one_sequences_leave_transitions_alone():
