@@ -261,7 +261,13 @@ def read_trace_csv(path) -> MeasurementTrace:
         )
     if period <= 0 or not np.allclose(diffs, period, rtol=1e-6, atol=1e-9):
         raise SchemaError(f"{path}: time stamps are not uniformly spaced")
-    return MeasurementTrace(sample_period=period, values=np.asarray(rows), meas_ids=meas_ids)
+    values = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, column = bad[0]
+        raise SchemaError(f"{path}:{row + 2}: reading {float(values[row, column])!r} "
+                          f"in column {meas_ids[column]!r} is not finite")
+    return MeasurementTrace(sample_period=period, values=values, meas_ids=meas_ids)
 
 
 def write_trace_csv(path, trace: MeasurementTrace) -> None:

@@ -1,10 +1,11 @@
 """Sequence-similarity baseline classifier.
 
 The comparison method: collapse chattering repeats, map each alarm
-sequence to an M x M successor-count matrix, measure Euclidean distance
-between those matrices, cluster the training set with average-linkage
+sequence to its M x M successor counts, measure Euclidean distance
+between those counts, cluster the training set with average-linkage
 agglomerative hierarchical clustering, label each cluster by majority
 vote, and classify test sequences by the nearest cluster centroid.
+Only the successor pairs that occur in some sequence are stored.
 """
 
 from __future__ import annotations
@@ -28,21 +29,22 @@ def dechatter(symbols) -> list[int]:
     return [s for i, s in enumerate(symbols) if i == 0 or s != symbols[i - 1]]
 
 
-def feature_matrix(sequence, n_symbols: int) -> np.ndarray:
-    """Successor-count matrix P of the de-chattered sequence.
-
-    ``sequence`` is a symbol list or anything with a ``symbols`` list.
-    ``P[i, j]`` counts how often alarm ``j`` immediately follows alarm
-    ``i``; the counts sum to the de-chattered length minus one.
-    """
+def _pair_keys(sequence, n_symbols: int) -> np.ndarray:
+    """Keys ``a * n_symbols + b`` of the successive pairs (a, b) of the de-chattered symbols."""
     symbols = np.asarray(dechatter(getattr(sequence, "symbols", sequence)), dtype=np.int64)
     if symbols.size and (symbols.min() < 0 or symbols.max() >= n_symbols):
         bad = symbols[(symbols < 0) | (symbols >= n_symbols)][0]
         raise DomainError(f"symbol {bad} outside [0, {n_symbols})")
-    counts = np.zeros((n_symbols, n_symbols), dtype=np.int64)
-    if symbols.size >= 2:
-        np.add.at(counts, (symbols[:-1], symbols[1:]), 1)
-    return counts
+    return symbols[:-1] * n_symbols + symbols[1:]
+
+
+def feature_matrix(sequence, n_symbols: int) -> np.ndarray:
+    """``P[i, j]`` counts alarm ``j`` right after alarm ``i`` in the de-chattered sequence.
+
+    ``sequence`` is a symbol list or anything with a ``symbols`` list.
+    """
+    counts = np.bincount(_pair_keys(sequence, n_symbols), minlength=n_symbols * n_symbols)
+    return counts.reshape(n_symbols, n_symbols)
 
 
 @dataclass(frozen=True)
@@ -108,47 +110,45 @@ def fit_baseline(
     pairs = [(item.sequence, item.fault) if hasattr(item, "sequence") else item
              for item in training]
     sequences = [sequence for sequence, _ in pairs]
-    faults = [int(fault) for _, fault in pairs]
+    faults = np.array([int(fault) for _, fault in pairs], dtype=np.int64)
     if n_clusters is None:
-        n_clusters = len(set(faults))
+        n_clusters = len(set(faults.tolist()))
     if not 1 <= n_clusters <= len(training):
-        raise DomainError(
-            f"n_clusters must lie in [1, {len(training)}], got {n_clusters}"
-        )
+        raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
 
-    features = np.stack(
-        [feature_matrix(seq, n_symbols).ravel().astype(float) for seq in sequences]
-    )
+    # One column per successor pair that occurs: all-zero columns change no distance.
+    keys = [_pair_keys(seq, n_symbols) for seq in sequences + list(test)]
+    occurring, column = np.unique(np.concatenate(keys), return_inverse=True)
+    owner = np.repeat(np.arange(len(keys)), [k.size for k in keys])
+    width = occurring.size
+    counts = np.bincount(owner * width + column, minlength=len(keys) * width)
+    features = counts.reshape(len(keys), width).astype(float)
+    train, probes = features[: len(training)], features[len(training):]
     if len(training) == 1:
         labels = np.zeros(1, dtype=np.int64)
         merges: tuple = ()
     else:
-        merge_rows = linkage(pdist(features), method="average")
+        merge_rows = linkage(pdist(train), method="average")
         labels = _flat_clusters(merge_rows, len(training), n_clusters)
-        merges = tuple(
-            (int(row[0]), int(row[1]), float(row[2])) for row in merge_rows
-        )
+        merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in merge_rows)
 
-    faults = np.asarray(faults, dtype=np.int64)
     cluster_faults = np.empty(n_clusters, dtype=np.int64)
-    centroids = np.empty((n_clusters, features.shape[1]))
+    sums = np.empty((n_clusters, width))
     for cluster in range(n_clusters):
         members = labels == cluster
-        votes = np.bincount(faults[members])
-        cluster_faults[cluster] = int(np.argmax(votes))  # ties -> lowest fault
-        centroids[cluster] = features[members].mean(axis=0)
+        cluster_faults[cluster] = int(np.argmax(np.bincount(faults[members])))  # ties -> lowest
+        sums[cluster] = train[members].sum(axis=0)
 
-    predictions = []
-    for seq in test:
-        vector = feature_matrix(seq, n_symbols).ravel().astype(float)
-        distances = np.sqrt(((centroids - vector) ** 2).sum(axis=1))
-        predictions.append(int(cluster_faults[int(np.argmin(distances))]))
-
+    # The squared distance to a centroid S/n is ||S - n v||^2 / n^2.  Every
+    # term is an integer held exactly in a float, so the division is the only
+    # rounding and exact ties go to the lowest cluster id.
+    sizes = np.bincount(labels, minlength=n_clusters).astype(float)
+    scaled = (sums**2).sum(axis=1) - 2 * sizes * (probes @ sums.T)
+    scaled += sizes**2 * (probes**2).sum(axis=1)[:, None]
+    nearest = np.argmin(scaled / sizes**2, axis=1)
     return BaselineResult(
-        dendrogram=Dendrogram(merges=merges, cut=n_clusters),
-        train_clusters=labels,
-        cluster_faults=cluster_faults,
-        predictions=predictions,
+        dendrogram=Dendrogram(merges=merges, cut=n_clusters), train_clusters=labels,
+        cluster_faults=cluster_faults, predictions=cluster_faults[nearest].tolist(),
     )
 
 

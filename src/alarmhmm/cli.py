@@ -219,9 +219,8 @@ def cmd_baseline(args) -> int:
     labeled = as_labeled(train_sequences)
     test_sequences = _read_inputs(args.inputs)
     codebook = _codebook_for(train_sequences + test_sequences, args.measurements)
-    n_clusters = args.clusters if args.clusters else len({item.fault for item in labeled})
     result = baseline_mod.fit_baseline(
-        labeled, test_sequences, n_clusters=n_clusters, n_symbols=codebook.n_symbols
+        labeled, test_sequences, n_clusters=args.clusters, n_symbols=codebook.n_symbols
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,7 +230,8 @@ def cmd_baseline(args) -> int:
     ]
     baseline_mod.write_predictions_csv(out / "predictions.csv", rows)
     baseline_mod.write_dendrogram_csv(out / "dendrogram.csv", result.dendrogram)
-    print(f"baseline classified {len(rows)} sequence(s) with {n_clusters} clusters -> {out}")
+    print(f"baseline classified {len(rows)} sequence(s) "
+          f"with {result.dendrogram.cut} clusters -> {out}")
     return 0
 
 

@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from alarmhmm import InferenceError, forward_backward, posteriors
+from alarmhmm.baseline import BaselineResult, Dendrogram, _flat_clusters, dechatter
 
 
 def all_paths(n_states: int, t_len: int) -> np.ndarray:
@@ -123,6 +127,49 @@ def em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         update(model.emission, sums["emit_num"], sums["emit_den"]),
         initial / initial.sum(),
     )
+
+
+def dense_successor_counts(sequence, n_symbols: int) -> np.ndarray:
+    """The full M x M successor-count matrix of the de-chattered sequence."""
+    symbols = np.asarray(dechatter(getattr(sequence, "symbols", sequence)), dtype=np.int64)
+    counts = np.zeros((n_symbols, n_symbols), dtype=np.int64)
+    np.add.at(counts, (symbols[:-1], symbols[1:]), 1)
+    return counts
+
+
+def dense_baseline(training, test, n_clusters, n_symbols) -> BaselineResult:
+    """The clustering baseline on dense M x M features, centroids compared exactly.
+
+    Training items are (sequence, fault) pairs and ``n_clusters`` is a
+    count.  Every flood's full successor matrix goes through ``pdist`` and
+    average linkage; each test flood's squared distance to every centroid
+    is summed in :class:`fractions.Fraction` over all M**2 cells, and the
+    nearest centroid is the first one in cluster-id order with the
+    smallest distance.
+    """
+    features = np.stack([dense_successor_counts(seq, n_symbols).ravel() for seq, _ in training])
+    faults = np.array([fault for _, fault in training], dtype=np.int64)
+    if len(training) == 1:
+        labels, merges = np.zeros(1, dtype=np.int64), ()
+    else:
+        merge_rows = linkage(pdist(features.astype(float)), method="average")
+        labels = _flat_clusters(merge_rows, len(training), n_clusters)
+        merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in merge_rows)
+    cluster_faults = np.array(
+        [np.argmax(np.bincount(faults[labels == c])) for c in range(n_clusters)], dtype=np.int64
+    )
+    centroids = [
+        [Fraction(int(total), int((labels == c).sum()))
+         for total in features[labels == c].sum(axis=0)]
+        for c in range(n_clusters)
+    ]
+    predictions = []
+    for seq in test:
+        vector = dense_successor_counts(seq, n_symbols).ravel().tolist()
+        distances = [sum((mean - value) ** 2 for mean, value in zip(centroid, vector))
+                     for centroid in centroids]
+        predictions.append(int(cluster_faults[distances.index(min(distances))]))
+    return BaselineResult(Dendrogram(merges, n_clusters), labels, cluster_faults, predictions)
 
 
 def ranked_paths(model, obs) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,8 @@ from alarmhmm.baseline import (
     write_predictions_csv,
 )
 
+from oracles import dense_baseline
+
 
 def seq(symbols, fault=None):
     return AlarmSequence(
@@ -148,6 +150,58 @@ class TestClustering:
         if dist(a, b) == 0:
             assert np.array_equal(a, b)
         assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
+
+
+class TestAgainstDenseReference:
+    """The compact pair features against the dense M x M reference."""
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        n_symbols = draw(st.integers(1, 6))
+        flood = st.lists(st.integers(0, n_symbols - 1), max_size=8)
+        pool = draw(st.lists(flood, min_size=1, max_size=4))
+        # Drawing floods from a small pool repeats them, which forces ties.
+        floods = st.one_of(st.sampled_from(pool), flood)
+        training = draw(st.lists(st.tuples(floods, st.integers(0, 3)), min_size=1, max_size=10))
+        test = draw(st.lists(floods, max_size=6))
+        n_clusters = draw(st.none() | st.integers(1, len(training)))
+        return training, test, n_clusters, n_symbols
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=cases())
+    def test_matches_the_dense_reference(self, case):
+        training, test, n_clusters, n_symbols = case
+        result = fit_baseline(training, test, n_clusters, n_symbols)
+        count = len({fault for _, fault in training}) if n_clusters is None else n_clusters
+        expected = dense_baseline(training, test, count, n_symbols)
+        merges = lambda d: [(a, b, distance.hex()) for a, b, distance in d.merges]
+        assert merges(result.dendrogram) == merges(expected.dendrogram)
+        assert result.dendrogram.cut == count
+        assert result.train_clusters.tolist() == expected.train_clusters.tolist()
+        assert result.cluster_faults.tolist() == expected.cluster_faults.tolist()
+        assert result.predictions == expected.predictions
+
+    def test_exact_tie_goes_to_the_lowest_cluster(self):
+        training = [([2, 3, 1, 3, 0], 1), ([3, 0, 0], 1), ([0, 0, 0, 2, 1], 1),
+                    ([0, 1, 0, 2, 1], 1), ([0], 2), ([1, 0, 2, 3, 2, 0, 0], 1), ([0, 2, 0], 2)]
+        probe = [1, 0, 2, 3, 3, 0]
+        result = fit_baseline(training, [probe], 4, 4)
+        # Exact squared distances to the four centroids are 4, 3, 3.5 and 3:
+        # clusters 1 and 3 tie, and cluster 1 (fault 2) wins.
+        assert result.cluster_faults.tolist() == [1, 2, 1, 1]
+        assert result.predictions == [2]
+        assert dense_baseline(training, [probe], 4, 4).predictions == [2]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=cases(), high=st.booleans(), where=st.integers(0, 3))
+    def test_out_of_range_test_symbol_raises(self, case, high, where):
+        training, test, n_clusters, n_symbols = case
+        probe = [0, 0, 0]
+        # Without the range check the pair (0, M) would share the key of (1, 0).
+        probe.insert(where, n_symbols if high else -1)
+        with pytest.raises(DomainError, match="outside"):
+            fit_baseline(training, test + [probe], n_clusters, n_symbols)
 
 
 class TestCsvOutputs:

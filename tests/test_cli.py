@@ -107,6 +107,18 @@ class TestPipeline:
         assert 0.0 <= float(rows[-1]["accuracy"]) <= 1.0
         assert all(row["method"] == "hmm" for row in rows[:-1])
 
+    def test_cluster_count_is_passed_through(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        args = ["baseline", "--train", str(data / "train.jsonl"), "--in", str(data / "test.jsonl"),
+                "--out", str(tmp_path / "baseline")]
+        assert main(args + ["--clusters", "3"]) == 0
+        assert "with 3 clusters" in capsys.readouterr().out
+        assert main(args) == 0
+        assert "with 2 clusters" in capsys.readouterr().out
+        assert main(args + ["--clusters", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: domain-error: n_clusters must lie in [1, 8], got 0\n", err
+
     def test_length_one_sequence_decodes_closed_form(self, pipeline, tmp_path):
         import numpy as np
 
@@ -204,6 +216,22 @@ class TestExtract:
                      "--out", str(tmp_path / "out.jsonl")])
         assert code == 1
         assert_one_error_line(capsys, "schema-mismatch", f"{bad}:{line}: ")
+
+    @pytest.mark.parametrize("trace", ["normal", "fault"])
+    @pytest.mark.parametrize("reading", ["nan", "inf", "-inf"])
+    def test_non_finite_reading_names_its_file_and_line(self, tmp_path, capsys, trace, reading):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
+        bad = tmp_path / "bad.csv"
+        lines = normal.read_text().splitlines()
+        time, *values = lines[5].split(",")
+        lines[5] = ",".join([time, values[0], reading, values[2]])
+        bad.write_text("\n".join(lines) + "\n")
+        normal_arg, fault_arg = (bad, normal) if trace == "normal" else (normal, bad)
+        code = main(["extract", "--normal", str(normal_arg), "--in", str(fault_arg),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "schema-mismatch", f"{bad}:6: reading {reading} in column ")
 
     def test_fault_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "normal.csv"
