@@ -23,7 +23,6 @@ from .baseline import (
     BaselineResult,
     Dendrogram,
     dechatter,
-    feature_matrix,
     fit_baseline,
 )
 from .diagnoser import (

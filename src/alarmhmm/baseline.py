@@ -38,15 +38,6 @@ def _pair_keys(sequence, n_symbols: int) -> np.ndarray:
     return symbols[:-1] * n_symbols + symbols[1:]
 
 
-def feature_matrix(sequence, n_symbols: int) -> np.ndarray:
-    """``P[i, j]`` counts alarm ``j`` right after alarm ``i`` in the de-chattered sequence.
-
-    ``sequence`` is a symbol list or anything with a ``symbols`` list.
-    """
-    counts = np.bincount(_pair_keys(sequence, n_symbols), minlength=n_symbols * n_symbols)
-    return counts.reshape(n_symbols, n_symbols)
-
-
 @dataclass(frozen=True)
 class Dendrogram:
     """Average-linkage merge history with the flat-cluster cut applied."""
@@ -98,8 +89,9 @@ def fit_baseline(
 ) -> BaselineResult:
     """Cluster the training sequences and classify the test sequences.
 
-    Training items must expose ``sequence``/``fault`` (labeled) or be
-    (sequence, fault) pairs; test items are plain sequences.  Cluster
+    Training items are labeled sequences (``sequence`` and a non-negative
+    ``fault``, as :func:`alarmhmm.diagnoser.as_labeled` builds them); test
+    items are symbol lists or anything with a ``symbols`` list.  Cluster
     labels come from the majority fault of their members (ties to the
     lowest fault index); each test sequence takes the label of the nearest
     cluster centroid (mean feature matrix, ties to the lowest cluster id).
@@ -107,17 +99,15 @@ def fit_baseline(
     """
     if not training:
         raise DomainError("baseline training set must be non-empty")
-    pairs = [(item.sequence, item.fault) if hasattr(item, "sequence") else item
-             for item in training]
-    sequences = [sequence for sequence, _ in pairs]
-    faults = np.array([int(fault) for _, fault in pairs], dtype=np.int64)
+    faults = np.array([item.fault for item in training], dtype=np.int64)
     if n_clusters is None:
         n_clusters = len(set(faults.tolist()))
     if not 1 <= n_clusters <= len(training):
         raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
 
     # One column per successor pair that occurs: all-zero columns change no distance.
-    keys = [_pair_keys(seq, n_symbols) for seq in sequences + list(test)]
+    floods = [item.sequence for item in training] + list(test)
+    keys = [_pair_keys(flood, n_symbols) for flood in floods]
     occurring, column = np.unique(np.concatenate(keys), return_inverse=True)
     owner = np.repeat(np.arange(len(keys)), [k.size for k in keys])
     width = occurring.size

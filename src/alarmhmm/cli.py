@@ -94,8 +94,8 @@ def _fault_names_from(sequences) -> dict[int, str]:
 
 def cmd_simulate(args) -> int:
     graph = plantsim.load_graph(args.graph) if args.graph else plantsim.default_graph()
-    if args.train_counts or args.test_counts:
-        if not (args.train_counts and args.test_counts):
+    if args.train_counts is not None or args.test_counts is not None:
+        if args.train_counts is None or args.test_counts is None:
             raise DomainError("--train-counts and --test-counts must be given together")
         train_counts = _parse_counts(args.train_counts, graph.n_faults, "--train-counts")
         test_counts = _parse_counts(args.test_counts, graph.n_faults, "--test-counts")
@@ -157,7 +157,6 @@ def cmd_train(args) -> int:
         fault_names=_fault_names_from(sequences),
         self_transition=args.self_transition,
         init_smoothing=args.smoothing,
-        hard_mask=not args.soft_transitions,
     )
     save_diagnoser(model, args.out)
     print(
@@ -201,7 +200,7 @@ def cmd_evaluate(args) -> int:
     model = load_diagnoser(args.model)
     sequences = _read_inputs(args.inputs)
     labeled = as_labeled(sequences)
-    l_max = args.lmax if args.lmax else max(len(item.sequence) for item in labeled)
+    l_max = args.lmax if args.lmax is not None else max(len(item.sequence) for item in labeled)
     curve = evaluate_prefix_accuracy(model, labeled, l_max=l_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -320,12 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--emission-floor", type=float, default=1e-10)
     train.add_argument("--measurements", type=int,
                        help="measurement count (defaults to sequence metadata)")
-    train.add_argument("--self-transition", type=float, default=0.9,
-                       help="initial diagonal transition mass for --soft-transitions")
+    train.add_argument("--self-transition", type=float, default=None,
+                       help="re-estimate transitions from this initial diagonal mass "
+                            "(default: pin the diagonal structure)")
     train.add_argument("--smoothing", type=float, default=0.5,
                        help="additive smoothing for the emission initialization")
-    train.add_argument("--soft-transitions", action="store_true",
-                       help="re-estimate transitions instead of pinning the diagonal structure")
     train.set_defaults(func=cmd_train)
 
     diag = sub.add_parser("diagnose", help="decode fault verdicts for alarm sequences")

@@ -50,6 +50,10 @@ class LabeledSequence:
     sequence: AlarmSequence
     fault: int
 
+    def __post_init__(self):
+        if self.fault < 0:
+            raise DomainError(f"fault label {self.fault} must be non-negative")
+
     @property
     def symbols(self) -> list[int]:
         return self.sequence.symbols
@@ -61,7 +65,10 @@ def as_labeled(sequences: list[AlarmSequence]) -> list[LabeledSequence]:
     for index, sequence in enumerate(sequences):
         if sequence.fault is None:
             raise DomainError(f"sequence {index} has no fault label")
-        labeled.append(LabeledSequence(sequence=sequence, fault=int(sequence.fault)))
+        try:
+            labeled.append(LabeledSequence(sequence=sequence, fault=int(sequence.fault)))
+        except DomainError as exc:
+            raise DomainError(f"sequence {index}: {exc}") from None
     return labeled
 
 
@@ -126,36 +133,33 @@ def train_diagnoser(
     *,
     codebook: AlarmSymbolCodebook,
     fault_names: dict[int, str] | None = None,
-    self_transition: float = 0.9,
+    self_transition: float | None = None,
     init_smoothing: float = 0.5,
-    hard_mask: bool = True,
 ) -> DiagnoserModel:
     """Build and train the diagnoser HMM.
 
     Initialization uses the labels: the transition matrix starts diagonally
-    dominant (``self_transition`` on the diagonal, the rest uniform),
-    emissions start from per-fault symbol frequencies with additive
-    smoothing, and the initial distribution comes from ``priors`` (e.g.
-    equipment failure rates) or is uniform.  Baum-Welch then runs
+    dominant, emissions start from per-fault symbol frequencies with
+    additive smoothing, and the initial distribution comes from ``priors``
+    (e.g. equipment failure rates) or is uniform.  Baum-Welch then runs
     unsupervised on all sequences pooled.
 
-    By default the diagonal structure is hard: off-diagonal transition
-    mass is pinned at :data:`HARD_MASK_OFF_DIAGONAL` and not re-estimated,
-    which is what keeps each state identified with its seeded fault.  With
-    ``hard_mask=False`` the transitions start at ``self_transition`` on
-    the diagonal and are re-estimated freely; prolonged unsupervised EM
-    can then let one state capture alarm symbols shared between faults,
-    which degrades the modal-state diagnosis rule.
+    By default (``self_transition=None``) the diagonal structure is hard:
+    off-diagonal transition mass is pinned at
+    :data:`HARD_MASK_OFF_DIAGONAL` and not re-estimated, which is what
+    keeps each state identified with its seeded fault.  A number starts
+    the transitions at that diagonal mass (the rest uniform) and
+    re-estimates them freely; prolonged unsupervised EM can then let one
+    state capture alarm symbols shared between faults, which degrades the
+    modal-state diagnosis rule.
     """
     if config is None:
         config = FitConfig()
     if not training:
         raise DomainError("training requires at least one labeled sequence")
-    labels = sorted({item.fault for item in training})
-    n_faults = labels[-1] + 1
-    missing = [f for f in range(n_faults) if f not in set(labels)]
-    if labels[0] < 0:
-        raise DomainError("fault indices must be non-negative")
+    labels = {item.fault for item in training}
+    n_faults = max(labels) + 1
+    missing = sorted(set(range(n_faults)) - labels)
     if missing:
         raise DomainError(f"fault {missing[0]} has no training sequences")
     n_symbols = codebook.n_symbols
@@ -171,9 +175,11 @@ def train_diagnoser(
     else:
         initial = np.full(n_faults, 1.0 / n_faults)
 
-    off_diagonal = HARD_MASK_OFF_DIAGONAL if hard_mask else (
-        (1.0 - self_transition) / (n_faults - 1) if n_faults > 1 else 0.0
-    )
+    if self_transition is None:
+        off_diagonal = HARD_MASK_OFF_DIAGONAL
+        config = replace(config, update_transitions=False)
+    else:
+        off_diagonal = (1.0 - self_transition) / (n_faults - 1) if n_faults > 1 else 0.0
     transition = np.full((n_faults, n_faults), off_diagonal)
     np.fill_diagonal(transition, 1.0 - off_diagonal * (n_faults - 1))
 
@@ -183,8 +189,6 @@ def train_diagnoser(
     emission = counts / counts.sum(axis=1, keepdims=True)
 
     start = Hmm(transition=transition, emission=emission, initial=initial)
-    if hard_mask:
-        config = replace(config, update_transitions=False)
     model, trace = fit(start, observations, config)
 
     diagonal = np.diag(model.transition)
@@ -209,7 +213,6 @@ def train_diagnoser(
         "emission_floor": config.emission_floor,
         "self_transition": self_transition,
         "init_smoothing": init_smoothing,
-        "hard_mask": hard_mask,
         "priors": None if priors is None else [float(p) for p in np.asarray(priors)],
     }
     return DiagnoserModel(
@@ -224,7 +227,7 @@ def _observations(model: DiagnoserModel, symbols) -> np.ndarray:
         raise UnknownSymbolError(str(exc)) from None
 
 
-def diagnose(model: DiagnoserModel, sequence, *, secondary: bool = True) -> Diagnosis:
+def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
     """Diagnose one alarm sequence with a single list-Viterbi decode.
 
     The primary fault is the most recurring state of the Viterbi path
@@ -236,7 +239,7 @@ def diagnose(model: DiagnoserModel, sequence, *, secondary: bool = True) -> Diag
     """
     obs = _observations(model, getattr(sequence, "symbols", sequence))
     n = model.n_faults
-    paths = k_best_paths(model.hmm, obs, 2 if secondary else 1)
+    paths = k_best_paths(model.hmm, obs, 2)
     best = paths[0]
     primary = _mode(best.states, n)
 
@@ -275,7 +278,7 @@ def evaluate_prefix_accuracy(
     n = model.n_faults
     confusion = np.zeros((l_max, n, n), dtype=np.int64)
     for item in test:
-        if not 0 <= item.fault < n:
+        if item.fault >= n:
             raise DomainError(f"test label {item.fault} outside the model's faults")
         obs = _observations(model, item.sequence.symbols[:l_max])
         verdicts = [_mode(path.states, n) for path in prefix_paths(model.hmm, obs)]

@@ -35,6 +35,13 @@ DEFAULT_MAGNITUDE_RANGE = (0.2, 1.0)
 DEFAULT_SWAP_PROB = 0.02
 DEFAULT_DROP_PROB = 0.08
 
+#: sample period of the simulated measurement traces, in seconds
+TRACE_SAMPLE_PERIOD_S = 10.0
+#: how long a fault trace runs on after its last alarm onset, in seconds
+TRACE_TAIL_S = 900.0
+#: height of a fault's measurement step, in units of the unit-variance noise
+STEP_HEIGHT = 8.0
+
 #: fault groups of the bundled graph that share propagation-path prefixes
 #: and are therefore expected to absorb most short-prefix misclassifications
 DEFAULT_CONFUSABLE_GROUPS = ((0, 1, 2), (1, 7), (4, 8))
@@ -205,6 +212,8 @@ def generate_scenario_set(
     (base_seed, split, fault, replicate); training and test use disjoint
     seed streams.
     """
+    if base_seed < 0:
+        raise DomainError(f"seed must be non-negative, got {base_seed}")
     lo, hi = magnitude_range
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError("magnitude range must satisfy 0 < lo < hi <= 1")
@@ -472,57 +481,44 @@ def load_graph(path) -> PropagationGraph:
     return load_document(path, graph_from_dict, SchemaError)
 
 
-def simulate_normal_trace(
-    n_measurements: int,
-    n_samples: int,
-    sample_period: float = 10.0,
-    seed: int = 0,
-    noise_sd: float = 1.0,
-) -> MeasurementTrace:
-    """Normal-operation readings: zero baseline plus Gaussian noise."""
+def simulate_normal_trace(n_measurements: int, n_samples: int, seed: int = 0) -> MeasurementTrace:
+    """Normal-operation readings: zero baseline plus unit-variance Gaussian noise."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50)))
-    values = rng.normal(0.0, noise_sd, size=(n_samples, n_measurements))
+    values = rng.normal(0.0, 1.0, size=(n_samples, n_measurements))
     return MeasurementTrace(
-        sample_period=sample_period,
+        sample_period=TRACE_SAMPLE_PERIOD_S,
         values=values,
         meas_ids=[f"m{idx:02d}" for idx in range(n_measurements)],
     )
 
 
 def simulate_fault_trace(
-    graph: PropagationGraph,
-    spec: ScenarioSpec,
-    sample_period: float = 10.0,
-    duration_s: float | None = None,
-    noise_sd: float = 1.0,
-    step_sds: float = 8.0,
+    graph: PropagationGraph, spec: ScenarioSpec
 ) -> tuple[MeasurementTrace, AlarmSequence]:
     """Measurement trace whose limit crossings realize a simulated scenario.
 
-    Each scheduled alarm becomes a step of ``step_sds`` noise standard
-    deviations (up for high alarms, down for low) that starts at the
-    scheduled onset and persists to the end of the trace.  Returns the
-    trace together with the scheduled alarm sequence; exists to exercise
-    the extraction pipeline end to end.
+    Each scheduled alarm becomes a step of :data:`STEP_HEIGHT` (up for high
+    alarms, down for low) that starts at the scheduled onset and persists
+    to the end of the trace, :data:`TRACE_TAIL_S` after the last onset;
+    unit-variance Gaussian noise lies on top.  Returns the trace together
+    with the scheduled alarm sequence; exists to exercise the extraction
+    pipeline end to end.
     """
     sequence = simulate_alarm_sequence(graph, spec)
     codebook = graph.codebook
     last_onset = max(sequence.times, default=0.0)
-    if duration_s is None:
-        duration_s = last_onset + 900.0
-    n_samples = int(math.ceil(duration_s / sample_period)) + 1
+    n_samples = int(math.ceil((last_onset + TRACE_TAIL_S) / TRACE_SAMPLE_PERIOD_S)) + 1
 
     levels = np.zeros((n_samples, graph.n_measurements))
     for onset, symbol in sorted(zip(sequence.times, sequence.symbols)):
         measurement, direction = codebook.decode(symbol)
-        start = int(math.ceil(onset / sample_period - 1e-9))
-        offset = step_sds * noise_sd if direction == HIGH else -step_sds * noise_sd
-        levels[start:, measurement] = offset
+        start = int(math.ceil(onset / TRACE_SAMPLE_PERIOD_S - 1e-9))
+        levels[start:, measurement] = STEP_HEIGHT if direction == HIGH else -STEP_HEIGHT
 
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0x7C)))
-    values = levels + rng.normal(0.0, noise_sd, size=levels.shape)
+    values = levels + rng.normal(0.0, 1.0, size=levels.shape)
     trace = MeasurementTrace(
-        sample_period=sample_period,
+        sample_period=TRACE_SAMPLE_PERIOD_S,
         values=values,
         meas_ids=[f"m{idx:02d}" for idx in range(graph.n_measurements)],
     )

@@ -11,19 +11,24 @@ from alarmhmm import DomainError
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.baseline import (
     dechatter,
-    feature_matrix,
     fit_baseline,
     write_dendrogram_csv,
     write_predictions_csv,
 )
+from alarmhmm.diagnoser import LabeledSequence
 
-from oracles import dense_baseline
+from oracles import dense_baseline, dense_successor_counts
 
 
 def seq(symbols, fault=None):
     return AlarmSequence(
         symbols=list(symbols), times=[float(i) for i in range(len(symbols))], fault=fault
     )
+
+
+def labeled(pairs):
+    """(symbol list, fault) pairs as labeled sequences."""
+    return [LabeledSequence(sequence=seq(symbols, fault), fault=fault) for symbols, fault in pairs]
 
 
 class TestDechatter:
@@ -38,37 +43,39 @@ class TestDechatter:
 
 
 class TestFeatureMatrix:
+    """The dense successor counts of the reference baseline that ``fit_baseline`` must match."""
+
     def test_simple_chain(self):
-        p = feature_matrix(seq([0, 1, 2]), 3)
+        p = dense_successor_counts(seq([0, 1, 2]), 3)
         expected = np.zeros((3, 3), dtype=int)
         expected[0, 1] = expected[1, 2] = 1
         assert np.array_equal(p, expected)
 
     def test_single_symbol_gives_zero_matrix(self):
-        assert feature_matrix(seq([1]), 3).sum() == 0
+        assert dense_successor_counts(seq([1]), 3).sum() == 0
 
     def test_repeat_visits_accumulate(self):
-        p = feature_matrix(seq([0, 1, 0, 1]), 2)
+        p = dense_successor_counts(seq([0, 1, 0, 1]), 2)
         assert p[0, 1] == 2 and p[1, 0] == 1
 
     def test_counts_follow_the_dechattered_sequence(self):
-        p = feature_matrix([0, 0, 1], 2)
+        p = dense_successor_counts([0, 0, 1], 2)
         assert p[0, 1] == 1 and p[0, 0] == 0
         assert p.sum() == len(dechatter([0, 0, 1])) - 1
 
     def test_out_of_range_symbol_rejected(self):
-        with pytest.raises(DomainError, match="outside"):
-            feature_matrix(seq([5]), 3)
+        with pytest.raises(DomainError, match="symbol 5 outside"):
+            fit_baseline(labeled([([0, 5], 0)]), [], None, 3)
 
 
 class TestClustering:
     def disjoint_data(self):
-        training = [
-            (seq([0, 1, 2, 3]), 0),
-            (seq([0, 1, 3, 2]), 0),
-            (seq([8, 9, 10, 11]), 1),
-            (seq([8, 9, 11, 10]), 1),
-        ]
+        training = labeled([
+            ([0, 1, 2, 3], 0),
+            ([0, 1, 3, 2], 0),
+            ([8, 9, 10, 11], 1),
+            ([8, 9, 11, 10], 1),
+        ])
         test = [seq([0, 1, 2, 3]), seq([8, 9, 10, 11])]
         return training, test
 
@@ -77,8 +84,8 @@ class TestClustering:
         # Brute-force separation check: every within-fault distance is
         # smaller than every cross-fault distance, which forces average
         # linkage to merge within faults first.
-        features = [feature_matrix(s, 16).ravel().astype(float) for s, _ in training]
-        faults = [f for _, f in training]
+        features = [dense_successor_counts(s.sequence, 16).ravel().astype(float) for s in training]
+        faults = [s.fault for s in training]
         within, across = [], []
         for (i, a), (j, b) in itertools.combinations(enumerate(features), 2):
             (within if faults[i] == faults[j] else across).append(np.linalg.norm(a - b))
@@ -93,19 +100,21 @@ class TestClustering:
         training, test = self.disjoint_data()
         result = fit_baseline(training, test, n_clusters=4, n_symbols=16)
         assert sorted(np.bincount(result.train_clusters).tolist()) == [1, 1, 1, 1]
-        features = np.stack([feature_matrix(s, 16).ravel().astype(float) for s, _ in training])
+        features = np.stack(
+            [dense_successor_counts(s.sequence, 16).ravel().astype(float) for s in training]
+        )
         for probe, prediction in zip(test, result.predictions):
-            vector = feature_matrix(probe, 16).ravel().astype(float)
+            vector = dense_successor_counts(probe, 16).ravel().astype(float)
             nearest = int(np.argmin(np.linalg.norm(features - vector, axis=1)))
-            assert prediction == training[nearest][1]
+            assert prediction == training[nearest].fault
 
     def test_single_cluster_votes_globally(self):
-        training = [(seq([0, 1]), 1), (seq([0, 1]), 1), (seq([4, 5]), 0)]
+        training = labeled([([0, 1], 1), ([0, 1], 1), ([4, 5], 0)])
         test = [seq([8, 9]), seq([0, 1])]
         assert fit_baseline(training, test, 1, 16).predictions == [1, 1]
 
     def test_majority_tie_breaks_to_lowest_fault(self):
-        training = [(seq([0, 1]), 3), (seq([1, 0]), 2)]
+        training = labeled([([0, 1], 3), ([1, 0], 2)])
         assert fit_baseline(training, [seq([0, 1])], 1, 4).predictions == [2]
 
     def test_cluster_count_validated(self):
@@ -123,10 +132,10 @@ class TestClustering:
 
     def test_average_linkage_merges_monotonically(self):
         rng = np.random.default_rng(11)
-        training = [
-            (seq(rng.integers(0, 12, size=rng.integers(3, 9)).tolist()), int(rng.integers(0, 3)))
+        training = labeled([
+            (rng.integers(0, 12, size=rng.integers(3, 9)).tolist(), int(rng.integers(0, 3)))
             for _ in range(12)
-        ]
+        ])
         result = fit_baseline(training, [], n_clusters=3, n_symbols=12)
         distances = [d for _, _, d in result.dendrogram.merges]
         assert all(b >= a - 1e-12 for a, b in zip(distances, distances[1:]))
@@ -137,7 +146,7 @@ class TestClustering:
     def test_feature_distances_satisfy_metric_axioms(self, seed):
         rng = np.random.default_rng(seed)
         vectors = [
-            feature_matrix(rng.integers(0, 6, size=rng.integers(1, 10)).tolist(), 6)
+            dense_successor_counts(rng.integers(0, 6, size=rng.integers(1, 10)).tolist(), 6)
             .ravel()
             .astype(float)
             for _ in range(3)
@@ -172,7 +181,7 @@ class TestAgainstDenseReference:
     @given(case=cases())
     def test_matches_the_dense_reference(self, case):
         training, test, n_clusters, n_symbols = case
-        result = fit_baseline(training, test, n_clusters, n_symbols)
+        result = fit_baseline(labeled(training), test, n_clusters, n_symbols)
         count = len({fault for _, fault in training}) if n_clusters is None else n_clusters
         expected = dense_baseline(training, test, count, n_symbols)
         merges = lambda d: [(a, b, distance.hex()) for a, b, distance in d.merges]
@@ -186,7 +195,7 @@ class TestAgainstDenseReference:
         training = [([2, 3, 1, 3, 0], 1), ([3, 0, 0], 1), ([0, 0, 0, 2, 1], 1),
                     ([0, 1, 0, 2, 1], 1), ([0], 2), ([1, 0, 2, 3, 2, 0, 0], 1), ([0, 2, 0], 2)]
         probe = [1, 0, 2, 3, 3, 0]
-        result = fit_baseline(training, [probe], 4, 4)
+        result = fit_baseline(labeled(training), [probe], 4, 4)
         # Exact squared distances to the four centroids are 4, 3, 3.5 and 3:
         # clusters 1 and 3 tie, and cluster 1 (fault 2) wins.
         assert result.cluster_faults.tolist() == [1, 2, 1, 1]
@@ -201,7 +210,7 @@ class TestAgainstDenseReference:
         # Without the range check the pair (0, M) would share the key of (1, 0).
         probe.insert(where, n_symbols if high else -1)
         with pytest.raises(DomainError, match="outside"):
-            fit_baseline(training, test + [probe], n_clusters, n_symbols)
+            fit_baseline(labeled(training), test + [probe], n_clusters, n_symbols)
 
 
 class TestCsvOutputs:

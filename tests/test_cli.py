@@ -4,10 +4,17 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
-from alarmhmm.alarms import write_trace_csv
+from alarmhmm.alarms import AlarmSymbolCodebook, read_sequences_jsonl, write_trace_csv
 from alarmhmm.cli import main
+from alarmhmm.diagnoser import (
+    HARD_MASK_OFF_DIAGONAL,
+    as_labeled,
+    load_diagnoser,
+    train_diagnoser,
+)
 from alarmhmm.plantsim import (
     ScenarioSpec,
     graph_to_dict,
@@ -120,10 +127,6 @@ class TestPipeline:
         assert err == "error: domain-error: n_clusters must lie in [1, 8], got 0\n", err
 
     def test_length_one_sequence_decodes_closed_form(self, pipeline, tmp_path):
-        import numpy as np
-
-        from alarmhmm.diagnoser import load_diagnoser
-
         tmp, _, model_path = pipeline
         seqs = tmp_path / "one.jsonl"
         seqs.write_text(
@@ -146,9 +149,26 @@ class TestPipeline:
                      "--out", str(model)]) == 0
         assert json.loads(model.read_text())["training"]["n_sequences"] == 65 + 42
 
+    def test_self_transition_selects_the_soft_variant(self, pipeline):
+        tmp_path, data, hard = pipeline
+        soft = tmp_path / "soft.json"
+        assert main(["train", "--in", str(data / "train.jsonl"), "--self-transition", "0.9",
+                     "--out", str(soft)]) == 0
+        expected = train_diagnoser(as_labeled(read_sequences_jsonl(data / "train.jsonl")),
+                                   codebook=AlarmSymbolCodebook(5), self_transition=0.9)
+        model = load_diagnoser(soft)
+        for name in ("transition", "emission", "initial"):
+            assert np.array_equal(getattr(model.hmm, name), getattr(expected.hmm, name)), name
+        assert model.training["self_transition"] == 0.9
+        pinned = load_diagnoser(hard)
+        off = pinned.hmm.transition[~np.eye(pinned.n_faults, dtype=bool)]
+        assert (off == HARD_MASK_OFF_DIAGONAL).all()
+        assert pinned.training["self_transition"] is None
+        assert not np.array_equal(model.hmm.transition, pinned.hmm.transition)
+
     def test_model_round_trips_through_cli(self, pipeline):
         tmp_path, data, model = pipeline
-        from alarmhmm.diagnoser import load_diagnoser, save_diagnoser
+        from alarmhmm.diagnoser import save_diagnoser
 
         loaded = load_diagnoser(model)
         again = tmp_path / "again.json"
@@ -432,6 +452,53 @@ class TestErrorReporting:
         code = main([command] + [str(arg) for arg in argv] + ["--out", str(tmp_path / "out")])
         assert code == 1
         assert_one_error_line(capsys, kind, str(bad))
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "baseline"])
+    def test_negative_fault_label_is_one_domain_error(self, pipeline, tmp_path, capsys, command):
+        _, data, model = pipeline
+        lines = (data / "train.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["fault"] = -1
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "negative.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = {
+            "train": ["train", "--in", bad, "--out", tmp_path / "model.json"],
+            "evaluate": ["evaluate", "--model", model, "--in", bad, "--out", tmp_path / "eval"],
+            "baseline": ["baseline", "--train", bad, "--in", data / "test.jsonl",
+                         "--out", tmp_path / "base"],
+        }[command]
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: domain-error: sequence 2: fault label -1 must be non-negative\n", err
+
+    def test_negative_seed_is_one_domain_error(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: domain-error: seed must be non-negative, got -1\n", err
+
+    @pytest.mark.parametrize("empty", ["--train-counts", "--test-counts"])
+    def test_empty_count_list_is_not_ignored(self, tmp_path, capsys, empty):
+        counts = {"--train-counts": "5,8,7,7,6,6,6,6,6,8", "--test-counts": "4,4,4,4,4,5,5,4,4,4"}
+        counts[empty] = ""
+        out = ["--out", str(tmp_path / "data")]
+        assert main(["simulate"] + [arg for pair in counts.items() for arg in pair] + out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: domain-error: {empty} must be a comma-separated list of integers\n"
+        assert main(["simulate", empty, ""] + out) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: domain-error: --train-counts and --test-counts "
+                       "must be given together\n"), err
+        assert not (tmp_path / "data").exists()
+
+    def test_zero_lmax_is_rejected(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--lmax", "0", "--out", str(tmp_path / "evaluation")]) == 1
+        assert capsys.readouterr().err == "error: domain-error: l_max must be >= 1\n"
+        assert not (tmp_path / "evaluation").exists()
 
     def test_unlabeled_training_data(self, tmp_path, capsys):
         seqs = tmp_path / "seqs.jsonl"

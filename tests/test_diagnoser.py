@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from alarmhmm import DomainError, FitConfig, Hmm, UnknownSymbolError
+from alarmhmm import DomainError, FitConfig, Hmm, UnknownSymbolError, viterbi
 from alarmhmm.alarms import AlarmSequence, AlarmSymbolCodebook
 from alarmhmm.diagnoser import (
     AccuracyCurve,
@@ -83,7 +83,7 @@ class TestTraining:
 
     def test_soft_variant_reestimates_transitions(self):
         training, book = disjoint_training()
-        model = train_diagnoser(training, codebook=book, hard_mask=False, self_transition=0.9)
+        model = train_diagnoser(training, codebook=book, self_transition=0.9)
         n = model.n_faults
         off = model.hmm.transition[~np.eye(n, dtype=bool)]
         # disjoint per-fault data keeps every sequence in its own state, so
@@ -102,19 +102,29 @@ class TestTraining:
             labeled([8, 9, 11, 10], 1),
         ]
         with pytest.warns(RuntimeWarning, match="self-transition"):
-            train_diagnoser(training, codebook=book, hard_mask=False, self_transition=0.5)
+            train_diagnoser(training, codebook=book, self_transition=0.5)
 
     def test_unlabeled_sequences_rejected(self):
         seq = AlarmSequence(symbols=[1], times=[0.0], fault=None)
         with pytest.raises(DomainError, match="no fault label"):
             as_labeled([seq])
 
+    def test_negative_fault_label_rejected(self):
+        with pytest.raises(DomainError, match="fault label -1 must be non-negative"):
+            labeled([0], -1)
+        good = AlarmSequence(symbols=[1], times=[0.0], fault=0)
+        bad = AlarmSequence(symbols=[1], times=[0.0], fault=-2)
+        with pytest.raises(DomainError, match="^sequence 1: fault label -2 must be non-negative$"):
+            as_labeled([good, bad])
+
     def test_config_echo_recorded(self):
         training, book = disjoint_training()
         model = train_diagnoser(training, codebook=book)
         assert model.training["n_sequences"] == len(training)
-        assert model.training["hard_mask"] is True
+        assert model.training["self_transition"] is None
         assert model.training["iterations"] >= 1
+        soft = train_diagnoser(training, codebook=book, self_transition=0.8)
+        assert soft.training["self_transition"] == 0.8
 
 
 class TestDiagnose:
@@ -178,12 +188,6 @@ class TestDiagnose:
         with pytest.raises(UnknownSymbolError):
             diagnose(model, [book.n_symbols + 3])
 
-    def test_secondary_skipped_on_request(self):
-        training, book = disjoint_training()
-        model = train_diagnoser(training, codebook=book)
-        verdict = diagnose(model, [0, 1], secondary=False)
-        assert verdict.second_path is None and verdict.secondary_fault is None
-
     @pytest.mark.parametrize("seed", range(8))
     def test_modal_rule_recount(self, seed):
         rng = np.random.default_rng(seed)
@@ -191,9 +195,9 @@ class TestDiagnose:
         model = train_diagnoser(training, codebook=book)
         symbols = rng.integers(0, book.n_symbols, size=6).tolist()
         verdict = diagnose(model, symbols)
-        alone = diagnose(model, symbols, secondary=False)
-        assert alone.path.states.tolist() == verdict.path.states.tolist()
-        assert alone.path.log_prob == verdict.path.log_prob
+        alone = viterbi(model.hmm, symbols)
+        assert alone.states.tolist() == verdict.path.states.tolist()
+        assert alone.log_prob == verdict.path.log_prob
         counts = np.bincount(verdict.path.states, minlength=model.n_faults)
         assert counts[verdict.primary_fault] == counts.max()
         assert verdict.primary_fault == int(np.argmax(counts))
@@ -265,7 +269,8 @@ class TestEvaluation:
         confusion = np.zeros((l_max, 4, 4), dtype=np.int64)
         for item in test:
             for p in range(1, l_max + 1):
-                verdict = diagnose(model, item.symbols[:p], secondary=False).primary_fault
+                states = viterbi(model.hmm, item.symbols[:p]).states
+                verdict = int(np.argmax(np.bincount(states, minlength=model.n_faults)))
                 confusion[p - 1, item.fault, verdict] += 1
         assert np.array_equal(curve.confusion, confusion)
 

@@ -1,7 +1,7 @@
 """Fuzzed model, graph, sequence and report files: one typed error line, never a traceback.
 
 Each case starts from a valid file, mutates it (drops a key or column,
-swaps a value for a bool, string, float, NaN, null or list, truncates the
+swaps a value for a bool, string, float, NaN, null, list or -1, truncates the
 bytes or inserts bytes that are not UTF-8) and runs the CLI command that
 reads it.  The command must succeed or exit 1 with exactly one
 ``error: <kind>: ...`` line on stderr.
@@ -25,7 +25,7 @@ from alarmhmm.plantsim import graph_to_dict
 
 from test_plantsim import toy_graph
 
-SWAPS = (True, "x", 0.5, 1e308, math.nan, None, [1])
+SWAPS = (True, "x", 0.5, 1e308, math.nan, None, [1], -1)
 ERROR_LINE = re.compile(r"error: [a-z-]+: [^\n]*\n")
 
 
@@ -139,6 +139,10 @@ def test_mutated_sequence_record(files, tmp_path_factory, data):
     run_cli(["train", "--in", bad, "--out", bad.with_suffix(".model")])
     run_cli(["diagnose", "--model", files / "model.json", "--in", bad,
              "--out", bad.with_suffix(".out")])
+    run_cli(["evaluate", "--model", files / "model.json", "--in", bad,
+             "--out", bad.with_suffix(".evaluation")])
+    run_cli(["baseline", "--train", bad, "--in", files / "data" / "test.jsonl",
+             "--out", bad.with_suffix(".baseline")])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

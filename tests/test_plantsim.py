@@ -158,6 +158,8 @@ class TestScenarioSets:
             generate_scenario_set(graph, {0: (0, 1)})
         with pytest.raises(DomainError, match="magnitude range"):
             generate_scenario_set(graph, {0: (1, 1)}, magnitude_range=(0.9, 0.2))
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            generate_scenario_set(graph, {0: (1, 1)}, base_seed=-1)
 
 
 class TestGraphIO:
@@ -259,10 +261,8 @@ class TestTraceMode:
             ),
         )
         spec = ScenarioSpec(fault=0, magnitude=1.0, seed=21)
-        trace, scheduled = simulate_fault_trace(graph, spec, sample_period=10.0)
-        normal = [
-            simulate_normal_trace(4, 500, seed=900 + i, sample_period=10.0) for i in range(2)
-        ]
+        trace, scheduled = simulate_fault_trace(graph, spec)
+        normal = [simulate_normal_trace(4, 500, seed=900 + i) for i in range(2)]
         limits = fit_limits(normal, kappa=3.0)
         extracted = extract_sequence(trace, limits, AlarmSymbolCodebook(4), persist_t=300.0)
         assert extracted.symbols == scheduled.symbols
