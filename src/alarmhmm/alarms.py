@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .documents import is_finite_array, is_int, is_int_array, open_text, require
+from .documents import is_finite_array, is_finite_number, is_int, is_int_array, open_text, require
 from .errors import DomainError, SchemaError
 
 HIGH = "high"
@@ -95,8 +95,8 @@ class AlarmLimits:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
-        if self.kappa < 0:
-            raise DomainError("kappa must be non-negative")
+        if not (is_finite_number(self.kappa) and self.kappa >= 0):
+            raise DomainError(f"kappa must be finite and non-negative, got {self.kappa!r}")
         if (self.std <= 0).any():
             bad = [self.meas_ids[i] for i in np.flatnonzero(self.std <= 0)]
             raise DomainError(f"zero or negative standard deviation for: {', '.join(bad)}")
@@ -166,21 +166,11 @@ def fit_limits(normal_traces: list[MeasurementTrace], kappa: float = 3.0) -> Ala
     return AlarmLimits(mean=mean, std=std, kappa=float(kappa), meas_ids=tuple(ids))
 
 
-def _required_samples(persist_t: float, sample_period: float) -> int:
+def _required_samples(persist_t: float, sample_period: float, n_samples: int) -> int:
     # n samples cover n * sample_period seconds; a single sample qualifies
-    # whenever persist_t is at most one period.
-    return max(1, math.ceil(persist_t / sample_period - 1e-12))
-
-
-def _first_qualifying_run(beyond: np.ndarray, min_samples: int) -> int | None:
-    flags = beyond.astype(np.int8)
-    edges = np.diff(np.concatenate(([0], flags, [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    for start, end in zip(starts, ends):
-        if end - start >= min_samples:
-            return int(start)
-    return None
+    # whenever persist_t is at most one period, and no window of
+    # n_samples + 1 samples fits in the trace.
+    return max(1, math.ceil(min(persist_t / sample_period - 1e-12, n_samples + 1)))
 
 
 def extract_sequence(
@@ -196,8 +186,8 @@ def extract_sequence(
     produces one symbol, stamped with the excursion start time.  Emissions
     are sorted by activation time, ties by ascending symbol index.
     """
-    if persist_t < 0:
-        raise DomainError("persist_t must be non-negative")
+    if not (is_finite_number(persist_t) and persist_t >= 0):
+        raise DomainError(f"persist_t must be finite and non-negative, got {persist_t!r}")
     if trace.n_measurements != codebook.n_measurements:
         raise DomainError(
             f"trace has {trace.n_measurements} measurements, codebook expects "
@@ -206,23 +196,19 @@ def extract_sequence(
     if limits.n_measurements != trace.n_measurements:
         raise DomainError("limits do not match the trace measurement count")
 
-    min_samples = _required_samples(persist_t, trace.sample_period)
-    high, low = limits.high, limits.low
-    events: list[tuple[float, int]] = []
-    for m in range(trace.n_measurements):
-        readings = trace.values[:, m]
-        for beyond, direction in (
-            (readings > high[m], HIGH),
-            (readings < low[m], LOW),
-        ):
-            start = _first_qualifying_run(beyond, min_samples)
-            if start is not None:
-                events.append((start * trace.sample_period, codebook.encode(m, direction)))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return AlarmSequence(
-        symbols=[symbol for _, symbol in events],
-        times=[time for time, _ in events],
-    ).validate(codebook.n_symbols)
+    # Column s is symbol s: the high alarms of every measurement, then the lows.
+    beyond = np.hstack([trace.values > limits.high, trace.values < limits.low])
+    window = _required_samples(persist_t, trace.sample_period, trace.n_samples)
+    counts = np.zeros((trace.n_samples + 1, beyond.shape[1]), dtype=np.int64)
+    np.cumsum(beyond, axis=0, out=counts[1:])
+    # full[t, s]: samples t .. t + window - 1 all lie beyond limit s.  A
+    # column's first full window starts its earliest long-enough excursion.
+    full = counts[window:] - counts[:-window] == window
+    fired, starts = np.nonzero(full.T)
+    symbols, first = np.unique(fired, return_index=True)
+    times = starts[first] * trace.sample_period
+    order = np.lexsort((symbols, times))
+    return AlarmSequence(symbols=symbols[order].tolist(), times=times[order].tolist())
 
 
 def read_trace_csv(path) -> MeasurementTrace:

@@ -26,6 +26,7 @@ from .alarms import (
 from .diagnoser import (
     ACCURACY_COLUMNS,
     as_labeled,
+    check_labels,
     diagnose,
     evaluate_prefix_accuracy,
     load_diagnoser,
@@ -80,8 +81,11 @@ def _codebook_for(sequences, override: int | None) -> AlarmSymbolCodebook:
 
 
 def _read_inputs(paths) -> list:
-    """The sequences of every ``--in`` file, pooled in the order given."""
-    return [sequence for path in paths for sequence in read_sequences_jsonl(path)]
+    """The sequences of every ``--in`` file, pooled in the order given, with
+    every label they carry checked."""
+    sequences = [sequence for path in paths for sequence in read_sequences_jsonl(path)]
+    check_labels(sequences)
+    return sequences
 
 
 def _fault_names_from(sequences) -> dict[int, str]:
@@ -234,39 +238,55 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _is_count(value) -> bool:
+def _is_count(text: str) -> bool:
+    value = csv_value(text)
     return is_int(value) and value >= 0
 
 
-#: the check every ``accuracy.csv`` field must pass before ``report`` merges it
-_ACCURACY_CHECKS = {
+def _is_fraction(text: str) -> bool:
+    value = csv_value(text)
+    return is_finite_number(value) and 0 <= value <= 1
+
+
+#: the check every field of ``accuracy.csv`` and ``predictions.csv`` must
+#: pass before ``report`` reads it
+_FIELD_CHECKS = {
     "prefix_length": (_is_count, "a non-negative integer"),
-    "accuracy": (lambda value: is_finite_number(value) and 0 <= value <= 1,
-                 "a finite number in [0, 1]"),
+    "accuracy": (_is_fraction, "a finite number in [0, 1]"),
     "n_correct": (_is_count, "a non-negative integer"),
     "n_total": (_is_count, "a non-negative integer"),
+    "sequence_id": (_is_count, "a non-negative integer"),
+    "true_fault": (lambda text: text == "" or _is_count(text),
+                   "empty or a non-negative integer"),
+    "predicted_fault": (_is_count, "a non-negative integer"),
 }
+
+
+def _read_checked_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    rows = read_csv(path, columns)
+    for index, row in enumerate(rows, start=1):
+        for column in columns:
+            check, what = _FIELD_CHECKS[column]
+            if not check(row[column]):
+                raise SchemaError(
+                    f"{path}: row {index}: '{column}' must be {what}, got {row[column]!r}"
+                )
+    return rows
 
 
 def cmd_report(args) -> int:
     accuracy_path = Path(args.evaluation) / "accuracy.csv"
-    accuracy_rows = read_csv(accuracy_path, ACCURACY_COLUMNS)
+    accuracy_rows = _read_checked_csv(accuracy_path, ACCURACY_COLUMNS)
     prediction_path = Path(args.baseline) / "predictions.csv"
-    prediction_rows = read_csv(prediction_path, baseline_mod.PREDICTION_COLUMNS)
+    prediction_rows = _read_checked_csv(prediction_path, baseline_mod.PREDICTION_COLUMNS)
     if not accuracy_rows:
         raise SchemaError(f"{accuracy_path}: no accuracy rows")
-    for index, row in enumerate(accuracy_rows, start=1):
-        for column, (check, what) in _ACCURACY_CHECKS.items():
-            if not check(csv_value(row[column])):
-                raise SchemaError(
-                    f"{accuracy_path}: row {index}: '{column}' must be {what}, "
-                    f"got {row[column]!r}"
-                )
     hmm_full = csv_value(accuracy_rows[-1]["accuracy"])
     scored = [row for row in prediction_rows if row["true_fault"] != ""]
     if not scored:
         raise SchemaError(f"{prediction_path}: no true fault labels to score")
-    correct = sum(row["true_fault"] == row["predicted_fault"] for row in scored)
+    correct = sum(csv_value(row["true_fault"]) == csv_value(row["predicted_fault"])
+                  for row in scored)
     write_csv(args.out, ("method",) + ACCURACY_COLUMNS, [
         ["hmm"] + [row[column] for column in ACCURACY_COLUMNS] for row in accuracy_rows
     ] + [["baseline", "full", repr(correct / len(scored)), correct, len(scored)]])

@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .alarms import AlarmSequence, AlarmSymbolCodebook
-from .documents import is_array, is_int, load_document, require, save_document, write_csv
+from .documents import (
+    is_array,
+    is_finite_number,
+    is_int,
+    load_document,
+    require,
+    save_document,
+    write_csv,
+)
 from .errors import DomainError, ModelFormatError, UnknownSymbolError
 from .hmm import (
     FitConfig,
@@ -59,17 +67,29 @@ class LabeledSequence:
         return self.sequence.symbols
 
 
+def _labeled(index: int, sequence: AlarmSequence) -> LabeledSequence:
+    try:
+        return LabeledSequence(sequence=sequence, fault=int(sequence.fault))
+    except DomainError as exc:
+        raise DomainError(f"sequence {index}: {exc}") from None
+
+
 def as_labeled(sequences: list[AlarmSequence]) -> list[LabeledSequence]:
     """Wrap alarm sequences whose ``fault`` field is set; reject unlabeled ones."""
     labeled = []
     for index, sequence in enumerate(sequences):
         if sequence.fault is None:
             raise DomainError(f"sequence {index} has no fault label")
-        try:
-            labeled.append(LabeledSequence(sequence=sequence, fault=int(sequence.fault)))
-        except DomainError as exc:
-            raise DomainError(f"sequence {index}: {exc}") from None
+        labeled.append(_labeled(index, sequence))
     return labeled
+
+
+def check_labels(sequences: list[AlarmSequence]) -> None:
+    """Apply the label rule of :func:`as_labeled` to the sequences that carry a
+    label; unlabeled ones pass, since a test set need not be labeled."""
+    for index, sequence in enumerate(sequences):
+        if sequence.fault is not None:
+            _labeled(index, sequence)
 
 
 @dataclass
@@ -155,6 +175,8 @@ def train_diagnoser(
     """
     if config is None:
         config = FitConfig()
+    if not (is_finite_number(init_smoothing) and init_smoothing >= 0):
+        raise DomainError(f"init_smoothing must be finite and non-negative, got {init_smoothing!r}")
     if not training:
         raise DomainError("training requires at least one labeled sequence")
     labels = {item.fault for item in training}

@@ -20,6 +20,7 @@ from .documents import (
     FORMAT_VERSION,
     check_version,
     is_finite_array,
+    is_finite_number,
     is_int,
     load_document,
     require,
@@ -153,10 +154,12 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
-        if self.emission_floor < 0:
-            raise DomainError("emission_floor must be non-negative")
+        if not (is_finite_number(self.rel_tol) and self.rel_tol > 0):
+            raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if not (is_finite_number(self.emission_floor) and self.emission_floor >= 0):
+            raise DomainError(
+                f"emission_floor must be finite and non-negative, got {self.emission_floor!r}"
+            )
 
 
 def as_observations(obs, n_symbols: int) -> np.ndarray:

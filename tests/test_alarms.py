@@ -261,6 +261,35 @@ class TestExtraction:
         tight = extract_sequence(trace, limits, book, persist_t=float(short + extra))
         assert set(tight.symbols) <= set(loose.symbols)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n_meas=st.integers(1, 4), n_samples=st.integers(1, 60),
+           period=st.sampled_from([1.0, 2.0, 5.0, 10.0]))
+    def test_matches_the_sample_scan_oracle(self, data, n_meas, n_samples, period):
+        # Readings in {-2, ..., 2} against limits -1 and 1: both directions
+        # fire, and readings exactly at a limit stay normal.
+        values = np.asarray(data.draw(st.lists(
+            st.integers(-2, 2), min_size=n_meas * n_samples, max_size=n_meas * n_samples
+        )), dtype=float).reshape(n_samples, n_meas)
+        # Quarter periods land on and between the multiples of the period,
+        # up to past the end of the trace.
+        persist_t = data.draw(st.one_of(
+            st.integers(0, 4 * (n_samples + 2)).map(lambda quarters: quarters * period / 4),
+            st.just(1e308),
+        ))
+        ids = [f"m{m}" for m in range(n_meas)]
+        limits = AlarmLimits(mean=np.zeros(n_meas), std=np.ones(n_meas), kappa=1.0,
+                             meas_ids=tuple(ids))
+        trace = MeasurementTrace(sample_period=period, values=values, meas_ids=ids)
+        seq = extract_sequence(trace, limits, AlarmSymbolCodebook(n_meas), persist_t=persist_t)
+
+        expected = []
+        for m in range(n_meas):
+            starts = oracles.scan_alarm_runs(values[:, m], -1.0, 1.0, period, persist_t)
+            for start, symbol in zip(starts, (m, m + n_meas)):
+                if start is not None:
+                    expected.append((start * period, symbol))
+        assert list(zip(seq.times, seq.symbols)) == sorted(expected)
+
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):

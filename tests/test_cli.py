@@ -3,11 +3,17 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from alarmhmm.alarms import AlarmSymbolCodebook, read_sequences_jsonl, write_trace_csv
+from alarmhmm.alarms import (
+    AlarmSymbolCodebook,
+    MeasurementTrace,
+    read_sequences_jsonl,
+    write_trace_csv,
+)
 from alarmhmm.cli import main
 from alarmhmm.diagnoser import (
     HARD_MASK_OFF_DIAGONAL,
@@ -253,6 +259,22 @@ class TestExtract:
         assert code == 1
         assert_one_error_line(capsys, "schema-mismatch", f"{bad}:6: reading {reading} in column ")
 
+    def test_persistence_beyond_a_fine_trace_yields_no_alarm(self, tmp_path):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
+        values = np.zeros((50, 3))
+        values[10:, 1] = 20.0  # a high alarm of m01 that lasts to the end
+        fault = tmp_path / "fault.csv"
+        write_trace_csv(fault, MeasurementTrace(sample_period=0.001, values=values,
+                                                meas_ids=["m00", "m01", "m02"]))
+        symbols = {}
+        for persist_t in ("0.02", "1e308"):  # 1e308 s is about 1e311 samples of 1 ms
+            out = tmp_path / f"{persist_t}.jsonl"
+            assert main(["extract", "--normal", str(normal), "--in", str(fault),
+                         "--persist-t", persist_t, "--out", str(out)]) == 0
+            symbols[persist_t] = json.loads(out.read_text())["symbols"]
+        assert symbols == {"0.02": [1], "1e308": []}
+
     def test_fault_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "normal.csv"
         write_trace_csv(path, simulate_normal_trace(3, 100, seed=1))
@@ -423,9 +445,16 @@ class TestErrorReporting:
         ("accuracy.csv", lambda text: first_row(text, "1,NaN,1,2")),
         ("accuracy.csv", lambda text: first_row(text, "1,0.5,-1,2")),
         ("accuracy.csv", lambda text: first_row(text, "1,0.5,1,true")),
+        ("predictions.csv", lambda text: first_row(text, "0,abc,xyz")),
+        ("predictions.csv", lambda text: first_row(text, "1,00,0")),
+        ("predictions.csv", lambda text: first_row(text, "-1,0,0")),
+        ("predictions.csv", lambda text: first_row(text, "0,1,1.0")),
+        ("predictions.csv", lambda text: first_row(text, "0,-1,0")),
     ], ids=["no-true-fault-column", "unknown-version", "short-row", "no-header",
             "non-numeric-accuracy", "garbage-row", "float-prefix", "negative-prefix",
-            "accuracy-above-one", "nan-accuracy", "negative-count", "bool-total"])
+            "accuracy-above-one", "nan-accuracy", "negative-count", "bool-total",
+            "non-numeric-faults", "leading-zero-label", "negative-sequence-id",
+            "float-prediction", "negative-label"])
     def test_report_checks_its_input_csvs(self, pipeline, tmp_path, capsys, target, edit):
         tmp, data, model = pipeline
         evaluation, base = tmp_path / "evaluation", tmp_path / "baseline"
@@ -453,7 +482,8 @@ class TestErrorReporting:
         assert code == 1
         assert_one_error_line(capsys, kind, str(bad))
 
-    @pytest.mark.parametrize("command", ["train", "evaluate", "baseline"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "baseline", "diagnose",
+                                         "baseline-in"])
     def test_negative_fault_label_is_one_domain_error(self, pipeline, tmp_path, capsys, command):
         _, data, model = pipeline
         lines = (data / "train.jsonl").read_text().splitlines()
@@ -467,11 +497,34 @@ class TestErrorReporting:
             "evaluate": ["evaluate", "--model", model, "--in", bad, "--out", tmp_path / "eval"],
             "baseline": ["baseline", "--train", bad, "--in", data / "test.jsonl",
                          "--out", tmp_path / "base"],
+            "diagnose": ["diagnose", "--model", model, "--in", bad,
+                         "--out", tmp_path / "verdicts.jsonl"],
+            "baseline-in": ["baseline", "--train", data / "train.jsonl", "--in", bad,
+                            "--out", tmp_path / "base"],
         }[command]
         capsys.readouterr()
         assert main([str(arg) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err == "error: domain-error: sequence 2: fault label -1 must be non-negative\n", err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--emission-floor", "--smoothing",
+                                      "--kappa", "--persist-t"])
+    def test_non_finite_setting_is_one_domain_error(self, pipeline, capsys, flag, value):
+        tmp_path, data, _ = pipeline
+        if flag in ("--kappa", "--persist-t"):
+            normal = tmp_path / "normal.csv"
+            write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
+            argv = ["extract", "--normal", normal, "--in", normal, "--out", tmp_path / "x.jsonl"]
+        else:
+            argv = ["train", "--in", data / "train.jsonl", "--out", tmp_path / "new.json"]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([str(arg) for arg in argv] + [f"{flag}={value}"]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain-error: ") and err.count("\n") == 1, err
 
     def test_negative_seed_is_one_domain_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "data")]) == 1
