@@ -54,11 +54,9 @@ from .hmm import (
     fit,
     forward_backward,
     k_best_paths,
-    load_hmm,
     posteriors,
     prefix_paths,
     random_model,
-    save_hmm,
     total_log_likelihood,
     viterbi,
 )

@@ -9,19 +9,27 @@ symbol ``m``, low alarms to symbol ``m + n_measurements``.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
-from .documents import is_finite_array, is_finite_number, is_int, is_int_array, open_text, require
+from .documents import (
+    FORMAT_VERSION,
+    is_finite_array,
+    is_finite_number,
+    is_int,
+    is_int_array,
+    open_text,
+    read_jsonl,
+    require,
+    write_jsonl,
+)
 from .errors import DomainError, SchemaError
 
 HIGH = "high"
 LOW = "low"
-
-SEQUENCE_FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -193,8 +201,10 @@ def extract_sequence(
             f"trace has {trace.n_measurements} measurements, codebook expects "
             f"{codebook.n_measurements}"
         )
-    if limits.n_measurements != trace.n_measurements:
-        raise DomainError("limits do not match the trace measurement count")
+    for column, (got, expected) in enumerate(zip_longest(trace.meas_ids, limits.meas_ids)):
+        if got != expected:
+            raise DomainError(f"trace measurement {column + 1} is {got!r}, "
+                              f"the limits were fitted on {expected!r}")
 
     # Column s is symbol s: the high alarms of every measurement, then the lows.
     beyond = np.hstack([trace.values > limits.high, trace.values < limits.low])
@@ -266,7 +276,7 @@ def write_trace_csv(path, trace: MeasurementTrace) -> None:
 
 def sequence_to_dict(sequence: AlarmSequence) -> dict:
     meta = dict(sequence.meta)
-    meta.setdefault("format_version", SEQUENCE_FORMAT_VERSION)
+    meta.setdefault("format_version", FORMAT_VERSION)
     return {
         "fault": sequence.fault,
         "symbols": list(sequence.symbols),
@@ -288,8 +298,8 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
     size = meta.get("n_measurements")
     if size is not None and not (is_int(size) and size >= 1):
         raise SchemaError("meta n_measurements must be a positive integer")
-    if meta.get("format_version", SEQUENCE_FORMAT_VERSION) != SEQUENCE_FORMAT_VERSION:
-        raise SchemaError(f"meta format_version must be {SEQUENCE_FORMAT_VERSION!r}")
+    if meta.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+        raise SchemaError(f"meta format_version must be {FORMAT_VERSION!r}")
     sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
     try:
         return sequence.validate()
@@ -298,23 +308,8 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
 
 
 def write_sequences_jsonl(path, sequences: list[AlarmSequence]) -> None:
-    with open(path, "w") as handle:
-        for sequence in sequences:
-            handle.write(json.dumps(sequence_to_dict(sequence), sort_keys=True) + "\n")
+    write_jsonl(path, map(sequence_to_dict, sequences))
 
 
 def read_sequences_jsonl(path) -> list[AlarmSequence]:
-    sequences = []
-    for lineno, line in enumerate(open_text(path, SchemaError), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise SchemaError(f"{path}:{lineno}: not valid JSON ({exc})") from None
-        try:
-            sequences.append(sequence_from_dict(payload))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    return sequences
+    return read_jsonl(path, sequence_from_dict)

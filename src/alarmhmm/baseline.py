@@ -16,11 +16,11 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from .documents import write_csv
+from .documents import COUNT, OPTIONAL_COUNT, write_csv
 from .errors import DomainError
 
-#: header of ``predictions.csv``, which ``report`` reads back
-PREDICTION_COLUMNS = ("sequence_id", "true_fault", "predicted_fault")
+#: the columns of ``predictions.csv``, which ``report`` reads back, and their checks
+PREDICTION_FIELDS = {"sequence_id": COUNT, "true_fault": OPTIONAL_COUNT, "predicted_fault": COUNT}
 
 
 def dechatter(symbols) -> list[int]:
@@ -144,7 +144,7 @@ def fit_baseline(
 
 def write_predictions_csv(path, rows: list[tuple[int, int | None, int]]) -> None:
     """Rows are (sequence_id, true_fault or None, predicted_fault)."""
-    write_csv(path, PREDICTION_COLUMNS, (
+    write_csv(path, tuple(PREDICTION_FIELDS), (
         [sequence_id, "" if true_fault is None else true_fault, predicted]
         for sequence_id, true_fault, predicted in rows
     ))

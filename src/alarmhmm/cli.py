@@ -9,7 +9,6 @@ byte-identical output files.  Failures exit nonzero with a single
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .alarms import (
     write_sequences_jsonl,
 )
 from .diagnoser import (
-    ACCURACY_COLUMNS,
+    ACCURACY_FIELDS,
     as_labeled,
     check_labels,
     diagnose,
@@ -35,7 +34,7 @@ from .diagnoser import (
     write_accuracy_csv,
     write_confusion_csvs,
 )
-from .documents import csv_value, is_finite_number, is_int, read_csv, write_csv
+from .documents import csv_value, read_csv, write_csv, write_jsonl
 from .errors import (
     AlarmHmmError,
     DomainError,
@@ -135,13 +134,17 @@ def cmd_extract(args) -> int:
     sequences = []
     for index, path in enumerate(args.inputs):
         trace = read_trace_csv(path)
-        sequence = extract_sequence(trace, limits, codebook, persist_t=args.persist_t)
+        try:
+            sequence = extract_sequence(trace, limits, codebook, persist_t=args.persist_t)
+        except DomainError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         if args.fault:
             sequence.fault = args.fault[index]
         sequence.meta.update(
             {"source": Path(path).name, "n_measurements": codebook.n_measurements}
         )
         sequences.append(sequence)
+    check_labels(sequences)
     write_sequences_jsonl(args.out, sequences)
     print(f"extracted {len(sequences)} sequence(s) to {args.out}")
     return 0
@@ -170,32 +173,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _verdict_record(model, seq) -> dict:
+    verdict = diagnose(model, seq)
+    return {
+        "primary_fault": verdict.primary_fault,
+        "primary_fault_name": model.fault_names[verdict.primary_fault],
+        "secondary_fault": verdict.secondary_fault,
+        "secondary_fault_name": (
+            None
+            if verdict.secondary_fault is None
+            else model.fault_names[verdict.secondary_fault]
+        ),
+        "log_prob": verdict.path.log_prob,
+        "path": verdict.path.states.tolist(),
+        "second_log_prob": (
+            None if verdict.second_path is None else verdict.second_path.log_prob
+        ),
+        "second_path": (
+            None if verdict.second_path is None else verdict.second_path.states.tolist()
+        ),
+        "true_fault": seq.fault,
+    }
+
+
 def cmd_diagnose(args) -> int:
     model = load_diagnoser(args.model)
     sequences = _read_inputs(args.inputs)
-    with open(args.out, "w") as handle:
-        for seq in sequences:
-            verdict = diagnose(model, seq)
-            record = {
-                "primary_fault": verdict.primary_fault,
-                "primary_fault_name": model.fault_names[verdict.primary_fault],
-                "secondary_fault": verdict.secondary_fault,
-                "secondary_fault_name": (
-                    None
-                    if verdict.secondary_fault is None
-                    else model.fault_names[verdict.secondary_fault]
-                ),
-                "log_prob": verdict.path.log_prob,
-                "path": verdict.path.states.tolist(),
-                "second_log_prob": (
-                    None if verdict.second_path is None else verdict.second_path.log_prob
-                ),
-                "second_path": (
-                    None if verdict.second_path is None else verdict.second_path.states.tolist()
-                ),
-                "true_fault": seq.fault,
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(args.out, (_verdict_record(model, seq) for seq in sequences))
     print(f"diagnosed {len(sequences)} sequence(s) -> {args.out}")
     return 0
 
@@ -204,7 +208,9 @@ def cmd_evaluate(args) -> int:
     model = load_diagnoser(args.model)
     sequences = _read_inputs(args.inputs)
     labeled = as_labeled(sequences)
-    l_max = args.lmax if args.lmax is not None else max(len(item.sequence) for item in labeled)
+    # At least 1, so that an empty input or floods without alarms meet the
+    # checks of evaluate_prefix_accuracy, as with an explicit --lmax.
+    l_max = args.lmax if args.lmax is not None else max([1] + [len(i.sequence) for i in labeled])
     curve = evaluate_prefix_accuracy(model, labeled, l_max=l_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,47 +244,11 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _is_count(text: str) -> bool:
-    value = csv_value(text)
-    return is_int(value) and value >= 0
-
-
-def _is_fraction(text: str) -> bool:
-    value = csv_value(text)
-    return is_finite_number(value) and 0 <= value <= 1
-
-
-#: the check every field of ``accuracy.csv`` and ``predictions.csv`` must
-#: pass before ``report`` reads it
-_FIELD_CHECKS = {
-    "prefix_length": (_is_count, "a non-negative integer"),
-    "accuracy": (_is_fraction, "a finite number in [0, 1]"),
-    "n_correct": (_is_count, "a non-negative integer"),
-    "n_total": (_is_count, "a non-negative integer"),
-    "sequence_id": (_is_count, "a non-negative integer"),
-    "true_fault": (lambda text: text == "" or _is_count(text),
-                   "empty or a non-negative integer"),
-    "predicted_fault": (_is_count, "a non-negative integer"),
-}
-
-
-def _read_checked_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    rows = read_csv(path, columns)
-    for index, row in enumerate(rows, start=1):
-        for column in columns:
-            check, what = _FIELD_CHECKS[column]
-            if not check(row[column]):
-                raise SchemaError(
-                    f"{path}: row {index}: '{column}' must be {what}, got {row[column]!r}"
-                )
-    return rows
-
-
 def cmd_report(args) -> int:
     accuracy_path = Path(args.evaluation) / "accuracy.csv"
-    accuracy_rows = _read_checked_csv(accuracy_path, ACCURACY_COLUMNS)
+    accuracy_rows = read_csv(accuracy_path, ACCURACY_FIELDS)
     prediction_path = Path(args.baseline) / "predictions.csv"
-    prediction_rows = _read_checked_csv(prediction_path, baseline_mod.PREDICTION_COLUMNS)
+    prediction_rows = read_csv(prediction_path, baseline_mod.PREDICTION_FIELDS)
     if not accuracy_rows:
         raise SchemaError(f"{accuracy_path}: no accuracy rows")
     hmm_full = csv_value(accuracy_rows[-1]["accuracy"])
@@ -287,8 +257,8 @@ def cmd_report(args) -> int:
         raise SchemaError(f"{prediction_path}: no true fault labels to score")
     correct = sum(csv_value(row["true_fault"]) == csv_value(row["predicted_fault"])
                   for row in scored)
-    write_csv(args.out, ("method",) + ACCURACY_COLUMNS, [
-        ["hmm"] + [row[column] for column in ACCURACY_COLUMNS] for row in accuracy_rows
+    write_csv(args.out, ("method", *ACCURACY_FIELDS), [
+        ["hmm"] + [row[column] for column in ACCURACY_FIELDS] for row in accuracy_rows
     ] + [["baseline", "full", repr(correct / len(scored)), correct, len(scored)]])
     print(
         f"hmm full-length accuracy {hmm_full:.3f} vs baseline {correct / len(scored):.3f} "

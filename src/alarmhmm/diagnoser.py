@@ -19,6 +19,8 @@ import numpy as np
 
 from .alarms import AlarmSequence, AlarmSymbolCodebook
 from .documents import (
+    COUNT,
+    FRACTION,
     is_array,
     is_finite_number,
     is_int,
@@ -47,8 +49,9 @@ SELF_TRANSITION_WARN = 0.5
 #: off-diagonal transition mass of the default hard-masked diagonal structure
 HARD_MASK_OFF_DIAGONAL = 1e-3
 
-#: header of ``accuracy.csv``, which ``report`` reads back
-ACCURACY_COLUMNS = ("prefix_length", "accuracy", "n_correct", "n_total")
+#: the columns of ``accuracy.csv``, which ``report`` reads back, and their checks
+ACCURACY_FIELDS = {"prefix_length": COUNT, "accuracy": FRACTION, "n_correct": COUNT,
+                   "n_total": COUNT}
 
 
 @dataclass
@@ -318,7 +321,7 @@ def evaluate_prefix_accuracy(
 
 
 def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
-    write_csv(path, ACCURACY_COLUMNS, (
+    write_csv(path, tuple(ACCURACY_FIELDS), (
         [int(length), repr(float(accuracy)), int(correct), curve.n_total]
         for length, accuracy, correct in zip(curve.lengths, curve.accuracy, curve.n_correct)
     ))

@@ -1,4 +1,5 @@
-"""The versioned JSON documents and CSVs, and the value checks all readers share.
+"""The versioned JSON documents, JSON Lines files and CSVs, and the value checks
+all readers share.
 
 Nothing read is coerced: a boolean is not an integer, and a finite number
 is an int or float that fits a float.
@@ -48,6 +49,24 @@ def csv_value(text: str):
         return None
 
 
+def is_count(text: str) -> bool:
+    """Whether a CSV field spells a non-negative integer."""
+    value = csv_value(text)
+    return is_int(value) and value >= 0
+
+
+def is_fraction(text: str) -> bool:
+    """Whether a CSV field spells a finite number in [0, 1]."""
+    value = csv_value(text)
+    return is_finite_number(value) and 0 <= value <= 1
+
+
+#: the (check, description) pairs that declare the fields of a CSV read by :func:`read_csv`
+COUNT = (is_count, "a non-negative integer")
+OPTIONAL_COUNT = (lambda text: text == "" or is_count(text), "empty or a non-negative integer")
+FRACTION = (is_fraction, "a finite number in [0, 1]")
+
+
 def is_finite_array(value, ndim: int = 1) -> bool:
     """Whether ``value`` is an ``ndim``-deep nested array of finite numbers."""
     if ndim == 0:
@@ -79,21 +98,40 @@ def open_text(path, error: type[SchemaError], newline: str | None = None) -> io.
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+def _parse(text: str, source, build, error: type[SchemaError]):
+    """``build(value)`` for the JSON value ``text`` spells; every error starts with ``source``."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise error(f"{source}: not valid JSON: {exc}") from None
+    try:
+        return build(value)
+    except SchemaError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
 def load_document(path, build, error: type[SchemaError]):
     """``build(document)`` for the JSON document in ``path``; every error names the path."""
-    stream = open_text(path, error)
-    try:
-        document = json.load(stream)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise error(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return build(document)
-    except SchemaError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _parse(open_text(path, error).read(), path, build, error)
+
+
+def read_jsonl(path, build) -> list:
+    """``build(record)`` for the record on each non-blank line of the JSON Lines
+    file ``path``; every error names ``path:line``."""
+    return [_parse(text, f"{path}:{lineno}", build, SchemaError)
+            for lineno, line in enumerate(open_text(path, SchemaError), start=1)
+            if (text := line.strip())]
 
 
 def save_document(path, document: dict) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON record per line, keys sorted."""
+    with open(path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:
@@ -105,8 +143,9 @@ def write_csv(path, header: tuple[str, ...], rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """The rows of a versioned CSV, keyed by a header that names all ``columns``."""
+def read_csv(path, fields: dict) -> list[dict[str, str]]:
+    """The rows of a versioned CSV, keyed by its header, which must name every
+    column of ``fields``; each such field must pass its (check, description) pair."""
     stream = open_text(path, SchemaError, newline="")
     version = stream.readline().rstrip("\r\n")
     if version != CSV_VERSION_LINE:
@@ -114,7 +153,7 @@ def read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     reader = csv.reader(stream)
     try:
         header = next(reader, [])
-        missing = [column for column in columns if column not in header]
+        missing = [column for column in fields if column not in header]
         if missing:
             raise SchemaError(f"{path}: header lacks the '{missing[0]}' column")
         rows = []
@@ -124,4 +163,10 @@ def read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
             rows.append(dict(zip(header, row)))
     except csv.Error as exc:
         raise SchemaError(f"{path}: malformed CSV ({exc})") from None
+    for index, row in enumerate(rows, start=1):
+        for column, (check, what) in fields.items():
+            if not check(row[column]):
+                raise SchemaError(
+                    f"{path}: row {index}: '{column}' must be {what}, got {row[column]!r}"
+                )
     return rows

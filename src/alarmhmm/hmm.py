@@ -22,9 +22,7 @@ from .documents import (
     is_finite_array,
     is_finite_number,
     is_int,
-    load_document,
     require,
-    save_document,
 )
 from .errors import DomainError, InferenceError, ModelFormatError
 
@@ -616,11 +614,3 @@ def hmm_from_dict(payload: dict) -> Hmm:
     if [model.n_states, model.n_symbols] != sizes:
         raise ModelFormatError("declared n_states/n_symbols do not match the stored arrays")
     return model
-
-
-def save_hmm(model: Hmm, path) -> None:
-    save_document(path, hmm_to_dict(model))
-
-
-def load_hmm(path) -> Hmm:
-    return load_document(path, hmm_from_dict, ModelFormatError)

@@ -275,6 +275,39 @@ class TestExtract:
             symbols[persist_t] = json.loads(out.read_text())["symbols"]
         assert symbols == {"0.02": [1], "1e308": []}
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids: ["x0", "x1", "x2"],
+         "trace measurement 1 is 'x0', the limits were fitted on 'm00'"),
+        (lambda ids: [ids[0], ids[2], ids[1]],
+         "trace measurement 2 is 'm02', the limits were fitted on 'm01'"),
+        (lambda ids: ids[:2], "trace has 2 measurements, codebook expects 3"),
+    ], ids=["renamed", "swapped", "short"])
+    def test_trace_header_must_name_the_limits_measurements(self, tmp_path, capsys, edit,
+                                                            message):
+        normal = tmp_path / "normal.csv"
+        trace = simulate_normal_trace(3, 100, seed=1)
+        write_trace_csv(normal, trace)
+        ids = edit(list(trace.meas_ids))
+        bad = tmp_path / "bad.csv"
+        write_trace_csv(bad, MeasurementTrace(sample_period=trace.sample_period,
+                                              values=trace.values[:, :len(ids)], meas_ids=ids))
+        out = tmp_path / "out.jsonl"
+        code = main(["extract", "--normal", str(normal), "--in", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: domain-error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_negative_fault_label_is_rejected_before_writing(self, tmp_path, capsys):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
+        out = tmp_path / "out.jsonl"
+        code = main(["extract", "--normal", str(normal), "--in", str(normal), "--fault", "-1",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: sequence 0: fault label -1 must be non-negative\n")
+        assert not out.exists()
+
     def test_fault_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "normal.csv"
         write_trace_csv(path, simulate_normal_trace(3, 100, seed=1))
@@ -552,6 +585,29 @@ class TestErrorReporting:
                      "--lmax", "0", "--out", str(tmp_path / "evaluation")]) == 1
         assert capsys.readouterr().err == "error: domain-error: l_max must be >= 1\n"
         assert not (tmp_path / "evaluation").exists()
+
+    def test_empty_evaluation_input_is_one_domain_error(self, pipeline, capsys):
+        tmp_path, _, model = pipeline
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(empty),
+                     "--out", str(tmp_path / "evaluation")]) == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: evaluation requires at least one labeled sequence\n")
+
+    def test_flood_without_alarms_fails_as_with_an_explicit_lmax(self, pipeline, capsys):
+        tmp_path, _, model = pipeline
+        silent = tmp_path / "silent.jsonl"
+        silent.write_text('{"fault": 0, "symbols": [], "times": [], "meta": {}}\n')
+        capsys.readouterr()
+        errors = []
+        for lmax in ([], ["--lmax", "5"]):
+            assert main(["evaluate", "--model", str(model), "--in", str(silent),
+                         "--out", str(tmp_path / "evaluation"), *lmax]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].count("\n") == 1, errors
+        assert "l_max" not in errors[0]
 
     def test_unlabeled_training_data(self, tmp_path, capsys):
         seqs = tmp_path / "seqs.jsonl"
