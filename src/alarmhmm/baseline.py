@@ -17,7 +17,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
 from .documents import COUNT, OPTIONAL_COUNT, write_csv
-from .errors import DomainError
+from .errors import DomainError, UnknownSymbolError
 
 #: the columns of ``predictions.csv``, which ``report`` reads back, and their checks
 PREDICTION_FIELDS = {"sequence_id": COUNT, "true_fault": OPTIONAL_COUNT, "predicted_fault": COUNT}
@@ -34,7 +34,7 @@ def _pair_keys(sequence, n_symbols: int) -> np.ndarray:
     symbols = np.asarray(dechatter(getattr(sequence, "symbols", sequence)), dtype=np.int64)
     if symbols.size and (symbols.min() < 0 or symbols.max() >= n_symbols):
         bad = symbols[(symbols < 0) | (symbols >= n_symbols)][0]
-        raise DomainError(f"symbol {bad} outside [0, {n_symbols})")
+        raise UnknownSymbolError(f"symbol {bad} outside [0, {n_symbols})")
     return symbols[:-1] * n_symbols + symbols[1:]
 
 

@@ -42,6 +42,7 @@ from .errors import (
     ModelFormatError,
     SchemaError,
     UnknownSymbolError,
+    located,
 )
 from .hmm import FitConfig
 
@@ -134,10 +135,8 @@ def cmd_extract(args) -> int:
     sequences = []
     for index, path in enumerate(args.inputs):
         trace = read_trace_csv(path)
-        try:
+        with located(path):
             sequence = extract_sequence(trace, limits, codebook, persist_t=args.persist_t)
-        except DomainError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
         if args.fault:
             sequence.fault = args.fault[index]
         sequence.meta.update(
@@ -199,7 +198,11 @@ def _verdict_record(model, seq) -> dict:
 def cmd_diagnose(args) -> int:
     model = load_diagnoser(args.model)
     sequences = _read_inputs(args.inputs)
-    write_jsonl(args.out, (_verdict_record(model, seq) for seq in sequences))
+    records = []
+    for index, seq in enumerate(sequences):
+        with located(f"sequence {index}"):
+            records.append(_verdict_record(model, seq))
+    write_jsonl(args.out, records)
     print(f"diagnosed {len(sequences)} sequence(s) -> {args.out}")
     return 0
 

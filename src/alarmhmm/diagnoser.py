@@ -29,7 +29,7 @@ from .documents import (
     save_document,
     write_csv,
 )
-from .errors import DomainError, ModelFormatError, UnknownSymbolError
+from .errors import DomainError, ModelFormatError, located
 from .hmm import (
     FitConfig,
     Hmm,
@@ -71,10 +71,8 @@ class LabeledSequence:
 
 
 def _labeled(index: int, sequence: AlarmSequence) -> LabeledSequence:
-    try:
+    with located(f"sequence {index}"):
         return LabeledSequence(sequence=sequence, fault=int(sequence.fault))
-    except DomainError as exc:
-        raise DomainError(f"sequence {index}: {exc}") from None
 
 
 def as_labeled(sequences: list[AlarmSequence]) -> list[LabeledSequence]:
@@ -245,13 +243,6 @@ def train_diagnoser(
     )
 
 
-def _observations(model: DiagnoserModel, symbols) -> np.ndarray:
-    try:
-        return as_observations(symbols, model.hmm.n_symbols)
-    except DomainError as exc:
-        raise UnknownSymbolError(str(exc)) from None
-
-
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
     """Diagnose one alarm sequence with a single list-Viterbi decode.
 
@@ -262,7 +253,7 @@ def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
     is constant, the second path supplies its own runner-up state.  Only a
     single-path model (one fault) yields no secondary.
     """
-    obs = _observations(model, getattr(sequence, "symbols", sequence))
+    obs = as_observations(sequence, model.hmm.n_symbols)
     n = model.n_faults
     paths = k_best_paths(model.hmm, obs, 2)
     best = paths[0]
@@ -295,6 +286,8 @@ def evaluate_prefix_accuracy(
     For every test sequence and prefix length ``p`` in 1..``l_max`` the
     diagnoser sees the first ``min(p, len(sequence))`` alarms, so the
     verdict for lengths beyond the sequence is the full-sequence verdict.
+    An error about one sequence starts with ``sequence <i>: ``, ``i``
+    counting from 0 in ``test``.
     """
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
@@ -302,14 +295,15 @@ def evaluate_prefix_accuracy(
         raise DomainError("evaluation requires at least one labeled sequence")
     n = model.n_faults
     confusion = np.zeros((l_max, n, n), dtype=np.int64)
-    for item in test:
-        if item.fault >= n:
-            raise DomainError(f"test label {item.fault} outside the model's faults")
-        obs = _observations(model, item.sequence.symbols[:l_max])
-        verdicts = [_mode(path.states, n) for path in prefix_paths(model.hmm, obs)]
-        for p in range(1, l_max + 1):
-            verdict = verdicts[min(p, obs.size) - 1]
-            confusion[p - 1, item.fault, verdict] += 1
+    steps = np.arange(l_max)
+    for index, item in enumerate(test):
+        with located(f"sequence {index}"):
+            if item.fault >= n:
+                raise DomainError(f"test label {item.fault} outside the model's faults")
+            obs = as_observations(item.sequence.symbols[:l_max], model.hmm.n_symbols)
+            paths = prefix_paths(model.hmm, obs)
+        verdicts = np.array([_mode(path.states, n) for path in paths])
+        confusion[steps, item.fault, verdicts[np.minimum(steps, obs.size - 1)]] += 1
     n_correct = np.trace(confusion, axis1=1, axis2=2)
     return AccuracyCurve(
         lengths=np.arange(1, l_max + 1),

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class AlarmHmmError(Exception):
     """Base class for all package-specific errors."""
@@ -23,3 +25,13 @@ class SchemaError(AlarmHmmError, ValueError):
 
 class ModelFormatError(SchemaError):
     """A model file is malformed or violates model invariants."""
+
+
+@contextmanager
+def located(where: str):
+    """Re-raise a package error from the block with ``<where>: `` in front of
+    its message, keeping its type."""
+    try:
+        yield
+    except AlarmHmmError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

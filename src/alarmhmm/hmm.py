@@ -12,7 +12,7 @@ not underflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .documents import (
     is_int,
     require,
 )
-from .errors import DomainError, InferenceError, ModelFormatError
+from .errors import DomainError, InferenceError, ModelFormatError, UnknownSymbolError
 
 #: tolerance used when checking that probability rows sum to one
 ROW_SUM_TOL = 1e-9
@@ -164,7 +164,8 @@ def as_observations(obs, n_symbols: int) -> np.ndarray:
     """Validate a symbol sequence against an alphabet of ``n_symbols``.
 
     Accepts any 1-D integer sequence (or an object with a ``symbols``
-    attribute) and returns it as an int64 array.
+    attribute) and returns it as an int64 array.  A symbol outside
+    [0, ``n_symbols``) raises :class:`UnknownSymbolError`.
     """
     arr = np.asarray(getattr(obs, "symbols", obs))
     if arr.ndim != 1 or arr.size == 0:
@@ -178,7 +179,7 @@ def as_observations(obs, n_symbols: int) -> np.ndarray:
     bad = np.flatnonzero((out < 0) | (out >= n_symbols))
     if bad.size:
         pos = int(bad[0])
-        raise DomainError(
+        raise UnknownSymbolError(
             f"symbol {int(out[pos])} at position {pos} is outside [0, {n_symbols})"
         )
     return out
@@ -478,15 +479,18 @@ def fit(
     return model, np.asarray(trace)
 
 
-def _list_viterbi(model: Hmm, obs: np.ndarray, k: int) -> tuple[list, list]:
-    """Parallel list-Viterbi forward pass (Seshadri & Sundberg 1994).
+def _list_viterbi(
+    model: Hmm, obs: np.ndarray, k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Parallel list-Viterbi pass (Seshadri & Sundberg 1994), one step at a time.
 
-    ``scores[t][j, r]`` is the log probability of the ``r``-th best path
-    over ``obs[:t+1]`` ending in state ``j``; a cell keeps ``min(k, N**t)``
-    entries and is never padded.  ``back[t][j, r]`` is the flat index
-    ``i * w + r'`` of that path's entry ``[i, r']`` at step ``t - 1``.
+    After step ``t`` it yields ``(score, paths)``: ``score[j, r]`` is the
+    log probability of the ``r``-th best path over ``obs[:t+1]`` ending in
+    state ``j``, and row ``j * w + r`` of ``paths`` is that path's states,
+    where a cell keeps ``w = min(k, N**t)`` entries and is never padded.
     Candidates rank by total score, emission term included, ties going to
-    the lowest flat index.  Step ``t`` reads only ``obs[:t+1]``.
+    the lowest row of the previous step.  Step ``t`` reads only
+    ``obs[:t+1]``, so every step's yield is the answer for that prefix.
     """
     n = model.n_states
     with np.errstate(divide="ignore"):
@@ -497,48 +501,40 @@ def _list_viterbi(model: Hmm, obs: np.ndarray, k: int) -> tuple[list, list]:
     score = (log_initial + log_emit[:, obs[0]])[:, None]
     if np.isneginf(score).all():
         raise InferenceError("no state can produce the observation at step 0")
-    scores, back = [score], [None]
     columns = np.arange(n)
+    paths = columns[:, None]
+    yield score, paths
     for t in range(1, obs.size):
         # Row i * w' + r' of cand holds entry [i, r'] extended to every state.
         cand = (score[:, :, None] + log_trans[:, None, :]).reshape(score.size, n)
         cand += log_emit[:, obs[t]]
         width = min(k, score.size)
-        best = np.empty((width, n))
-        picks = np.empty((width, n), dtype=np.int64)
+        score = np.empty((n, width))
+        picks = np.empty((n, width), dtype=np.int64)
         for rank in range(width):
             # A taken entry turns NaN, which fmax skips and == never matches;
             # argmax over the matches takes the lowest index.
-            best[rank] = np.fmax.reduce(cand, axis=0)
-            picks[rank] = (cand == best[rank]).argmax(axis=0)
-            cand[picks[rank], columns] = np.nan
-        score = best.T
+            score[:, rank] = np.fmax.reduce(cand, axis=0)
+            picks[:, rank] = (cand == score[:, rank]).argmax(axis=0)
+            cand[picks[:, rank], columns] = np.nan
         if np.isneginf(score[:, 0]).all():
             raise InferenceError(f"no admissible state path at step {t}")
-        scores.append(score)
-        back.append(picks.T)
-    return scores, back
+        paths = np.column_stack((paths[picks.ravel()], columns.repeat(width)))
+        yield score, paths
 
 
-def _backtrace(scores: list, back: list, end: int, k: int) -> list[StatePath]:
-    """The ``k`` best paths over ``obs[:end+1]`` from a list-Viterbi pass.
+def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
+    """The ``k`` best of one list-Viterbi step's entries, best first.
 
-    Paths come best first; exact score ties are ordered by their trailing
-    states, last state first.
+    Exact score ties are ordered by their trailing states, last state first.
     """
-    final = scores[end].ravel()
+    final = score.ravel()
     # Only entries scoring at least the k-th best score can make the cut.
     chosen = np.flatnonzero(final >= np.sort(final)[-min(k, final.size)])
-    states = np.empty((end + 1, chosen.size), dtype=np.int64)
-    flat = chosen
-    for t in range(end, 0, -1):
-        states[t] = flat // scores[t].shape[1]
-        flat = back[t].ravel()[flat]
-    states[0] = flat
-    order = np.lexsort((*states, -final[chosen]))[:k]
+    chosen = chosen[np.lexsort((*paths[chosen].T, -final[chosen]))[:k]]
     return [
-        StatePath(states=_frozen_array(path, dtype=np.int64), log_prob=float(score))
-        for path, score in zip(states[:, order].T, final[chosen[order]])
+        StatePath(states=_frozen_array(paths[row], dtype=np.int64), log_prob=float(final[row]))
+        for row in chosen
     ]
 
 
@@ -547,16 +543,18 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
 
     Every (time, state) cell keeps its ``k`` best entries, so the result is
     exact.  Paths are distinct and ordered by non-increasing log
-    probability; exact ties are ordered by trailing state indices, matching
-    the lowest-index tie rule of :func:`viterbi`, so the first path always
-    equals the Viterbi path.  If fewer than ``k`` distinct paths exist, all
-    of them are returned.
+    probability; exact ties are ordered by trailing state indices, last
+    state first.  The first path's log probability always equals that of
+    :func:`viterbi`; its states do too unless another path ties it exactly,
+    since :func:`viterbi` settles ties cell by cell.  If fewer than ``k``
+    distinct paths exist, all of them are returned.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     o = as_observations(obs, model.n_symbols)
-    scores, back = _list_viterbi(model, o, k)
-    return _backtrace(scores, back, o.size - 1, k)
+    for score, paths in _list_viterbi(model, o, k):
+        pass
+    return _best_paths(score, paths, k)
 
 
 def viterbi(model: Hmm, obs) -> StatePath:
@@ -572,8 +570,7 @@ def viterbi(model: Hmm, obs) -> StatePath:
 def prefix_paths(model: Hmm, obs) -> list[StatePath]:
     """``viterbi(model, obs[:p+1])`` for every ``p``, from one decoding pass."""
     o = as_observations(obs, model.n_symbols)
-    scores, back = _list_viterbi(model, o, 1)
-    return [_backtrace(scores, back, end, 1)[0] for end in range(o.size)]
+    return [_best_paths(score, paths, 1)[0] for score, paths in _list_viterbi(model, o, 1)]
 
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:

@@ -50,6 +50,16 @@ def read_csv(path):
     return list(csv.DictReader(lines))
 
 
+def edited_jsonl(source, target, edit):
+    """Copy the JSON Lines file ``source`` to ``target`` with ``edit(index, record)``
+    applied to every record."""
+    records = [json.loads(line) for line in source.read_text().splitlines()]
+    for index, record in enumerate(records):
+        edit(index, record)
+    target.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return target
+
+
 @pytest.fixture
 def pipeline(tmp_path):
     """Small two-fault pipeline: simulate -> train -> evaluate directories."""
@@ -180,6 +190,54 @@ class TestPipeline:
         again = tmp_path / "again.json"
         save_diagnoser(loaded, again)
         assert model.read_bytes() == again.read_bytes()
+
+
+class TestMeasurementCount:
+    """``train`` and ``baseline`` size the alphabet from ``meta.n_measurements``,
+    or from ``--measurements`` for records that lack it or disagree on it."""
+
+    @staticmethod
+    def argv(command, tmp_path, train, test):
+        return [str(arg) for arg in {
+            "train": ["train", "--in", train, "--out", tmp_path / "model.json"],
+            "baseline": ["baseline", "--train", train, "--in", test, "--out", tmp_path / "base"],
+        }[command]]
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_records_without_the_count_need_the_flag(self, pipeline, capsys, command):
+        tmp_path, data, _ = pipeline
+        train, test = (
+            edited_jsonl(data / name, tmp_path / f"bare-{name}",
+                         lambda _, record: record["meta"].pop("n_measurements"))
+            for name in ("train.jsonl", "test.jsonl")
+        )
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        assert main(self.argv(command, reference, data / "train.jsonl", data / "test.jsonl")) == 0
+        argv = self.argv(command, tmp_path, train, test)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: schema-mismatch: sequences carry no "
+                                           "n_measurements metadata; pass --measurements\n")
+        assert main(argv + ["--measurements", "5"]) == 0
+        output = {"train": "model.json", "baseline": "base/predictions.csv"}[command]
+        assert (tmp_path / output).read_bytes() == (reference / output).read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_records_that_disagree_need_the_flag(self, pipeline, capsys, command):
+        tmp_path, data, _ = pipeline
+
+        def widen(index, record):
+            if index == 1:
+                record["meta"]["n_measurements"] = 6
+
+        train = edited_jsonl(data / "train.jsonl", tmp_path / "mixed.jsonl", widen)
+        argv = self.argv(command, tmp_path, train, data / "test.jsonl")
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: schema-mismatch: sequences disagree on "
+                                           "n_measurements; pass --measurements\n")
+        assert main(argv + ["--measurements", "6"]) == 0
 
 
 class TestExtract:
@@ -502,6 +560,44 @@ class TestErrorReporting:
                      "--out", str(tmp_path / "comparison.csv")])
         assert code == 1
         assert_one_error_line(capsys, "schema-mismatch", str(path))
+
+    @staticmethod
+    def floods_after_a_good_one(data, tmp_path, record):
+        """A JSON Lines file: the first test flood, then ``record`` as sequence 1."""
+        floods = tmp_path / "floods.jsonl"
+        floods.write_text((data / "test.jsonl").read_text().splitlines()[0] + "\n"
+                          + json.dumps({"fault": 0, "meta": {}, **record}) + "\n")
+        return floods
+
+    EMPTY = ({"symbols": [], "times": []}, "domain-error: sequence 1: observation sequence "
+             "must be a non-empty 1-D list of symbol indices")
+    ALIEN = ({"symbols": [99], "times": [0.0]},
+             "unknown-symbol: sequence 1: symbol 99 at position 0 is outside [0, 10)")
+    UNSEEN = ({"fault": 7, "symbols": [0], "times": [0.0]},
+              "domain-error: sequence 1: test label 7 outside the model's faults")
+
+    @pytest.mark.parametrize("command, case", [
+        ("diagnose", EMPTY), ("evaluate", EMPTY), ("diagnose", ALIEN), ("evaluate", ALIEN),
+        ("evaluate", UNSEEN),
+    ], ids=["diagnose-empty", "evaluate-empty", "diagnose-alien", "evaluate-alien",
+            "evaluate-unseen-label"])
+    def test_flood_that_cannot_be_decoded_is_named(self, pipeline, capsys, command, case):
+        tmp_path, data, model = pipeline
+        record, expected = case
+        floods = self.floods_after_a_good_one(data, tmp_path, record)
+        capsys.readouterr()
+        assert main([command, "--model", str(model), "--in", str(floods),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("record", [EMPTY[0], ALIEN[0]], ids=["empty", "alien"])
+    def test_diagnose_writes_nothing_when_a_flood_fails(self, pipeline, record):
+        tmp_path, data, model = pipeline
+        floods = self.floods_after_a_good_one(data, tmp_path, record)
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["diagnose", "--model", str(model), "--in", str(floods),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, kind", [("diagnose", "invalid-model"),
                                                ("train", "schema-mismatch")])

@@ -219,6 +219,29 @@ class TestKBest:
         got = [(p.states.tolist(), p.log_prob) for p in k_best_paths(model, obs, k)]
         assert got == expected  # same order and the same log-probability bits
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([2, 3, 7]), coarse=st.booleans())
+    def test_first_path_is_the_viterbi_path_unless_tied(self, seed, k, coarse):
+        model, obs = coarse_case(seed) if coarse else small_random_case(seed)
+        try:
+            best = viterbi(model, obs)
+        except InferenceError:
+            return
+        paths = k_best_paths(model, obs, k)
+        assert paths[0].log_prob == best.log_prob
+        if len(paths) == 1 or paths[1].log_prob < paths[0].log_prob:
+            assert paths[0].states.tolist() == best.states.tolist()
+
+    def test_an_exact_tie_can_put_another_path_first(self):
+        # Both paths score -11.665719033862688; viterbi keeps the lowest
+        # predecessor cell by cell, k-best orders the tie by trailing states.
+        model, obs = coarse_case(1419)
+        best = viterbi(model, obs)
+        first, second = k_best_paths(model, obs, 2)
+        assert first.log_prob == second.log_prob == best.log_prob
+        assert first.states.tolist() == [2, 0, 0, 2, 0, 0, 2]
+        assert second.states.tolist() == best.states.tolist() == [0, 2, 0, 2, 0, 0, 2]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
     def test_matches_enumeration_ranking(self, seed, k):
