@@ -26,7 +26,7 @@ from .documents import (
     require,
     write_jsonl,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, UnknownSymbolError
 
 HIGH = "high"
 LOW = "low"
@@ -148,7 +148,7 @@ class AlarmSequence:
         if n_symbols is not None:
             bad = [s for s in self.symbols if not 0 <= s < n_symbols]
             if bad:
-                raise DomainError(f"symbol {bad[0]} outside [0, {n_symbols})")
+                raise UnknownSymbolError(f"symbol {bad[0]} outside [0, {n_symbols})")
         return self
 
 
@@ -165,12 +165,14 @@ def fit_limits(normal_traces: list[MeasurementTrace], kappa: float = 3.0) -> Ala
     pooled = np.concatenate([trace.values for trace in normal_traces], axis=0)
     if pooled.shape[0] < 2:
         raise DomainError("fit_limits needs at least two pooled samples per measurement")
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)
-    zero = np.flatnonzero(std <= 0)
-    if zero.size:
-        names = ", ".join(ids[i] for i in zero)
-        raise DomainError(f"zero variance at normal operation for: {names}")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge readings overflow the std
+        mean = pooled.mean(axis=0)
+        std = pooled.std(axis=0)
+    for bad, problem in ((~np.isfinite(mean + std), "mean or variance overflows"),
+                         (std <= 0, "zero variance")):
+        if bad.any():
+            names = ", ".join(ids[i] for i in np.flatnonzero(bad))
+            raise DomainError(f"{problem} at normal operation for: {names}")
     return AlarmLimits(mean=mean, std=std, kappa=float(kappa), meas_ids=tuple(ids))
 
 
@@ -288,7 +290,8 @@ def sequence_to_dict(sequence: AlarmSequence) -> dict:
 def sequence_from_dict(payload: dict) -> AlarmSequence:
     """Check one JSONL record against the sequence schema and build it.
 
-    Nothing is coerced, and the result satisfies :meth:`AlarmSequence.validate`.
+    Nothing is coerced, and the result satisfies :meth:`AlarmSequence.validate`,
+    with the alphabet of ``meta.n_measurements`` when the record declares it.
     """
     fault = require(payload, "fault", lambda value: value is None or is_int(value),
                     "an integer or null")
@@ -302,7 +305,9 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
         raise SchemaError(f"meta format_version must be {FORMAT_VERSION!r}")
     sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
     try:
-        return sequence.validate()
+        return sequence.validate(None if size is None else 2 * size)
+    except UnknownSymbolError:
+        raise
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
 

@@ -17,7 +17,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
 from .documents import COUNT, OPTIONAL_COUNT, write_csv
-from .errors import DomainError, UnknownSymbolError
+from .errors import DomainError, UnknownSymbolError, located
 
 #: the columns of ``predictions.csv``, which ``report`` reads back, and their checks
 PREDICTION_FIELDS = {"sequence_id": COUNT, "true_fault": OPTIONAL_COUNT, "predicted_fault": COUNT}
@@ -95,7 +95,9 @@ def fit_baseline(
     labels come from the majority fault of their members (ties to the
     lowest fault index); each test sequence takes the label of the nearest
     cluster centroid (mean feature matrix, ties to the lowest cluster id).
-    ``n_clusters=None`` uses one cluster per distinct fault label.
+    ``n_clusters=None`` uses one cluster per distinct fault label.  An
+    error about one sequence starts with ``training sequence <i>: `` or
+    ``test sequence <i>: ``, ``i`` counting from 0 in its list.
     """
     if not training:
         raise DomainError("baseline training set must be non-empty")
@@ -106,8 +108,11 @@ def fit_baseline(
         raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
 
     # One column per successor pair that occurs: all-zero columns change no distance.
-    floods = [item.sequence for item in training] + list(test)
-    keys = [_pair_keys(flood, n_symbols) for flood in floods]
+    keys = []
+    for role, floods in (("training", [item.sequence for item in training]), ("test", test)):
+        for index, flood in enumerate(floods):
+            with located(f"{role} sequence {index}"):
+                keys.append(_pair_keys(flood, n_symbols))
     occurring, column = np.unique(np.concatenate(keys), return_inverse=True)
     owner = np.repeat(np.arange(len(keys)), [k.size for k in keys])
     width = occurring.size

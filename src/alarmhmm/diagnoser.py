@@ -163,7 +163,8 @@ def train_diagnoser(
     dominant, emissions start from per-fault symbol frequencies with
     additive smoothing, and the initial distribution comes from ``priors``
     (e.g. equipment failure rates) or is uniform.  Baum-Welch then runs
-    unsupervised on all sequences pooled.
+    unsupervised on all sequences pooled.  An error about one sequence
+    starts with ``sequence <i>: ``, ``i`` counting from 0 in ``training``.
 
     By default (``self_transition=None``) the diagonal structure is hard:
     off-diagonal transition mass is pinned at
@@ -186,7 +187,10 @@ def train_diagnoser(
     if missing:
         raise DomainError(f"fault {missing[0]} has no training sequences")
     n_symbols = codebook.n_symbols
-    observations = [as_observations(item.symbols, n_symbols) for item in training]
+    observations = []
+    for index, item in enumerate(training):
+        with located(f"sequence {index}"):
+            observations.append(as_observations(item.symbols, n_symbols))
 
     if priors is not None:
         initial = np.asarray(priors, dtype=float)
@@ -247,11 +251,14 @@ def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
     """Diagnose one alarm sequence with a single list-Viterbi decode.
 
     The primary fault is the most recurring state of the Viterbi path
-    (ties to the lowest index).  The secondary fault is the mode of the
-    second-best path; when that coincides with the primary, the second
-    most frequent state of the best path stands in, and if the best path
-    is constant, the second path supplies its own runner-up state.  Only a
-    single-path model (one fault) yields no secondary.
+    (ties to the lowest index); that path is rank 0 of the k=2 decode and
+    the last of :func:`prefix_paths`, so the primary fault is also the
+    full-length verdict of :func:`evaluate_prefix_accuracy`.  The
+    secondary fault is the mode of the second-best path; when that
+    coincides with the primary, the second most frequent state of the best
+    path stands in, and if the best path is constant, the second path
+    supplies its own runner-up state.  Only a single-path model (one
+    fault) yields no secondary.
     """
     obs = as_observations(sequence, model.hmm.n_symbols)
     n = model.n_faults
@@ -285,7 +292,8 @@ def evaluate_prefix_accuracy(
 
     For every test sequence and prefix length ``p`` in 1..``l_max`` the
     diagnoser sees the first ``min(p, len(sequence))`` alarms, so the
-    verdict for lengths beyond the sequence is the full-sequence verdict.
+    verdict for lengths beyond the sequence is the full-sequence verdict,
+    the primary fault :func:`diagnose` gives.
     An error about one sequence starts with ``sequence <i>: ``, ``i``
     counting from 0 in ``test``.
     """

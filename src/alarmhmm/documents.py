@@ -13,7 +13,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, located
 
 FORMAT_VERSION = "1"
 CSV_VERSION_LINE = f"# format_version={FORMAT_VERSION}"
@@ -104,10 +104,8 @@ def _parse(text: str, source, build, error: type[SchemaError]):
         value = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise error(f"{source}: not valid JSON: {exc}") from None
-    try:
+    with located(source):
         return build(value)
-    except SchemaError as exc:
-        raise type(exc)(f"{source}: {exc}") from None
 
 
 def load_document(path, build, error: type[SchemaError]):

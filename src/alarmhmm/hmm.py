@@ -488,8 +488,8 @@ def _list_viterbi(
     log probability of the ``r``-th best path over ``obs[:t+1]`` ending in
     state ``j``, and row ``j * w + r`` of ``paths`` is that path's states,
     where a cell keeps ``w = min(k, N**t)`` entries and is never padded.
-    Candidates rank by total score, emission term included, ties going to
-    the lowest row of the previous step.  Step ``t`` reads only
+    Candidates rank by total score, emission term included, then by entry
+    order (lowest row of the previous step first).  Step ``t`` reads only
     ``obs[:t+1]``, so every step's yield is the answer for that prefix.
     """
     n = model.n_states
@@ -526,15 +526,12 @@ def _list_viterbi(
 def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
     """The ``k`` best of one list-Viterbi step's entries, best first.
 
-    Exact score ties are ordered by their trailing states, last state first.
+    Ranked by score, then by entry order (one stable sort).
     """
     final = score.ravel()
-    # Only entries scoring at least the k-th best score can make the cut.
-    chosen = np.flatnonzero(final >= np.sort(final)[-min(k, final.size)])
-    chosen = chosen[np.lexsort((*paths[chosen].T, -final[chosen]))[:k]]
     return [
         StatePath(states=_frozen_array(paths[row], dtype=np.int64), log_prob=float(final[row]))
-        for row in chosen
+        for row in np.argsort(-final, kind="stable")[:k]
     ]
 
 
@@ -543,11 +540,9 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
 
     Every (time, state) cell keeps its ``k`` best entries, so the result is
     exact.  Paths are distinct and ordered by non-increasing log
-    probability; exact ties are ordered by trailing state indices, last
-    state first.  The first path's log probability always equals that of
-    :func:`viterbi`; its states do too unless another path ties it exactly,
-    since :func:`viterbi` settles ties cell by cell.  If fewer than ``k``
-    distinct paths exist, all of them are returned.
+    probability, exact ties by entry order (lower state, then the entry
+    its cell ranked first), so the first path is :func:`viterbi`'s for any
+    ``k``.  If fewer than ``k`` distinct paths exist, all are returned.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -560,15 +555,19 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
 def viterbi(model: Hmm, obs) -> StatePath:
     """Most probable state path for ``obs``, computed in log space.
 
-    Ties in every maximization resolve toward the lowest state index.
-    Raises :class:`InferenceError` when no state can produce the observed
-    symbol at some step (possible only for models with exact zeros).
+    Ties in every maximization resolve toward the lowest state index, so
+    this is rank 0 of :func:`k_best_paths` for any ``k``.  Raises
+    :class:`InferenceError` when no state can produce the observed symbol
+    at some step (possible only for models with exact zeros).
     """
     return k_best_paths(model, obs, 1)[0]
 
 
 def prefix_paths(model: Hmm, obs) -> list[StatePath]:
-    """``viterbi(model, obs[:p+1])`` for every ``p``, from one decoding pass."""
+    """``viterbi(model, obs[:p+1])`` for every ``p``, from one decoding pass.
+
+    The last element is rank 0 of :func:`k_best_paths` for any ``k``.
+    """
     o = as_observations(obs, model.n_symbols)
     return [_best_paths(score, paths, 1)[0] for score, paths in _list_viterbi(model, o, 1)]
 

@@ -176,7 +176,10 @@ def ranked_paths(model, obs) -> tuple[np.ndarray, np.ndarray]:
     """All paths ordered by descending log probability.
 
     Exact ties are ordered by trailing state indices (compare the last
-    state first), matching the lowest-index tie-breaking of the decoder.
+    state first).  That is a fixed order for the enumeration, not the
+    decoder's tie rule, which ranks tied paths by list-Viterbi entry order
+    (see :func:`loop_k_best`); compare tied decoder output with
+    :func:`ranking_mismatches`.
     """
     paths, scores = path_log_probabilities(model, obs)
     keys = tuple(paths[:, t] for t in range(paths.shape[1])) + (-scores,)
@@ -192,9 +195,11 @@ def enum_best_path(model, obs) -> tuple[np.ndarray, float]:
 def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
     """List Viterbi written as plain loops over (state, predecessor, rank).
 
-    The reference for the vectorized decoder's tie rules: candidates are
-    sorted by (-score, predecessor state, predecessor rank), the emission
-    term already added, and the final entries by (-score, trailing states).
+    The reference for the vectorized decoder's tie rule: cell candidates
+    are sorted by (-score, predecessor state, predecessor rank), the
+    emission term already added, and the final entries by (-score, final
+    state, rank).  Both are a stable sort on ``-score`` over the entries in
+    the order they are built, so rank 0 for any ``k`` is the ``k = 1`` path.
     Returns ``(states, log_prob)`` pairs, best first.
     """
     obs = [int(o) for o in obs]
@@ -232,7 +237,7 @@ def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
                 _, state, r = history[t][state][r]
                 states.append(state)
             finals.append((states[::-1], float(entry[0])))
-    finals.sort(key=lambda f: (-f[1], f[0][::-1]))
+    finals.sort(key=lambda f: -f[1])  # stable: ties keep (final state, rank) order
     return finals[:k]
 
 

@@ -239,6 +239,45 @@ class TestMeasurementCount:
                                            "n_measurements; pass --measurements\n")
         assert main(argv + ["--measurements", "6"]) == 0
 
+    @staticmethod
+    def alien(declared):
+        """An edit that gives record 1 the symbol 99, keeping or dropping its
+        declared ``meta.n_measurements``."""
+        def edit(index, record):
+            if index == 1:
+                record.update(symbols=[99], times=[0.0])
+                if not declared:
+                    del record["meta"]["n_measurements"]
+        return edit
+
+    @pytest.mark.parametrize("flag", [[], ["--measurements", "5"]], ids=["meta", "flag"])
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_symbol_outside_the_declared_alphabet_names_its_line(self, pipeline, capsys,
+                                                                 command, flag):
+        tmp_path, data, _ = pipeline
+        train = edited_jsonl(data / "train.jsonl", tmp_path / "alien.jsonl", self.alien(True))
+        capsys.readouterr()
+        assert main(self.argv(command, tmp_path, train, data / "test.jsonl") + flag) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown-symbol: {train}:2: symbol 99 outside [0, 10)\n")
+
+    @pytest.mark.parametrize("command, where", [
+        ("train", "sequence 1"), ("baseline", "training sequence 1"),
+        ("baseline-in", "test sequence 1"),
+    ])
+    def test_symbol_outside_the_flag_alphabet_names_its_sequence(self, pipeline, capsys,
+                                                                 command, where):
+        tmp_path, data, _ = pipeline
+        files = {"train": data / "train.jsonl", "test": data / "test.jsonl"}
+        edited = "test" if command == "baseline-in" else "train"
+        files[edited] = edited_jsonl(files[edited], tmp_path / "alien.jsonl", self.alien(False))
+        argv = self.argv(command.split("-")[0], tmp_path, files["train"], files["test"])
+        capsys.readouterr()
+        assert main(argv + ["--measurements", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown-symbol: {where}: symbol 99 "), err
+        assert err.count("\n") == 1, err
+
 
 class TestExtract:
     def test_extract_from_traces(self, tmp_path):
@@ -316,6 +355,23 @@ class TestExtract:
                      "--out", str(tmp_path / "out.jsonl")])
         assert code == 1
         assert_one_error_line(capsys, "schema-mismatch", f"{bad}:6: reading {reading} in column ")
+
+    def test_overflowing_normal_moments_are_one_domain_error(self, tmp_path, capsys):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(5, 100, seed=1))
+        bad = tmp_path / "huge.csv"
+        lines = normal.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[4] = "1e308"  # column m03
+        lines[5] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["extract", "--normal", str(normal), "--normal", str(bad),
+                     "--in", str(normal), "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: mean or variance overflows at normal operation for: m03\n")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_persistence_beyond_a_fine_trace_yields_no_alarm(self, tmp_path):
         normal = tmp_path / "normal.csv"

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alarmhmm import DomainError, FitConfig, Hmm, UnknownSymbolError, viterbi
+from alarmhmm import (
+    DomainError,
+    FitConfig,
+    Hmm,
+    InferenceError,
+    UnknownSymbolError,
+    prefix_paths,
+    viterbi,
+)
 from alarmhmm.alarms import AlarmSequence, AlarmSymbolCodebook
 from alarmhmm.diagnoser import (
     AccuracyCurve,
@@ -18,6 +28,8 @@ from alarmhmm.diagnoser import (
 )
 
 import oracles
+
+from test_hmm_decode import coarse_case
 
 
 def labeled(symbols, fault):
@@ -273,6 +285,29 @@ class TestEvaluation:
                 verdict = int(np.argmax(np.bincount(states, minlength=model.n_faults)))
                 confusion[p - 1, item.fault, verdict] += 1
         assert np.array_equal(curve.confusion, confusion)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 20_000))
+    @example(seed=1419)  # an exact tie for the best path
+    @example(seed=7021)  # an exact tie between paths with different modal states
+    def test_full_length_verdict_is_the_diagnosis_under_ties(self, seed):
+        hmm, obs = coarse_case(seed)
+        # An odd alphabet gets one symbol no state emits, so that it fits a codebook.
+        emission = np.pad(hmm.emission, ((0, 0), (0, hmm.n_symbols % 2)))
+        model = DiagnoserModel(
+            hmm=Hmm(transition=hmm.transition, emission=emission, initial=hmm.initial),
+            fault_names=tuple(f"f{i}" for i in range(hmm.n_states)),
+            codebook=AlarmSymbolCodebook(n_measurements=(hmm.n_symbols + 1) // 2),
+        )
+        try:
+            last = prefix_paths(model.hmm, obs)[-1]
+        except InferenceError:
+            return
+        verdict = diagnose(model, obs)
+        assert verdict.path.states.tolist() == last.states.tolist()
+        assert verdict.path.log_prob == last.log_prob
+        curve = evaluate_prefix_accuracy(model, [labeled(obs, 0)], l_max=len(obs))
+        assert np.flatnonzero(curve.confusion[-1, 0]).tolist() == [verdict.primary_fault]
 
     def test_invalid_l_max_rejected(self):
         training, book = disjoint_training()

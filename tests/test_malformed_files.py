@@ -1,4 +1,5 @@
-"""Fuzzed model, graph, sequence and report files: one typed error line, never a traceback.
+"""Fuzzed model, graph, sequence, trace and report files: one typed error line, never a
+traceback.
 
 Each case starts from a valid file, mutates it (drops a key or column,
 swaps a value for a bool, string, float, NaN, null, list or -1, truncates the
@@ -14,14 +15,19 @@ import io
 import json
 import math
 import re
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alarmhmm.alarms import write_trace_csv
 from alarmhmm.cli import main
-from alarmhmm.plantsim import graph_to_dict
+from alarmhmm.plantsim import (
+    ScenarioSpec,
+    graph_to_dict,
+    simulate_fault_trace,
+    simulate_normal_trace,
+)
 
 from test_plantsim import toy_graph
 
@@ -31,7 +37,8 @@ ERROR_LINE = re.compile(r"error: [a-z-]+: [^\n]*\n")
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A valid model, graph, sequence file and report inputs from the two-fault toy plant."""
+    """A valid model, graph, sequence file, report inputs and a normal and a fault trace
+    from the two-fault toy plant."""
     root = tmp_path_factory.mktemp("valid")
     graph = root / "graph.json"
     graph.write_text(json.dumps(graph_to_dict(toy_graph())))
@@ -45,15 +52,20 @@ def files(tmp_path_factory):
                      "--in", str(data / "test.jsonl"), "--out", str(root / "evaluation")]) == 0
         assert main(["baseline", "--train", str(data / "train.jsonl"),
                      "--in", str(data / "test.jsonl"), "--out", str(root / "baseline")]) == 0
+    write_trace_csv(root / "normal.csv", simulate_normal_trace(5, 60, seed=3))
+    fault, _ = simulate_fault_trace(toy_graph(), ScenarioSpec(fault=0, magnitude=1.0, seed=4))
+    write_trace_csv(root / "fault.csv", fault)
     return root
 
 
 def run_cli(argv) -> None:
-    """Run one command; it must succeed or fail with exactly one typed error line."""
+    """Run one command; it must succeed or fail with exactly one typed error line.
+
+    A warning stays the error the test settings make it, so that, say, a
+    numeric overflow cannot pass unnoticed.
+    """
     err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
     assert code in (0, 1)
     assert (code == 0 and err.getvalue() == "") or ERROR_LINE.fullmatch(err.getvalue()), \
@@ -98,7 +110,12 @@ def mutated_json(data, document) -> bytes:
 
 def mutated_csv(data, text: str) -> bytes:
     version, body = text.split("\n", 1)
-    rows = list(csv.reader(io.StringIO(body)))
+    return corrupt(data, (version + "\n").encode() + mutated_rows(data, body))
+
+
+def mutated_rows(data, text: str) -> bytes:
+    """Drop a column of the CSV ``text``, or swap a field below its header for a SWAPS value."""
+    rows = list(csv.reader(io.StringIO(text)))
     column = data.draw(st.integers(0, len(rows[0]) - 1))
     if data.draw(st.booleans()):
         rows = [row[:column] + row[column + 1:] for row in rows]
@@ -108,7 +125,7 @@ def mutated_csv(data, text: str) -> bytes:
         rows[row][column] = "" if swap is None else str(swap)
     out = io.StringIO()
     csv.writer(out).writerows(rows)
-    return corrupt(data, (version + "\n" + out.getvalue()).encode())
+    return out.getvalue().encode()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -156,3 +173,15 @@ def test_mutated_report_csv(files, tmp_path_factory, data, target):
     (root / target).write_bytes(mutated_csv(data, (files / target).read_text()))
     run_cli(["report", "--evaluation", root / "evaluation", "--baseline", root / "baseline",
              "--out", root / "comparison.csv"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), target=st.sampled_from(["normal.csv", "fault.csv"]))
+def test_mutated_trace_csv(files, tmp_path_factory, data, target):
+    root = tmp_path_factory.getbasetemp() / "traces"
+    root.mkdir(exist_ok=True)
+    for name in ("normal.csv", "fault.csv"):
+        (root / name).write_bytes((files / name).read_bytes())
+    (root / target).write_bytes(corrupt(data, mutated_rows(data, (files / target).read_text())))
+    run_cli(["extract", "--normal", root / "normal.csv", "--in", root / "fault.csv",
+             "--fault", "0", "--out", root / "extracted.jsonl"])
