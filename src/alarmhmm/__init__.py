@@ -32,6 +32,7 @@ from .diagnoser import (
     LabeledSequence,
     as_labeled,
     diagnose,
+    diagnose_all,
     evaluate_prefix_accuracy,
     load_diagnoser,
     save_diagnoser,

@@ -26,7 +26,7 @@ from .diagnoser import (
     ACCURACY_FIELDS,
     as_labeled,
     check_labels,
-    diagnose,
+    diagnose_all,
     evaluate_prefix_accuracy,
     load_diagnoser,
     save_diagnoser,
@@ -85,6 +85,20 @@ def _read_inputs(paths) -> list:
     every label they carry checked."""
     sequences = [sequence for path in paths for sequence in read_sequences_jsonl(path)]
     check_labels(sequences)
+    return sequences
+
+
+def _read_floods(paths, model) -> list:
+    """:func:`_read_inputs` for a trained model: a record that declares a
+    ``meta.n_measurements`` must declare the model's, for its symbols to
+    name the same alarms."""
+    sequences = _read_inputs(paths)
+    expected = model.codebook.n_measurements
+    for index, seq in enumerate(sequences):
+        declared = seq.meta.get("n_measurements")
+        if declared is not None and declared != expected:
+            raise SchemaError(f"sequence {index}: meta.n_measurements {declared} differs "
+                              f"from the model's {expected}")
     return sequences
 
 
@@ -172,8 +186,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _verdict_record(model, seq) -> dict:
-    verdict = diagnose(model, seq)
+def _verdict_record(model, seq, verdict) -> dict:
     return {
         "primary_fault": verdict.primary_fault,
         "primary_fault_name": model.fault_names[verdict.primary_fault],
@@ -197,11 +210,9 @@ def _verdict_record(model, seq) -> dict:
 
 def cmd_diagnose(args) -> int:
     model = load_diagnoser(args.model)
-    sequences = _read_inputs(args.inputs)
-    records = []
-    for index, seq in enumerate(sequences):
-        with located(f"sequence {index}"):
-            records.append(_verdict_record(model, seq))
+    sequences = _read_floods(args.inputs, model)
+    records = [_verdict_record(model, seq, verdict)
+               for seq, verdict in zip(sequences, diagnose_all(model, sequences))]
     write_jsonl(args.out, records)
     print(f"diagnosed {len(sequences)} sequence(s) -> {args.out}")
     return 0
@@ -209,7 +220,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_diagnoser(args.model)
-    sequences = _read_inputs(args.inputs)
+    sequences = _read_floods(args.inputs, model)
     labeled = as_labeled(sequences)
     # At least 1, so that an empty input or floods without alarms meet the
     # checks of evaluate_prefix_accuracy, as with an explicit --lmax.

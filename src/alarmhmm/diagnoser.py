@@ -7,13 +7,16 @@ labeled per-fault statistics, state ``i`` is identified with fault ``i``
 throughout.  Diagnosis decodes a sequence once, for its two best paths,
 and reports the most recurring state of the best one as the fault, plus a
 second opinion from the runner-up; one pass yields every prefix verdict.
+Both decode their floods side by side, in chunks of at most N.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -29,17 +32,20 @@ from .documents import (
     save_document,
     write_csv,
 )
-from .errors import DomainError, ModelFormatError, located
+from .errors import DomainError, InferenceError, ModelFormatError, located
 from .hmm import (
     FitConfig,
     Hmm,
     StatePath,
+    _Batch,
+    _batches,
+    _FloodError,
+    _k_best,
+    _list_viterbi,
     as_observations,
     fit,
     hmm_from_dict,
     hmm_to_dict,
-    k_best_paths,
-    prefix_paths,
 )
 
 #: trained self-transition mass below this triggers a diagnostic warning,
@@ -247,25 +253,29 @@ def train_diagnoser(
     )
 
 
-def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
-    """Diagnose one alarm sequence with a single list-Viterbi decode.
-
-    The primary fault is the most recurring state of the Viterbi path
-    (ties to the lowest index); that path is rank 0 of the k=2 decode and
-    the last of :func:`prefix_paths`, so the primary fault is also the
-    full-length verdict of :func:`evaluate_prefix_accuracy`.  The
-    secondary fault is the mode of the second-best path; when that
-    coincides with the primary, the second most frequent state of the best
-    path stands in, and if the best path is constant, the second path
-    supplies its own runner-up state.  Only a single-path model (one
-    fault) yields no secondary.
+def _chunks(
+    model: DiagnoserModel, observations: list[np.ndarray]
+) -> Iterator[tuple[int, _Batch]]:
+    """``(first, batch)`` for each chunk of at most N floods, ``first`` being the
+    list index of the chunk's first flood.  A chunk's arrays are then no larger
+    than the E-step's, which keeps the peak memory where training leaves it.
     """
-    obs = as_observations(sequence, model.hmm.n_symbols)
-    n = model.n_faults
-    paths = k_best_paths(model.hmm, obs, 2)
+    return zip(range(0, len(observations), model.n_faults),
+               _batches(observations, model.n_faults))
+
+
+@contextmanager
+def _naming(first: int):
+    """Name a decoding failure by the failing flood's index in the caller's list."""
+    try:
+        yield
+    except _FloodError as exc:
+        raise InferenceError(f"sequence {first + exc.index}: {exc}") from None
+
+
+def _verdict(paths: list[StatePath], n: int) -> Diagnosis:
     best = paths[0]
     primary = _mode(best.states, n)
-
     second_path: StatePath | None = None
     secondary_fault: int | None = None
     if len(paths) > 1:
@@ -285,6 +295,39 @@ def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
     )
 
 
+def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
+    """Diagnose every alarm sequence, each with a single list-Viterbi decode.
+
+    The floods are decoded side by side in chunks of at most N (the number
+    of faults); each verdict equals the one the flood gets alone.  The
+    primary fault is the most recurring state of the Viterbi path (ties to
+    the lowest index); that path is rank 0 of the k=2 decode and the last
+    of :func:`prefix_paths`, so the primary fault is also the full-length
+    verdict of :func:`evaluate_prefix_accuracy`.  The secondary fault is
+    the mode of the second-best path; when that coincides with the primary,
+    the second most frequent state of the best path stands in, and if the
+    best path is constant, the second path supplies its own runner-up
+    state.  Only a single-path model (one fault) yields no secondary.  An
+    error about one sequence starts with ``sequence <i>: ``, ``i`` counting
+    from 0 in ``sequences``; of several floods that cannot be decoded, the
+    first in the list is named.
+    """
+    observations = []
+    for index, sequence in enumerate(sequences):
+        with located(f"sequence {index}"):
+            observations.append(as_observations(sequence, model.hmm.n_symbols))
+    verdicts = []
+    for first, batch in _chunks(model, observations):
+        with _naming(first):
+            verdicts += [_verdict(paths, model.n_faults) for paths in _k_best(model.hmm, batch, 2)]
+    return verdicts
+
+
+def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
+    """:func:`diagnose_all` of the one sequence; an error names it ``sequence 0``."""
+    return diagnose_all(model, [sequence])[0]
+
+
 def evaluate_prefix_accuracy(
     model: DiagnoserModel, test: list[LabeledSequence], l_max: int
 ) -> AccuracyCurve:
@@ -293,7 +336,10 @@ def evaluate_prefix_accuracy(
     For every test sequence and prefix length ``p`` in 1..``l_max`` the
     diagnoser sees the first ``min(p, len(sequence))`` alarms, so the
     verdict for lengths beyond the sequence is the full-sequence verdict,
-    the primary fault :func:`diagnose` gives.
+    the primary fault :func:`diagnose` gives.  The floods are decoded side
+    by side in chunks of at most N, in one k=1 list-Viterbi pass per chunk;
+    every step of the pass gives each running flood's verdict for that
+    prefix: the mode of its best path.
     An error about one sequence starts with ``sequence <i>: ``, ``i``
     counting from 0 in ``test``.
     """
@@ -302,16 +348,29 @@ def evaluate_prefix_accuracy(
     if not test:
         raise DomainError("evaluation requires at least one labeled sequence")
     n = model.n_faults
-    confusion = np.zeros((l_max, n, n), dtype=np.int64)
-    steps = np.arange(l_max)
+    observations = []
     for index, item in enumerate(test):
         with located(f"sequence {index}"):
             if item.fault >= n:
                 raise DomainError(f"test label {item.fault} outside the model's faults")
-            obs = as_observations(item.sequence.symbols[:l_max], model.hmm.n_symbols)
-            paths = prefix_paths(model.hmm, obs)
-        verdicts = np.array([_mode(path.states, n) for path in paths])
-        confusion[steps, item.fault, verdicts[np.minimum(steps, obs.size - 1)]] += 1
+            symbols = item.sequence.symbols[:l_max]
+            observations.append(as_observations(symbols, model.hmm.n_symbols))
+    verdicts = np.empty((len(test), l_max), dtype=np.int64)
+    for first, batch in _chunks(model, observations):
+        with _naming(first):
+            for t, (score, paths) in enumerate(_list_viterbi(model.hmm, batch, 1)):
+                # Row s * N + j of paths is flood s's best path ending in state j.
+                offsets = np.arange(0, score.size, n)
+                states = paths[score[:, :, 0].argmax(axis=1) + offsets] + offsets[:, None]
+                counts = np.bincount(states.ravel(), minlength=score.size).reshape(-1, n)
+                verdicts[first + batch.order[: offsets.size], t] = counts.argmax(axis=1)
+    # Past its end, a flood keeps its full-length verdict.
+    steps = np.arange(l_max)
+    ends = np.array([obs.size for obs in observations])[:, None] - 1
+    verdicts = np.take_along_axis(verdicts, np.minimum(steps, ends), axis=1)
+    faults = np.array([item.fault for item in test])
+    cells = (steps * n + faults[:, None]) * n + verdicts
+    confusion = np.bincount(cells.ravel(), minlength=l_max * n * n).reshape(l_max, n, n)
     n_correct = np.trace(confusion, axis1=1, axis2=2)
     return AccuracyCurve(
         lengths=np.arange(1, l_max + 1),

@@ -2,9 +2,11 @@
 
 Scaled forward/backward inference, pooled multi-sequence Baum-Welch
 training (each E-step sweeps forward/backward over batches of
-sequences at once and builds no pair-posterior tensor) and exact decoding over a finite observation alphabet: one
-list-Viterbi pass serves Viterbi, k-best and every prefix's best path.
-The forward/backward pass rescales at every step and keeps the
+sequences at once and builds no pair-posterior tensor) and exact
+decoding over a finite observation alphabet: one list-Viterbi kernel
+serves Viterbi, k-best and every prefix's best path, and decodes a
+batch of sequences side by side, a single sequence being a batch of
+one.  The forward/backward pass rescales at every step and keeps the
 normalizers, decoding works entirely in log space, so long sequences do
 not underflow.
 """
@@ -479,48 +481,101 @@ def fit(
     return model, np.asarray(trace)
 
 
-def _list_viterbi(
-    model: Hmm, obs: np.ndarray, k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Parallel list-Viterbi pass (Seshadri & Sundberg 1994), one step at a time.
+class _FloodError(InferenceError):
+    """A decoding failure of the flood at ``index`` in the decoded batch's list.
 
-    After step ``t`` it yields ``(score, paths)``: ``score[j, r]`` is the
-    log probability of the ``r``-th best path over ``obs[:t+1]`` ending in
-    state ``j``, and row ``j * w + r`` of ``paths`` is that path's states,
-    where a cell keeps ``w = min(k, N**t)`` entries and is never padded.
-    Candidates rank by total score, emission term included, then by entry
-    order (lowest row of the previous step first).  Step ``t`` reads only
-    ``obs[:t+1]``, so every step's yield is the answer for that prefix.
+    It takes its message first, as every package error does, so that
+    :func:`~alarmhmm.errors.located` can rebuild it.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+def _list_viterbi(
+    model: Hmm, batch: _Batch, k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Parallel list-Viterbi pass (Seshadri & Sundberg 1994) over every flood
+    of ``batch`` side by side, one step at a time.
+
+    After step ``t`` it yields ``(score, paths)`` for the ``a = active[t]``
+    floods still running, which are the batch's leading columns:
+    ``score[s, j, r]`` is the log probability of the ``r``-th best path over
+    the first ``t + 1`` symbols of column ``s`` that ends in state ``j``, and
+    row ``(s * N + j) * w + r`` of ``paths`` is that path's states, where a
+    cell keeps ``w = min(k, N**t)`` entries and is never padded.  Candidates
+    rank by total score, emission term included, then by entry order (lowest
+    row of the previous step first), within each flood.  Step ``t`` reads
+    only the first ``t + 1`` symbols, so every step's yield is the answer for
+    that prefix; a flood's last yield is at its own last step.
+
+    The step's candidates form one ``(N * w, a * N)`` matrix: row ``i * w + r``
+    is entry ``[i, r]`` of every flood and column ``s * N + j`` is state ``j``
+    of flood ``s``, so each of the ``k`` selection rounds is one reduction
+    over the rows for all floods at once, and a batch of one is the plain
+    single-flood step.  A flood that fails keeps being decoded on ``-inf``
+    scores; once every step is done, a :class:`_FloodError` names the step
+    at which the failing flood that comes first in the caller's list failed,
+    and carries that flood's list index.
     """
     n = model.n_states
     with np.errstate(divide="ignore"):
         log_trans = np.log(model.transition)
         log_emit = np.log(model.emission)
         log_initial = np.log(model.initial)
+    # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
+    bonus = log_emit.T[batch.symbols].reshape(batch.symbols.shape[0], -1)
+    active = batch.active.tolist()
+    # best[t, s * N + j] is the rank-0 score of state j for flood s at step t,
+    # zero past the flood's end, so failures are found once, after the last step.
+    best = np.zeros(bonus.shape)
+    layouts: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    score = (log_initial + log_emit[:, obs[0]])[:, None]
-    if np.isneginf(score).all():
-        raise InferenceError("no state can produce the observation at step 0")
-    columns = np.arange(n)
-    paths = columns[:, None]
+    a = active[0]
+    score = (log_initial + bonus[0, : a * n].reshape(a, n))[:, :, None]
+    best[0, : a * n] = score.ravel()
+    paths = np.tile(np.arange(n), a)[:, None]
     yield score, paths
-    for t in range(1, obs.size):
-        # Row i * w' + r' of cand holds entry [i, r'] extended to every state.
-        cand = (score[:, :, None] + log_trans[:, None, :]).reshape(score.size, n)
-        cand += log_emit[:, obs[t]]
-        width = min(k, score.size)
-        score = np.empty((n, width))
-        picks = np.empty((n, width), dtype=np.int64)
+    for t in range(1, len(active) - 1):
+        a, w = active[t], score.shape[2]
+        width = min(k, n * w)
+        layout = layouts.get((a, w, width))
+        if layout is None:
+            # the columns, each column's first row of its flood's entries,
+            # and the state column appended to the paths
+            layout = layouts[a, w, width] = (
+                np.arange(a * n),
+                np.arange(a).repeat(n)[:, None] * (n * w),
+                np.tile(np.arange(n).repeat(width), a)[:, None],
+            )
+        columns, offsets, states = layout
+        cand = np.add(score[:a].transpose(1, 2, 0)[:, :, :, None],
+                      log_trans[:, None, None, :], order="C").reshape(n * w, a * n)
+        cand += bonus[t, : a * n]
+        top = np.empty((a * n, width))
+        picks = np.empty((a * n, width), dtype=np.int64)
         for rank in range(width):
             # A taken entry turns NaN, which fmax skips and == never matches;
             # argmax over the matches takes the lowest index.
-            score[:, rank] = np.fmax.reduce(cand, axis=0)
-            picks[:, rank] = (cand == score[:, rank]).argmax(axis=0)
+            top[:, rank] = np.fmax.reduce(cand, axis=0)
+            picks[:, rank] = (cand == top[:, rank]).argmax(axis=0)
             cand[picks[:, rank], columns] = np.nan
-        if np.isneginf(score[:, 0]).all():
-            raise InferenceError(f"no admissible state path at step {t}")
-        paths = np.column_stack((paths[picks.ravel()], columns.repeat(width)))
+        best[t, : a * n] = top[:, 0]
+        score = top.reshape(a, n, width)
+        picks += offsets
+        paths = np.concatenate((paths[picks.ravel()], states), axis=1)
         yield score, paths
+    dead = best.reshape(*batch.symbols.shape, n).max(axis=2) == -np.inf
+    if dead.any():
+        columns = np.flatnonzero(dead.any(axis=0))
+        column = columns[np.argmin(batch.order[columns])]
+        step = int(np.argmax(dead[:, column]))
+        raise _FloodError(
+            "no state can produce the observation at step 0" if step == 0
+            else f"no admissible state path at step {step}",
+            int(batch.order[column]),
+        )
 
 
 def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
@@ -535,6 +590,18 @@ def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]
     ]
 
 
+def _k_best(model: Hmm, batch: _Batch, k: int) -> list[list[StatePath]]:
+    """The ``k`` best paths of every flood of ``batch``, in the caller's list order."""
+    found: list[list[StatePath]] = [[] for _ in batch.order]
+    for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
+        rows = score[0].size
+        for column in range(batch.active[t + 1], batch.active[t]):
+            found[batch.order[column]] = _best_paths(
+                score[column], paths[column * rows:(column + 1) * rows], k
+            )
+    return found
+
+
 def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     """The ``k`` highest-probability state paths, best first (list Viterbi).
 
@@ -546,10 +613,7 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    o = as_observations(obs, model.n_symbols)
-    for score, paths in _list_viterbi(model, o, k):
-        pass
-    return _best_paths(score, paths, k)
+    return _k_best(model, _batch([as_observations(obs, model.n_symbols)]), k)[0]
 
 
 def viterbi(model: Hmm, obs) -> StatePath:
@@ -568,8 +632,8 @@ def prefix_paths(model: Hmm, obs) -> list[StatePath]:
 
     The last element is rank 0 of :func:`k_best_paths` for any ``k``.
     """
-    o = as_observations(obs, model.n_symbols)
-    return [_best_paths(score, paths, 1)[0] for score, paths in _list_viterbi(model, o, 1)]
+    batch = _batch([as_observations(obs, model.n_symbols)])
+    return [_best_paths(score[0], paths, 1)[0] for score, paths in _list_viterbi(model, batch, 1)]
 
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:

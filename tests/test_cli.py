@@ -17,10 +17,13 @@ from alarmhmm.alarms import (
 from alarmhmm.cli import main
 from alarmhmm.diagnoser import (
     HARD_MASK_OFF_DIAGONAL,
+    DiagnoserModel,
     as_labeled,
     load_diagnoser,
+    save_diagnoser,
     train_diagnoser,
 )
+from alarmhmm.hmm import Hmm
 from alarmhmm.plantsim import (
     ScenarioSpec,
     graph_to_dict,
@@ -645,6 +648,45 @@ class TestErrorReporting:
         assert main([command, "--model", str(model), "--in", str(floods),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("command", ["diagnose", "evaluate"])
+    def test_flood_from_another_plant_is_named(self, pipeline, capsys, command):
+        # Symbols 1 and 2 exist in both alphabets, but name other alarms there.
+        tmp_path, data, model = pipeline
+        floods = self.floods_after_a_good_one(data, tmp_path, {
+            "symbols": [1, 2], "times": [0.0, 10.0], "meta": {"n_measurements": 41}})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--model", str(model), "--in", str(floods),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: schema-mismatch: sequence 1: "
+                                           "meta.n_measurements 41 differs from the model's 5\n")
+        assert not out.exists()
+
+    def test_first_flood_in_the_list_that_cannot_be_decoded_is_named(self, tmp_path, capsys):
+        # State 0 emits only symbols 0-2, states 1 and 2 only 3-5, and no state
+        # is ever left: flood 1 fails at step 3 and flood 2, decoded beside it
+        # in one chunk of three, already at step 1.
+        model = tmp_path / "model.json"
+        low, high = [1 / 3] * 3 + [0.0] * 3, [0.0] * 3 + [1 / 3] * 3
+        save_diagnoser(DiagnoserModel(
+            hmm=Hmm(transition=np.eye(3), emission=[low, high, high], initial=[1 / 3] * 3),
+            fault_names=("a", "b", "c"), codebook=AlarmSymbolCodebook(3),
+        ), model)
+        floods = tmp_path / "floods.jsonl"
+        floods.write_text("".join(
+            json.dumps({"fault": 0, "symbols": symbols, "times": [0.0] * len(symbols),
+                        "meta": {}}) + "\n"
+            for symbols in ([5, 4], [0, 1, 2, 3], [4, 0])
+        ))
+        for command in ("diagnose", "evaluate"):
+            out = tmp_path / command
+            capsys.readouterr()
+            assert main([command, "--model", str(model), "--in", str(floods),
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: inference-error: sequence 1: no admissible state path at step 3\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("record", [EMPTY[0], ALIEN[0]], ids=["empty", "alien"])
     def test_diagnose_writes_nothing_when_a_flood_fails(self, pipeline, record):

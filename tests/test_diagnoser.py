@@ -1,5 +1,7 @@
 """Diagnoser training, the modal/secondary fault rules, prefix evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,11 +23,13 @@ from alarmhmm.diagnoser import (
     LabeledSequence,
     as_labeled,
     diagnose,
+    diagnose_all,
     evaluate_prefix_accuracy,
     load_diagnoser,
     save_diagnoser,
     train_diagnoser,
 )
+from alarmhmm.errors import located
 
 import oracles
 
@@ -37,6 +41,31 @@ def labeled(symbols, fault):
     return LabeledSequence(
         sequence=AlarmSequence(symbols=list(symbols), times=times, fault=fault), fault=fault
     )
+
+
+def coarse_diagnoser(seed):
+    """``coarse_case(seed)`` as a diagnoser (exact zeros and exact ties) and its sequence.
+
+    An odd alphabet gets one symbol no state emits, so that it fits a codebook.
+    """
+    hmm, obs = coarse_case(seed)
+    emission = np.pad(hmm.emission, ((0, 0), (0, hmm.n_symbols % 2)))
+    model = DiagnoserModel(
+        hmm=Hmm(transition=hmm.transition, emission=emission, initial=hmm.initial),
+        fault_names=tuple(f"f{i}" for i in range(hmm.n_states)),
+        codebook=AlarmSymbolCodebook(n_measurements=(hmm.n_symbols + 1) // 2),
+    )
+    return model, obs
+
+
+def floods_under(model, seed, count):
+    """``count`` labeled floods of 1 to 8 random symbols and random faults of ``model``."""
+    rng = np.random.default_rng(seed)
+    return [
+        labeled(rng.integers(0, model.hmm.n_symbols, size=int(rng.integers(1, 9))),
+                int(rng.integers(0, model.n_faults)))
+        for _ in range(count)
+    ]
 
 
 def disjoint_training(n_faults=4, per_fault=3, block=4):
@@ -216,6 +245,34 @@ class TestDiagnose:
         if verdict.secondary_fault is not None:
             assert verdict.secondary_fault != verdict.primary_fault
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 20_000), coarse=st.booleans())
+    @example(seed=1419, coarse=True)  # an exact tie for the best path
+    def test_diagnose_all_equals_diagnosing_each_flood(self, seed, coarse):
+        if coarse:
+            model = coarse_diagnoser(seed)[0]
+        else:
+            training, book = disjoint_training()
+            model = train_diagnoser(training, codebook=book)
+        floods = [item.symbols for item in floods_under(model, seed, 2 * model.n_faults + 1)]
+        alone = []
+        for index, obs in enumerate(floods):
+            try:
+                alone.append(diagnose(model, obs))
+            except InferenceError as exc:
+                # the first flood that cannot be decoded is named by its list index
+                message = str(exc).replace("sequence 0: ", f"sequence {index}: ", 1)
+                with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
+                    diagnose_all(model, floods)
+                return
+
+        def fields(verdict):
+            return (verdict.primary_fault, verdict.secondary_fault) + tuple(
+                None if path is None else (path.states.tolist(), path.log_prob)
+                for path in (verdict.path, verdict.second_path))
+
+        assert [fields(v) for v in diagnose_all(model, floods)] == [fields(v) for v in alone]
+
     def test_determinism(self):
         training, book = disjoint_training()
         model = train_diagnoser(training, codebook=book)
@@ -268,22 +325,32 @@ class TestEvaluation:
         assert (curve.confusion.sum(axis=(1, 2)) == len(training)).all()
         assert (curve.n_correct == np.trace(curve.confusion, axis1=1, axis2=2)).all()
 
-    def test_matches_diagnosing_every_prefix(self):
-        rng = np.random.default_rng(4)
-        training, book = disjoint_training()
-        model = train_diagnoser(training, codebook=book)
-        test = [
-            labeled(rng.choice(book.n_symbols, size=int(rng.integers(1, 9)), replace=False), fault)
-            for fault in (0, 1, 2, 3, 0, 1, 2, 3)
-        ]
-        l_max = 7
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 20_000), coarse=st.booleans(), l_max=st.integers(1, 10))
+    @example(seed=1419, coarse=True, l_max=7)  # an exact tie for the best path
+    def test_matches_diagnosing_every_prefix(self, seed, coarse, l_max):
+        if coarse:
+            model = coarse_diagnoser(seed)[0]
+        else:
+            training, book = disjoint_training()
+            model = train_diagnoser(training, codebook=book)
+        n = model.n_faults
+        # more than N floods, so that at least two chunks are decoded
+        test = floods_under(model, seed, 2 * n + 1)
+        confusion = np.zeros((l_max, n, n), dtype=np.int64)
+        try:
+            for index, item in enumerate(test):
+                for p in range(1, l_max + 1):
+                    with located(f"sequence {index}"):
+                        states = viterbi(model.hmm, item.symbols[:p]).states
+                    verdict = int(np.argmax(np.bincount(states, minlength=n)))
+                    confusion[p - 1, item.fault, verdict] += 1
+        except InferenceError as exc:
+            # the first flood, in list order, that some prefix cannot decode
+            with pytest.raises(InferenceError, match=f"^{re.escape(str(exc))}$"):
+                evaluate_prefix_accuracy(model, test, l_max=l_max)
+            return
         curve = evaluate_prefix_accuracy(model, test, l_max=l_max)
-        confusion = np.zeros((l_max, 4, 4), dtype=np.int64)
-        for item in test:
-            for p in range(1, l_max + 1):
-                states = viterbi(model.hmm, item.symbols[:p]).states
-                verdict = int(np.argmax(np.bincount(states, minlength=model.n_faults)))
-                confusion[p - 1, item.fault, verdict] += 1
         assert np.array_equal(curve.confusion, confusion)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -291,14 +358,7 @@ class TestEvaluation:
     @example(seed=1419)  # an exact tie for the best path
     @example(seed=7021)  # an exact tie between paths with different modal states
     def test_full_length_verdict_is_the_diagnosis_under_ties(self, seed):
-        hmm, obs = coarse_case(seed)
-        # An odd alphabet gets one symbol no state emits, so that it fits a codebook.
-        emission = np.pad(hmm.emission, ((0, 0), (0, hmm.n_symbols % 2)))
-        model = DiagnoserModel(
-            hmm=Hmm(transition=hmm.transition, emission=emission, initial=hmm.initial),
-            fault_names=tuple(f"f{i}" for i in range(hmm.n_states)),
-            codebook=AlarmSymbolCodebook(n_measurements=(hmm.n_symbols + 1) // 2),
-        )
+        model, obs = coarse_diagnoser(seed)
         try:
             last = prefix_paths(model.hmm, obs)[-1]
         except InferenceError:

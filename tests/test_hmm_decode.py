@@ -16,6 +16,7 @@ from alarmhmm import (
     random_model,
     viterbi,
 )
+from alarmhmm.hmm import _batch, _best_paths, _FloodError, _list_viterbi
 
 import oracles
 
@@ -261,3 +262,50 @@ class TestKBest:
         assert not problems, problems
         probs = [p.log_prob for p in paths]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
+class TestBatched:
+    """Floods decoded side by side give each flood its decode alone."""
+
+    @staticmethod
+    def floods(seed, coarse, lengths):
+        """A small case's model, its sequence and more floods of ``lengths`` under it."""
+        model, obs = coarse_case(seed) if coarse else small_random_case(seed)
+        rng = np.random.default_rng(seed + 1)
+        return model, [obs] + [rng.integers(0, model.n_symbols, size=t) for t in lengths]
+
+    @staticmethod
+    def alone(model, obs, k):
+        try:
+            return oracles.loop_k_best(model, obs, k)
+        except InferenceError as exc:
+            return exc
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 2, 3]), coarse=st.booleans(),
+           lengths=st.lists(st.integers(1, 7), max_size=6))
+    @example(seed=1419, k=2, coarse=True, lengths=[3, 1, 3, 7])  # an exact tie, equal lengths
+    def test_every_step_of_every_flood_matches_its_decode_alone(self, seed, k, coarse, lengths):
+        model, floods = self.floods(seed, coarse, lengths)
+        expected = [self.alone(model, obs, k) for obs in floods]
+        failed = [i for i, result in enumerate(expected) if isinstance(result, InferenceError)]
+        batch = _batch(floods)
+        steps = _list_viterbi(model, batch, k)
+        if failed:
+            # every flood is decoded to its end, then the first failing one is named
+            with pytest.raises(_FloodError) as info:
+                list(steps)
+            assert info.value.index == failed[0]
+            assert str(info.value) == str(expected[failed[0]])
+            return
+        for t, (score, paths) in enumerate(steps):
+            rows = score[0].size
+            for column in range(batch.active[t]):
+                obs = floods[batch.order[column]]
+                got = _best_paths(score[column], paths[column * rows:(column + 1) * rows], k)
+                alone = k_best_paths(model, obs[:t + 1], k)
+                assert [(p.states.tolist(), p.log_prob) for p in got] == [
+                    (p.states.tolist(), p.log_prob) for p in alone]
+                if t + 1 == obs.size:
+                    assert [(p.states.tolist(), p.log_prob) for p in got] == expected[
+                        batch.order[column]]
