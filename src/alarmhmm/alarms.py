@@ -9,6 +9,7 @@ symbol ``m``, low alarms to symbol ``m + n_measurements``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -21,8 +22,8 @@ from .documents import (
     is_finite_number,
     is_int,
     is_int_array,
-    open_text,
     read_jsonl,
+    read_text,
     require,
     write_jsonl,
 )
@@ -223,18 +224,72 @@ def extract_sequence(
     return AlarmSequence(symbols=symbols[order].tolist(), times=times[order].tolist())
 
 
-def read_trace_csv(path) -> MeasurementTrace:
-    """Read a ``time,<meas_id>...`` CSV with uniformly spaced time stamps."""
-    reader = csv.reader(open_text(path, SchemaError, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty trace file") from None
+#: Rows the fast trace parser converts per numpy call: enough to spread the
+#: call's cost, few enough to keep the block's field strings small.
+_BLOCK_ROWS = 32
+
+
+def _measurement_ids(path, header: list[str]) -> list[str]:
+    """The measurement ids a trace header names after its ``time`` column."""
     if not header or header[0] != "time":
         raise SchemaError(f"{path}: first column must be 'time'")
     meas_ids = header[1:]
     if not meas_ids:
         raise SchemaError(f"{path}: no measurement columns")
+    first = {}
+    for column, meas_id in enumerate(meas_ids, start=2):
+        if not meas_id:
+            raise SchemaError(f"{path}: measurement id {meas_id!r} in column {column} is empty")
+        if first.setdefault(meas_id, column) < column:
+            raise SchemaError(f"{path}: measurement id {meas_id!r} in column {column} "
+                              f"repeats column {first[meas_id]}")
+    return meas_ids
+
+
+def _plain_trace(path, text: str):
+    """``(meas_ids, times, values)`` of a plain trace text, parsed in blocks of rows.
+
+    Plain means what the csv module reads as plain comma splitting: no ``"``,
+    LF or CRLF line ends throughout, no line beyond the csv field limit, the
+    header's field count on every line, fields ``float`` reads and finite time
+    stamps.  Any other text gives ``None``, and :func:`_csv_trace` reads it.
+    """
+    crs = text.count("\r")
+    if '"' in text or (crs and not crs == text.count("\r\n") == text.count("\n")):
+        return None
+    lines = text.split("\r\n" if crs else "\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    meas_ids = _measurement_ids(path, lines[0].split(","))
+    width, n_rows = len(meas_ids) + 1, len(lines) - 1
+    times, values = np.empty(n_rows), np.empty((n_rows, width - 1))
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = lines[start + 1:start + 1 + _BLOCK_ROWS]
+        if any(line.count(",") != width - 1 for line in block):
+            return None
+        try:
+            table = np.array(",".join(block).split(","), dtype=float)
+        except ValueError:
+            return None
+        table = table.reshape(len(block), width)
+        times[start:start + len(block)] = table[:, 0]
+        values[start:start + len(block)] = table[:, 1:]
+    if not np.isfinite(times).all():
+        return None
+    return meas_ids, times, values
+
+
+def _csv_trace(path, text: str):
+    """``(meas_ids, times, values)`` of a trace text read line by line by the csv
+    module; the first bad line raises a SchemaError that names ``path:line``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty trace file") from None
+    meas_ids = _measurement_ids(path, header)
     times, rows = [], []
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):
@@ -246,20 +301,30 @@ def read_trace_csv(path) -> MeasurementTrace:
             raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
         if not math.isfinite(times[-1]):
             raise SchemaError(f"{path}:{lineno}: time stamp {row[0]!r} is not finite")
-    if len(rows) < 2:
+    return meas_ids, np.array(times), np.array(rows)
+
+
+def read_trace_csv(path) -> MeasurementTrace:
+    """Read a ``time,<meas_id>...`` CSV with uniformly spaced time stamps.
+
+    A plain file is parsed in blocks of rows; any other goes through the csv
+    module line by line, which accepts the same files and reads the same values.
+    """
+    text = read_text(path, SchemaError)
+    meas_ids, times, values = _plain_trace(path, text) or _csv_trace(path, text)
+    if len(times) < 2:
         raise SchemaError(f"{path}: need at least two samples to infer the sample period")
     with np.errstate(over="ignore", invalid="ignore"):  # gaps between huge time stamps
         diffs = np.diff(times)
         period = float(np.median(diffs))
     # Extraction stamps sample i at i * period, counted from the first sample.
-    if not math.isfinite((len(rows) - 1) * period):
+    if not math.isfinite((len(times) - 1) * period):
         raise SchemaError(
-            f"{path}:{len(rows) + 1}: sample period {period!r} puts the last sample time "
+            f"{path}:{len(times) + 1}: sample period {period!r} puts the last sample time "
             "beyond the float range"
         )
     if period <= 0 or not np.allclose(diffs, period, rtol=1e-6, atol=1e-9):
         raise SchemaError(f"{path}: time stamps are not uniformly spaced")
-    values = np.asarray(rows)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, column = bad[0]
@@ -269,11 +334,13 @@ def read_trace_csv(path) -> MeasurementTrace:
 
 
 def write_trace_csv(path, trace: MeasurementTrace) -> None:
+    """Write ``trace`` as the csv module writes it, one CRLF line per sample,
+    stamping sample ``i`` at ``i * sample_period``."""
+    period = trace.sample_period
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time"] + list(trace.meas_ids))
-        for i, row in enumerate(trace.values):
-            writer.writerow([repr(i * trace.sample_period)] + [repr(float(v)) for v in row])
+        csv.writer(handle).writerow(["time", *trace.meas_ids])
+        handle.writelines(",".join([repr(i * period), *map(repr, row.tolist())]) + "\r\n"
+                          for i, row in enumerate(trace.values))
 
 
 def sequence_to_dict(sequence: AlarmSequence) -> dict:

@@ -141,11 +141,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.fault and len(args.fault) != len(args.inputs):
+        raise DomainError("--fault must be given once per --in trace")
     normal_traces = [read_trace_csv(path) for path in args.normal]
     limits = fit_limits(normal_traces, kappa=args.kappa)
     codebook = AlarmSymbolCodebook(normal_traces[0].n_measurements)
-    if args.fault and len(args.fault) != len(args.inputs):
-        raise DomainError("--fault must be given once per --in trace")
     sequences = []
     for index, path in enumerate(args.inputs):
         trace = read_trace_csv(path)

@@ -90,12 +90,17 @@ def check_version(doc, error: type[SchemaError]) -> None:
             repr(FORMAT_VERSION), error)
 
 
-def open_text(path, error: type[SchemaError], newline: str | None = None) -> io.StringIO:
-    """The UTF-8 text of ``path``, read in full, as a stream like ``open(path, newline)``."""
+def read_text(path, error: type[SchemaError]) -> str:
+    """The UTF-8 text of ``path``, read in full."""
     try:
-        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline)
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def open_text(path, error: type[SchemaError], newline: str | None = None) -> io.StringIO:
+    """The text :func:`read_text` reads, as a stream like ``open(path, newline)``."""
+    return io.StringIO(read_text(path, error), newline=newline)
 
 
 def _parse(text: str, source, build, error: type[SchemaError]):

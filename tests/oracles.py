@@ -6,6 +6,7 @@ runs, ...) instead of reusing the dynamic-programming code under test.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -14,8 +15,10 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from alarmhmm import InferenceError, forward_backward, posteriors
+from alarmhmm import InferenceError, SchemaError, forward_backward, posteriors
+from alarmhmm.alarms import MeasurementTrace
 from alarmhmm.baseline import BaselineResult, Dendrogram, _flat_clusters, dechatter
+from alarmhmm.documents import open_text
 
 
 def all_paths(n_states: int, t_len: int) -> np.ndarray:
@@ -311,3 +314,62 @@ def sample_moments(samples) -> tuple[float, float]:
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
+
+
+def loop_read_trace_csv(path) -> MeasurementTrace:
+    """A trace CSV read one csv-module row at a time, every check in line order."""
+    reader = csv.reader(open_text(path, SchemaError, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty trace file") from None
+    if not header or header[0] != "time":
+        raise SchemaError(f"{path}: first column must be 'time'")
+    meas_ids = header[1:]
+    if not meas_ids:
+        raise SchemaError(f"{path}: no measurement columns")
+    for column, meas_id in enumerate(meas_ids):
+        if not meas_id:
+            raise SchemaError(f"{path}: measurement id '' in column {column + 2} is empty")
+        if meas_id in meas_ids[:column]:
+            raise SchemaError(f"{path}: measurement id {meas_id!r} in column {column + 2} "
+                              f"repeats column {meas_ids.index(meas_id) + 2}")
+    times, rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
+        try:
+            times.append(float(row[0]))
+            rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+        if not math.isfinite(times[-1]):
+            raise SchemaError(f"{path}:{lineno}: time stamp {row[0]!r} is not finite")
+    if len(rows) < 2:
+        raise SchemaError(f"{path}: need at least two samples to infer the sample period")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(times)
+        period = float(np.median(diffs))
+    if not math.isfinite((len(rows) - 1) * period):
+        raise SchemaError(
+            f"{path}:{len(rows) + 1}: sample period {period!r} puts the last sample time "
+            "beyond the float range"
+        )
+    if period <= 0 or not np.allclose(diffs, period, rtol=1e-6, atol=1e-9):
+        raise SchemaError(f"{path}: time stamps are not uniformly spaced")
+    values = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, column = bad[0]
+        raise SchemaError(f"{path}:{row + 2}: reading {float(values[row, column])!r} "
+                          f"in column {meas_ids[column]!r} is not finite")
+    return MeasurementTrace(sample_period=period, values=values, meas_ids=meas_ids)
+
+
+def csv_write_trace(path, trace: MeasurementTrace) -> None:
+    """A trace CSV written one ``csv.writer`` row per sample."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time"] + list(trace.meas_ids))
+        for i, row in enumerate(trace.values):
+            writer.writerow([repr(i * trace.sample_period)] + [repr(float(v)) for v in row])

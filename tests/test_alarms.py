@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from alarmhmm import DomainError, SchemaError
+from alarmhmm import DomainError, SchemaError, alarms
 from alarmhmm.alarms import (
     HIGH,
     LOW,
@@ -321,6 +322,138 @@ class TestTraceCsv:
         path.write_text("time,a\n0,1.0\n")
         with pytest.raises(SchemaError, match="two samples"):
             read_trace_csv(path)
+
+
+#: Fields the trace fuzz swaps in: underscores, non-finite and overflowing
+#: numbers, signed zero, non-ASCII digits and spaces, padding, quoting, and
+#: fields no float reads.
+ODD_FIELDS = ("1_0", "nan", "inf", "-inf", "1e400", "-1e400", "-0.0", "5e-324", "1e308",
+              "\u0661\u0662", "\u0663.\u0665", " 1.5", "2.5 ", "\t3", "\xa04", "", "x",
+              "0x10", "\x001", "2\u2028", "\ufeff3", '"1.0"', '"1,5"', '"2\n3"', '"', '"\r"')
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace CSV text as the writer spells one, then mutated: other line ends or
+    none after the last line, blank lines, padded, quoted or odd fields, extra or
+    missing fields, empty or repeated measurement ids."""
+    n_meas, n_rows = draw(st.integers(1, 3)), draw(st.integers(0, 70))
+    period = draw(st.sampled_from([10.0, 0.1, 1 / 3, 1e-300, 1e300]))
+    values = iter(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=n_rows * n_meas, max_size=n_rows * n_meas)))
+    rows = [["time", *(f"m{j}" for j in range(n_meas))]]
+    rows += [[repr(i * period), *(repr(next(values)) for _ in range(n_meas))]
+             for i in range(n_rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(rows) - 1))
+        fields = rows[row]
+        column = draw(st.integers(0, max(len(fields) - 1, 0)))
+        kind = draw(st.sampled_from(["odd", "pad", "quote", "blank", "extra", "missing", "id"]))
+        if kind == "blank":
+            rows.insert(row + 1, [])
+        elif kind == "extra":
+            fields.insert(column, draw(st.sampled_from(["0", ""])))
+        elif not fields:
+            continue
+        elif kind == "missing":
+            del fields[column]
+        elif kind == "odd":
+            fields[column] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind == "pad":
+            fields[column] = draw(st.sampled_from([" ", "\t"])) + fields[column] + " "
+        elif kind == "quote":
+            fields[column] = f'"{fields[column]}"'
+        elif rows[0]:
+            header = rows[0]
+            header[draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(["", "m0"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    ends = [ending or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in rows]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(",".join(fields) + end for fields, end in zip(rows, ends))
+
+
+def trace_outcome(read, path):
+    """What ``read(path)`` gives: the trace's period, ids and value bits, or the
+    type and message of what it raised."""
+    try:
+        trace = read(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return trace.sample_period, trace.meas_ids, trace.values.shape, trace.values.tobytes()
+
+
+class TestTraceCsvBlocks:
+    """The block parser against the csv-module loop, and the writer against csv.writer."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=trace_texts())
+    @example(text="time,a\r\n0.0,1.0\r\n10.0,-0.0\r\n")
+    @example(text="time,a\n0.0,1_0\n10.0,\u0661\n")
+    @example(text="time,a\r\n0.0,1.0\r10.0,2.0\r\n")
+    @example(text="time,a\n0.0,1.0,\n10.0\n")
+    @example(text="time,a\n0.0,1.0\n\n10.0,2.0\n")
+    @example(text="time,a\n1e400,1.0\n10.0,2.0\n")
+    @example(text="time,a\n0.0,0." + "0" * 131072 + "1\n10.0,2.0\n")  # beyond the csv field limit
+    def test_equals_the_csv_module_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated.csv"
+        path.write_bytes(text.encode())
+        assert trace_outcome(read_trace_csv, path) == \
+            trace_outcome(oracles.loop_read_trace_csv, path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("n_samples", [2, 31, 32, 33, 200])
+    def test_written_traces_take_the_block_parser(self, tmp_path, monkeypatch, newline,
+                                                  n_samples):
+        rng = np.random.default_rng(n_samples)
+        values = rng.normal(scale=1e3, size=(n_samples, 4))
+        values[0] = [-0.0, 5e-324, 1e308, -1e308]
+        trace = MeasurementTrace(sample_period=0.1, values=values, meas_ids=list("abcd"))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", newline.encode()))
+
+        def fail(path, text):
+            raise AssertionError(f"{path} went through the csv module")
+
+        monkeypatch.setattr(alarms, "_csv_trace", fail)
+        loaded = read_trace_csv(path)
+        assert loaded.sample_period == pytest.approx(0.1)
+        assert loaded.meas_ids == trace.meas_ids
+        assert loaded.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("header, problem", [
+        ("time,m01,m01", "'m01' in column 3 repeats column 2"),
+        ("time,,m02", "'' in column 2 is empty"),
+        ("time,m01,", "'' in column 3 is empty"),
+    ])
+    @pytest.mark.parametrize("body", ["0,1,2\n10,1,2\n", '0,"1",2\n10,1,2\n'],
+                             ids=["blocks", "csv-module"])
+    def test_measurement_ids_must_be_unique_and_non_empty(self, tmp_path, header, problem,
+                                                          body):
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n" + body)
+        message = f"^{re.escape(f'{path}: measurement id {problem}')}$"
+        with pytest.raises(SchemaError, match=message):
+            read_trace_csv(path)
+        with pytest.raises(SchemaError, match=message):
+            oracles.loop_read_trace_csv(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), period=st.one_of(st.sampled_from([0.1, 1 / 3, 0.7, 10.0]),
+                                            st.floats(1e-6, 1e6)))
+    def test_writer_bytes_equal_csv_writer(self, tmp_path_factory, data, period):
+        special = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+        values = data.draw(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                                  | special))
+        ids = data.draw(st.lists(st.sampled_from(["m0", "m1", "a,b", 'q"x', "s p"]),
+                                 min_size=values.shape[1], max_size=values.shape[1]))
+        trace = MeasurementTrace(sample_period=period, values=values, meas_ids=ids)
+        root = tmp_path_factory.getbasetemp()
+        write_trace_csv(root / "blocks.csv", trace)
+        oracles.csv_write_trace(root / "writer.csv", trace)
+        assert (root / "blocks.csv").read_bytes() == (root / "writer.csv").read_bytes()
 
 
 class TestSequenceJsonl:

@@ -433,6 +433,34 @@ class TestExtract:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: domain-error:")
 
+    def test_fault_count_is_checked_before_any_trace_is_read(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("alarmhmm.cli.read_trace_csv", unread)
+        code = main(["extract", "--normal", str(tmp_path / "missing.csv"),
+                     "--in", "a.csv", "--in", "b.csv", "--fault", "1",
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: --fault must be given once per --in trace\n")
+
+    @pytest.mark.parametrize("trace", ["normal", "fault"])
+    def test_repeated_measurement_id_is_one_schema_error(self, tmp_path, capsys, trace):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
+        bad = tmp_path / "bad.csv"
+        header, rest = normal.read_text().split("\n", 1)
+        bad.write_text(header.replace("m02", "m01") + "\n" + rest)
+        normal_arg, fault_arg = (bad, normal) if trace == "normal" else (normal, bad)
+        code = main(["extract", "--normal", str(normal_arg), "--in", str(fault_arg),
+                     "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: schema-mismatch: {bad}: measurement id 'm01' in column 4 "
+            "repeats column 3\n")
+
 
 class TestDeterminism:
     def test_repeated_pipeline_is_byte_identical(self, tmp_path):
