@@ -74,8 +74,10 @@ class MeasurementTrace:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.sample_period <= 0:
-            raise DomainError("sample_period must be positive")
+        period = float(self.sample_period)
+        if not (math.isfinite(period) and period > 0):
+            raise DomainError(f"sample_period must be finite and positive, got {period!r}")
+        self.sample_period = period
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise DomainError("trace values must be a (samples, measurements) matrix")
         if not np.isfinite(self.values).all():
@@ -286,21 +288,23 @@ def _csv_trace(path, text: str):
     module; the first bad line raises a SchemaError that names ``path:line``."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty trace file") from None
-    meas_ids = _measurement_ids(path, header)
-    times, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
-        try:
-            times.append(float(row[0]))
-            rows.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-        if not math.isfinite(times[-1]):
-            raise SchemaError(f"{path}:{lineno}: time stamp {row[0]!r} is not finite")
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty trace file")
+        meas_ids = _measurement_ids(path, header)
+        times, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                times.append(float(row[0]))
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            if not math.isfinite(times[-1]):
+                raise SchemaError(f"{path}:{lineno}: time stamp {row[0]!r} is not finite")
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
     return meas_ids, np.array(times), np.array(rows)
 
 

@@ -13,10 +13,8 @@ Both decode their floods side by side, in chunks of at most N.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -32,16 +30,15 @@ from .documents import (
     save_document,
     write_csv,
 )
-from .errors import DomainError, InferenceError, ModelFormatError, located
+from .errors import DomainError, ModelFormatError, located
 from .hmm import (
     FitConfig,
     Hmm,
     StatePath,
-    _Batch,
     _batches,
-    _FloodError,
     _k_best,
     _list_viterbi,
+    _observations,
     as_observations,
     fit,
     hmm_from_dict,
@@ -193,10 +190,7 @@ def train_diagnoser(
     if missing:
         raise DomainError(f"fault {missing[0]} has no training sequences")
     n_symbols = codebook.n_symbols
-    observations = []
-    for index, item in enumerate(training):
-        with located(f"sequence {index}"):
-            observations.append(as_observations(item.symbols, n_symbols))
+    observations = _observations(training, n_symbols)
 
     if priors is not None:
         initial = np.asarray(priors, dtype=float)
@@ -253,26 +247,6 @@ def train_diagnoser(
     )
 
 
-def _chunks(
-    model: DiagnoserModel, observations: list[np.ndarray]
-) -> Iterator[tuple[int, _Batch]]:
-    """``(first, batch)`` for each chunk of at most N floods, ``first`` being the
-    list index of the chunk's first flood.  A chunk's arrays are then no larger
-    than the E-step's, which keeps the peak memory where training leaves it.
-    """
-    return zip(range(0, len(observations), model.n_faults),
-               _batches(observations, model.n_faults))
-
-
-@contextmanager
-def _naming(first: int):
-    """Name a decoding failure by the failing flood's index in the caller's list."""
-    try:
-        yield
-    except _FloodError as exc:
-        raise InferenceError(f"sequence {first + exc.index}: {exc}") from None
-
-
 def _verdict(paths: list[StatePath], n: int) -> Diagnosis:
     best = paths[0]
     primary = _mode(best.states, n)
@@ -312,15 +286,11 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     from 0 in ``sequences``; of several floods that cannot be decoded, the
     first in the list is named.
     """
-    observations = []
-    for index, sequence in enumerate(sequences):
-        with located(f"sequence {index}"):
-            observations.append(as_observations(sequence, model.hmm.n_symbols))
-    verdicts = []
-    for first, batch in _chunks(model, observations):
-        with _naming(first):
-            verdicts += [_verdict(paths, model.n_faults) for paths in _k_best(model.hmm, batch, 2)]
-    return verdicts
+    observations = _observations(sequences, model.hmm.n_symbols)
+    found = {}
+    for batch in _batches(observations, model.n_faults):
+        found.update(_k_best(model.hmm, batch, 2))
+    return [_verdict(found[index], model.n_faults) for index in range(len(observations))]
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
@@ -356,14 +326,13 @@ def evaluate_prefix_accuracy(
             symbols = item.sequence.symbols[:l_max]
             observations.append(as_observations(symbols, model.hmm.n_symbols))
     verdicts = np.empty((len(test), l_max), dtype=np.int64)
-    for first, batch in _chunks(model, observations):
-        with _naming(first):
-            for t, (score, paths) in enumerate(_list_viterbi(model.hmm, batch, 1)):
-                # Row s * N + j of paths is flood s's best path ending in state j.
-                offsets = np.arange(0, score.size, n)
-                states = paths[score[:, :, 0].argmax(axis=1) + offsets] + offsets[:, None]
-                counts = np.bincount(states.ravel(), minlength=score.size).reshape(-1, n)
-                verdicts[first + batch.order[: offsets.size], t] = counts.argmax(axis=1)
+    for batch in _batches(observations, n):
+        for t, (score, paths) in enumerate(_list_viterbi(model.hmm, batch, 1)):
+            # Row s * N + j of paths is flood s's best path ending in state j.
+            offsets = np.arange(0, score.size, n)
+            states = paths[score[:, :, 0].argmax(axis=1) + offsets] + offsets[:, None]
+            counts = np.bincount(states.ravel(), minlength=score.size).reshape(-1, n)
+            verdicts[batch.order[: offsets.size], t] = counts.argmax(axis=1)
     # Past its end, a flood keeps its full-length verdict.
     steps = np.arange(l_max)
     ends = np.array([obs.size for obs in observations])[:, None] - 1

@@ -8,7 +8,8 @@ serves Viterbi, k-best and every prefix's best path, and decodes a
 batch of sequences side by side, a single sequence being a batch of
 one.  The forward/backward pass rescales at every step and keeps the
 normalizers, decoding works entirely in log space, so long sequences do
-not underflow.
+not underflow.  Training, the forward pass and decoding start an error about
+one sequence with ``sequence <i>: ``, a single sequence being ``sequence 0``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .documents import (
     is_int,
     require,
 )
-from .errors import DomainError, InferenceError, ModelFormatError, UnknownSymbolError
+from .errors import DomainError, InferenceError, ModelFormatError, UnknownSymbolError, located
 
 #: tolerance used when checking that probability rows sum to one
 ROW_SUM_TOL = 1e-9
@@ -187,12 +188,21 @@ def as_observations(obs, n_symbols: int) -> np.ndarray:
     return out
 
 
+def _observations(sequences: Sequence, n_symbols: int) -> list[np.ndarray]:
+    """:func:`as_observations` of every sequence; an error names ``sequence <i>``."""
+    observations = []
+    for index, sequence in enumerate(sequences):
+        with located(f"sequence {index}"):
+            observations.append(as_observations(sequence, n_symbols))
+    return observations
+
+
 @dataclass(frozen=True)
 class _Batch:
     """Observation sequences stacked time-major, longest first, zero-padded.
 
-    Column ``c`` holds sequence ``order[c]`` of the caller's list, so the
-    first ``active[t]`` columns are the sequences still running at step
+    Column ``c`` holds sequence ``order[c]`` of the caller's whole list, so
+    the first ``active[t]`` columns are the sequences still running at step
     ``t``; ``active`` has one extra, zero entry after the last step.
     """
 
@@ -201,14 +211,15 @@ class _Batch:
     active: np.ndarray   # (L + 1,)
 
 
-def _batch(seqs: list[np.ndarray]) -> _Batch:
+def _batch(seqs: list[np.ndarray], first: int = 0) -> _Batch:
+    """``seqs`` as a :class:`_Batch`, ``seqs[0]`` being the caller's sequence ``first``."""
     lengths = np.array([o.size for o in seqs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     steps = np.arange(lengths.max(initial=0) + 1)
     symbols = np.zeros((steps.size - 1, lengths.size), dtype=np.int64)
     for column, index in enumerate(order):
         symbols[: lengths[index], column] = seqs[index]
-    return _Batch(symbols, order, np.count_nonzero(steps[:, None] < lengths, axis=1))
+    return _Batch(symbols, first + order, np.count_nonzero(steps[:, None] < lengths, axis=1))
 
 
 def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
@@ -220,7 +231,20 @@ def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
     the allocator has freed blocks of several megabytes, it serves more
     requests from, and keeps more freed memory in, its heap.
     """
-    return [_batch(seqs[start:start + n_states]) for start in range(0, len(seqs), n_states)]
+    return [_batch(seqs[start:start + n_states], start) for start in range(0, len(seqs), n_states)]
+
+
+def _raise_first_failure(batch: _Batch, failed: np.ndarray, what: Callable[[int], str]) -> None:
+    """Raise :class:`InferenceError` if any cell of the (L, S) ``failed`` mask is set.
+
+    Of the failing sequences, the one that comes first in the caller's list
+    is named, with ``what(step)`` at its first failed step.
+    """
+    if failed.any():
+        columns = np.flatnonzero(failed.any(axis=0))
+        column = columns[np.argmin(batch.order[columns])]
+        step = int(np.argmax(failed[:, column]))
+        raise InferenceError(f"sequence {batch.order[column]}: {what(step)} at step {step}")
 
 
 def _forward(model: Hmm, batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,8 +254,7 @@ def _forward(model: Hmm, batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndar
     observed symbols and the scaled forward variables, both (L, S, N),
     and the (L, S) scale factors.  ``emit`` and ``alpha`` are zero and
     ``scale`` one past a sequence's end.  A zero total probability raises
-    :class:`InferenceError` naming the step, taken from the first failing
-    sequence in the caller's list.
+    :class:`InferenceError` through :func:`_raise_first_failure`.
     """
     emit = model.emission.T[batch.symbols]
     alpha = np.zeros_like(emit)
@@ -245,12 +268,7 @@ def _forward(model: Hmm, batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndar
             row = prior * emit[t, :k]
             total[t, :k] = row.sum(axis=1)
             alpha[t, :k] = row * (1.0 / total[t, :k, None])
-    failed = total <= 0.0
-    if failed.any():
-        columns = np.flatnonzero(failed.any(axis=0))
-        column = columns[np.argmin(batch.order[columns])]
-        step = int(np.argmax(failed[:, column]))
-        raise InferenceError(f"zero total forward probability at step {step}")
+    _raise_first_failure(batch, total <= 0.0, lambda step: "zero total forward probability")
     return emit, alpha, 1.0 / total
 
 
@@ -280,7 +298,7 @@ def forward_backward(model: Hmm, obs) -> TrellisResult:
     :class:`InferenceError` if some step has zero total probability (only
     possible when the model contains exact zeros).
     """
-    batch = _batch([as_observations(obs, model.n_symbols)])
+    batch = _batch(_observations([obs], model.n_symbols))
     emit, alpha, scale = _forward(model, batch)
     beta = _backward(model, batch, emit, scale)
     return TrellisResult(
@@ -328,8 +346,8 @@ def _log_likelihood(model: Hmm, batches: list[_Batch]) -> float:
 
 def total_log_likelihood(model: Hmm, sequences: Sequence) -> float:
     """Sum of per-sequence log likelihoods under ``model``."""
-    seqs = [as_observations(s, model.n_symbols) for s in sequences]
-    return _log_likelihood(model, _batches(seqs, model.n_states))
+    return _log_likelihood(model, _batches(_observations(sequences, model.n_symbols),
+                                           model.n_states))
 
 
 def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
@@ -454,7 +472,7 @@ def fit(
     if config is None:
         config = FitConfig()
     model = initial_model
-    seqs = [as_observations(s, model.n_symbols) for s in sequences]
+    seqs = _observations(sequences, model.n_symbols)
     if not seqs:
         raise DomainError("fit requires at least one observation sequence")
 
@@ -481,18 +499,6 @@ def fit(
     return model, np.asarray(trace)
 
 
-class _FloodError(InferenceError):
-    """A decoding failure of the flood at ``index`` in the decoded batch's list.
-
-    It takes its message first, as every package error does, so that
-    :func:`~alarmhmm.errors.located` can rebuild it.
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
-
-
 def _list_viterbi(
     model: Hmm, batch: _Batch, k: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -515,9 +521,8 @@ def _list_viterbi(
     of flood ``s``, so each of the ``k`` selection rounds is one reduction
     over the rows for all floods at once, and a batch of one is the plain
     single-flood step.  A flood that fails keeps being decoded on ``-inf``
-    scores; once every step is done, a :class:`_FloodError` names the step
-    at which the failing flood that comes first in the caller's list failed,
-    and carries that flood's list index.
+    scores; once every step is done, :func:`_raise_first_failure` names the
+    failing flood that comes first in the caller's list.
     """
     n = model.n_states
     with np.errstate(divide="ignore"):
@@ -567,15 +572,8 @@ def _list_viterbi(
         paths = np.concatenate((paths[picks.ravel()], states), axis=1)
         yield score, paths
     dead = best.reshape(*batch.symbols.shape, n).max(axis=2) == -np.inf
-    if dead.any():
-        columns = np.flatnonzero(dead.any(axis=0))
-        column = columns[np.argmin(batch.order[columns])]
-        step = int(np.argmax(dead[:, column]))
-        raise _FloodError(
-            "no state can produce the observation at step 0" if step == 0
-            else f"no admissible state path at step {step}",
-            int(batch.order[column]),
-        )
+    _raise_first_failure(batch, dead, lambda step: "no admissible state path" if step
+                         else "no state can produce the observation")
 
 
 def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
@@ -590,9 +588,9 @@ def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]
     ]
 
 
-def _k_best(model: Hmm, batch: _Batch, k: int) -> list[list[StatePath]]:
-    """The ``k`` best paths of every flood of ``batch``, in the caller's list order."""
-    found: list[list[StatePath]] = [[] for _ in batch.order]
+def _k_best(model: Hmm, batch: _Batch, k: int) -> dict[int, list[StatePath]]:
+    """The ``k`` best paths of every flood of ``batch``, keyed by its list index."""
+    found: dict[int, list[StatePath]] = {}
     for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
         rows = score[0].size
         for column in range(batch.active[t + 1], batch.active[t]):
@@ -613,7 +611,7 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    return _k_best(model, _batch([as_observations(obs, model.n_symbols)]), k)[0]
+    return _k_best(model, _batch(_observations([obs], model.n_symbols)), k)[0]
 
 
 def viterbi(model: Hmm, obs) -> StatePath:
@@ -632,7 +630,7 @@ def prefix_paths(model: Hmm, obs) -> list[StatePath]:
 
     The last element is rank 0 of :func:`k_best_paths` for any ``k``.
     """
-    batch = _batch([as_observations(obs, model.n_symbols)])
+    batch = _batch(_observations([obs], model.n_symbols))
     return [_best_paths(score[0], paths, 1)[0] for score, paths in _list_viterbi(model, batch, 1)]
 
 

@@ -316,9 +316,17 @@ def sample_moments(samples) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _csv_rows(path, reader):
+    """The rows of ``reader``; a csv-module error becomes a SchemaError naming path:line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+
+
 def loop_read_trace_csv(path) -> MeasurementTrace:
     """A trace CSV read one csv-module row at a time, every check in line order."""
-    reader = csv.reader(open_text(path, SchemaError, newline=""))
+    reader = _csv_rows(path, csv.reader(open_text(path, SchemaError, newline="")))
     try:
         header = next(reader)
     except StopIteration:

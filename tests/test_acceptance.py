@@ -8,7 +8,6 @@ default plant.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -311,39 +310,37 @@ def test_c10_pipeline_determinism(tmp_path):
     graph_path = tmp_path / "graph.json"
     save_graph(graph, graph_path)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        outputs = []
-        for run in ("a", "b"):
-            root = tmp_path / run
-            data = root / "data"
-            assert main(["simulate", "--graph", str(graph_path), "--seed", "1",
-                         "--out", str(data)]) == 0
-            extracted = root / "extracted.jsonl"
-            assert main(["extract", "--normal", normal_paths[0], "--normal", normal_paths[1],
-                         "--in", str(fault_path), "--fault", "3",
-                         "--out", str(extracted)]) == 0
-            model = root / "model.json"
-            assert main(["train", "--in", str(data / "train.jsonl"),
-                         "--out", str(model)]) == 0
-            verdicts = root / "diagnosis.jsonl"
-            assert main(["diagnose", "--model", str(model), "--in", str(data / "test.jsonl"),
-                         "--out", str(verdicts)]) == 0
-            evaluation = root / "evaluation"
-            assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
-                         "--out", str(evaluation)]) == 0
-            base = root / "baseline"
-            assert main(["baseline", "--train", str(data / "train.jsonl"),
-                         "--in", str(data / "test.jsonl"), "--out", str(base)]) == 0
-            comparison = root / "comparison.csv"
-            assert main(["report", "--evaluation", str(evaluation), "--baseline", str(base),
-                         "--out", str(comparison)]) == 0
-            artifacts = {
-                str(p.relative_to(root)): p.read_bytes()
-                for p in sorted(root.rglob("*"))
-                if p.is_file()
-            }
-            outputs.append(artifacts)
+    outputs = []
+    for run in ("a", "b"):
+        root = tmp_path / run
+        data = root / "data"
+        assert main(["simulate", "--graph", str(graph_path), "--seed", "1",
+                     "--out", str(data)]) == 0
+        extracted = root / "extracted.jsonl"
+        assert main(["extract", "--normal", normal_paths[0], "--normal", normal_paths[1],
+                     "--in", str(fault_path), "--fault", "3",
+                     "--out", str(extracted)]) == 0
+        model = root / "model.json"
+        assert main(["train", "--in", str(data / "train.jsonl"),
+                     "--out", str(model)]) == 0
+        verdicts = root / "diagnosis.jsonl"
+        assert main(["diagnose", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--out", str(verdicts)]) == 0
+        evaluation = root / "evaluation"
+        assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--out", str(evaluation)]) == 0
+        base = root / "baseline"
+        assert main(["baseline", "--train", str(data / "train.jsonl"),
+                     "--in", str(data / "test.jsonl"), "--out", str(base)]) == 0
+        comparison = root / "comparison.csv"
+        assert main(["report", "--evaluation", str(evaluation), "--baseline", str(base),
+                     "--out", str(comparison)]) == 0
+        artifacts = {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file()
+        }
+        outputs.append(artifacts)
     same_names = outputs[0].keys() == outputs[1].keys()
     diffs = [name for name in outputs[0] if outputs[0][name] != outputs[1].get(name)]
     ok = same_names and not diffs

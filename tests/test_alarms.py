@@ -305,6 +305,20 @@ class TestTraceCsv:
         assert loaded.meas_ids == trace.meas_ids
         assert np.array_equal(loaded.values, trace.values)
 
+    def test_numpy_scalar_period_round_trips(self, tmp_path):
+        trace = MeasurementTrace(sample_period=np.float64(10.0), values=[[1.0], [2.0], [3.0]],
+                                 meas_ids=["x"])
+        assert type(trace.sample_period) is float
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        assert path.read_text().splitlines()[1:] == ["0.0,1.0", "10.0,2.0", "20.0,3.0"]
+        assert read_trace_csv(path).sample_period == 10.0
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(DomainError, match="^sample_period must be finite and positive"):
+            MeasurementTrace(sample_period=period, values=[[1.0], [2.0]], meas_ids=["x"])
+
     def test_non_uniform_sampling_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("time,a\n0,1.0\n10,1.1\n25,1.2\n")

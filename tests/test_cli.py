@@ -414,6 +414,18 @@ class TestExtract:
         assert capsys.readouterr().err == f"error: domain-error: {bad}: {message}\n"
         assert not out.exists()
 
+    def test_field_beyond_the_csv_limit_is_one_schema_error(self, tmp_path, capsys):
+        normal = tmp_path / "normal.csv"
+        write_trace_csv(normal, simulate_normal_trace(1, 100, seed=1))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,m00\n0.0,0." + "0" * 131072 + "1\n10.0,2.0\n")
+        out = tmp_path / "out.jsonl"
+        code = main(["extract", "--normal", str(normal), "--in", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: schema-mismatch: {bad}:2: malformed CSV "
+                                           "(field larger than field limit (131072))\n")
+        assert not out.exists()
+
     def test_negative_fault_label_is_rejected_before_writing(self, tmp_path, capsys):
         normal = tmp_path / "normal.csv"
         write_trace_csv(normal, simulate_normal_trace(3, 100, seed=1))
@@ -693,8 +705,9 @@ class TestErrorReporting:
 
     def test_first_flood_in_the_list_that_cannot_be_decoded_is_named(self, tmp_path, capsys):
         # State 0 emits only symbols 0-2, states 1 and 2 only 3-5, and no state
-        # is ever left: flood 1 fails at step 3 and flood 2, decoded beside it
-        # in one chunk of three, already at step 1.
+        # is ever left.  The floods are decoded in chunks of three: the first
+        # chunk decodes, and in the second flood 4 fails at step 3 and flood 5,
+        # longer and so decoded in an earlier column, already at step 1.
         model = tmp_path / "model.json"
         low, high = [1 / 3] * 3 + [0.0] * 3, [0.0] * 3 + [1 / 3] * 3
         save_diagnoser(DiagnoserModel(
@@ -705,7 +718,7 @@ class TestErrorReporting:
         floods.write_text("".join(
             json.dumps({"fault": 0, "symbols": symbols, "times": [0.0] * len(symbols),
                         "meta": {}}) + "\n"
-            for symbols in ([5, 4], [0, 1, 2, 3], [4, 0])
+            for symbols in ([5, 4], [0], [3, 5], [2, 1], [0, 1, 2, 3], [4, 0, 1, 2, 5])
         ))
         for command in ("diagnose", "evaluate"):
             out = tmp_path / command
@@ -713,7 +726,7 @@ class TestErrorReporting:
             assert main([command, "--model", str(model), "--in", str(floods),
                          "--out", str(out)]) == 1
             assert capsys.readouterr().err == (
-                "error: inference-error: sequence 1: no admissible state path at step 3\n")
+                "error: inference-error: sequence 4: no admissible state path at step 3\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("record", [EMPTY[0], ALIEN[0]], ids=["empty", "alien"])

@@ -145,18 +145,23 @@ def test_batched_update_matches_the_per_sequence_xi_reference(case):
 
 
 def test_zero_probability_reports_the_first_failing_sequence_in_list_order():
-    # Symbol 1 is impossible: the second sequence fails at step 2, the
-    # third at step 0; the error reports the second's step.
+    # Symbol 1 is impossible.  With N = 3 the sequences are batched three at
+    # a time; in the second batch, sequence 4 fails at step 2 and sequence 5,
+    # which is longer and so decoded in an earlier column, at step 0.
     model = Hmm(
         transition=np.full((3, 3), 1 / 3),
         emission=[[1.0, 0.0]] * 3,
         initial=np.full(3, 1 / 3),
     )
-    sequences = [[0, 0], [0, 0, 1, 0], [1]]
-    with pytest.raises(InferenceError, match=r"step 2$"):
+    sequences = [[0, 0], [0], [0, 0, 0], [0, 0], [0, 0, 1, 0], [1, 0, 0, 0, 0], [1]]
+    message = r"^sequence 4: zero total forward probability at step 2$"
+    with pytest.raises(InferenceError, match=message):
         fit(model, sequences)
-    with pytest.raises(InferenceError, match=r"step 2$"):
+    with pytest.raises(InferenceError, match=message):
         total_log_likelihood(model, sequences)
+    with pytest.raises(InferenceError, match=r"^sequence 0: zero total forward probability "
+                                             r"at step 0$"):
+        forward_backward(model, [1])
 
 
 def test_length_one_sequences_leave_transitions_alone():
