@@ -68,16 +68,25 @@ def _parse_counts(text: str, n_faults: int, option: str) -> list[int]:
     return counts
 
 
-def _codebook_for(sequences, override: int | None) -> AlarmSymbolCodebook:
-    if override is not None:
-        return AlarmSymbolCodebook(override)
-    sizes = {seq.meta.get("n_measurements") for seq in sequences}
-    sizes.discard(None)
-    if len(sizes) == 1:
-        return AlarmSymbolCodebook(int(sizes.pop()))
-    if len(sizes) > 1:
-        raise SchemaError("sequences disagree on n_measurements; pass --measurements")
-    raise SchemaError("sequences carry no n_measurements metadata; pass --measurements")
+def _codebook_for(groups, size: int | None, source: str = "--measurements") -> AlarmSymbolCodebook:
+    """``size`` measurements (``--measurements`` or the model's, named by ``source``),
+    else the one count the records of the ``(label, sequences)`` groups declare;
+    a record that declares another fails, named ``<label> <index in its group>``."""
+    declared = [(f"{label} {index}", seq.meta["n_measurements"])
+                for label, sequences in groups for index, seq in enumerate(sequences)
+                if seq.meta.get("n_measurements") is not None]
+    if size is None:
+        sizes = {count for _, count in declared}
+        if len(sizes) > 1:
+            raise SchemaError("sequences disagree on n_measurements; pass --measurements")
+        if not sizes:
+            raise SchemaError("sequences carry no n_measurements metadata; pass --measurements")
+        size = sizes.pop()
+    codebook = AlarmSymbolCodebook(size)
+    for name, count in declared:
+        if count != size:
+            raise SchemaError(f"{name}: meta.n_measurements {count} differs from {source} {size}")
+    return codebook
 
 
 def _read_inputs(paths) -> list:
@@ -89,16 +98,9 @@ def _read_inputs(paths) -> list:
 
 
 def _read_floods(paths, model) -> list:
-    """:func:`_read_inputs` for a trained model: a record that declares a
-    ``meta.n_measurements`` must declare the model's, for its symbols to
-    name the same alarms."""
+    """:func:`_read_inputs`, each record declaring the model's count if it declares one."""
     sequences = _read_inputs(paths)
-    expected = model.codebook.n_measurements
-    for index, seq in enumerate(sequences):
-        declared = seq.meta.get("n_measurements")
-        if declared is not None and declared != expected:
-            raise SchemaError(f"sequence {index}: meta.n_measurements {declared} differs "
-                              f"from the model's {expected}")
+    _codebook_for([("sequence", sequences)], model.codebook.n_measurements, "the model's")
     return sequences
 
 
@@ -166,7 +168,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     sequences = _read_inputs(args.inputs)
     labeled = as_labeled(sequences)
-    codebook = _codebook_for(sequences, args.measurements)
+    codebook = _codebook_for([("sequence", sequences)], args.measurements)
     config = FitConfig(max_iterations=args.max_iters, rel_tol=args.rel_tol,
                        emission_floor=args.emission_floor)
     model = train_diagnoser(
@@ -241,7 +243,8 @@ def cmd_baseline(args) -> int:
     train_sequences = read_sequences_jsonl(args.train)
     labeled = as_labeled(train_sequences)
     test_sequences = _read_inputs(args.inputs)
-    codebook = _codebook_for(train_sequences + test_sequences, args.measurements)
+    codebook = _codebook_for([("training sequence", train_sequences),
+                              ("test sequence", test_sequences)], args.measurements)
     result = baseline_mod.fit_baseline(
         labeled, test_sequences, n_clusters=args.clusters, n_symbols=codebook.n_symbols
     )

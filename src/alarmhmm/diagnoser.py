@@ -7,7 +7,8 @@ labeled per-fault statistics, state ``i`` is identified with fault ``i``
 throughout.  Diagnosis decodes a sequence once, for its two best paths,
 and reports the most recurring state of the best one as the fault, plus a
 second opinion from the runner-up; one pass yields every prefix verdict.
-Both decode their floods side by side, in chunks of at most N.
+Both decode their floods side by side, in chunks of at most N, and count
+faults along the paths through one rule, :func:`_fault_counts`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .hmm import (
     fit,
     hmm_from_dict,
     hmm_to_dict,
+    k_best_paths,
 )
 
 #: trained self-transition mass below this triggers a diagnostic warning,
@@ -137,17 +139,12 @@ class AccuracyCurve:
     confusion: np.ndarray   # (L_max, n_faults, n_faults): true x diagnosed counts
 
 
-def _mode(states: np.ndarray, n_states: int) -> int:
-    counts = np.bincount(states, minlength=n_states)
-    return int(np.argmax(counts))  # ties resolve to the lowest index
-
-
-def _second_mode(states: np.ndarray, n_states: int, primary: int) -> int | None:
-    counts = np.bincount(states, minlength=n_states)
-    counts[primary] = 0
-    if counts.max() == 0:
-        return None
-    return int(np.argmax(counts))
+def _fault_counts(states: np.ndarray, n_faults: int) -> np.ndarray:
+    """How often each fault occurs on each path: (paths, T) states to
+    (paths, n_faults) counts, in one bincount.  This is the one place that
+    maps a decoded state to its fault."""
+    cells = states + n_faults * np.arange(states.shape[0])[:, None]
+    return np.bincount(cells.ravel(), minlength=states.shape[0] * n_faults).reshape(-1, n_faults)
 
 
 def train_diagnoser(
@@ -248,24 +245,23 @@ def train_diagnoser(
 
 
 def _verdict(paths: list[StatePath], n: int) -> Diagnosis:
-    best = paths[0]
-    primary = _mode(best.states, n)
-    second_path: StatePath | None = None
-    secondary_fault: int | None = None
+    """The verdict of one flood's best paths (best first, equal lengths);
+    every count ties to the lowest fault index."""
+    counts = _fault_counts(np.array([path.states for path in paths]), n)
+    primary = int(counts[0].argmax())
+    secondary = None
     if len(paths) > 1:
-        second_path = paths[1]
-        candidate = _mode(second_path.states, n)
-        if candidate != primary:
-            secondary_fault = candidate
-        else:
-            secondary_fault = _second_mode(best.states, n, primary)
-            if secondary_fault is None:
-                secondary_fault = _second_mode(second_path.states, n, primary)
+        secondary = int(counts[1].argmax())
+        if secondary == primary:
+            # the best path's runner-up fault, else the second path's
+            counts[:, primary] = 0
+            holders = np.flatnonzero(counts.any(axis=1))
+            secondary = int(counts[holders[0]].argmax()) if holders.size else None
     return Diagnosis(
         primary_fault=primary,
-        secondary_fault=secondary_fault,
-        path=best,
-        second_path=second_path,
+        secondary_fault=secondary,
+        path=paths[0],
+        second_path=paths[1] if len(paths) > 1 else None,
     )
 
 
@@ -287,15 +283,13 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     first in the list is named.
     """
     observations = _observations(sequences, model.hmm.n_symbols)
-    found = {}
-    for batch in _batches(observations, model.n_faults):
-        found.update(_k_best(model.hmm, batch, 2))
-    return [_verdict(found[index], model.n_faults) for index in range(len(observations))]
+    return [_verdict(paths, model.n_faults) for paths in _k_best(model.hmm, observations, 2)]
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
-    """:func:`diagnose_all` of the one sequence; an error names it ``sequence 0``."""
-    return diagnose_all(model, [sequence])[0]
+    """The :func:`diagnose_all` verdict of one sequence, decoded through
+    :func:`k_best_paths`; an error names it ``sequence 0``."""
+    return _verdict(k_best_paths(model.hmm, sequence, 2), model.n_faults)
 
 
 def evaluate_prefix_accuracy(
@@ -306,12 +300,13 @@ def evaluate_prefix_accuracy(
     For every test sequence and prefix length ``p`` in 1..``l_max`` the
     diagnoser sees the first ``min(p, len(sequence))`` alarms, so the
     verdict for lengths beyond the sequence is the full-sequence verdict,
-    the primary fault :func:`diagnose` gives.  The floods are decoded side
-    by side in chunks of at most N, in one k=1 list-Viterbi pass per chunk;
-    every step of the pass gives each running flood's verdict for that
-    prefix: the mode of its best path.
-    An error about one sequence starts with ``sequence <i>: ``, ``i``
-    counting from 0 in ``test``.
+    the primary fault :func:`diagnose` gives.  Every flood is checked in
+    full (its label, then its symbols) before it is cut to ``l_max``.  The
+    floods are decoded side by side in chunks of at most N, in one k=1
+    list-Viterbi pass per chunk; every step of the pass gives each running
+    flood's verdict for that prefix: the mode of its rank-0 path, the first
+    of its best entries.  An error about one sequence starts with
+    ``sequence <i>: ``, ``i`` counting from 0 in ``test``.
     """
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
@@ -323,16 +318,12 @@ def evaluate_prefix_accuracy(
         with located(f"sequence {index}"):
             if item.fault >= n:
                 raise DomainError(f"test label {item.fault} outside the model's faults")
-            symbols = item.sequence.symbols[:l_max]
-            observations.append(as_observations(symbols, model.hmm.n_symbols))
+            observations.append(as_observations(item, model.hmm.n_symbols)[:l_max])
     verdicts = np.empty((len(test), l_max), dtype=np.int64)
     for batch in _batches(observations, n):
         for t, (score, paths) in enumerate(_list_viterbi(model.hmm, batch, 1)):
-            # Row s * N + j of paths is flood s's best path ending in state j.
-            offsets = np.arange(0, score.size, n)
-            states = paths[score[:, :, 0].argmax(axis=1) + offsets] + offsets[:, None]
-            counts = np.bincount(states.ravel(), minlength=score.size).reshape(-1, n)
-            verdicts[batch.order[: offsets.size], t] = counts.argmax(axis=1)
+            best = paths[np.arange(score.shape[0]), score.argmax(axis=1)]
+            verdicts[batch.order[: score.shape[0]], t] = _fault_counts(best, n).argmax(axis=1)
     # Past its end, a flood keeps its full-length verdict.
     steps = np.arange(l_max)
     ends = np.array([obs.size for obs in observations])[:, None] - 1

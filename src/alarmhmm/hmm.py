@@ -6,9 +6,11 @@ sequences at once and builds no pair-posterior tensor) and exact
 decoding over a finite observation alphabet: one list-Viterbi kernel
 serves Viterbi, k-best and every prefix's best path, and decodes a
 batch of sequences side by side, a single sequence being a batch of
-one.  The forward/backward pass rescales at every step and keeps the
-normalizers, decoding works entirely in log space, so long sequences do
-not underflow.  Training, the forward pass and decoding start an error about
+one.  It yields each sequence's scores and paths as per-sequence arrays
+in entry order, and no other code knows their layout.  The
+forward/backward pass rescales at every step and keeps the normalizers,
+decoding works entirely in log space, so long sequences do not
+underflow.  Training, the forward pass and decoding start an error about
 one sequence with ``sequence <i>: ``, a single sequence being ``sequence 0``.
 """
 
@@ -506,15 +508,17 @@ def _list_viterbi(
     of ``batch`` side by side, one step at a time.
 
     After step ``t`` it yields ``(score, paths)`` for the ``a = active[t]``
-    floods still running, which are the batch's leading columns:
-    ``score[s, j, r]`` is the log probability of the ``r``-th best path over
-    the first ``t + 1`` symbols of column ``s`` that ends in state ``j``, and
-    row ``(s * N + j) * w + r`` of ``paths`` is that path's states, where a
-    cell keeps ``w = min(k, N**t)`` entries and is never padded.  Candidates
-    rank by total score, emission term included, then by entry order (lowest
-    row of the previous step first), within each flood.  Step ``t`` reads
-    only the first ``t + 1`` symbols, so every step's yield is the answer for
-    that prefix; a flood's last yield is at its own last step.
+    floods still running, which are the batch's leading columns: flood
+    ``s`` has ``E = N * w`` entries in entry order, where a cell keeps
+    ``w = min(k, N**t)`` entries and is never padded.  Entry ``j * w + r``
+    is the ``r``-th best path over the first ``t + 1`` symbols that ends in
+    state ``j``: ``score[s, e]`` (shape ``(a, E)``) is its log probability
+    and ``paths[s, e]`` (shape ``(a, E, t + 1)``) its states.  Candidates
+    rank by total score, emission term included, then by entry order
+    (lowest entry of the previous step first), within each flood, so the
+    first best entry of a flood is its rank 0.  Step ``t`` reads only the
+    first ``t + 1`` symbols, so every step's yield is the answer for that
+    prefix; a flood's last yield is at its own last step.
 
     The step's candidates form one ``(N * w, a * N)`` matrix: row ``i * w + r``
     is entry ``[i, r]`` of every flood and column ``s * N + j`` is state ``j``
@@ -532,18 +536,18 @@ def _list_viterbi(
     # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
     bonus = log_emit.T[batch.symbols].reshape(batch.symbols.shape[0], -1)
     active = batch.active.tolist()
-    # best[t, s * N + j] is the rank-0 score of state j for flood s at step t,
-    # zero past the flood's end, so failures are found once, after the last step.
-    best = np.zeros(bonus.shape)
+    # best[t, s] is flood s's best score at step t, zero past the flood's end,
+    # so failures are found once, after the last step.
+    best = np.zeros(batch.symbols.shape)
     layouts: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     a = active[0]
-    score = (log_initial + bonus[0, : a * n].reshape(a, n))[:, :, None]
-    best[0, : a * n] = score.ravel()
-    paths = np.tile(np.arange(n), a)[:, None]
+    score = log_initial + bonus[0, : a * n].reshape(a, n)
+    best[0, :a] = score.max(axis=1)
+    paths = np.tile(np.arange(n), (a, 1))[:, :, None]
     yield score, paths
     for t in range(1, len(active) - 1):
-        a, w = active[t], score.shape[2]
+        a, w = active[t], score.shape[1] // n
         width = min(k, n * w)
         layout = layouts.get((a, w, width))
         if layout is None:
@@ -555,7 +559,7 @@ def _list_viterbi(
                 np.tile(np.arange(n).repeat(width), a)[:, None],
             )
         columns, offsets, states = layout
-        cand = np.add(score[:a].transpose(1, 2, 0)[:, :, :, None],
+        cand = np.add(score[:a].reshape(a, n, w).transpose(1, 2, 0)[:, :, :, None],
                       log_trans[:, None, None, :], order="C").reshape(n * w, a * n)
         cand += bonus[t, : a * n]
         top = np.empty((a * n, width))
@@ -566,37 +570,35 @@ def _list_viterbi(
             top[:, rank] = np.fmax.reduce(cand, axis=0)
             picks[:, rank] = (cand == top[:, rank]).argmax(axis=0)
             cand[picks[:, rank], columns] = np.nan
-        best[t, : a * n] = top[:, 0]
-        score = top.reshape(a, n, width)
+        score = top.reshape(a, n * width)
+        best[t, :a] = score.max(axis=1)
         picks += offsets
-        paths = np.concatenate((paths[picks.ravel()], states), axis=1)
+        paths = np.concatenate((paths.reshape(-1, t)[picks.ravel()], states),
+                               axis=1).reshape(a, n * width, t + 1)
         yield score, paths
-    dead = best.reshape(*batch.symbols.shape, n).max(axis=2) == -np.inf
-    _raise_first_failure(batch, dead, lambda step: "no admissible state path" if step
+    _raise_first_failure(batch, best == -np.inf, lambda step: "no admissible state path" if step
                          else "no state can produce the observation")
 
 
 def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
-    """The ``k`` best of one list-Viterbi step's entries, best first.
-
-    Ranked by score, then by entry order (one stable sort).
+    """The ``k`` best of one flood's list-Viterbi entries, ``score`` (E,) and
+    ``paths`` (E, T), best first: by score, then by entry order (one stable sort).
     """
-    final = score.ravel()
     return [
-        StatePath(states=_frozen_array(paths[row], dtype=np.int64), log_prob=float(final[row]))
-        for row in np.argsort(-final, kind="stable")[:k]
+        StatePath(states=_frozen_array(paths[entry], dtype=np.int64),
+                  log_prob=float(score[entry]))
+        for entry in np.argsort(-score, kind="stable")[:k]
     ]
 
 
-def _k_best(model: Hmm, batch: _Batch, k: int) -> dict[int, list[StatePath]]:
-    """The ``k`` best paths of every flood of ``batch``, keyed by its list index."""
-    found: dict[int, list[StatePath]] = {}
-    for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
-        rows = score[0].size
-        for column in range(batch.active[t + 1], batch.active[t]):
-            found[batch.order[column]] = _best_paths(
-                score[column], paths[column * rows:(column + 1) * rows], k
-            )
+def _k_best(model: Hmm, observations: list[np.ndarray], k: int) -> list[list[StatePath]]:
+    """The ``k`` best paths of every validated flood, in list order, decoded
+    side by side in :func:`_batches` chunks; a flood's are read at its last step."""
+    found: list[list[StatePath]] = [[] for _ in observations]
+    for batch in _batches(observations, model.n_states):
+        for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
+            for column in range(batch.active[t + 1], batch.active[t]):
+                found[batch.order[column]] = _best_paths(score[column], paths[column], k)
     return found
 
 
@@ -611,7 +613,7 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    return _k_best(model, _batch(_observations([obs], model.n_symbols)), k)[0]
+    return _k_best(model, _observations([obs], model.n_symbols), k)[0]
 
 
 def viterbi(model: Hmm, obs) -> StatePath:
@@ -630,8 +632,8 @@ def prefix_paths(model: Hmm, obs) -> list[StatePath]:
 
     The last element is rank 0 of :func:`k_best_paths` for any ``k``.
     """
-    batch = _batch(_observations([obs], model.n_symbols))
-    return [_best_paths(score[0], paths, 1)[0] for score, paths in _list_viterbi(model, batch, 1)]
+    steps = _list_viterbi(model, _batch(_observations([obs], model.n_symbols)), 1)
+    return [_best_paths(score[0], paths[0], 1)[0] for score, paths in steps]
 
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:

@@ -244,6 +244,37 @@ def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
     return finals[:k]
 
 
+def loop_verdict(paths, n) -> tuple[int, int | None]:
+    """The diagnoser's verdict rule, counted in plain Python.
+
+    ``paths`` holds one or two state lists, best first.  The primary fault
+    is the best path's most frequent state.  The secondary fault is the
+    second path's most frequent state; if that is the primary, the best
+    path's most frequent other state; if the best path holds no other, the
+    second path's.  A single path has no secondary.  Every count ties to
+    the lowest fault index.  Returns ``(primary, secondary)``.
+    """
+    def mode(states, skip=None):
+        counts = [0] * n
+        for state in states:
+            counts[state] += 1
+        found = None
+        for fault in range(n):
+            if fault != skip and counts[fault] and (found is None or counts[fault] > counts[found]):
+                found = fault
+        return found
+
+    primary = mode(paths[0])
+    if len(paths) == 1:
+        return primary, None
+    secondary = mode(paths[1])
+    if secondary == primary:
+        secondary = mode(paths[0], skip=primary)
+        if secondary is None:
+            secondary = mode(paths[1], skip=primary)
+    return primary, secondary
+
+
 def _scores_close(a: float, b: float, tol: float) -> bool:
     if np.isneginf(a) and np.isneginf(b):
         return True

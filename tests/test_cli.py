@@ -196,8 +196,10 @@ class TestPipeline:
 
 
 class TestMeasurementCount:
-    """``train`` and ``baseline`` size the alphabet from ``meta.n_measurements``,
-    or from ``--measurements`` for records that lack it or disagree on it."""
+    """``train`` and ``baseline`` size the alphabet from ``--measurements``, else
+    from the one ``meta.n_measurements`` that every declaring record gives; a
+    record that declares another count than the flag fails, as it does against
+    the model in ``diagnose`` and ``evaluate``."""
 
     @staticmethod
     def argv(command, tmp_path, train, test):
@@ -240,7 +242,29 @@ class TestMeasurementCount:
         assert main(argv) == 1
         assert capsys.readouterr().err == ("error: schema-mismatch: sequences disagree on "
                                            "n_measurements; pass --measurements\n")
-        assert main(argv + ["--measurements", "6"]) == 0
+        # The flag does not overrule a declared count: record 0 declares 5.
+        assert main(argv + ["--measurements", "6"]) == 1
+        where = {"train": "sequence 0", "baseline": "training sequence 0"}[command]
+        assert capsys.readouterr().err == (f"error: schema-mismatch: {where}: "
+                                           "meta.n_measurements 5 differs from --measurements 6\n")
+
+    @pytest.mark.parametrize("command, where", [
+        ("train", "sequence 0"), ("baseline", "training sequence 0"),
+        ("baseline-in", "test sequence 0"),
+    ])
+    def test_a_declared_count_must_match_the_flag(self, pipeline, capsys, command, where):
+        tmp_path, data, _ = pipeline
+        files = {"train": data / "train.jsonl", "test": data / "test.jsonl"}
+        edited = "test" if command == "baseline-in" else "train"
+        files[edited] = edited_jsonl(files[edited], tmp_path / "seven.jsonl",
+                                     lambda _, record: record["meta"].update(n_measurements=7))
+        out = tmp_path / "out"
+        argv = self.argv(command.split("-")[0], out, files["train"], files["test"])
+        capsys.readouterr()
+        assert main(argv + ["--measurements", "5"]) == 1
+        assert capsys.readouterr().err == (f"error: schema-mismatch: {where}: "
+                                           "meta.n_measurements 7 differs from --measurements 5\n")
+        assert not out.exists()
 
     @staticmethod
     def alien(declared):
@@ -702,6 +726,20 @@ class TestErrorReporting:
         assert capsys.readouterr().err == ("error: schema-mismatch: sequence 1: "
                                            "meta.n_measurements 41 differs from the model's 5\n")
         assert not out.exists()
+
+    def test_lmax_does_not_cut_a_flood_before_it_is_checked(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        floods = self.floods_after_a_good_one(data, tmp_path, {
+            "symbols": [0, 1, 2, 999], "times": [0.0, 10.0, 20.0, 30.0]})
+        expected = ("error: unknown-symbol: sequence 1: "
+                    "symbol 999 at position 3 is outside [0, 10)\n")
+        for command, lmax in (("diagnose", []), ("evaluate", ["--lmax", "2"])):
+            out = tmp_path / command
+            capsys.readouterr()
+            assert main([command, "--model", str(model), "--in", str(floods),
+                         "--out", str(out), *lmax]) == 1
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
 
     def test_first_flood_in_the_list_that_cannot_be_decoded_is_named(self, tmp_path, capsys):
         # State 0 emits only symbols 0-2, states 1 and 2 only 3-5, and no state

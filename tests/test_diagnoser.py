@@ -12,6 +12,7 @@ from alarmhmm import (
     FitConfig,
     Hmm,
     InferenceError,
+    StatePath,
     UnknownSymbolError,
     prefix_paths,
     viterbi,
@@ -21,6 +22,7 @@ from alarmhmm.diagnoser import (
     AccuracyCurve,
     DiagnoserModel,
     LabeledSequence,
+    _verdict,
     as_labeled,
     diagnose,
     diagnose_all,
@@ -167,6 +169,15 @@ class TestTraining:
         assert soft.training["self_transition"] == 0.8
 
 
+@st.composite
+def verdict_cases(draw):
+    """A fault count N in 1..6 and one path or two equal-length paths over it."""
+    n = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 8))
+    path = st.lists(st.integers(0, n - 1), min_size=length, max_size=length)
+    return n, draw(st.lists(path, min_size=1, max_size=2))
+
+
 class TestDiagnose:
     def test_disjoint_emissions_force_the_decode(self):
         training, book = disjoint_training()
@@ -214,6 +225,20 @@ class TestDiagnose:
         assert verdict.second_path.states.tolist() == [0, 1]
         assert verdict.primary_fault == 0
         assert verdict.secondary_fault == 1
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=verdict_cases())
+    @example(case=(3, [[0, 0, 2], [0, 1, 0]]))  # the best path's runner-up stands in
+    @example(case=(3, [[1, 1, 1], [1, 0, 1]]))  # constant best path: the second's runner-up
+    @example(case=(1, [[0, 0], [0, 0]]))        # no other fault anywhere
+    def test_verdict_follows_the_counted_rule(self, case):
+        n, paths = case
+        decoded = [StatePath(states=np.array(states, dtype=np.int64), log_prob=-float(rank))
+                   for rank, states in enumerate(paths)]
+        verdict = _verdict(decoded, n)
+        assert (verdict.primary_fault, verdict.secondary_fault) == oracles.loop_verdict(paths, n)
+        assert verdict.path is decoded[0]
+        assert verdict.second_path is (decoded[1] if len(decoded) > 1 else None)
 
     def test_length_one_sequence_closed_form(self):
         training, book = disjoint_training()

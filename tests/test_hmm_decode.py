@@ -298,10 +298,9 @@ class TestBatched:
                 list(steps)
             return
         for t, (score, paths) in enumerate(steps):
-            rows = score[0].size
             for column in range(batch.active[t]):
                 obs = floods[batch.order[column]]
-                got = _best_paths(score[column], paths[column * rows:(column + 1) * rows], k)
+                got = _best_paths(score[column], paths[column], k)
                 alone = k_best_paths(model, obs[:t + 1], k)
                 assert [(p.states.tolist(), p.log_prob) for p in got] == [
                     (p.states.tolist(), p.log_prob) for p in alone]
