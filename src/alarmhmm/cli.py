@@ -55,6 +55,7 @@ _ERROR_KINDS = (
     (AlarmHmmError, "error"),
     (FileNotFoundError, "missing-file"),
     (OSError, "io-error"),
+    (MemoryError, "out-of-memory"),
 )
 
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AlarmHmmError, OSError) as exc:
+    except (AlarmHmmError, OSError, MemoryError) as exc:
         message = " ".join(str(exc).split())
         kind = next(kind for cls, kind in _ERROR_KINDS if isinstance(exc, cls))
         print(f"error: {kind}: {message}", file=sys.stderr)

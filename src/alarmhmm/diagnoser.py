@@ -179,6 +179,9 @@ def train_diagnoser(
         config = FitConfig()
     if not (is_finite_number(init_smoothing) and init_smoothing >= 0):
         raise DomainError(f"init_smoothing must be finite and non-negative, got {init_smoothing!r}")
+    if self_transition is not None and not (
+            is_finite_number(self_transition) and 0 <= self_transition <= 1):
+        raise DomainError(f"self_transition must be finite and in [0, 1], got {self_transition!r}")
     if not training:
         raise DomainError("training requires at least one labeled sequence")
     labels = {item.fault for item in training}
@@ -319,18 +322,22 @@ def evaluate_prefix_accuracy(
             if item.fault >= n:
                 raise DomainError(f"test label {item.fault} outside the model's faults")
             observations.append(as_observations(item, model.hmm.n_symbols)[:l_max])
-    verdicts = np.empty((len(test), l_max), dtype=np.int64)
+    ends = np.array([obs.size for obs in observations])[:, None] - 1
+    steps = np.arange(ends.max() + 1)
+    verdicts = np.empty((len(test), steps.size), dtype=np.int64)
     for batch in _batches(observations, n):
         for t, (score, paths) in enumerate(_list_viterbi(model.hmm, batch, 1)):
             best = paths[np.arange(score.shape[0]), score.argmax(axis=1)]
             verdicts[batch.order[: score.shape[0]], t] = _fault_counts(best, n).argmax(axis=1)
     # Past its end, a flood keeps its full-length verdict.
-    steps = np.arange(l_max)
-    ends = np.array([obs.size for obs in observations])[:, None] - 1
     verdicts = np.take_along_axis(verdicts, np.minimum(steps, ends), axis=1)
     faults = np.array([item.fault for item in test])
     cells = (steps * n + faults[:, None]) * n + verdicts
-    confusion = np.bincount(cells.ravel(), minlength=l_max * n * n).reshape(l_max, n, n)
+    confusion = np.bincount(cells.ravel(), minlength=steps.size * n * n).reshape(-1, n, n)
+    if l_max > steps.size:
+        # past the longest flood, every length has the full-length confusion
+        confusion = np.concatenate(
+            (confusion, np.broadcast_to(confusion[-1], (l_max - steps.size, n, n))))
     n_correct = np.trace(confusion, axis1=1, axis2=2)
     return AccuracyCurve(
         lengths=np.arange(1, l_max + 1),

@@ -520,13 +520,18 @@ def _list_viterbi(
     first ``t + 1`` symbols, so every step's yield is the answer for that
     prefix; a flood's last yield is at its own last step.
 
-    The step's candidates form one ``(N * w, a * N)`` matrix: row ``i * w + r``
-    is entry ``[i, r]`` of every flood and column ``s * N + j`` is state ``j``
-    of flood ``s``, so each of the ``k`` selection rounds is one reduction
-    over the rows for all floods at once, and a batch of one is the plain
-    single-flood step.  A flood that fails keeps being decoded on ``-inf``
-    scores; once every step is done, :func:`_raise_first_failure` names the
-    failing flood that comes first in the caller's list.
+    The step's candidates form one contiguous ``(a * N, E)`` array: row
+    ``s * N + j`` is state ``j`` of flood ``s`` and column ``i * w + r`` is
+    the previous entry ``[i, r]`` of that flood.  Rank ``r`` of every cell
+    is then one ``argmax`` over each row, which returns the first maximum
+    and so breaks ties by entry order, one gather of the values and one
+    ``-inf`` mask of the taken entries; a batch of one is the plain
+    single-flood step.  A cell whose ``r``-th best is ``-inf`` has only
+    ``-inf`` entries left, taken or not, so :func:`_impossible_ranks` gives
+    such ranks the cell's lowest untaken entries.  A flood that fails keeps
+    being decoded on ``-inf`` scores; once every step is done,
+    :func:`_raise_first_failure` names the failing flood that comes first
+    in the caller's list.
     """
     n = model.n_states
     with np.errstate(divide="ignore"):
@@ -536,48 +541,71 @@ def _list_viterbi(
     # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
     bonus = log_emit.T[batch.symbols].reshape(batch.symbols.shape[0], -1)
     active = batch.active.tolist()
-    # best[t, s] is flood s's best score at step t, zero past the flood's end,
-    # so failures are found once, after the last step.
-    best = np.zeros(batch.symbols.shape)
-    layouts: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # failed[t, s] marks a step at which flood s has no entry above -inf;
+    # failures are named once, after the last step.
+    failed = np.zeros(batch.symbols.shape, dtype=bool)
+    cells = np.arange(batch.order.size * n)
+    # Per w, for the whole batch: the log transition repeated w times along
+    # the entries, each cell's first path row and the state column appended
+    # to the paths; a step takes the leading rows of the last two.
+    layouts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     a = active[0]
     score = log_initial + bonus[0, : a * n].reshape(a, n)
-    best[0, :a] = score.max(axis=1)
+    failed[0, :a] = np.isneginf(score).all(axis=1)
     paths = np.tile(np.arange(n), (a, 1))[:, :, None]
     yield score, paths
     for t in range(1, len(active) - 1):
         a, w = active[t], score.shape[1] // n
         width = min(k, n * w)
-        layout = layouts.get((a, w, width))
+        layout = layouts.get(w)
         if layout is None:
-            # the columns, each column's first row of its flood's entries,
-            # and the state column appended to the paths
-            layout = layouts[a, w, width] = (
-                np.arange(a * n),
-                np.arange(a).repeat(n)[:, None] * (n * w),
-                np.tile(np.arange(n).repeat(width), a)[:, None],
+            layout = layouts[w] = (
+                log_trans.T.repeat(w, axis=1),
+                cells[:, None] // n * (n * w),
+                np.tile(np.arange(n).repeat(width), batch.order.size)[:, None],
             )
-        columns, offsets, states = layout
-        cand = np.add(score[:a].reshape(a, n, w).transpose(1, 2, 0)[:, :, :, None],
-                      log_trans[:, None, None, :], order="C").reshape(n * w, a * n)
-        cand += bonus[t, : a * n]
+        trans, offsets, states = layout
+        rows = cells[: a * n]
+        cand = np.add(score[:a, None, :], trans).reshape(a * n, n * w)
+        cand += bonus[t, : a * n, None]
         top = np.empty((a * n, width))
         picks = np.empty((a * n, width), dtype=np.int64)
         for rank in range(width):
-            # A taken entry turns NaN, which fmax skips and == never matches;
-            # argmax over the matches takes the lowest index.
-            top[:, rank] = np.fmax.reduce(cand, axis=0)
-            picks[:, rank] = (cand == top[:, rank]).argmax(axis=0)
-            cand[picks[:, rank], columns] = np.nan
+            if rank:
+                cand[rows, pick] = -np.inf
+            picks[:, rank] = pick = cand.argmax(axis=1)
+            top[:, rank] = cand[rows, pick]
+        if top[:, -1].min() == -np.inf:
+            _impossible_ranks(top, picks)
+            failed[t, :a] = np.isneginf(top[:, 0].reshape(a, n)).all(axis=1)
         score = top.reshape(a, n * width)
-        best[t, :a] = score.max(axis=1)
-        picks += offsets
-        paths = np.concatenate((paths.reshape(-1, t)[picks.ravel()], states),
+        picks += offsets[: a * n]
+        paths = np.concatenate((paths.reshape(-1, t)[picks.ravel()], states[: a * n * width]),
                                axis=1).reshape(a, n * width, t + 1)
         yield score, paths
-    _raise_first_failure(batch, best == -np.inf, lambda step: "no admissible state path" if step
+    _raise_first_failure(batch, failed, lambda step: "no admissible state path" if step
                          else "no state can produce the observation")
+
+
+def _impossible_ranks(top: np.ndarray, picks: np.ndarray) -> None:
+    """Give each ``-inf`` rank of a cell its lowest entry not taken at a finite rank.
+
+    ``top`` and ``picks`` are a step's (cells, width) ranked scores and
+    entries; a cell's ``-inf`` ranks are a tail, its candidates there are all
+    ``-inf``, and its lowest untaken entries lie below ``width``.  The
+    entries ``argmax`` picked for those ranks are replaced, in place.
+    """
+    width = top.shape[1]
+    rows = np.flatnonzero(top[:, -1] == -np.inf)
+    impossible = top[rows] == -np.inf
+    # The extra last column absorbs the -inf ranks' picks and picks >= width.
+    taken = np.zeros((rows.size, width + 1), dtype=bool)
+    taken[np.arange(rows.size)[:, None],
+          np.where(impossible, width, np.minimum(picks[rows], width))] = True
+    untaken = np.argsort(taken[:, :width], axis=1, kind="stable")
+    nth = np.maximum(np.cumsum(impossible, axis=1) - 1, 0)
+    picks[rows] = np.where(impossible, np.take_along_axis(untaken, nth, axis=1), picks[rows])
 
 
 def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
@@ -610,9 +638,11 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     probability, exact ties by entry order (lower state, then the entry
     its cell ranked first), so the first path is :func:`viterbi`'s for any
     ``k``.  If fewer than ``k`` distinct paths exist, all are returned.
+    ``k`` is a Python or numpy integer of at least 1; anything else,
+    ``True`` or ``2.0`` included, raises :class:`DomainError`.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
     return _k_best(model, _observations([obs], model.n_symbols), k)[0]
 
 

@@ -195,15 +195,17 @@ def enum_best_path(model, obs) -> tuple[np.ndarray, float]:
     return paths[0], float(scores[0])
 
 
-def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
+def loop_list_viterbi(model, obs, k):
     """List Viterbi written as plain loops over (state, predecessor, rank).
 
     The reference for the vectorized decoder's tie rule: cell candidates
     are sorted by (-score, predecessor state, predecessor rank), the
-    emission term already added, and the final entries by (-score, final
-    state, rank).  Both are a stable sort on ``-score`` over the entries in
-    the order they are built, so rank 0 for any ``k`` is the ``k = 1`` path.
-    Returns ``(states, log_prob)`` pairs, best first.
+    emission term already added, and a cell keeps its first ``k``.  A
+    generator: after step ``t`` it yields every entry the step keeps as a
+    ``(states, log_prob)`` pair, the states being its path over
+    ``obs[:t + 1]``, in entry order (final state, then rank in its cell).
+    It raises :class:`InferenceError` at the first step with no possible
+    path.
     """
     obs = [int(o) for o in obs]
     n = model.n_states
@@ -213,35 +215,45 @@ def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
         log_initial = np.log(model.initial)
 
     # Cell entries are (score, previous state, previous rank).
-    history = [[[(log_initial[j] + log_emit[j, obs[0]], -1, -1)] for j in range(n)]]
-    if all(np.isneginf(cell[0][0]) for cell in history[0]):
-        raise InferenceError("no state can produce the observation at step 0")
-    for t in range(1, len(obs)):
-        cells = []
-        for j in range(n):
-            bonus = log_emit[j, obs[t]]
-            cands = [
-                (entry[0] + log_trans[i, j] + bonus, i, rank)
-                for i in range(n)
-                for rank, entry in enumerate(history[-1][i])
-            ]
-            cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-            cells.append(cands[:k])
+    history = []
+    for t, symbol in enumerate(obs):
+        if t == 0:
+            cells = [[(log_initial[j] + log_emit[j, symbol], -1, -1)] for j in range(n)]
+        else:
+            cells = []
+            for j in range(n):
+                bonus = log_emit[j, symbol]
+                cands = [
+                    (entry[0] + log_trans[i, j] + bonus, i, rank)
+                    for i in range(n)
+                    for rank, entry in enumerate(history[-1][i])
+                ]
+                cands.sort(key=lambda c: (-c[0], c[1], c[2]))
+                cells.append(cands[:k])
         if all(np.isneginf(cell[0][0]) for cell in cells):
-            raise InferenceError(f"no admissible state path at step {t}")
+            what = "no admissible state path" if t else "no state can produce the observation"
+            raise InferenceError(f"{what} at step {t}")
         history.append(cells)
 
-    finals = []
-    for j, cell in enumerate(history[-1]):
-        for rank, entry in enumerate(cell):
-            states = [j]
-            state, r = j, rank
-            for t in range(len(obs) - 1, 0, -1):
-                _, state, r = history[t][state][r]
-                states.append(state)
-            finals.append((states[::-1], float(entry[0])))
-    finals.sort(key=lambda f: -f[1])  # stable: ties keep (final state, rank) order
-    return finals[:k]
+        entries = []
+        for j, cell in enumerate(cells):
+            for rank, entry in enumerate(cell):
+                states = [j]
+                state, r = j, rank
+                for step in range(t, 0, -1):
+                    _, state, r = history[step][state][r]
+                    states.append(state)
+                entries.append((states[::-1], float(entry[0])))
+        yield entries
+
+
+def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
+    """The ``k`` best of the last :func:`loop_list_viterbi` entries, best first
+    as ``(states, log_prob)`` pairs: a stable sort on ``-log_prob``, so ties
+    keep entry order and rank 0 for any ``k`` is the ``k = 1`` path."""
+    for entries in loop_list_viterbi(model, obs, k):
+        pass
+    return sorted(entries, key=lambda entry: -entry[1])[:k]
 
 
 def loop_verdict(paths, n) -> tuple[int, int | None]:

@@ -859,6 +859,27 @@ class TestErrorReporting:
         assert capsys.readouterr().err == "error: domain-error: l_max must be >= 1\n"
         assert not (tmp_path / "evaluation").exists()
 
+    def test_lmax_too_large_to_allocate_is_one_error_line(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        capsys.readouterr()
+        # The curve holds one confusion matrix per prefix length: 10**15 of
+        # them exceed any address space, whatever the memory overcommit policy.
+        assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--lmax", str(10**15), "--out", str(tmp_path / "evaluation")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out-of-memory: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "evaluation").exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.2", "nan"])
+    def test_self_transition_outside_the_unit_interval_is_named(self, pipeline, capsys, value):
+        tmp_path, data, _ = pipeline
+        capsys.readouterr()
+        assert main(["train", "--in", str(data / "train.jsonl"), "--out",
+                     str(tmp_path / "new.json"), f"--self-transition={value}"]) == 1
+        assert capsys.readouterr().err == ("error: domain-error: self_transition must be finite "
+                                           f"and in [0, 1], got {value}\n")
+        assert not (tmp_path / "new.json").exists()
+
     def test_empty_evaluation_input_is_one_domain_error(self, pipeline, capsys):
         tmp_path, _, model = pipeline
         empty = tmp_path / "empty.jsonl"

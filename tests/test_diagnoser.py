@@ -133,6 +133,18 @@ class TestTraining:
         assert (off < 1e-3).all()
         assert (np.diag(model.hmm.transition) > 0.99).all()
 
+    @pytest.mark.parametrize("value", [1.5, -0.2, float("nan"), float("inf"), True, "0.9"])
+    def test_self_transition_must_be_a_probability(self, value):
+        training, book = disjoint_training()
+        message = f"self_transition must be finite and in [0, 1], got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            train_diagnoser(training, codebook=book, self_transition=value)
+
+    def test_self_transition_of_one_is_accepted(self):
+        training, book = disjoint_training()
+        model = train_diagnoser(training, codebook=book, self_transition=1.0)
+        assert np.allclose(model.hmm.transition, np.eye(model.n_faults), atol=1e-9)
+
     def test_unsupervised_drift_triggers_a_warning(self):
         # Fault 0's only sequence runs off into fault 1's symbols; with a
         # weak diagonal start, EM leaves state 0 transient.
@@ -348,6 +360,18 @@ class TestEvaluation:
         assert curve.confusion.shape == (5, 4, 4)
         assert (curve.confusion.sum(axis=(1, 2)) == len(training)).all()
         assert (curve.n_correct == np.trace(curve.confusion, axis1=1, axis2=2)).all()
+
+    def test_l_max_past_the_longest_flood_repeats_the_full_length_confusion(self):
+        training, book = disjoint_training()
+        model = train_diagnoser(training, codebook=book)
+        test = [labeled([0, 1, 2, 3, 0], 0), labeled([4, 5, 6], 1), labeled([0, 9, 8, 4, 5], 2)]
+        full = evaluate_prefix_accuracy(model, test, l_max=5)
+        curve = evaluate_prefix_accuracy(model, test, l_max=5000)
+        assert curve.lengths.tolist() == list(range(1, 5001))
+        assert np.array_equal(curve.confusion[:5], full.confusion)
+        assert (curve.confusion[5:] == full.confusion[-1]).all()
+        assert (curve.n_correct[4:] == full.n_correct[-1]).all()
+        assert (curve.accuracy[4:] == full.accuracy[-1]).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 20_000), coarse=st.booleans(), l_max=st.integers(1, 10))

@@ -16,6 +16,7 @@ from alarmhmm import (
     random_model,
     viterbi,
 )
+from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import _batch, _best_paths, _list_viterbi
 
 import oracles
@@ -208,6 +209,19 @@ class TestKBest:
         with pytest.raises(DomainError, match="k"):
             k_best_paths(model, [0, 1], 0)
 
+    @pytest.mark.parametrize("k", [2.0, True, "2", None, 0, np.int64(-1)])
+    def test_k_must_be_an_integer(self, k):
+        model = random_model(2, 2, seed=1)
+        message = f"k must be an integer >= 1, got {k!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            k_best_paths(model, [0, 1], k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_k_is_an_integer(self, k):
+        model = random_model(2, 2, seed=1)
+        assert [(p.states.tolist(), p.log_prob) for p in k_best_paths(model, [0, 1], k)] == [
+            (p.states.tolist(), p.log_prob) for p in k_best_paths(model, [0, 1], 3)]
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 2, 3, 7]), coarse=st.booleans())
     def test_matches_the_loop_reference_exactly(self, seed, k, coarse):
@@ -307,3 +321,42 @@ class TestBatched:
                 if t + 1 == obs.size:
                     assert [(p.states.tolist(), p.log_prob) for p in got] == expected[
                         batch.order[column]]
+
+
+class TestDiagnoserShape:
+    """The decoder at the diagnoser's shape: pinned-diagonal models with many
+    states, floods of tens of alarms and coarse emissions, which give exact
+    ties between paths and, with exact zeros, cells whose lower ranks are
+    all ``-inf``."""
+
+    @staticmethod
+    def pinned_model(rng, n, zeros):
+        """A pinned-diagonal model with a uniform start, 2N symbols and emissions
+        that are ratios of small integers; every symbol has a state that emits it."""
+        transition = np.full((n, n), HARD_MASK_OFF_DIAGONAL)
+        np.fill_diagonal(transition, 1.0 - HARD_MASK_OFF_DIAGONAL * (n - 1))
+        weights = rng.integers(0 if zeros else 1, 4, size=(n, 2 * n)).astype(float)
+        weights[np.arange(2 * n) % n, np.arange(2 * n)] += 1.0
+        return Hmm(transition=transition, emission=weights / weights.sum(axis=1, keepdims=True),
+                   initial=np.full(n, 1.0 / n))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(5, 12), k=st.sampled_from([2, 3]),
+           zeros=st.booleans(), lengths=st.lists(st.integers(10, 30), min_size=1, max_size=3))
+    # k > N**t for the first steps, and cells whose ranks past the first are -inf
+    @example(seed=25, n=2, k=7, zeros=True, lengths=[10, 12, 11])
+    def test_every_step_matches_the_loop_reference_exactly(self, seed, n, k, zeros, lengths):
+        rng = np.random.default_rng(seed)
+        model = self.pinned_model(rng, n, zeros)
+        floods = [rng.integers(0, model.n_symbols, size=t) for t in lengths]
+        expected = [list(oracles.loop_list_viterbi(model, obs, k)) for obs in floods]
+        for obs in floods:
+            got = k_best_paths(model, obs, k)
+            assert [(p.states.tolist(), p.log_prob) for p in got] == oracles.loop_k_best(
+                model, obs, k)
+        batch = _batch(floods)
+        for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
+            for column in range(batch.active[t]):
+                # every entry, -inf ones too, in entry order and to the bit
+                assert list(zip(paths[column].tolist(), score[column].tolist())) == expected[
+                    batch.order[column]][t]
