@@ -174,7 +174,6 @@ def cmd_train(args) -> int:
                        emission_floor=args.emission_floor)
     model = train_diagnoser(
         labeled,
-        priors=None,
         config=config,
         codebook=codebook,
         fault_names=_fault_names_from(sequences),

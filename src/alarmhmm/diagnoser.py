@@ -14,7 +14,7 @@ faults along the paths through one rule, :func:`_fault_counts`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,9 @@ from .hmm import (
     FitConfig,
     Hmm,
     StatePath,
-    _batches,
     _k_best,
-    _list_viterbi,
     _observations,
+    _prefix_best,
     as_observations,
     fit,
     hmm_from_dict,
@@ -149,9 +148,8 @@ def _fault_counts(states: np.ndarray, n_faults: int) -> np.ndarray:
 
 def train_diagnoser(
     training: list[LabeledSequence],
-    priors: np.ndarray | None = None,
-    config: FitConfig | None = None,
     *,
+    config: FitConfig | None = None,
     codebook: AlarmSymbolCodebook,
     fault_names: dict[int, str] | None = None,
     self_transition: float | None = None,
@@ -161,19 +159,19 @@ def train_diagnoser(
 
     Initialization uses the labels: the transition matrix starts diagonally
     dominant, emissions start from per-fault symbol frequencies with
-    additive smoothing, and the initial distribution comes from ``priors``
-    (e.g. equipment failure rates) or is uniform.  Baum-Welch then runs
-    unsupervised on all sequences pooled.  An error about one sequence
-    starts with ``sequence <i>: ``, ``i`` counting from 0 in ``training``.
+    additive smoothing, and the initial distribution is uniform.
+    Baum-Welch then runs unsupervised on all sequences pooled.  An error
+    about one sequence starts with ``sequence <i>: ``, ``i`` counting from 0
+    in ``training``.
 
     By default (``self_transition=None``) the diagonal structure is hard:
     off-diagonal transition mass is pinned at
     :data:`HARD_MASK_OFF_DIAGONAL` and not re-estimated, which is what
-    keeps each state identified with its seeded fault.  A number starts
-    the transitions at that diagonal mass (the rest uniform) and
-    re-estimates them freely; prolonged unsupervised EM can then let one
-    state capture alarm symbols shared between faults, which degrades the
-    modal-state diagnosis rule.
+    keeps each state identified with its seeded fault; it holds at most
+    1,001 faults.  A number starts the transitions at that diagonal mass
+    (the rest uniform) and re-estimates them freely; prolonged
+    unsupervised EM can then let one state capture alarm symbols shared
+    between faults, which degrades the modal-state diagnosis rule.
     """
     if config is None:
         config = FitConfig()
@@ -192,19 +190,14 @@ def train_diagnoser(
     n_symbols = codebook.n_symbols
     observations = _observations(training, n_symbols)
 
-    if priors is not None:
-        initial = np.asarray(priors, dtype=float)
-        if initial.shape != (n_faults,):
-            raise DomainError(f"priors must have one entry per fault ({n_faults})")
-        if abs(initial.sum() - 1.0) > 1e-6 or (initial < 0).any():
-            raise DomainError("priors must be non-negative and sum to 1 within 1e-6")
-        initial = initial / initial.sum()
-    else:
-        initial = np.full(n_faults, 1.0 / n_faults)
-
     if self_transition is None:
         off_diagonal = HARD_MASK_OFF_DIAGONAL
-        config = replace(config, update_transitions=False)
+        limit = round(1.0 / off_diagonal) + 1
+        if n_faults > limit:
+            raise DomainError(
+                f"{n_faults} faults exceed the {limit} that the pinned transition structure "
+                f"holds (off-diagonal mass {off_diagonal} each); set self_transition to "
+                "train more")
     else:
         off_diagonal = (1.0 - self_transition) / (n_faults - 1) if n_faults > 1 else 0.0
     transition = np.full((n_faults, n_faults), off_diagonal)
@@ -215,8 +208,9 @@ def train_diagnoser(
         np.add.at(counts[item.fault], obs, 1.0)
     emission = counts / counts.sum(axis=1, keepdims=True)
 
-    start = Hmm(transition=transition, emission=emission, initial=initial)
-    model, trace = fit(start, observations, config)
+    start = Hmm(transition=transition, emission=emission,
+                initial=np.full(n_faults, 1.0 / n_faults))
+    model, trace = fit(start, observations, config, fixed_transitions=self_transition is None)
 
     diagonal = np.diag(model.transition)
     weak = np.flatnonzero(diagonal < SELF_TRANSITION_WARN)
@@ -240,7 +234,6 @@ def train_diagnoser(
         "emission_floor": config.emission_floor,
         "self_transition": self_transition,
         "init_smoothing": init_smoothing,
-        "priors": None if priors is None else [float(p) for p in np.asarray(priors)],
     }
     return DiagnoserModel(
         hmm=model, fault_names=names, codebook=codebook, training=training_echo
@@ -325,10 +318,8 @@ def evaluate_prefix_accuracy(
     ends = np.array([obs.size for obs in observations])[:, None] - 1
     steps = np.arange(ends.max() + 1)
     verdicts = np.empty((len(test), steps.size), dtype=np.int64)
-    for batch in _batches(observations, n):
-        for t, (score, paths) in enumerate(_list_viterbi(model.hmm, batch, 1)):
-            best = paths[np.arange(score.shape[0]), score.argmax(axis=1)]
-            verdicts[batch.order[: score.shape[0]], t] = _fault_counts(best, n).argmax(axis=1)
+    for floods, _, states in _prefix_best(model.hmm, observations):
+        verdicts[floods, states.shape[1] - 1] = _fault_counts(states, n).argmax(axis=1)
     # Past its end, a flood keeps its full-length verdict.
     verdicts = np.take_along_axis(verdicts, np.minimum(steps, ends), axis=1)
     faults = np.array([item.fault for item in test])

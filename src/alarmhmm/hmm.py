@@ -142,17 +142,14 @@ class FitConfig:
     """Stopping and smoothing settings for :func:`fit`.
 
     ``emission_floor`` is applied after every M-step: emission and
-    transition rows are renormalized with every entry held at or above the
-    floor, which keeps decoding of test sequences containing symbols never
-    seen in training from failing.  With ``update_transitions=False`` the
-    transition matrix is held fixed, which backs hard-structured diagnoser
-    variants.
+    re-estimated transition rows are renormalized with every entry held at
+    or above the floor, which keeps decoding of test sequences containing
+    symbols never seen in training from failing.
     """
 
     max_iterations: int = 500
     rel_tol: float = 1e-6
     emission_floor: float = 1e-10
-    update_transitions: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -388,14 +385,17 @@ class _EStats:
     n_sequences: int
 
 
-def _expectation(model: Hmm, batches: list[_Batch]) -> tuple[_EStats, float]:
+def _expectation(
+    model: Hmm, batches: list[_Batch], fixed_transitions: bool
+) -> tuple[_EStats, float]:
     """Pooled E-step statistics of every sequence, one sweep per batch.
 
     With these scale factors every ``xi[t]`` already sums to one, so the
     pooled state-pair posteriors are one matrix product and no ``xi``
     tensor is built; the trellis is zero past each sequence's end, which
-    drops the pairs that run into the padding.  The (L, S, N) arrays are
-    reused in place, so a sweep holds three of them.
+    drops the pairs that run into the padding; ``fixed_transitions`` leaves
+    the transition sums at zero.  The (L, S, N) arrays are reused in place,
+    so a sweep holds three of them.
     """
     n, m = model.n_states, model.n_symbols
     stats = _EStats(np.zeros((n, n)), np.zeros(n), np.zeros((n, m)), np.zeros(n), np.zeros(n), 0)
@@ -403,12 +403,15 @@ def _expectation(model: Hmm, batches: list[_Batch]) -> tuple[_EStats, float]:
     for batch in batches:
         emit, alpha, scale = _forward(model, batch)
         gamma = _backward(model, batch, emit, scale)
-        emit *= gamma
-        stats.trans_num += model.transition * (alpha[:-1].reshape(-1, n).T @ emit[1:].reshape(-1, n))
+        if not fixed_transitions:
+            emit *= gamma
+            pairs = alpha[:-1].reshape(-1, n).T @ emit[1:].reshape(-1, n)
+            stats.trans_num += model.transition * pairs
         valid = np.arange(batch.order.size) < batch.active[:-1, None]  # (L, S)
         gamma *= alpha
         gamma /= np.where(valid, gamma.sum(axis=2), 1.0)[:, :, None]
-        stats.trans_den += np.einsum("ts,tsn->n", valid[1:], gamma[:-1])
+        if not fixed_transitions:
+            stats.trans_den += np.einsum("ts,tsn->n", valid[1:], gamma[:-1])
         symbols, rows = batch.symbols.ravel(), gamma.reshape(-1, n)
         for state in range(n):
             stats.emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
@@ -419,11 +422,11 @@ def _expectation(model: Hmm, batches: list[_Batch]) -> tuple[_EStats, float]:
     return stats, float(log_likelihood)
 
 
-def _maximization(model: Hmm, stats: _EStats, config: FitConfig) -> Hmm:
+def _maximization(model: Hmm, stats: _EStats, config: FitConfig, fixed_transitions: bool) -> Hmm:
     new_initial = stats.initial_sum / stats.n_sequences
     new_initial = new_initial / new_initial.sum()
 
-    if config.update_transitions:
+    if not fixed_transitions:
         trans = np.array(model.transition)
         visited = stats.trans_den > 0.0
         trans[visited] = stats.trans_num[visited] / stats.trans_den[visited, None]
@@ -444,6 +447,7 @@ def fit(
     sequences: Sequence,
     config: FitConfig | None = None,
     *,
+    fixed_transitions: bool = False,
     on_iteration: Callable[[int, Hmm, float], None] | None = None,
 ) -> tuple[Hmm, np.ndarray]:
     """Baum-Welch training pooled over multiple observation sequences.
@@ -451,7 +455,7 @@ def fit(
     Numerator and denominator sums of the transition and emission updates
     are pooled across sequences before dividing; the initial distribution
     is the average of the per-sequence first-step posteriors.  After every
-    M-step, emission and transition rows are floored at
+    M-step, emission rows and re-estimated transition rows are floored at
     ``config.emission_floor`` and renormalized.  Sequences of length one
     contribute to the initial-state and emission updates only.
 
@@ -460,6 +464,8 @@ def fit(
     initial_model : starting point; also supplies N and M.
     sequences : non-empty list of symbol sequences.
     config : see :class:`FitConfig`; defaults apply when omitted.
+    fixed_transitions : keep ``initial_model.transition``; EM then computes
+        no transition sums and moves only the emissions and initial distribution.
     on_iteration : optional callback ``(iteration, model, log_likelihood)``
         invoked once per iteration with the model being evaluated.
 
@@ -481,7 +487,7 @@ def fit(
     batches = _batches(seqs, model.n_states)
     trace: list[float] = []
     for iteration in range(config.max_iterations):
-        stats, log_likelihood = _expectation(model, batches)
+        stats, log_likelihood = _expectation(model, batches, fixed_transitions)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(iteration, model, log_likelihood)
@@ -490,7 +496,7 @@ def fit(
             floor = max(abs(previous), np.finfo(float).tiny)
             if log_likelihood - previous < config.rel_tol * floor:
                 break
-        model = _maximization(model, stats, config)
+        model = _maximization(model, stats, config, fixed_transitions)
     else:
         # Budget exhausted: evaluate once more so the trace ends at the
         # returned model.
@@ -526,10 +532,10 @@ def _list_viterbi(
     is then one ``argmax`` over each row, which returns the first maximum
     and so breaks ties by entry order, one gather of the values and one
     ``-inf`` mask of the taken entries; a batch of one is the plain
-    single-flood step.  A cell whose ``r``-th best is ``-inf`` has only
-    ``-inf`` entries left, taken or not, so :func:`_impossible_ranks` gives
-    such ranks the cell's lowest untaken entries.  A flood that fails keeps
-    being decoded on ``-inf`` scores; once every step is done,
+    single-flood step.  A cell whose last rank is ``-inf`` cannot tell its
+    masked entries from its ``-inf`` ones, so its candidates are ranked
+    again, by score then entry order, in one stable sort.  A flood that
+    fails keeps being decoded on ``-inf`` scores; once every step is done,
     :func:`_raise_first_failure` names the failing flood that comes first
     in the caller's list.
     """
@@ -577,7 +583,11 @@ def _list_viterbi(
             picks[:, rank] = pick = cand.argmax(axis=1)
             top[:, rank] = cand[rows, pick]
         if top[:, -1].min() == -np.inf:
-            _impossible_ranks(top, picks)
+            bad = np.flatnonzero(top[:, -1] == -np.inf)
+            fresh = score[bad // n] + trans[bad % n]
+            fresh += bonus[t, bad, None]
+            picks[bad] = np.argsort(-fresh, axis=1, kind="stable")[:, :width]
+            top[bad] = np.take_along_axis(fresh, picks[bad], axis=1)
             failed[t, :a] = np.isneginf(top[:, 0].reshape(a, n)).all(axis=1)
         score = top.reshape(a, n * width)
         picks += offsets[: a * n]
@@ -586,26 +596,6 @@ def _list_viterbi(
         yield score, paths
     _raise_first_failure(batch, failed, lambda step: "no admissible state path" if step
                          else "no state can produce the observation")
-
-
-def _impossible_ranks(top: np.ndarray, picks: np.ndarray) -> None:
-    """Give each ``-inf`` rank of a cell its lowest entry not taken at a finite rank.
-
-    ``top`` and ``picks`` are a step's (cells, width) ranked scores and
-    entries; a cell's ``-inf`` ranks are a tail, its candidates there are all
-    ``-inf``, and its lowest untaken entries lie below ``width``.  The
-    entries ``argmax`` picked for those ranks are replaced, in place.
-    """
-    width = top.shape[1]
-    rows = np.flatnonzero(top[:, -1] == -np.inf)
-    impossible = top[rows] == -np.inf
-    # The extra last column absorbs the -inf ranks' picks and picks >= width.
-    taken = np.zeros((rows.size, width + 1), dtype=bool)
-    taken[np.arange(rows.size)[:, None],
-          np.where(impossible, width, np.minimum(picks[rows], width))] = True
-    untaken = np.argsort(taken[:, :width], axis=1, kind="stable")
-    nth = np.maximum(np.cumsum(impossible, axis=1) - 1, 0)
-    picks[rows] = np.where(impossible, np.take_along_axis(untaken, nth, axis=1), picks[rows])
 
 
 def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
@@ -657,13 +647,27 @@ def viterbi(model: Hmm, obs) -> StatePath:
     return k_best_paths(model, obs, 1)[0]
 
 
+def _prefix_best(
+    model: Hmm, observations: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The best path of every prefix of every validated flood, from one k=1
+    pass per :func:`_batches` chunk: after step ``t`` of a chunk, the list
+    indices (a,) of its ``a`` running floods and the log probabilities (a,)
+    and states (a, t + 1) of their first best entries."""
+    for batch in _batches(observations, model.n_states):
+        for score, paths in _list_viterbi(model, batch, 1):
+            best = score.argmax(axis=1)
+            rows = np.arange(best.size)
+            yield batch.order[: best.size], score[rows, best], paths[rows, best]
+
+
 def prefix_paths(model: Hmm, obs) -> list[StatePath]:
     """``viterbi(model, obs[:p+1])`` for every ``p``, from one decoding pass.
 
     The last element is rank 0 of :func:`k_best_paths` for any ``k``.
     """
-    steps = _list_viterbi(model, _batch(_observations([obs], model.n_symbols)), 1)
-    return [_best_paths(score[0], paths[0], 1)[0] for score, paths in steps]
+    return [StatePath(states=_frozen_array(states[0], dtype=np.int64), log_prob=float(log_prob[0]))
+            for _, log_prob, states in _prefix_best(model, _observations([obs], model.n_symbols))]
 
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:

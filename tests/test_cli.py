@@ -880,6 +880,20 @@ class TestErrorReporting:
                                            f"and in [0, 1], got {value}\n")
         assert not (tmp_path / "new.json").exists()
 
+    def test_more_faults_than_the_pinned_structure_holds_is_named(self, tmp_path, capsys):
+        seqs = tmp_path / "many.jsonl"
+        seqs.write_text("".join(
+            json.dumps({"fault": fault, "symbols": [fault % 4], "times": [0.0],
+                        "meta": {"n_measurements": 2}}) + "\n"
+            for fault in range(1002)
+        ))
+        capsys.readouterr()
+        assert main(["train", "--in", str(seqs), "--out", str(tmp_path / "model.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: 1002 faults exceed the 1001 that the pinned transition "
+            "structure holds (off-diagonal mass 0.001 each); set self_transition to train more\n")
+        assert not (tmp_path / "model.json").exists()
+
     def test_empty_evaluation_input_is_one_domain_error(self, pipeline, capsys):
         tmp_path, _, model = pipeline
         empty = tmp_path / "empty.jsonl"

@@ -93,22 +93,12 @@ class TestTraining:
     def test_priors_seed_the_initial_distribution(self):
         book = AlarmSymbolCodebook(n_measurements=2)
         training = [labeled([0, 1], 0), labeled([2, 3], 1)]
-        model = train_diagnoser(
-            training,
-            priors=[0.5, 0.5],
-            config=FitConfig(max_iterations=1),
-            codebook=book,
-        )
-        # symmetric data and symmetric priors stay symmetric after one step
+        model = train_diagnoser(training, config=FitConfig(max_iterations=1), codebook=book)
+        # symmetric data and the uniform start stay symmetric after one step
         assert np.allclose(model.hmm.initial, [0.5, 0.5], atol=1e-12)
-
-    def test_invalid_priors_rejected(self):
-        book = AlarmSymbolCodebook(n_measurements=2)
-        training = [labeled([0], 0), labeled([2], 1)]
-        with pytest.raises(DomainError, match="sum to 1"):
-            train_diagnoser(training, priors=[0.9, 0.2], codebook=book)
-        with pytest.raises(DomainError, match="one entry per fault"):
-            train_diagnoser(training, priors=[1.0], codebook=book)
+        # the configuration is keyword-only, so a positional priors vector is refused
+        with pytest.raises(TypeError):
+            train_diagnoser(training, [0.5, 0.5], codebook=book)
 
     def test_every_fault_needs_training_data(self):
         book = AlarmSymbolCodebook(n_measurements=2)
@@ -139,6 +129,23 @@ class TestTraining:
         message = f"self_transition must be finite and in [0, 1], got {value!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             train_diagnoser(training, codebook=book, self_transition=value)
+
+    def test_pinned_structure_holds_at_most_1001_faults(self):
+        # The pinned diagonal is 1 - (F - 1) * 1e-3, which is negative past 1,001 faults.
+        book = AlarmSymbolCodebook(n_measurements=2)
+        training = [labeled([fault % 4], fault) for fault in range(1002)]
+        message = ("1002 faults exceed the 1001 that the pinned transition structure holds "
+                   "(off-diagonal mass 0.001 each); set self_transition to train more")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            train_diagnoser(training, codebook=book)
+        with pytest.warns(RuntimeWarning, match="self-transition"):
+            model = train_diagnoser(training[:-1], config=FitConfig(max_iterations=1),
+                                    codebook=book)
+        assert model.n_faults == 1001
+        assert (np.diag(model.hmm.transition) == 0.0).all()
+        soft = train_diagnoser(training, config=FitConfig(max_iterations=1), codebook=book,
+                               self_transition=0.9)
+        assert soft.n_faults == 1002
 
     def test_self_transition_of_one_is_accepted(self):
         training, book = disjoint_training()

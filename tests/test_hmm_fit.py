@@ -202,8 +202,15 @@ def test_loose_tolerance_stops_early():
 def test_frozen_transitions_stay_fixed():
     start = random_model(3, 3, seed=51)
     sequences = sample_sequences(start, n_sequences=5, length=8, seed=52)
-    fitted, _ = fit(start, sequences, FitConfig(max_iterations=10, update_transitions=False))
+    fitted, _ = fit(start, sequences, FitConfig(max_iterations=10), fixed_transitions=True)
     assert np.array_equal(fitted.transition, start.transition)
+    # Skipping the transition statistics leaves the other updates exact.
+    once, _ = fit(start, sequences, FitConfig(max_iterations=1, emission_floor=0.0),
+                  fixed_transitions=True)
+    _, emission, initial = oracles.em_update(start, sequences)
+    assert np.array_equal(once.transition, start.transition)
+    assert np.allclose(once.emission, emission, atol=1e-12)
+    assert np.allclose(once.initial, initial, atol=1e-12)
 
 
 def test_iteration_callback_sees_every_iteration():
