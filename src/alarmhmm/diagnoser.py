@@ -46,7 +46,7 @@ from .hmm import (
     k_best_paths,
 )
 
-#: trained self-transition mass below this triggers a diagnostic warning,
+#: re-estimated self-transition mass below this triggers a diagnostic warning,
 #: since the state-to-fault identity rests on the diagonal structure
 SELF_TRANSITION_WARN = 0.5
 
@@ -212,9 +212,9 @@ def train_diagnoser(
                 initial=np.full(n_faults, 1.0 / n_faults))
     model, trace = fit(start, observations, config, fixed_transitions=self_transition is None)
 
-    diagonal = np.diag(model.transition)
-    weak = np.flatnonzero(diagonal < SELF_TRANSITION_WARN)
-    if weak.size:
+    # Only re-estimated transitions can drift; a pinned diagonal never moves.
+    weak = np.flatnonzero(np.diag(model.transition) < SELF_TRANSITION_WARN)
+    if self_transition is not None and weak.size:
         warnings.warn(
             f"self-transition mass fell below {SELF_TRANSITION_WARN} for state(s) "
             f"{weak.tolist()}; the state-to-fault identity may have drifted",
@@ -379,12 +379,14 @@ def diagnoser_from_dict(payload: dict) -> DiagnoserModel:
                      "an object", ModelFormatError)
     size = require(codebook, "n_measurements", lambda value: is_int(value) and value >= 1,
                  "a positive integer", ModelFormatError)
+    training = require(payload, "training", lambda value: isinstance(value, dict),
+                       "an object", ModelFormatError) if "training" in payload else {}
     try:
         return DiagnoserModel(
             hmm=hmm,
             fault_names=tuple(faults),
             codebook=AlarmSymbolCodebook(size),
-            training=payload.get("training", {}),
+            training=training,
         )
     except DomainError as exc:
         raise ModelFormatError(str(exc)) from exc

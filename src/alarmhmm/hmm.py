@@ -166,17 +166,15 @@ def as_observations(obs, n_symbols: int) -> np.ndarray:
     """Validate a symbol sequence against an alphabet of ``n_symbols``.
 
     Accepts any 1-D integer sequence (or an object with a ``symbols``
-    attribute) and returns it as an int64 array.  A symbol outside
+    attribute) and returns it as an int64 array; any other dtype, floats
+    included, raises :class:`DomainError`.  A symbol outside
     [0, ``n_symbols``) raises :class:`UnknownSymbolError`.
     """
     arr = np.asarray(getattr(obs, "symbols", obs))
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("observation sequence must be a non-empty 1-D list of symbol indices")
     if not np.issubdtype(arr.dtype, np.integer):
-        cast = arr.astype(np.int64, copy=True)
-        if arr.dtype.kind != "f" or not np.array_equal(cast, arr):
-            raise DomainError("symbol indices must be integers")
-        arr = cast
+        raise DomainError("symbol indices must be integers")
     out = arr.astype(np.int64)
     bad = np.flatnonzero((out < 0) | (out >= n_symbols))
     if bad.size:
@@ -350,14 +348,8 @@ def total_log_likelihood(model: Hmm, sequences: Sequence) -> float:
 
 
 def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
-    """Renormalize rows to sum to one with every entry at least ``floor``."""
-    out = np.array(rows, dtype=float)
-    sums = out.sum(axis=1, keepdims=True)
-    dead = sums[:, 0] <= 0.0
-    if dead.any():
-        out[dead] = 1.0 / out.shape[1]
-        sums = out.sum(axis=1, keepdims=True)
-    out /= sums
+    """Normalize rows of positive sum to one with every entry at least ``floor``."""
+    out = rows / rows.sum(axis=1, keepdims=True)
     if floor <= 0.0:
         return out
     if floor * out.shape[1] >= 1.0:
@@ -375,30 +367,23 @@ def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class _EStats:
-    trans_num: np.ndarray
-    trans_den: np.ndarray
-    emit_num: np.ndarray
-    emit_den: np.ndarray
-    initial_sum: np.ndarray
-    n_sequences: int
-
-
 def _expectation(
     model: Hmm, batches: list[_Batch], fixed_transitions: bool
-) -> tuple[_EStats, float]:
-    """Pooled E-step statistics of every sequence, one sweep per batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Pooled Baum-Welch numerators of every sequence, one sweep per batch.
 
-    With these scale factors every ``xi[t]`` already sums to one, so the
-    pooled state-pair posteriors are one matrix product and no ``xi``
-    tensor is built; the trellis is zero past each sequence's end, which
-    drops the pairs that run into the padding; ``fixed_transitions`` leaves
-    the transition sums at zero.  The (L, S, N) arrays are reused in place,
-    so a sweep holds three of them.
+    Returns the (N, N) expected transition counts, the (N, M) expected
+    emission counts, the summed first-state posteriors and the log
+    likelihood.  Each update's denominator is the row sum of its
+    numerator, so none is pooled.  With these scale factors every ``xi[t]``
+    already sums to one, so the pooled state-pair posteriors are one
+    matrix product and no ``xi`` tensor is built; the trellis is zero past
+    each sequence's end, which drops the pairs that run into the padding;
+    ``fixed_transitions`` leaves the transition counts at zero.  The
+    (L, S, N) arrays are reused in place, so a sweep holds three of them.
     """
     n, m = model.n_states, model.n_symbols
-    stats = _EStats(np.zeros((n, n)), np.zeros(n), np.zeros((n, m)), np.zeros(n), np.zeros(n), 0)
+    trans_num, emit_num, first = np.zeros((n, n)), np.zeros((n, m)), np.zeros(n)
     log_likelihood = 0.0
     for batch in batches:
         emit, alpha, scale = _forward(model, batch)
@@ -406,40 +391,21 @@ def _expectation(
         if not fixed_transitions:
             emit *= gamma
             pairs = alpha[:-1].reshape(-1, n).T @ emit[1:].reshape(-1, n)
-            stats.trans_num += model.transition * pairs
+            trans_num += model.transition * pairs
         valid = np.arange(batch.order.size) < batch.active[:-1, None]  # (L, S)
         gamma *= alpha
         gamma /= np.where(valid, gamma.sum(axis=2), 1.0)[:, :, None]
-        if not fixed_transitions:
-            stats.trans_den += np.einsum("ts,tsn->n", valid[1:], gamma[:-1])
         symbols, rows = batch.symbols.ravel(), gamma.reshape(-1, n)
         for state in range(n):
-            stats.emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
-        stats.emit_den += gamma.sum(axis=(0, 1))
-        stats.initial_sum += gamma[0].sum(axis=0)
-        stats.n_sequences += batch.order.size
+            emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
+        first += gamma[0].sum(axis=0)
         log_likelihood -= np.log(scale).sum()
-    return stats, float(log_likelihood)
+    return trans_num, emit_num, first, float(log_likelihood)
 
 
-def _maximization(model: Hmm, stats: _EStats, config: FitConfig, fixed_transitions: bool) -> Hmm:
-    new_initial = stats.initial_sum / stats.n_sequences
-    new_initial = new_initial / new_initial.sum()
-
-    if not fixed_transitions:
-        trans = np.array(model.transition)
-        visited = stats.trans_den > 0.0
-        trans[visited] = stats.trans_num[visited] / stats.trans_den[visited, None]
-        trans = _floor_rows(trans, config.emission_floor)
-    else:
-        trans = model.transition
-
-    emit = np.array(model.emission)
-    seen = stats.emit_den > 0.0
-    emit[seen] = stats.emit_num[seen] / stats.emit_den[seen, None]
-    emit = _floor_rows(emit, config.emission_floor)
-
-    return Hmm(trans, emit, new_initial)
+def _reestimate(old: np.ndarray, sums: np.ndarray, floor: float) -> np.ndarray:
+    """The rows of ``sums`` normalized and floored; a row with no mass keeps ``old``'s."""
+    return _floor_rows(np.where(sums.sum(axis=1, keepdims=True) > 0.0, sums, old), floor)
 
 
 def fit(
@@ -452,11 +418,13 @@ def fit(
 ) -> tuple[Hmm, np.ndarray]:
     """Baum-Welch training pooled over multiple observation sequences.
 
-    Numerator and denominator sums of the transition and emission updates
-    are pooled across sequences before dividing; the initial distribution
-    is the average of the per-sequence first-step posteriors.  After every
-    M-step, emission rows and re-estimated transition rows are floored at
-    ``config.emission_floor`` and renormalized.  Sequences of length one
+    The expected transition counts, emission counts and first-state
+    posteriors are pooled across sequences; every denominator of the
+    update is the row sum of its numerator, so the M-step normalizes each
+    pooled row.  A state with no posterior mass in a row keeps its old
+    row; emission rows and re-estimated transition rows are then floored
+    at ``config.emission_floor``.  The initial distribution is the average
+    of the per-sequence first-step posteriors.  Sequences of length one
     contribute to the initial-state and emission updates only.
 
     Parameters
@@ -487,7 +455,8 @@ def fit(
     batches = _batches(seqs, model.n_states)
     trace: list[float] = []
     for iteration in range(config.max_iterations):
-        stats, log_likelihood = _expectation(model, batches, fixed_transitions)
+        trans_num, emit_num, first, log_likelihood = _expectation(
+            model, batches, fixed_transitions)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(iteration, model, log_likelihood)
@@ -496,7 +465,13 @@ def fit(
             floor = max(abs(previous), np.finfo(float).tiny)
             if log_likelihood - previous < config.rel_tol * floor:
                 break
-        model = _maximization(model, stats, config, fixed_transitions)
+        # Not fused into _expectation: its (L, S, N) arrays are freed before this allocates.
+        model = Hmm(
+            model.transition if fixed_transitions
+            else _reestimate(model.transition, trans_num, config.emission_floor),
+            _reestimate(model.emission, emit_num, config.emission_floor),
+            first / first.sum(),
+        )
     else:
         # Budget exhausted: evaluate once more so the trace ends at the
         # returned model.

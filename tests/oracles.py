@@ -1,7 +1,11 @@
-"""Brute-force reference computations used to check the fast implementations.
+"""Reference computations used to check the fast implementations.
 
-Everything here enumerates explicitly (all N**T state paths, all sample
-runs, ...) instead of reusing the dynamic-programming code under test.
+Most of them enumerate explicitly (all N**T state paths, all sample
+runs, ...) or loop one item at a time instead of reusing the code under
+test.  The exception is :func:`loop_expectation`, and :func:`em_update`
+on top of it: they run the package's own per-sequence
+``forward_backward`` and ``posteriors``, and check only how the batched
+E-step pools them; :func:`enum_em_update` is the enumerated update.
 """
 
 from __future__ import annotations
@@ -109,6 +113,14 @@ def loop_expectation(model, sequences) -> dict:
     return sums
 
 
+def _divided(old, num, den) -> np.ndarray:
+    """``num / den`` row by row; a row whose ``den`` is zero keeps ``old``'s."""
+    rows = np.array(old, dtype=float)
+    seen = den > 0.0
+    rows[seen] = num[seen] / den[seen, None]
+    return rows
+
+
 def em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One unfloored Baum-Welch update from :func:`loop_expectation`.
 
@@ -119,9 +131,7 @@ def em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sums = loop_expectation(model, sequences)
 
     def update(old, num, den):
-        rows = np.array(old, dtype=float)
-        seen = den > 0.0
-        rows[seen] = num[seen] / den[seen, None]
+        rows = _divided(old, num, den)
         return rows / rows.sum(axis=1, keepdims=True)
 
     initial = sums["initial_sum"] / len(sequences)
@@ -129,6 +139,34 @@ def em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         update(model.transition, sums["trans_num"], sums["trans_den"]),
         update(model.emission, sums["emit_num"], sums["emit_den"]),
         initial / initial.sum(),
+    )
+
+
+def enum_em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One unfloored Baum-Welch update as the textbook writes it (Rabiner
+    1989, eqs. 40a-c): pooled numerator over pooled denominator, from the
+    enumerated :func:`enum_state_posteriors` and :func:`enum_pair_posteriors`.
+
+    A state with no posterior mass where a row is estimated keeps its old
+    row; nothing is renormalized.  Returns (transition, emission, initial).
+    """
+    n, m = model.n_states, model.n_symbols
+    trans_num, trans_den = np.zeros((n, n)), np.zeros(n)
+    emit_num, emit_den = np.zeros((n, m)), np.zeros(n)
+    initial = np.zeros(n)
+    for obs in sequences:
+        obs = np.asarray(obs, dtype=np.int64)
+        gamma = enum_state_posteriors(model, obs)
+        trans_num += enum_pair_posteriors(model, obs).sum(axis=0)
+        trans_den += gamma[:-1].sum(axis=0)
+        for t, symbol in enumerate(obs):
+            emit_num[:, symbol] += gamma[t]
+        emit_den += gamma.sum(axis=0)
+        initial += gamma[0]
+    return (
+        _divided(model.transition, trans_num, trans_den),
+        _divided(model.emission, emit_num, emit_den),
+        initial / len(sequences),
     )
 
 

@@ -559,6 +559,19 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-model:")
 
+    @pytest.mark.parametrize("command", ["diagnose", "evaluate"])
+    def test_training_block_must_be_an_object(self, pipeline, tmp_path, capsys, command):
+        _, data, model = pipeline
+        doc = json.loads(model.read_text())
+        doc["training"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([command, "--model", str(bad), "--in", str(data / "test.jsonl"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid-model: {bad}: 'training' must be an object\n")
+
     def test_schema_mismatch(self, tmp_path, capsys):
         seqs = tmp_path / "seqs.jsonl"
         seqs.write_text('{"fault": 0, "symbols": "oops", "times": [], "meta": {}}\n')

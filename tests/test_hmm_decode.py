@@ -90,6 +90,16 @@ def test_symbol_range_checked():
         viterbi(model, [9])
 
 
+def test_only_integer_symbols_are_decoded():
+    model = Hmm(**TWO_STATE)
+    for obs in ([0.0, 1.0], np.array([0, 1], dtype=np.float32), [True, False]):
+        with pytest.raises(DomainError, match=r"^sequence 0: symbol indices must be integers$"):
+            viterbi(model, obs)
+    # An empty list is float64 to numpy; it is reported as empty, not as non-integer.
+    with pytest.raises(DomainError, match="non-empty"):
+        viterbi(model, [])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000))
 def test_viterbi_matches_enumeration(seed):

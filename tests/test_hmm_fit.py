@@ -100,10 +100,11 @@ def test_pooled_updates_match_posterior_sums():
 
 
 @st.composite
-def ragged_batches(draw):
+def ragged_batches(draw, max_states=5, max_symbols=6, max_sequences=6, max_length=12):
     """A model (N 1-5, M 1-6, a third of them with exact zeros) and 1-6
-    sequences of 1-12 symbols sampled from it, so each is possible."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    sequences of 1-12 symbols sampled from it, so each is possible; the
+    arguments lower those upper bounds."""
+    n, m = draw(st.integers(1, max_states)), draw(st.integers(1, max_symbols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coarse = draw(st.integers(0, 2)) == 0
 
@@ -116,7 +117,7 @@ def ragged_batches(draw):
 
     model = Hmm(transition=rows(n, n), emission=rows(n, m), initial=rows(1, n)[0])
     sequences = []
-    for length in draw(st.lists(st.integers(1, 12), min_size=1, max_size=6)):
+    for length in draw(st.lists(st.integers(1, max_length), min_size=1, max_size=max_sequences)):
         state, symbols = rng.choice(n, p=model.initial), []
         for _ in range(length):
             symbols.append(int(rng.choice(m, p=model.emission[state])))
@@ -142,6 +143,20 @@ def test_batched_update_matches_the_per_sequence_xi_reference(case):
     per_sequence = sum(forward_backward(model, s).log_likelihood for s in sequences)
     assert total_log_likelihood(model, sequences) == pytest.approx(per_sequence, rel=1e-12)
     assert trace[0] == pytest.approx(per_sequence, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=ragged_batches(max_states=3, max_symbols=4, max_sequences=4, max_length=6))
+# State 1 gets no posterior mass, so its transition and emission rows stay as they were.
+@example(case=(Hmm(transition=[[1.0, 0.0], [0.3, 0.7]], emission=[[0.5, 0.5], [0.2, 0.8]],
+                   initial=[1.0, 0.0]), [[0, 1], [1]]))
+def test_update_is_the_enumerated_numerator_over_denominator(case):
+    model, sequences = case
+    fitted, _ = fit(model, sequences, FitConfig(max_iterations=1, emission_floor=0.0))
+    transition, emission, initial = oracles.enum_em_update(model, sequences)
+    assert np.allclose(fitted.transition, transition, rtol=0.0, atol=1e-12)
+    assert np.allclose(fitted.emission, emission, rtol=0.0, atol=1e-12)
+    assert np.allclose(fitted.initial, initial, rtol=0.0, atol=1e-12)
 
 
 def test_zero_probability_reports_the_first_failing_sequence_in_list_order():
