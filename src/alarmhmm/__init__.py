@@ -51,9 +51,7 @@ from .hmm import (
     Hmm,
     Posteriors,
     StatePath,
-    TrellisResult,
     fit,
-    forward_backward,
     k_best_paths,
     posteriors,
     prefix_paths,

@@ -376,7 +376,7 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
         raise SchemaError(f"meta format_version must be {FORMAT_VERSION!r}")
     sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
     try:
-        return sequence.validate(None if size is None else 2 * size)
+        return sequence.validate(None if size is None else AlarmSymbolCodebook(size).n_symbols)
     except UnknownSymbolError:
         raise
     except DomainError as exc:

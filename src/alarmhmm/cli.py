@@ -321,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--in", dest="inputs", action="append", required=True,
                        help="labeled training JSONL (repeatable, pooled in order)")
     train.add_argument("--out", required=True, help="model JSON path")
-    train.add_argument("--max-iters", type=int, default=500)
-    train.add_argument("--rel-tol", type=float, default=1e-6)
-    train.add_argument("--emission-floor", type=float, default=1e-10)
+    train.add_argument("--max-iters", type=int, default=FitConfig.max_iterations)
+    train.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
+    train.add_argument("--emission-floor", type=float, default=FitConfig.emission_floor)
     train.add_argument("--measurements", type=int,
                        help="measurement count (defaults to sequence metadata)")
     train.add_argument("--self-transition", type=float, default=None,

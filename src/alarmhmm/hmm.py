@@ -1,17 +1,18 @@
 """Discrete first-order hidden Markov models.
 
-Scaled forward/backward inference, pooled multi-sequence Baum-Welch
-training (each E-step sweeps forward/backward over batches of
-sequences at once and builds no pair-posterior tensor) and exact
-decoding over a finite observation alphabet: one list-Viterbi kernel
-serves Viterbi, k-best and every prefix's best path, and decodes a
-batch of sequences side by side, a single sequence being a batch of
-one.  It yields each sequence's scores and paths as per-sequence arrays
-in entry order, and no other code knows their layout.  The
-forward/backward pass rescales at every step and keeps the normalizers,
-decoding works entirely in log space, so long sequences do not
-underflow.  Training, the forward pass and decoding start an error about
-one sequence with ``sequence <i>: ``, a single sequence being ``sequence 0``.
+One scaled forward/backward kernel pair sweeps batches of sequences at
+once; it serves pooled multi-sequence Baum-Welch training (whose E-step
+builds no pair-posterior tensor), the total log likelihood and
+:func:`posteriors`, a single sequence being a batch of one.  Exact
+decoding over a finite observation alphabet has one list-Viterbi kernel
+for Viterbi, k-best and every prefix's best path; it too decodes a batch
+side by side and yields each sequence's scores and paths as
+per-sequence arrays in entry order, and no other code knows their
+layout.  The forward/backward pass rescales at every step and keeps the
+normalizers private to the kernels, decoding works entirely in log
+space, so long sequences do not underflow.  Training, posteriors and
+decoding start an error about one sequence with ``sequence <i>: ``, a
+single sequence being ``sequence 0``.
 """
 
 from __future__ import annotations
@@ -103,27 +104,12 @@ class Hmm:
 
 
 @dataclass(frozen=True)
-class TrellisResult:
-    """Scaled forward/backward pass over one observation sequence.
-
-    ``scale_factors[t]`` is the reciprocal of the unnormalized forward row
-    sum at step ``t``, so ``log_likelihood == -sum(log(scale_factors))``.
-    Unscaled quantities are recoverable as the scaled values divided by the
-    cumulative products of the scale factors.
-    """
-
-    scaled_alpha: np.ndarray   # (T, N), every row sums to one
-    scaled_beta: np.ndarray    # (T, N), rescaled with the same factors
-    scale_factors: np.ndarray  # (T,), all > 0
-    log_likelihood: float
-
-
-@dataclass(frozen=True)
 class Posteriors:
-    """State and state-pair posteriors given a full observation sequence."""
+    """State and state-pair posteriors of a full observation sequence, and its log likelihood."""
 
     gamma: np.ndarray  # (T, N): gamma[t, i] = P(q_t = i | observations)
     xi: np.ndarray     # (T-1, N, N): xi[t, i, j] = P(q_t = i, q_{t+1} = j | observations)
+    log_likelihood: float
 
 
 @dataclass(frozen=True)
@@ -144,7 +130,10 @@ class FitConfig:
     ``emission_floor`` is applied after every M-step: emission and
     re-estimated transition rows are renormalized with every entry held at
     or above the floor, which keeps decoding of test sequences containing
-    symbols never seen in training from failing.
+    symbols never seen in training from failing.  :func:`fit` rejects a
+    floor of ``1/M`` or more for ``M`` symbols, or of ``1/N`` or more for
+    ``N`` states when it re-estimates the transitions, before its first
+    E-step.
     """
 
     max_iterations: int = 500
@@ -282,59 +271,25 @@ def _backward(model: Hmm, batch: _Batch, emit: np.ndarray, scale: np.ndarray) ->
     return beta
 
 
-def forward_backward(model: Hmm, obs) -> TrellisResult:
-    """Run the scaled forward and backward recursions.
+def posteriors(model: Hmm, obs) -> Posteriors:
+    """State and state-pair posteriors of ``obs`` under ``model``, and its log likelihood.
 
-    Parameters
-    ----------
-    model : the HMM to evaluate under.
-    obs : symbol sequence; every index must be < ``model.n_symbols``.
-
-    Returns the per-step normalized forward and backward variables, the
-    normalizers and the exact log likelihood of the sequence.  Raises
+    One scaled forward/backward pass over a batch of one; the scale factors
+    cancel, so the results equal the unscaled posterior definitions
+    exactly.  Every index of ``obs`` must be < ``model.n_symbols``.  Raises
     :class:`InferenceError` if some step has zero total probability (only
     possible when the model contains exact zeros).
     """
     batch = _batch(_observations([obs], model.n_symbols))
     emit, alpha, scale = _forward(model, batch)
     beta = _backward(model, batch, emit, scale)
-    return TrellisResult(
-        scaled_alpha=_frozen_array(alpha[:, 0]),
-        scaled_beta=_frozen_array(beta[:, 0]),
-        scale_factors=_frozen_array(scale[:, 0]),
-        log_likelihood=float(-np.log(scale).sum()),
-    )
-
-
-def posteriors(model: Hmm, obs, trellis: TrellisResult) -> Posteriors:
-    """Combine a trellis into state and state-pair posteriors.
-
-    The scale factors cancel, so the results equal the unscaled posterior
-    definitions exactly.  The trellis must come from ``forward_backward``
-    on the same model and observations.
-    """
-    o = as_observations(obs, model.n_symbols)
-    t_len, n = o.size, model.n_states
-    if trellis.scaled_alpha.shape != (t_len, n):
-        raise DomainError(
-            f"trellis shape {trellis.scaled_alpha.shape} does not match "
-            f"{t_len} observations and {n} states"
-        )
-
-    joint = trellis.scaled_alpha * trellis.scaled_beta
+    alpha, beta = alpha[:, 0], beta[:, 0]
+    joint = alpha * beta
     gamma = joint / joint.sum(axis=1, keepdims=True)
-
-    if t_len == 1:
-        xi = np.zeros((0, n, n))
-    else:
-        weighted = model.emission[:, o[1:]].T * trellis.scaled_beta[1:]  # (T-1, N)
-        xi = (
-            trellis.scaled_alpha[:-1, :, None]
-            * model.transition[None, :, :]
-            * weighted[:, None, :]
-        )
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return Posteriors(gamma=_frozen_array(gamma), xi=_frozen_array(xi))
+    xi = alpha[:-1, :, None] * model.transition[None, :, :] * (emit[1:, 0] * beta[1:])[:, None, :]
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return Posteriors(gamma=_frozen_array(gamma), xi=_frozen_array(xi),
+                      log_likelihood=float(-np.log(scale).sum()))
 
 
 def _log_likelihood(model: Hmm, batches: list[_Batch]) -> float:
@@ -352,8 +307,6 @@ def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
     out = rows / rows.sum(axis=1, keepdims=True)
     if floor <= 0.0:
         return out
-    if floor * out.shape[1] >= 1.0:
-        raise DomainError("smoothing floor too large for the alphabet size")
     for row in out:
         # Pin sub-floor entries and rescale the rest; repeat in case the
         # rescaling pushed a borderline entry under the floor.
@@ -448,6 +401,13 @@ def fit(
     if config is None:
         config = FitConfig()
     model = initial_model
+    floored_rows = {"symbols": model.n_symbols}
+    if not fixed_transitions:
+        floored_rows["states"] = model.n_states
+    for what, size in floored_rows.items():
+        if config.emission_floor * size >= 1.0:
+            raise DomainError(f"emission_floor {config.emission_floor!r} must be below "
+                              f"1/{size} for {size} {what}")
     seqs = _observations(sequences, model.n_symbols)
     if not seqs:
         raise DomainError("fit requires at least one observation sequence")

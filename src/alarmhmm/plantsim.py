@@ -87,6 +87,7 @@ class PropagationGraph:
             raise DomainError("graph needs at least one measurement")
         if not self.faults:
             raise DomainError("graph needs at least one fault")
+        n_symbols = self.n_symbols
         for index, fault in enumerate(self.faults):
             if not fault.stages:
                 raise DomainError(f"fault {index} has no stages")
@@ -106,9 +107,9 @@ class PropagationGraph:
             seen: set[int] = set()
             for stage in fault.stages:
                 for symbol in stage.symbols:
-                    if not 0 <= symbol < self.n_symbols:
+                    if not 0 <= symbol < n_symbols:
                         raise DomainError(
-                            f"fault {index}: symbol {symbol} outside [0, {self.n_symbols})"
+                            f"fault {index}: symbol {symbol} outside [0, {n_symbols})"
                         )
                     if symbol in seen:
                         raise DomainError(f"fault {index}: symbol {symbol} listed twice")
@@ -116,7 +117,7 @@ class PropagationGraph:
 
     @property
     def n_symbols(self) -> int:
-        return 2 * self.n_measurements
+        return self.codebook.n_symbols
 
     @property
     def n_faults(self) -> int:

@@ -3,9 +3,9 @@
 Most of them enumerate explicitly (all N**T state paths, all sample
 runs, ...) or loop one item at a time instead of reusing the code under
 test.  The exception is :func:`loop_expectation`, and :func:`em_update`
-on top of it: they run the package's own per-sequence
-``forward_backward`` and ``posteriors``, and check only how the batched
-E-step pools them; :func:`enum_em_update` is the enumerated update.
+on top of it: they run the package's own per-sequence ``posteriors``,
+and check only how the batched E-step pools them; :func:`enum_em_update`
+is the enumerated update.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from alarmhmm import InferenceError, SchemaError, forward_backward, posteriors
+from alarmhmm import InferenceError, SchemaError, posteriors
 from alarmhmm.alarms import MeasurementTrace
 from alarmhmm.baseline import BaselineResult, Dendrogram, _flat_clusters, dechatter
 from alarmhmm.documents import open_text
@@ -94,15 +94,15 @@ def loop_expectation(model, sequences) -> dict:
     """Pooled Baum-Welch sums, one sequence at a time through ``xi``.
 
     The reference for the batched E-step: per sequence, the public
-    ``forward_backward`` and ``posteriors`` (which builds the full
-    (T-1, N, N) ``xi`` tensor), accumulated in list order.
+    ``posteriors`` (which builds the full (T-1, N, N) ``xi`` tensor),
+    accumulated in list order.
     """
     n, m = model.n_states, model.n_symbols
     sums = dict(trans_num=np.zeros((n, n)), trans_den=np.zeros(n), emit_num=np.zeros((m, n)),
                 emit_den=np.zeros(n), initial_sum=np.zeros(n))
     for obs in sequences:
         o = np.asarray(obs, dtype=np.int64)
-        post = posteriors(model, o, forward_backward(model, o))
+        post = posteriors(model, o)
         if o.size >= 2:
             sums["trans_num"] += post.xi.sum(axis=0)
             sums["trans_den"] += post.gamma[:-1].sum(axis=0)

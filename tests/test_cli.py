@@ -845,6 +845,15 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: domain-error: ") and err.count("\n") == 1, err
 
+    def test_floor_too_large_for_the_alphabet_is_named(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        capsys.readouterr()
+        assert main(["train", "--in", str(data / "train.jsonl"), "--out",
+                     str(tmp_path / "new.json"), "--emission-floor", "0.1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: emission_floor 0.1 must be below 1/10 for 10 symbols\n")
+        assert not (tmp_path / "new.json").exists()
+
     def test_negative_seed_is_one_domain_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "data")]) == 1
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from alarmhmm import (
     Hmm,
     InferenceError,
     fit,
-    forward_backward,
+    posteriors,
     random_model,
     total_log_likelihood,
 )
@@ -140,7 +140,7 @@ def test_batched_update_matches_the_per_sequence_xi_reference(case):
     assert np.allclose(fitted.transition, transition, rtol=0.0, atol=1e-12)
     assert np.allclose(fitted.emission, emission, rtol=0.0, atol=1e-12)
     assert np.allclose(fitted.initial, initial, rtol=0.0, atol=1e-12)
-    per_sequence = sum(forward_backward(model, s).log_likelihood for s in sequences)
+    per_sequence = sum(posteriors(model, s).log_likelihood for s in sequences)
     assert total_log_likelihood(model, sequences) == pytest.approx(per_sequence, rel=1e-12)
     assert trace[0] == pytest.approx(per_sequence, rel=1e-12)
 
@@ -176,7 +176,7 @@ def test_zero_probability_reports_the_first_failing_sequence_in_list_order():
         total_log_likelihood(model, sequences)
     with pytest.raises(InferenceError, match=r"^sequence 0: zero total forward probability "
                                              r"at step 0$"):
-        forward_backward(model, [1])
+        posteriors(model, [1])
 
 
 def test_length_one_sequences_leave_transitions_alone():
@@ -240,6 +240,28 @@ def test_iteration_callback_sees_every_iteration():
     )
     assert [ll for _, ll in seen] == list(trace)
     assert [i for i, _ in seen] == list(range(len(seen)))
+
+
+@pytest.mark.parametrize("n_states, n_symbols, fixed_transitions, message", [
+    (2, 4, True, r"^emission_floor 0.25 must be below 1/4 for 4 symbols$"),
+    (4, 2, False, r"^emission_floor 0.25 must be below 1/4 for 4 states$"),
+])
+def test_too_large_floor_is_rejected_before_the_first_e_step(
+        n_states, n_symbols, fixed_transitions, message):
+    seen = []
+    with pytest.raises(DomainError, match=message):
+        fit(random_model(n_states, n_symbols, seed=71), [[0, 1, 1]],
+            FitConfig(emission_floor=0.25), fixed_transitions=fixed_transitions,
+            on_iteration=lambda *args: seen.append(args))
+    assert seen == []
+
+
+def test_state_limit_on_the_floor_holds_only_for_re_estimated_transitions():
+    start = random_model(4, 2, seed=72)
+    fitted, _ = fit(start, [[0, 1, 1]], FitConfig(max_iterations=1, emission_floor=0.25),
+                    fixed_transitions=True)
+    assert np.array_equal(fitted.transition, start.transition)
+    assert (fitted.emission >= 0.25).all()
 
 
 @pytest.mark.parametrize("bad", [dict(max_iterations=0), dict(rel_tol=0.0), dict(emission_floor=-1e-3)])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmhmm import DomainError, Hmm, InferenceError, forward_backward, posteriors, random_model
+from alarmhmm import DomainError, Hmm, InferenceError, UnknownSymbolError, posteriors, random_model
+from alarmhmm.hmm import _backward, _batch, _forward
 
 import oracles
 
@@ -34,20 +35,26 @@ def small_random_case(seed):
     return model, obs
 
 
+def scaled_trellis(model, obs):
+    """The kernels' scaled alpha and beta, (T, N), and scale factors, (T,), of one sequence."""
+    batch = _batch([np.asarray(obs, dtype=np.int64)])
+    emit, alpha, scale = _forward(model, batch)
+    return alpha[:, 0], _backward(model, batch, emit, scale)[:, 0], scale[:, 0]
+
+
 class TestForwardBackward:
     def test_single_state_likelihood_is_emission_product(self):
         model = Hmm(transition=[[1.0]], emission=[[0.3, 0.7]], initial=[1.0])
         obs = [0, 1, 1]
-        trellis = forward_backward(model, obs)
         expected = np.log(0.3) + np.log(0.7) + np.log(0.7)
-        assert trellis.log_likelihood == pytest.approx(expected, rel=1e-12)
-        assert np.allclose(trellis.scaled_alpha, 1.0)
+        assert posteriors(model, obs).log_likelihood == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(scaled_trellis(model, obs)[0], 1.0)
 
     def test_two_state_matches_enumeration(self):
         model = Hmm(**TWO_STATE)
-        trellis = forward_backward(model, TWO_STATE_OBS)
-        assert trellis.log_likelihood == pytest.approx(TWO_STATE_LOG_LIKELIHOOD, abs=1e-12)
-        assert trellis.log_likelihood == pytest.approx(
+        log_likelihood = posteriors(model, TWO_STATE_OBS).log_likelihood
+        assert log_likelihood == pytest.approx(TWO_STATE_LOG_LIKELIHOOD, abs=1e-12)
+        assert log_likelihood == pytest.approx(
             oracles.enum_log_likelihood(model, TWO_STATE_OBS), rel=1e-12
         )
 
@@ -58,25 +65,25 @@ class TestForwardBackward:
             emission=np.full((n, m), 1.0 / m),
             initial=np.full(n, 1.0 / n),
         )
-        trellis = forward_backward(model, [0, 3, 1, 2, 2])
-        assert trellis.log_likelihood == pytest.approx(5 * np.log(1.0 / m), rel=1e-12)
+        log_likelihood = posteriors(model, [0, 3, 1, 2, 2]).log_likelihood
+        assert log_likelihood == pytest.approx(5 * np.log(1.0 / m), rel=1e-12)
 
     def test_scaled_alpha_rows_sum_to_one(self):
         model, obs = small_random_case(7)
-        trellis = forward_backward(model, obs)
-        assert np.allclose(trellis.scaled_alpha.sum(axis=1), 1.0, atol=1e-9)
+        scaled_alpha, _, _ = scaled_trellis(model, obs)
+        assert np.allclose(scaled_alpha.sum(axis=1), 1.0, atol=1e-9)
 
     def test_log_likelihood_is_negative_log_scale_sum(self):
         model, obs = small_random_case(11)
-        trellis = forward_backward(model, obs)
-        assert trellis.log_likelihood == pytest.approx(
-            -np.log(trellis.scale_factors).sum(), rel=1e-12
+        _, _, scale_factors = scaled_trellis(model, obs)
+        assert posteriors(model, obs).log_likelihood == pytest.approx(
+            -np.log(scale_factors).sum(), rel=1e-12
         )
 
     def test_symbol_out_of_range_names_position(self):
         model = Hmm(**TWO_STATE)
         with pytest.raises(DomainError, match="position 2"):
-            forward_backward(model, [0, 1, 5])
+            posteriors(model, [0, 1, 5])
 
     def test_zero_probability_step_is_reported(self):
         model = Hmm(
@@ -85,41 +92,39 @@ class TestForwardBackward:
             initial=[0.5, 0.5],
         )
         with pytest.raises(InferenceError, match="step 1"):
-            forward_backward(model, [0, 1])
+            posteriors(model, [0, 1])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_unscaled_alpha_beta_reconstruct_likelihood(self, seed):
         model, obs = small_random_case(seed)
-        trellis = forward_backward(model, obs)
-        c = trellis.scale_factors
+        scaled_alpha, scaled_beta, c = scaled_trellis(model, obs)
+        log_likelihood = posteriors(model, obs).log_likelihood
         for t in range(obs.size):
-            alpha_t = trellis.scaled_alpha[t] / np.prod(c[: t + 1])
-            beta_t = trellis.scaled_beta[t] / np.prod(c[t:])
-            assert np.log((alpha_t * beta_t).sum()) == pytest.approx(
-                trellis.log_likelihood, rel=1e-9
-            )
+            alpha_t = scaled_alpha[t] / np.prod(c[: t + 1])
+            beta_t = scaled_beta[t] / np.prod(c[t:])
+            assert np.log((alpha_t * beta_t).sum()) == pytest.approx(log_likelihood, rel=1e-9)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
     def test_likelihood_matches_path_enumeration(self, seed):
         model, obs = small_random_case(seed)
-        trellis = forward_backward(model, obs)
+        log_likelihood = posteriors(model, obs).log_likelihood
         expected = oracles.enum_log_likelihood(model, obs)
-        assert np.exp(trellis.log_likelihood) == pytest.approx(np.exp(expected), rel=1e-9)
+        assert np.exp(log_likelihood) == pytest.approx(np.exp(expected), rel=1e-9)
 
 
 class TestPosteriors:
     def test_single_state_posteriors_are_all_ones(self):
         model = Hmm(transition=[[1.0]], emission=[[0.4, 0.6]], initial=[1.0])
         obs = [1, 0, 1, 1]
-        post = posteriors(model, obs, forward_backward(model, obs))
+        post = posteriors(model, obs)
         assert np.allclose(post.gamma, 1.0)
         assert post.xi.shape == (3, 1, 1)
         assert np.allclose(post.xi, 1.0)
 
     def test_two_state_gamma_matches_enumeration(self):
         model = Hmm(**TWO_STATE)
-        post = posteriors(model, TWO_STATE_OBS, forward_backward(model, TWO_STATE_OBS))
+        post = posteriors(model, TWO_STATE_OBS)
         assert np.allclose(post.gamma, TWO_STATE_GAMMA, atol=1e-8)
         assert np.allclose(
             post.gamma, oracles.enum_state_posteriors(model, TWO_STATE_OBS), atol=1e-10
@@ -135,20 +140,20 @@ class TestPosteriors:
             initial=[1.0, 0.0],
         )
         obs = [0, 1, 0]
-        post = posteriors(model, obs, forward_backward(model, obs))
+        post = posteriors(model, obs)
         assert np.allclose(post.gamma[:, 0], 1.0)
 
-    def test_dimension_mismatch_rejected(self):
+    def test_unknown_symbol_names_sequence_0(self):
         model = Hmm(**TWO_STATE)
-        trellis = forward_backward(model, [0, 1])
-        with pytest.raises(DomainError, match="does not match"):
-            posteriors(model, [0, 1, 1], trellis)
+        with pytest.raises(UnknownSymbolError,
+                           match=r"^sequence 0: symbol 5 at position 1 is outside \[0, 2\)$"):
+            posteriors(model, [0, 5])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
     def test_normalization_and_marginal_consistency(self, seed):
         model, obs = small_random_case(seed)
-        post = posteriors(model, obs, forward_backward(model, obs))
+        post = posteriors(model, obs)
         assert np.allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9)
         if post.xi.size:
             assert np.allclose(post.xi.sum(axis=(1, 2)), 1.0, atol=1e-9)
