@@ -299,11 +299,16 @@ def evaluate_prefix_accuracy(
     the primary fault :func:`diagnose` gives.  Every flood is checked in
     full (its label, then its symbols) before it is cut to ``l_max``.  The
     floods are decoded side by side in chunks of at most N, in one k=1
-    list-Viterbi pass per chunk; every step of the pass gives each running
-    flood's verdict for that prefix: the mode of its rank-0 path, the first
-    of its best entries.  An error about one sequence starts with
-    ``sequence <i>: ``, ``i`` counting from 0 in ``test``.
+    list-Viterbi pass per chunk whose back-pointers are traced back once;
+    every step of the pass gives each running flood's verdict for that
+    prefix: the mode of its rank-0 path, the first of its best entries.
+    ``l_max`` is a Python or numpy integer of at least 1; anything else,
+    ``True`` or ``2.0`` included, raises :class:`DomainError`.  An error
+    about one sequence starts with ``sequence <i>: ``, ``i`` counting from
+    0 in ``test``.
     """
+    if not (isinstance(l_max, (int, np.integer)) and not isinstance(l_max, bool)):
+        raise DomainError(f"l_max must be an integer, got {l_max!r}")
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
     if not test:

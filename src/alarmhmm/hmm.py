@@ -6,11 +6,12 @@ builds no pair-posterior tensor), the total log likelihood and
 :func:`posteriors`, a single sequence being a batch of one.  Exact
 decoding over a finite observation alphabet has one list-Viterbi kernel
 for Viterbi, k-best and every prefix's best path; it too decodes a batch
-side by side and yields each sequence's scores and paths as
-per-sequence arrays in entry order, and no other code knows their
-layout.  The forward/backward pass rescales at every step and keeps the
-normalizers private to the kernels, decoding works entirely in log
-space, so long sequences do not underflow.  Training, posteriors and
+side by side and yields each sequence's scores and back-pointers as
+per-sequence arrays in entry order.  The two readers of the pass trace
+the paths back once, and no other code knows their layout.  The
+forward/backward pass rescales at every step and keeps the normalizers
+private to the kernels, decoding works entirely in log space, so long
+sequences do not underflow.  Training, posteriors and
 decoding start an error about one sequence with ``sequence <i>: ``, a
 single sequence being ``sequence 0``.
 """
@@ -444,22 +445,27 @@ def fit(
 
 def _list_viterbi(
     model: Hmm, batch: _Batch, k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Parallel list-Viterbi pass (Seshadri & Sundberg 1994) over every flood
     of ``batch`` side by side, one step at a time.
 
-    After step ``t`` it yields ``(score, paths)`` for the ``a = active[t]``
+    After step ``t`` it yields ``(score, back)`` for the ``a = active[t]``
     floods still running, which are the batch's leading columns: flood
     ``s`` has ``E = N * w`` entries in entry order, where a cell keeps
     ``w = min(k, N**t)`` entries and is never padded.  Entry ``j * w + r``
     is the ``r``-th best path over the first ``t + 1`` symbols that ends in
     state ``j``: ``score[s, e]`` (shape ``(a, E)``) is its log probability
-    and ``paths[s, e]`` (shape ``(a, E, t + 1)``) its states.  Candidates
-    rank by total score, emission term included, then by entry order
-    (lowest entry of the previous step first), within each flood, so the
-    first best entry of a flood is its rank 0.  Step ``t`` reads only the
-    first ``t + 1`` symbols, so every step's yield is the answer for that
-    prefix; a flood's last yield is at its own last step.
+    and ``back[s, e]`` (shape ``(a, E)``) the entry of flood ``s`` at step
+    ``t - 1`` that it extends, a back-pointer; step 0 extends nothing and
+    yields ``back=None``.  No path is stored: :func:`_trace` and
+    :func:`_prefix_best` follow the back-pointers to the states, and no
+    other code knows the layout.  The back-pointers of a flood hold
+    ``E`` entries per step, no more than its final ``(E, T)`` paths.
+    Candidates rank by total score, emission term included, then by entry
+    order (lowest entry of the previous step first), within each flood, so
+    the first best entry of a flood is its rank 0.  Step ``t`` reads only
+    the first ``t + 1`` symbols, so every step's yield is the answer for
+    that prefix; a flood's last yield is at its own last step.
 
     The step's candidates form one contiguous ``(a * N, E)`` array: row
     ``s * N + j`` is state ``j`` of flood ``s`` and column ``i * w + r`` is
@@ -486,27 +492,19 @@ def _list_viterbi(
     # failures are named once, after the last step.
     failed = np.zeros(batch.symbols.shape, dtype=bool)
     cells = np.arange(batch.order.size * n)
-    # Per w, for the whole batch: the log transition repeated w times along
-    # the entries, each cell's first path row and the state column appended
-    # to the paths; a step takes the leading rows of the last two.
-    layouts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # Per w: the log transition, transposed and repeated w times along the entries.
+    transitions: dict[int, np.ndarray] = {}
 
     a = active[0]
     score = log_initial + bonus[0, : a * n].reshape(a, n)
     failed[0, :a] = np.isneginf(score).all(axis=1)
-    paths = np.tile(np.arange(n), (a, 1))[:, :, None]
-    yield score, paths
+    yield score, None
     for t in range(1, len(active) - 1):
         a, w = active[t], score.shape[1] // n
         width = min(k, n * w)
-        layout = layouts.get(w)
-        if layout is None:
-            layout = layouts[w] = (
-                log_trans.T.repeat(w, axis=1),
-                cells[:, None] // n * (n * w),
-                np.tile(np.arange(n).repeat(width), batch.order.size)[:, None],
-            )
-        trans, offsets, states = layout
+        trans = transitions.get(w)
+        if trans is None:
+            trans = transitions[w] = log_trans.T.repeat(w, axis=1)
         rows = cells[: a * n]
         cand = np.add(score[:a, None, :], trans).reshape(a * n, n * w)
         cand += bonus[t, : a * n, None]
@@ -525,33 +523,46 @@ def _list_viterbi(
             top[bad] = np.take_along_axis(fresh, picks[bad], axis=1)
             failed[t, :a] = np.isneginf(top[:, 0].reshape(a, n)).all(axis=1)
         score = top.reshape(a, n * width)
-        picks += offsets[: a * n]
-        paths = np.concatenate((paths.reshape(-1, t)[picks.ravel()], states[: a * n * width]),
-                               axis=1).reshape(a, n * width, t + 1)
-        yield score, paths
+        yield score, picks.reshape(a, n * width)
     _raise_first_failure(batch, failed, lambda step: "no admissible state path" if step
                          else "no state can produce the observation")
 
 
-def _best_paths(score: np.ndarray, paths: np.ndarray, k: int) -> list[StatePath]:
-    """The ``k`` best of one flood's list-Viterbi entries, ``score`` (E,) and
-    ``paths`` (E, T), best first: by score, then by entry order (one stable sort).
+def _trace(backs: list, n: int, column: int, entries) -> list[list[int]]:
+    """The states of ``entries``, entries of the flood in batch column
+    ``column`` at step ``len(backs) - 1``, followed back through the
+    back-pointers ``backs`` that :func:`_list_viterbi` yielded up to that
+    step.  One walk over Python ints per entry: cheap for the few entries
+    of one flood's verdict, where numpy calls would cost more than they save.
     """
-    return [
-        StatePath(states=_frozen_array(paths[entry], dtype=np.int64),
-                  log_prob=float(score[entry]))
-        for entry in np.argsort(-score, kind="stable")[:k]
-    ]
+    steps = [(back, back.shape[1] // n) for back in reversed(backs[1:])]
+    paths = []
+    for entry in entries:
+        path = []
+        for back, width in steps:
+            path.append(entry // width)
+            entry = back.item(column, entry)
+        path.append(entry)
+        paths.append(path[::-1])
+    return paths
 
 
 def _k_best(model: Hmm, observations: list[np.ndarray], k: int) -> list[list[StatePath]]:
     """The ``k`` best paths of every validated flood, in list order, decoded
-    side by side in :func:`_batches` chunks; a flood's are read at its last step."""
+    side by side in :func:`_batches` chunks.  A flood's are picked at its last
+    step, by score then by entry order (one stable sort), and traced back."""
     found: list[list[StatePath]] = [[] for _ in observations]
     for batch in _batches(observations, model.n_states):
-        for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
+        backs = []
+        for t, (score, back) in enumerate(_list_viterbi(model, batch, k)):
+            backs.append(back)
             for column in range(batch.active[t + 1], batch.active[t]):
-                found[batch.order[column]] = _best_paths(score[column], paths[column], k)
+                best = np.argsort(-score[column], kind="stable")[:k].tolist()
+                found[batch.order[column]] = [
+                    StatePath(states=_frozen_array(states, dtype=np.int64),
+                              log_prob=float(score[column, entry]))
+                    for entry, states in zip(best, _trace(backs, model.n_states, column, best))
+                ]
     return found
 
 
@@ -586,14 +597,40 @@ def _prefix_best(
     model: Hmm, observations: list[np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The best path of every prefix of every validated flood, from one k=1
-    pass per :func:`_batches` chunk: after step ``t`` of a chunk, the list
-    indices (a,) of its ``a`` running floods and the log probabilities (a,)
-    and states (a, t + 1) of their first best entries."""
-    for batch in _batches(observations, model.n_states):
-        for score, paths in _list_viterbi(model, batch, 1):
-            best = score.argmax(axis=1)
-            rows = np.arange(best.size)
-            yield batch.order[: best.size], score[rows, best], paths[rows, best]
+    pass per :func:`_batches` chunk: for each step ``t`` of a chunk, in
+    order, the list indices (a,) of its ``a`` running floods and the log
+    probabilities (a,) and states (a, t + 1) of their first best entries,
+    the states in the smallest unsigned integer type that holds N - 1.
+
+    The pass keeps each step's back-pointers and best entries; then one
+    backward numpy sweep over the chunk's L steps traces the best entries
+    of all (step, flood) pairs together, in O(L) numpy calls.  The sweep's
+    states hold one cell per (prefix, step) pair: for N <= 256, one byte,
+    so no more memory than the int64 back-pointers while L <= 8 N.
+    """
+    n = model.n_states
+    for batch in _batches(observations, n):
+        best, log_probs, backs = [], [], []
+        for score, back in _list_viterbi(model, batch, 1):
+            best.append(score.argmax(axis=1))
+            log_probs.append(score.max(axis=1))
+            backs.append(back)
+        # Columns: the running floods of the last step, then of each earlier
+        # step, so the prefixes that reach step u lead; states[u, c] is the
+        # state of prefix c at step u, and also its entry, as k = 1 keeps one
+        # entry per state.  A prefix starts from its best entry at its own step.
+        sizes = [entries.size for entries in best[::-1]]
+        ends = np.cumsum(sizes)[::-1].tolist()
+        states = np.empty((len(best), ends[0]), dtype=np.min_scalar_type(n - 1))
+        steps = np.arange(len(best) - 1, -1, -1).repeat(sizes)
+        states[steps, np.arange(ends[0])] = np.concatenate(best[::-1])
+        flood = np.concatenate([np.arange(size) * n for size in sizes])
+        for u in range(len(best) - 1, 0, -1):
+            lead = ends[u]
+            states[u - 1, :lead] = backs[u].ravel()[flood[:lead] + states[u, :lead]]
+        for t, end in enumerate(ends):
+            a = best[t].size
+            yield batch.order[:a], log_probs[t], states[: t + 1, end - a:end].T
 
 
 def prefix_paths(model: Hmm, obs) -> list[StatePath]:

@@ -431,6 +431,15 @@ class TestEvaluation:
         with pytest.raises(DomainError, match="at least one"):
             evaluate_prefix_accuracy(model, [], l_max=3)
 
+    @pytest.mark.parametrize("l_max", [True, 2.0, 2.5, "3", None])
+    def test_non_integer_l_max_rejected(self, l_max):
+        training, book = disjoint_training()
+        model = train_diagnoser(training, codebook=book)
+        message = f"l_max must be an integer, got {l_max!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            evaluate_prefix_accuracy(model, training, l_max=l_max)
+        assert evaluate_prefix_accuracy(model, training, l_max=np.int64(2)).lengths.tolist() == [1, 2]
+
 
 class TestModelIO:
     def test_round_trip_and_stable_bytes(self, tmp_path):

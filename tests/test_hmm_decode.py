@@ -17,7 +17,7 @@ from alarmhmm import (
     viterbi,
 )
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
-from alarmhmm.hmm import _batch, _best_paths, _list_viterbi
+from alarmhmm.hmm import _batch, _list_viterbi, _prefix_best, _trace
 
 import oracles
 
@@ -142,16 +142,39 @@ def coarse_case(seed):
 def test_prefix_paths_equal_viterbi_of_every_prefix(seed, coarse):
     model, obs = coarse_case(seed) if coarse else small_random_case(seed)
     try:
-        prefixes = prefix_paths(model, obs)
+        expected = [oracles.loop_k_best(model, obs[:p], 1)[0] for p in range(1, len(obs) + 1)]
     except InferenceError as exc:
-        with pytest.raises(InferenceError, match=f"^{re.escape(str(exc))}$"):
-            viterbi(model, obs)
+        with pytest.raises(InferenceError, match=f"^{re.escape(f'sequence 0: {exc}')}$"):
+            prefix_paths(model, obs)
         return
-    assert len(prefixes) == len(obs)
-    for p, path in enumerate(prefixes, start=1):
-        expected = viterbi(model, obs[:p])
-        assert path.states.tolist() == expected.states.tolist()
-        assert path.log_prob == expected.log_prob
+    assert [(path.states.tolist(), path.log_prob) for path in prefix_paths(model, obs)] == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), coarse=st.booleans(),
+       lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4))
+@example(seed=0, coarse=False, lengths=[11, 2, 9])  # N = 4: one chunk, three sweeps
+def test_prefix_best_of_floods_ending_at_different_steps_matches_the_oracle(
+        seed, coarse, lengths):
+    # At most N floods make one chunk, and floods longer than N take more than one sweep.
+    model, floods = TestBatched.floods(seed, coarse, lengths)
+    floods = floods[:model.n_states]
+    expected, failed = {}, []
+    for index, obs in enumerate(floods):
+        try:
+            for p in range(1, obs.size + 1):
+                expected[index, p] = oracles.loop_k_best(model, obs[:p], 1)[0]
+        except InferenceError as exc:
+            failed.append(f"sequence {index}: {exc}")
+    if failed:
+        with pytest.raises(InferenceError, match=f"^{re.escape(failed[0])}$"):
+            list(_prefix_best(model, floods))
+        return
+    got = {}
+    for indices, log_probs, states in _prefix_best(model, floods):
+        for index, log_prob, path in zip(indices.tolist(), log_probs.tolist(), states.tolist()):
+            got[index, len(path)] = (path, log_prob)
+    assert got == expected
 
 
 def test_symbol_relabeling_leaves_the_decoded_path_unchanged():
@@ -288,6 +311,18 @@ class TestKBest:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
+def traced_entries(model, batch, k):
+    """After each step of the list-Viterbi pass over ``batch``: every entry of
+    every running flood as a ``(states, log_prob)`` pair, in entry order, the
+    states traced back through the package's own back-pointers."""
+    backs = []
+    for score, back in _list_viterbi(model, batch, k):
+        backs.append(back)
+        yield [list(zip(_trace(backs, model.n_states, column, range(score.shape[1])),
+                        score[column].tolist()))
+               for column in range(score.shape[0])]
+
+
 class TestBatched:
     """Floods decoded side by side give each flood its decode alone."""
 
@@ -301,7 +336,7 @@ class TestBatched:
     @staticmethod
     def alone(model, obs, k):
         try:
-            return oracles.loop_k_best(model, obs, k)
+            return list(oracles.loop_list_viterbi(model, obs, k))
         except InferenceError as exc:
             return exc
 
@@ -314,23 +349,18 @@ class TestBatched:
         expected = [self.alone(model, obs, k) for obs in floods]
         failed = [i for i, result in enumerate(expected) if isinstance(result, InferenceError)]
         batch = _batch(floods)
-        steps = _list_viterbi(model, batch, k)
+        steps = traced_entries(model, batch, k)
         if failed:
             # every flood is decoded to its end, then the first failing one is named
             message = f"sequence {failed[0]}: {expected[failed[0]]}"
             with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
                 list(steps)
             return
-        for t, (score, paths) in enumerate(steps):
-            for column in range(batch.active[t]):
-                obs = floods[batch.order[column]]
-                got = _best_paths(score[column], paths[column], k)
-                alone = k_best_paths(model, obs[:t + 1], k)
-                assert [(p.states.tolist(), p.log_prob) for p in got] == [
-                    (p.states.tolist(), p.log_prob) for p in alone]
-                if t + 1 == obs.size:
-                    assert [(p.states.tolist(), p.log_prob) for p in got] == expected[
-                        batch.order[column]]
+        for t, entries in enumerate(steps):
+            assert len(entries) == batch.active[t]
+            for column, got in enumerate(entries):
+                # every entry, -inf ones too, in entry order and to the bit
+                assert got == expected[batch.order[column]][t]
 
 
 class TestDiagnoserShape:
@@ -365,8 +395,8 @@ class TestDiagnoserShape:
             assert [(p.states.tolist(), p.log_prob) for p in got] == oracles.loop_k_best(
                 model, obs, k)
         batch = _batch(floods)
-        for t, (score, paths) in enumerate(_list_viterbi(model, batch, k)):
-            for column in range(batch.active[t]):
+        for t, entries in enumerate(traced_entries(model, batch, k)):
+            assert len(entries) == batch.active[t]
+            for column, got in enumerate(entries):
                 # every entry, -inf ones too, in entry order and to the bit
-                assert list(zip(paths[column].tolist(), score[column].tolist())) == expected[
-                    batch.order[column]][t]
+                assert got == expected[batch.order[column]][t]
