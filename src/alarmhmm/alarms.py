@@ -18,6 +18,7 @@ import numpy as np
 
 from .documents import (
     FORMAT_VERSION,
+    check_int,
     is_finite_array,
     is_finite_number,
     is_int,
@@ -28,6 +29,7 @@ from .documents import (
     write_jsonl,
 )
 from .errors import DomainError, SchemaError, UnknownSymbolError
+from .hmm import as_symbols
 
 HIGH = "high"
 LOW = "low"
@@ -40,6 +42,7 @@ class AlarmSymbolCodebook:
     n_measurements: int
 
     def __post_init__(self):
+        check_int(self.n_measurements, "n_measurements")
         if self.n_measurements < 1:
             raise DomainError("codebook needs at least one measurement")
 
@@ -57,8 +60,7 @@ class AlarmSymbolCodebook:
         raise DomainError(f"direction must be '{HIGH}' or '{LOW}', got {direction!r}")
 
     def decode(self, symbol: int) -> tuple[int, str]:
-        if not 0 <= symbol < self.n_symbols:
-            raise DomainError(f"symbol {symbol} out of range for {self.n_symbols} symbols")
+        as_symbols([symbol], self.n_symbols)
         if symbol < self.n_measurements:
             return symbol, HIGH
         return symbol - self.n_measurements, LOW
@@ -120,10 +122,6 @@ class AlarmLimits:
     def low(self) -> np.ndarray:
         return self.mean - self.kappa * self.std
 
-    @property
-    def n_measurements(self) -> int:
-        return self.mean.shape[0]
-
 
 @dataclass
 class AlarmSequence:
@@ -135,7 +133,7 @@ class AlarmSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.symbols = [int(s) for s in self.symbols]
+        self.symbols = as_symbols(self.symbols).tolist()
         self.times = [float(t) for t in self.times]
 
     def __len__(self) -> int:
@@ -148,10 +146,7 @@ class AlarmSequence:
             raise DomainError("alarm symbols must be pairwise distinct")
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise DomainError("activation times must be non-decreasing")
-        if n_symbols is not None:
-            bad = [s for s in self.symbols if not 0 <= s < n_symbols]
-            if bad:
-                raise UnknownSymbolError(f"symbol {bad[0]} outside [0, {n_symbols})")
+        as_symbols(self.symbols, n_symbols)
         return self
 
 
@@ -374,8 +369,8 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
         raise SchemaError("meta n_measurements must be a positive integer")
     if meta.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
         raise SchemaError(f"meta format_version must be {FORMAT_VERSION!r}")
-    sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
     try:
+        sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
         return sequence.validate(None if size is None else AlarmSymbolCodebook(size).n_symbols)
     except UnknownSymbolError:
         raise

@@ -16,8 +16,9 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from .documents import COUNT, OPTIONAL_COUNT, write_csv
-from .errors import DomainError, UnknownSymbolError, located
+from .documents import COUNT, OPTIONAL_COUNT, check_int, write_csv
+from .errors import DomainError, located
+from .hmm import as_symbols
 
 #: the columns of ``predictions.csv``, which ``report`` reads back, and their checks
 PREDICTION_FIELDS = {"sequence_id": COUNT, "true_fault": OPTIONAL_COUNT, "predicted_fault": COUNT}
@@ -31,10 +32,7 @@ def dechatter(symbols) -> list[int]:
 
 def _pair_keys(sequence, n_symbols: int) -> np.ndarray:
     """Keys ``a * n_symbols + b`` of the successive pairs (a, b) of the de-chattered symbols."""
-    symbols = np.asarray(dechatter(getattr(sequence, "symbols", sequence)), dtype=np.int64)
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= n_symbols):
-        bad = symbols[(symbols < 0) | (symbols >= n_symbols)][0]
-        raise UnknownSymbolError(f"symbol {bad} outside [0, {n_symbols})")
+    symbols = np.asarray(dechatter(as_symbols(sequence, n_symbols).tolist()), dtype=np.int64)
     return symbols[:-1] * n_symbols + symbols[1:]
 
 
@@ -104,6 +102,7 @@ def fit_baseline(
     faults = np.array([item.fault for item in training], dtype=np.int64)
     if n_clusters is None:
         n_clusters = len(set(faults.tolist()))
+    check_int(n_clusters, "n_clusters")
     if not 1 <= n_clusters <= len(training):
         raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
 

@@ -3,7 +3,8 @@ baseline, report.
 
 Every subcommand is reproducible: identical inputs and ``--seed`` produce
 byte-identical output files.  Failures exit nonzero with a single
-``error: <kind>: <message>`` line on stderr.
+``error: <kind>: <message>`` line on stderr: status 2 for a command line
+that does not parse (kind ``usage``), 1 for any other failure.
 """
 
 from __future__ import annotations
@@ -46,7 +47,20 @@ from .errors import (
 )
 from .hmm import FitConfig
 
+
+class UsageError(AlarmHmmError):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors reach :func:`main` as :class:`UsageError`."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 _ERROR_KINDS = (
+    (UsageError, "usage"),
     (UnknownSymbolError, "unknown-symbol"),
     (ModelFormatError, "invalid-model"),
     (SchemaError, "schema-mismatch"),
@@ -109,7 +123,7 @@ def _fault_names_from(sequences) -> dict[int, str]:
     names: dict[int, str] = {}
     for seq in sequences:
         if seq.fault is not None and "fault_name" in seq.meta:
-            names.setdefault(int(seq.fault), str(seq.meta["fault_name"]))
+            names.setdefault(seq.fault, str(seq.meta["fault_name"]))
     return names
 
 
@@ -234,7 +248,7 @@ def cmd_evaluate(args) -> int:
     write_confusion_csvs(curve, out)
     print(
         f"evaluated {curve.n_total} sequences up to prefix length {l_max}; "
-        f"full-length accuracy {curve.accuracy[-1]:.3f} -> {out}"
+        f"accuracy at prefix length {l_max} {curve.accuracy[-1]:.3f} -> {out}"
     )
     return 0
 
@@ -268,7 +282,7 @@ def cmd_report(args) -> int:
     prediction_rows = read_csv(prediction_path, baseline_mod.PREDICTION_FIELDS)
     if not accuracy_rows:
         raise SchemaError(f"{accuracy_path}: no accuracy rows")
-    hmm_full = csv_value(accuracy_rows[-1]["accuracy"])
+    last = accuracy_rows[-1]
     scored = [row for row in prediction_rows if row["true_fault"] != ""]
     if not scored:
         raise SchemaError(f"{prediction_path}: no true fault labels to score")
@@ -277,15 +291,13 @@ def cmd_report(args) -> int:
     write_csv(args.out, ("method", *ACCURACY_FIELDS), [
         ["hmm"] + [row[column] for column in ACCURACY_FIELDS] for row in accuracy_rows
     ] + [["baseline", "full", repr(correct / len(scored)), correct, len(scored)]])
-    print(
-        f"hmm full-length accuracy {hmm_full:.3f} vs baseline {correct / len(scored):.3f} "
-        f"-> {args.out}"
-    )
+    print(f"hmm accuracy at prefix length {last['prefix_length']} {csv_value(last['accuracy']):.3f}"
+          f" vs baseline {correct / len(scored):.3f} at full length -> {args.out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alarmhmm",
         description="Diagnose the root-cause fault behind process alarm floods with a discrete HMM.",
     )
@@ -370,15 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (AlarmHmmError, OSError, MemoryError) as exc:
         message = " ".join(str(exc).split())
         kind = next(kind for cls, kind in _ERROR_KINDS if isinstance(exc, cls))
         print(f"error: {kind}: {message}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .alarms import AlarmSequence, AlarmSymbolCodebook
 from .documents import (
     COUNT,
     FRACTION,
+    check_int,
     is_array,
     is_finite_number,
     is_int,
@@ -66,6 +67,7 @@ class LabeledSequence:
     fault: int
 
     def __post_init__(self):
+        check_int(self.fault, "fault label")
         if self.fault < 0:
             raise DomainError(f"fault label {self.fault} must be non-negative")
 
@@ -76,7 +78,7 @@ class LabeledSequence:
 
 def _labeled(index: int, sequence: AlarmSequence) -> LabeledSequence:
     with located(f"sequence {index}"):
-        return LabeledSequence(sequence=sequence, fault=int(sequence.fault))
+        return LabeledSequence(sequence=sequence, fault=sequence.fault)
 
 
 def as_labeled(sequences: list[AlarmSequence]) -> list[LabeledSequence]:
@@ -307,8 +309,7 @@ def evaluate_prefix_accuracy(
     about one sequence starts with ``sequence <i>: ``, ``i`` counting from
     0 in ``test``.
     """
-    if not (isinstance(l_max, (int, np.integer)) and not isinstance(l_max, bool)):
-        raise DomainError(f"l_max must be an integer, got {l_max!r}")
+    check_int(l_max, "l_max")
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
     if not test:

@@ -1,5 +1,5 @@
 """The versioned JSON documents, JSON Lines files and CSVs, and the value checks
-all readers share.
+all readers and arguments share.
 
 Nothing read is coerced: a boolean is not an integer, and a finite number
 is an int or float that fits a float.
@@ -13,7 +13,9 @@ import json
 import math
 from pathlib import Path
 
-from .errors import SchemaError, located
+import numpy as np
+
+from .errors import DomainError, SchemaError, located
 
 FORMAT_VERSION = "1"
 CSV_VERSION_LINE = f"# format_version={FORMAT_VERSION}"
@@ -25,7 +27,14 @@ def is_array(value) -> bool:
 
 
 def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The package's one integer test: a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, what: str) -> None:
+    """Raise :class:`DomainError` naming ``what`` unless ``value`` passes :func:`is_int`."""
+    if not is_int(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def is_int_array(value) -> bool:

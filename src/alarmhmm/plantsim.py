@@ -19,6 +19,7 @@ import numpy as np
 from .alarms import HIGH, AlarmSequence, AlarmSymbolCodebook, MeasurementTrace
 from .documents import (
     FORMAT_VERSION,
+    check_int,
     check_version,
     is_array,
     is_finite_array,
@@ -29,7 +30,7 @@ from .documents import (
     require,
     save_document,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, located
 
 DEFAULT_MAGNITUDE_RANGE = (0.2, 1.0)
 DEFAULT_SWAP_PROB = 0.02
@@ -83,6 +84,7 @@ class PropagationGraph:
     faults: tuple[FaultPath, ...]
 
     def __post_init__(self):
+        check_int(self.n_measurements, "n_measurements")
         if self.n_measurements < 1:
             raise DomainError("graph needs at least one measurement")
         if not self.faults:
@@ -105,15 +107,15 @@ class PropagationGraph:
             if any(b < a for a, b in zip(thresholds, thresholds[1:])):
                 raise DomainError(f"fault {index}: depth thresholds must be non-decreasing")
             seen: set[int] = set()
-            for stage in fault.stages:
-                for symbol in stage.symbols:
-                    if not 0 <= symbol < n_symbols:
-                        raise DomainError(
-                            f"fault {index}: symbol {symbol} outside [0, {n_symbols})"
-                        )
-                    if symbol in seen:
-                        raise DomainError(f"fault {index}: symbol {symbol} listed twice")
-                    seen.add(symbol)
+            with located(f"fault {index}"):
+                for stage in fault.stages:
+                    for symbol in stage.symbols:
+                        check_int(symbol, "symbol")
+                        if not 0 <= symbol < n_symbols:
+                            raise DomainError(f"symbol {symbol} outside [0, {n_symbols})")
+                        if symbol in seen:
+                            raise DomainError(f"symbol {symbol} listed twice")
+                        seen.add(symbol)
 
     @property
     def n_symbols(self) -> int:
@@ -128,6 +130,12 @@ class PropagationGraph:
         return AlarmSymbolCodebook(self.n_measurements)
 
 
+def _check_seed(seed) -> None:
+    check_int(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A single simulated scenario: fault, severity and noise settings."""
@@ -139,6 +147,7 @@ class ScenarioSpec:
     drop_prob: float = 0.0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not 0.0 <= self.swap_prob <= 1.0:
             raise DomainError("swap_prob must lie in [0, 1]")
         if not 0.0 <= self.drop_prob <= 1.0:
@@ -213,8 +222,7 @@ def generate_scenario_set(
     (base_seed, split, fault, replicate); training and test use disjoint
     seed streams.
     """
-    if base_seed < 0:
-        raise DomainError(f"seed must be non-negative, got {base_seed}")
+    _check_seed(base_seed)
     lo, hi = magnitude_range
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError("magnitude range must satisfy 0 < lo < hi <= 1")
@@ -253,7 +261,7 @@ def _staircase(*steps: tuple) -> tuple[tuple[Stage, ...], tuple[float, ...]]:
     """Build (stages, depth_thresholds) from (symbol(s), delay, jitter, threshold) rows."""
     stages, thresholds = [], []
     for symbols, delay, jitter, threshold in steps:
-        if isinstance(symbols, int):
+        if is_int(symbols):
             symbols = (symbols,)
         stages.append(Stage(tuple(symbols), float(delay), float(jitter)))
         thresholds.append(float(threshold))
@@ -484,6 +492,7 @@ def load_graph(path) -> PropagationGraph:
 
 def simulate_normal_trace(n_measurements: int, n_samples: int, seed: int = 0) -> MeasurementTrace:
     """Normal-operation readings: zero baseline plus unit-variance Gaussian noise."""
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50)))
     values = rng.normal(0.0, 1.0, size=(n_samples, n_measurements))
     return MeasurementTrace(

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from alarmhmm import DomainError, SchemaError, alarms
+from alarmhmm import DomainError, SchemaError, UnknownSymbolError, alarms
 from alarmhmm.alarms import (
     HIGH,
     LOW,
@@ -118,6 +118,14 @@ class TestCodebook:
             book.encode(0, "sideways")
         with pytest.raises(DomainError):
             book.decode(6)
+        with pytest.raises(DomainError, match="^symbol indices must be integers$"):
+            book.decode(1.5)
+
+    @pytest.mark.parametrize("size", [2.5, True])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(DomainError, match=f"^n_measurements must be an integer, got {size}$"):
+            AlarmSymbolCodebook(size)
+        assert AlarmSymbolCodebook(np.int64(3)).n_symbols == 6
 
 
 class TestFitLimits:
@@ -313,6 +321,15 @@ class TestTraceCsv:
         write_trace_csv(path, trace)
         assert path.read_text().splitlines()[1:] == ["0.0,1.0", "10.0,2.0", "20.0,3.0"]
         assert read_trace_csv(path).sample_period == 10.0
+
+    @pytest.mark.parametrize("values, ids, message", [
+        ([1.0, 2.0], ["x"], "trace values must be a (samples, measurements) matrix"),
+        ([[1.0], [math.inf]], ["x"], "trace contains non-finite values"),
+        ([[1.0], [2.0]], ["x", "y"], "meas_ids length does not match the value columns"),
+    ], ids=["1-d", "non-finite", "id-count"])
+    def test_values_must_be_a_finite_matrix_with_one_id_per_column(self, values, ids, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            MeasurementTrace(sample_period=1.0, values=values, meas_ids=ids)
 
     @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_period_must_be_finite_and_positive(self, period):
@@ -524,5 +541,16 @@ class TestSequenceJsonl:
             AlarmSequence(symbols=[1, 1], times=[0.0, 1.0]).validate()
         with pytest.raises(DomainError, match="non-decreasing"):
             AlarmSequence(symbols=[1, 2], times=[5.0, 1.0]).validate()
-        with pytest.raises(DomainError, match="outside"):
-            AlarmSequence(symbols=[9], times=[0.0]).validate(n_symbols=4)
+        with pytest.raises(UnknownSymbolError,
+                           match=r"^symbol 9 at position 1 is outside \[0, 4\)$"):
+            AlarmSequence(symbols=[0, 9], times=[0.0, 1.0]).validate(n_symbols=4)
+        assert AlarmSequence(symbols=[], times=[]).validate(n_symbols=4).symbols == []
+
+    @pytest.mark.parametrize("symbols", [[1.5, 2], [True, False], [[1, 2]]])
+    def test_symbols_must_be_integers(self, symbols):
+        with pytest.raises(DomainError, match="^symbol indices must"):
+            AlarmSequence(symbols=symbols, times=[0.0, 1.0])
+
+    def test_numpy_symbols_become_python_integers(self):
+        sequence = AlarmSequence(symbols=np.array([3, 1], dtype=np.uint8), times=[0.0, 1.0])
+        assert sequence.symbols == [3, 1] and type(sequence.symbols[0]) is int

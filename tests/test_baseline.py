@@ -1,13 +1,14 @@
 """Chattering removal, successor features, AHC clustering and classification."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmhmm import DomainError
+from alarmhmm import DomainError, UnknownSymbolError
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.baseline import (
     dechatter,
@@ -64,7 +65,8 @@ class TestFeatureMatrix:
         assert p.sum() == len(dechatter([0, 0, 1])) - 1
 
     def test_out_of_range_symbol_rejected(self):
-        with pytest.raises(DomainError, match="symbol 5 outside"):
+        message = "training sequence 0: symbol 5 at position 1 is outside [0, 3)"
+        with pytest.raises(UnknownSymbolError, match=f"^{re.escape(message)}$"):
             fit_baseline(labeled([([0, 5], 0)]), [], None, 3)
 
 
@@ -123,6 +125,18 @@ class TestClustering:
             fit_baseline(training, test, 0, 16)
         with pytest.raises(DomainError, match="n_clusters"):
             fit_baseline(training, test, 5, 16)
+
+    @pytest.mark.parametrize("n_clusters", [2.0, True])
+    def test_cluster_count_must_be_an_integer(self, n_clusters):
+        training, test = self.disjoint_data()
+        with pytest.raises(DomainError, match=f"^n_clusters must be an integer, got {n_clusters}$"):
+            fit_baseline(training, test, n_clusters, 16)
+        assert fit_baseline(training, test, np.int64(2), 16).dendrogram.cut == 2
+
+    def test_test_symbols_must_be_integers(self):
+        training, test = self.disjoint_data()
+        with pytest.raises(DomainError, match="^test sequence 2: symbol indices must be integers$"):
+            fit_baseline(training, test + [[1.5, 2.7, 3]], 2, 16)
 
     def test_cluster_count_defaults_to_distinct_faults(self):
         training, test = self.disjoint_data()

@@ -133,6 +133,23 @@ class TestPipeline:
         assert 0.0 <= float(rows[-1]["accuracy"]) <= 1.0
         assert all(row["method"] == "hmm" for row in rows[:-1])
 
+    def test_accuracy_lines_name_their_prefix_length(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        evaluation, base = tmp_path / "evaluation", tmp_path / "baseline"
+        assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--lmax", "3", "--out", str(evaluation)]) == 0
+        accuracy = read_csv(evaluation / "accuracy.csv")[-1]["accuracy"]
+        assert capsys.readouterr().out == (
+            f"evaluated 6 sequences up to prefix length 3; accuracy at prefix length 3 "
+            f"{float(accuracy):.3f} -> {evaluation}\n")
+        assert main(["baseline", "--train", str(data / "train.jsonl"),
+                     "--in", str(data / "test.jsonl"), "--out", str(base)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--evaluation", str(evaluation), "--baseline", str(base),
+                     "--out", str(tmp_path / "comparison.csv")]) == 0
+        assert re.fullmatch(rf"hmm accuracy at prefix length 3 {float(accuracy):.3f} vs baseline "
+                            rf"[01]\.\d{{3}} at full length -> \S+\n", capsys.readouterr().out)
+
     def test_cluster_count_is_passed_through(self, pipeline, capsys):
         tmp_path, data, _ = pipeline
         args = ["baseline", "--train", str(data / "train.jsonl"), "--in", str(data / "test.jsonl"),
@@ -286,7 +303,7 @@ class TestMeasurementCount:
         capsys.readouterr()
         assert main(self.argv(command, tmp_path, train, data / "test.jsonl") + flag) == 1
         assert capsys.readouterr().err == (
-            f"error: unknown-symbol: {train}:2: symbol 99 outside [0, 10)\n")
+            f"error: unknown-symbol: {train}:2: symbol 99 at position 0 is outside [0, 10)\n")
 
     @pytest.mark.parametrize("command, where", [
         ("train", "sequence 1"), ("baseline", "training sequence 1"),
@@ -853,6 +870,76 @@ class TestErrorReporting:
         assert capsys.readouterr().err == (
             "error: domain-error: emission_floor 0.1 must be below 1/10 for 10 symbols\n")
         assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--in", "t.jsonl", "--out", "m.json", "--max-iters", "1.5"],
+         "argument --max-iters: invalid int value: '1.5'"),
+        (["report", "--evaluation", "e", "--baseline", "b", "--out", "c.csv", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-int", "unknown-flag", "no-subcommand"])
+    def test_usage_error_is_one_line_with_status_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: usage: {message}\n")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: alarmhmm train ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(faults=doc["faults"][:1]),
+         "one fault name per hidden state required"),
+        (lambda doc: doc["codebook"].update(n_measurements=4),
+         "codebook size does not match the model alphabet"),
+    ], ids=["faults", "codebook"])
+    def test_model_naming_must_match_its_arrays(self, pipeline, capsys, edit, message):
+        tmp_path, data, model = pipeline
+        doc = json.loads(model.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(bad), "--in", str(data / "test.jsonl"),
+                     "--out", str(tmp_path / "out.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: invalid-model: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("target, message", [
+        ("accuracy.csv", "no accuracy rows"), ("predictions.csv", "no true fault labels to score"),
+    ])
+    def test_report_needs_rows_to_score(self, pipeline, tmp_path, capsys, target, message):
+        tmp, data, model = pipeline
+        evaluation, base = tmp_path / "evaluation", tmp_path / "baseline"
+        main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+              "--out", str(evaluation)])
+        main(["baseline", "--train", str(data / "train.jsonl"),
+              "--in", str(data / "test.jsonl"), "--out", str(base)])
+        path = (evaluation if target == "accuracy.csv" else base) / target
+        if target == "accuracy.csv":
+            path.write_text("\n".join(path.read_text().split("\n")[:2]) + "\n")
+        else:
+            path.write_text(re.sub(r"^(\d+),\d+,", r"\1,,", path.read_text(), flags=re.M))
+        capsys.readouterr()
+        assert main(["report", "--evaluation", str(evaluation), "--baseline", str(base),
+                     "--out", str(tmp_path / "comparison.csv")]) == 1
+        assert capsys.readouterr().err == f"error: schema-mismatch: {path}: {message}\n"
+
+    def test_count_list_needs_one_count_per_fault(self, tmp_path, capsys):
+        assert main(["simulate", "--train-counts", "5,8", "--test-counts", "4,4,4,4,4,5,5,4,4,4",
+                     "--out", str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: --train-counts must list one count per fault (10)\n")
+        assert not (tmp_path / "data").exists()
+
+    def test_graph_of_another_fault_count_needs_counts(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        save_graph(toy_graph(), graph)
+        assert main(["simulate", "--graph", str(graph), "--out", str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err == (
+            "error: domain-error: graph fault count differs from the bundled default; "
+            "pass --train-counts/--test-counts\n")
+        assert not (tmp_path / "data").exists()
 
     def test_negative_seed_is_one_domain_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "data")]) == 1

@@ -177,6 +177,16 @@ class TestTraining:
         with pytest.raises(DomainError, match="^sequence 1: fault label -2 must be non-negative$"):
             as_labeled([good, bad])
 
+    @pytest.mark.parametrize("fault", [1.5, True])
+    def test_fault_label_must_be_an_integer(self, fault):
+        good = AlarmSequence(symbols=[1], times=[0.0], fault=0)
+        bad = AlarmSequence(symbols=[1], times=[0.0], fault=fault)
+        with pytest.raises(DomainError,
+                           match=f"^sequence 1: fault label must be an integer, got {fault}$"):
+            as_labeled([good, bad])
+        numpy_label = AlarmSequence(symbols=[1], times=[0.0], fault=np.int64(1))
+        assert as_labeled([numpy_label])[0].fault == 1
+
     def test_config_echo_recorded(self):
         training, book = disjoint_training()
         model = train_diagnoser(training, codebook=book)

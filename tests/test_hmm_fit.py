@@ -1,5 +1,7 @@
 """Baum-Welch training: update equations, pooling, monotonicity, stopping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -268,3 +270,16 @@ def test_state_limit_on_the_floor_holds_only_for_re_estimated_transitions():
 def test_invalid_config_rejected(bad):
     with pytest.raises(DomainError):
         FitConfig(**bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FitConfig(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+    (lambda: FitConfig(max_iterations=True), "max_iterations must be an integer, got True"),
+    (lambda: random_model(2.5, 3), "n_states must be an integer, got 2.5"),
+    (lambda: random_model(3, True), "n_symbols must be an integer, got True"),
+])
+def test_counts_must_be_integers(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+    assert FitConfig(max_iterations=np.int64(3)).max_iterations == 3
+    assert random_model(np.int32(2), np.uint8(3)).emission.shape == (2, 3)

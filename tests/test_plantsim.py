@@ -1,5 +1,7 @@
 """Scenario generator: determinism, depth rule, noise knobs, trace mode."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,21 @@ class TestScenarioSets:
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             generate_scenario_set(graph, {0: (1, 1)}, base_seed=-1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: generate_scenario_set(toy_graph(), {0: (1, 1)}, base_seed=1.5),
+         "seed must be an integer, got 1.5"),
+        (lambda: ScenarioSpec(fault=0, magnitude=0.5, seed=-1),
+         "seed must be non-negative, got -1"),
+        (lambda: ScenarioSpec(fault=0, magnitude=0.5, seed=True),
+         "seed must be an integer, got True"),
+        (lambda: simulate_normal_trace(3, 10, seed=-1), "seed must be non-negative, got -1"),
+        (lambda: simulate_normal_trace(3, 10, seed=2.0), "seed must be an integer, got 2.0"),
+    ], ids=["base-seed", "spec-negative", "spec-bool", "trace-negative", "trace-float"])
+    def test_seeds_are_non_negative_integers(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+        assert simulate_normal_trace(3, 10, seed=np.int64(2)).values.shape == (10, 3)
+
 
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
@@ -183,6 +200,17 @@ class TestGraphIO:
         path.write_text("{]")
         with pytest.raises(SchemaError, match="JSON"):
             load_graph(path)
+
+    @pytest.mark.parametrize("n_measurements, symbols, message", [
+        (2.5, (0,), "n_measurements must be an integer, got 2.5"),
+        (True, (0,), "n_measurements must be an integer, got True"),
+        (2, (1.5,), "fault 0: symbol must be an integer, got 1.5"),
+        (2, (0, True), "fault 0: symbol must be an integer, got True"),
+    ])
+    def test_sizes_and_stage_symbols_must_be_integers(self, n_measurements, symbols, message):
+        fault = FaultPath(name="f", stages=(Stage(symbols, 10.0, 0.0),), depth_thresholds=(0.0,))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            PropagationGraph(n_measurements=n_measurements, faults=(fault,))
 
     def test_structural_invariants_enforced(self):
         with pytest.raises(DomainError, match="strictly increase"):
