@@ -52,36 +52,6 @@ class BaselineResult:
     predictions: list[int]       # predicted fault per test sequence
 
 
-def _flat_clusters(merge_rows: np.ndarray, n_items: int, n_clusters: int) -> np.ndarray:
-    """Cut the dendrogram after n_items - n_clusters merges.
-
-    Cluster ids follow first appearance in the training list, so ties
-    downstream resolve deterministically.
-    """
-    parent = list(range(n_items + len(merge_rows)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step in range(n_items - n_clusters):
-        a, b = int(merge_rows[step, 0]), int(merge_rows[step, 1])
-        merged = n_items + step
-        parent[find(a)] = merged
-        parent[find(b)] = merged
-
-    labels = np.empty(n_items, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for item in range(n_items):
-        root = find(item)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[item] = seen[root]
-    return labels
-
-
 def fit_baseline(
     training: list, test: list, n_clusters: int | None, n_symbols: int
 ) -> BaselineResult:
@@ -99,9 +69,9 @@ def fit_baseline(
     """
     if not training:
         raise DomainError("baseline training set must be non-empty")
-    faults = np.array([item.fault for item in training], dtype=np.int64)
+    fault_ids, fault_codes = np.unique([item.fault for item in training], return_inverse=True)
     if n_clusters is None:
-        n_clusters = len(set(faults.tolist()))
+        n_clusters = fault_ids.size
     check_int(n_clusters, "n_clusters")
     if not 1 <= n_clusters <= len(training):
         raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
@@ -118,20 +88,24 @@ def fit_baseline(
     counts = np.bincount(owner * width + column, minlength=len(keys) * width)
     features = counts.reshape(len(keys), width).astype(float)
     train, probes = features[: len(training)], features[len(training):]
-    if len(training) == 1:
-        labels = np.zeros(1, dtype=np.int64)
-        merges: tuple = ()
-    else:
-        merge_rows = linkage(pdist(train), method="average")
-        labels = _flat_clusters(merge_rows, len(training), n_clusters)
-        merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in merge_rows)
+    merge_rows = linkage(pdist(train), method="average") if len(training) > 1 else np.empty((0, 4))
+    merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in merge_rows)
 
-    cluster_faults = np.empty(n_clusters, dtype=np.int64)
+    # The flat clusters are those left after the first n - K merges (scipy
+    # numbers the cluster that row i makes n + i), numbered by their first member.
+    groups = [[item] for item in range(len(training))]
+    for a, b in merge_rows[: len(training) - n_clusters, :2].astype(np.int64).tolist():
+        groups.append(groups[a] + groups[b])
+        groups[a] = groups[b] = []
+    labels = np.empty(len(training), dtype=np.int64)
     sums = np.empty((n_clusters, width))
-    for cluster in range(n_clusters):
-        members = labels == cluster
-        cluster_faults[cluster] = int(np.argmax(np.bincount(faults[members])))  # ties -> lowest
+    for cluster, members in enumerate(sorted(filter(None, groups), key=min)):
+        labels[members] = cluster
         sums[cluster] = train[members].sum(axis=0)
+    # One count per (cluster, fault) pair; argmax ties go to the lowest fault.
+    pairs = labels * fault_ids.size + fault_codes
+    votes = np.bincount(pairs, minlength=n_clusters * fault_ids.size).reshape(n_clusters, -1)
+    cluster_faults = fault_ids[votes.argmax(axis=1)]
 
     # The squared distance to a centroid S/n is ||S - n v||^2 / n^2.  Every
     # term is an integer held exactly in a float, so the division is the only

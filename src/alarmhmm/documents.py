@@ -135,15 +135,23 @@ def read_jsonl(path, build) -> list:
             if (text := line.strip())]
 
 
+def _json_default(value):
+    """Both JSON writers' hook: a numpy integer, which :func:`is_int` accepts, as an int."""
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_document(path, document: dict) -> None:
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(document, indent=2, sort_keys=True, default=_json_default)
+    Path(path).write_text(text + "\n")
 
 
 def write_jsonl(path, records) -> None:
     """One JSON record per line, keys sorted."""
     with open(path, "w") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

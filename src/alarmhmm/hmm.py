@@ -27,6 +27,7 @@ from .documents import (
     FORMAT_VERSION,
     check_int,
     check_version,
+    is_array,
     is_finite_array,
     is_finite_number,
     is_int,
@@ -153,13 +154,17 @@ class FitConfig:
 
 def as_symbols(obs, n_symbols: int | None = None) -> np.ndarray:
     """The package's one symbol rule: ``obs`` (or its ``symbols``) as an array
-    if it is 1-D and empty or of an integer dtype, else :class:`DomainError`;
-    given ``n_symbols``, the first symbol outside [0, ``n_symbols``) raises
-    :class:`UnknownSymbolError` naming its position."""
-    arr = np.asarray(getattr(obs, "symbols", obs))
+    if it is 1-D and empty or of an integer dtype, and holds no bool if it is a
+    list or tuple, else :class:`DomainError`; given ``n_symbols``, the first
+    symbol outside [0, ``n_symbols``) raises :class:`UnknownSymbolError`
+    naming its position."""
+    symbols = getattr(obs, "symbols", obs)
+    arr = np.asarray(symbols)
     if arr.ndim != 1:
         raise DomainError("symbol indices must form a 1-D list")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+    # numpy gives a list that mixes integers and bools an integer dtype.
+    if arr.size and not np.issubdtype(arr.dtype, np.integer) or (
+            is_array(symbols) and not {bool, np.bool_}.isdisjoint(map(type, symbols))):
         raise DomainError("symbol indices must be integers")
     if n_symbols is not None:
         bad = np.flatnonzero((arr < 0) | (arr >= n_symbols))
@@ -171,10 +176,10 @@ def as_symbols(obs, n_symbols: int | None = None) -> np.ndarray:
 
 def as_observations(obs, n_symbols: int) -> np.ndarray:
     """The :func:`as_symbols` of a non-empty sequence, as an int64 array."""
-    arr = np.asarray(getattr(obs, "symbols", obs))
-    if arr.ndim != 1 or arr.size == 0:
+    arr = as_symbols(obs, n_symbols)
+    if arr.size == 0:
         raise DomainError("observation sequence must be a non-empty 1-D list of symbol indices")
-    return as_symbols(arr, n_symbols).astype(np.int64)
+    return arr.astype(np.int64)
 
 
 def _observations(sequences: Sequence, n_symbols: int) -> list[np.ndarray]:

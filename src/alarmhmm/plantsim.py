@@ -130,10 +130,10 @@ class PropagationGraph:
         return AlarmSymbolCodebook(self.n_measurements)
 
 
-def _check_seed(seed) -> None:
-    check_int(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+def _check_non_negative(value, what: str) -> None:
+    check_int(value, what)
+    if value < 0:
+        raise DomainError(f"{what} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ class ScenarioSpec:
     drop_prob: float = 0.0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        _check_non_negative(self.fault, "fault")
+        _check_non_negative(self.seed, "seed")
         if not 0.0 <= self.swap_prob <= 1.0:
             raise DomainError("swap_prob must lie in [0, 1]")
         if not 0.0 <= self.drop_prob <= 1.0:
@@ -222,14 +223,17 @@ def generate_scenario_set(
     (base_seed, split, fault, replicate); training and test use disjoint
     seed streams.
     """
-    _check_seed(base_seed)
+    _check_non_negative(base_seed, "seed")
     lo, hi = magnitude_range
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError("magnitude range must satisfy 0 < lo < hi <= 1")
     train: list[AlarmSequence] = []
     test: list[AlarmSequence] = []
     for fault in sorted(per_fault_counts):
+        _check_non_negative(fault, "fault")  # the seed streams are derived from it
         n_train, n_test = per_fault_counts[fault]
+        check_int(n_train, f"fault {fault}: training count")
+        check_int(n_test, f"fault {fault}: test count")
         if n_train < 1:
             raise DomainError(f"fault {fault}: at least one training scenario required")
         if n_test < 0:
@@ -492,7 +496,7 @@ def load_graph(path) -> PropagationGraph:
 
 def simulate_normal_trace(n_measurements: int, n_samples: int, seed: int = 0) -> MeasurementTrace:
     """Normal-operation readings: zero baseline plus unit-variance Gaussian noise."""
-    _check_seed(seed)
+    _check_non_negative(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50)))
     values = rng.normal(0.0, 1.0, size=(n_samples, n_measurements))
     return MeasurementTrace(

@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from alarmhmm import InferenceError, SchemaError, posteriors
 from alarmhmm.alarms import MeasurementTrace
-from alarmhmm.baseline import BaselineResult, Dendrogram, _flat_clusters, dechatter
+from alarmhmm.baseline import BaselineResult, Dendrogram, dechatter
 from alarmhmm.documents import open_text
 
 
@@ -178,6 +178,36 @@ def dense_successor_counts(sequence, n_symbols: int) -> np.ndarray:
     return counts
 
 
+def loop_flat_clusters(merge_rows: np.ndarray, n_items: int, n_clusters: int) -> np.ndarray:
+    """The flat clusters after the first ``n_items - n_clusters`` rows of a scipy
+    merge list, found with a union-find (path halving) over the cluster ids.
+
+    Cluster ids follow first appearance in the item list.
+    """
+    parent = list(range(n_items + len(merge_rows)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for step in range(n_items - n_clusters):
+        a, b = int(merge_rows[step, 0]), int(merge_rows[step, 1])
+        merged = n_items + step
+        parent[find(a)] = merged
+        parent[find(b)] = merged
+
+    labels = np.empty(n_items, dtype=np.int64)
+    seen: dict[int, int] = {}
+    for item in range(n_items):
+        root = find(item)
+        if root not in seen:
+            seen[root] = len(seen)
+        labels[item] = seen[root]
+    return labels
+
+
 def dense_baseline(training, test, n_clusters, n_symbols) -> BaselineResult:
     """The clustering baseline on dense M x M features, centroids compared exactly.
 
@@ -194,7 +224,7 @@ def dense_baseline(training, test, n_clusters, n_symbols) -> BaselineResult:
         labels, merges = np.zeros(1, dtype=np.int64), ()
     else:
         merge_rows = linkage(pdist(features.astype(float)), method="average")
-        labels = _flat_clusters(merge_rows, len(training), n_clusters)
+        labels = loop_flat_clusters(merge_rows, len(training), n_clusters)
         merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in merge_rows)
     cluster_faults = np.array(
         [np.argmax(np.bincount(faults[labels == c])) for c in range(n_clusters)], dtype=np.int64

@@ -26,6 +26,8 @@ from alarmhmm.alarms import (
     write_trace_csv,
 )
 
+from alarmhmm.documents import save_document
+
 import oracles
 
 VALID_RECORD = {"fault": 1, "symbols": [3, 0, 5], "times": [0.0, 10.0, 10.0],
@@ -502,6 +504,22 @@ class TestSequenceJsonl:
         assert loaded[0].fault == 2
         assert loaded[0].meta["k"] == 1
         assert loaded[1].fault is None
+
+    def test_numpy_integers_are_written_as_plain_integers(self, tmp_path):
+        paths = [tmp_path / "python.jsonl", tmp_path / "numpy.jsonl"]
+        for path, integer in zip(paths, (int, np.int64)):
+            write_sequences_jsonl(path, [AlarmSequence(
+                symbols=[3, 1], times=[0.0, 1.0], fault=integer(2), meta={"seed": integer(7)})])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert read_sequences_jsonl(paths[1])[0].meta["seed"] == 7
+
+    @pytest.mark.parametrize("value", [np.array([1]), object(), 1j])
+    def test_writers_still_reject_values_json_cannot_spell(self, tmp_path, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_sequences_jsonl(tmp_path / "seqs.jsonl", [
+                AlarmSequence(symbols=[1], times=[0.0], meta={"k": value})])
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            save_document(tmp_path / "doc.json", {"k": value})
 
     def test_schema_violations_are_located(self, tmp_path):
         path = tmp_path / "seqs.jsonl"

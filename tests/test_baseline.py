@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alarmhmm import DomainError, UnknownSymbolError
@@ -18,7 +18,7 @@ from alarmhmm.baseline import (
 )
 from alarmhmm.diagnoser import LabeledSequence
 
-from oracles import dense_baseline, dense_successor_counts
+from oracles import dense_baseline, dense_successor_counts, loop_flat_clusters
 
 
 def seq(symbols, fault=None):
@@ -225,6 +225,30 @@ class TestAgainstDenseReference:
         probe.insert(where, n_symbols if high else -1)
         with pytest.raises(DomainError, match="outside"):
             fit_baseline(labeled(training), test + [probe], n_clusters, n_symbols)
+
+
+class TestFlatCut:
+    """The cut of the merge list against the union-find reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        floods=st.lists(
+            st.tuples(st.lists(st.integers(0, 2), max_size=4), st.sampled_from([0, 2, 7])),
+            min_size=1, max_size=12,
+        )
+    )
+    @example(floods=[([0, 1], 2)])
+    def test_every_cut_matches_the_union_find(self, floods):
+        # Floods of up to four alarms from three symbols repeat and tie often.
+        training = labeled(floods)
+        faults = np.array([fault for _, fault in floods])
+        for n_clusters in range(1, len(floods) + 1):
+            result = fit_baseline(training, [], n_clusters, 3)
+            merge_rows = np.array([(a, b) for a, b, _ in result.dendrogram.merges]).reshape(-1, 2)
+            expected = loop_flat_clusters(merge_rows, len(floods), n_clusters)
+            assert result.train_clusters.tolist() == expected.tolist()
+            votes = [np.bincount(faults[expected == c]) for c in range(n_clusters)]
+            assert result.cluster_faults.tolist() == [int(np.argmax(v)) for v in votes]
 
 
 class TestCsvOutputs:

@@ -465,6 +465,16 @@ class TestModelIO:
         save_diagnoser(loaded, again)
         assert path.read_bytes() == again.read_bytes()
 
+    def test_numpy_integer_settings_are_written_as_plain_integers(self, tmp_path):
+        training, book = disjoint_training()
+        paths = []
+        for max_iterations in (3, np.int64(3)):
+            config = FitConfig(max_iterations=max_iterations)
+            paths.append(tmp_path / f"{type(max_iterations).__name__}.json")
+            save_diagnoser(train_diagnoser(training, config=config, codebook=book), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert load_diagnoser(paths[1]).codebook == book
+
     def test_missing_sections_rejected(self, tmp_path):
         from alarmhmm import ModelFormatError
         from alarmhmm.diagnoser import diagnoser_to_dict

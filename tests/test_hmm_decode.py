@@ -16,6 +16,7 @@ from alarmhmm import (
     random_model,
     viterbi,
 )
+from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import _batch, _list_viterbi, _prefix_best, _trace
 
@@ -98,6 +99,19 @@ def test_only_integer_symbols_are_decoded():
     # An empty list is float64 to numpy; it is reported as empty, not as non-integer.
     with pytest.raises(DomainError, match="non-empty"):
         viterbi(model, [])
+
+
+@pytest.mark.parametrize("symbols", [[0, True], (False, 1), [1, np.True_]])
+def test_lists_that_mix_integers_and_bools_are_rejected(symbols):
+    model = Hmm(**TWO_STATE)
+    with pytest.raises(DomainError, match=r"^sequence 0: symbol indices must be integers$"):
+        k_best_paths(model, symbols, 1)
+    with pytest.raises(DomainError, match=r"^symbol indices must be integers$"):
+        AlarmSequence(symbols, [0.0, 1.0])
+    # An array is taken as typed: numpy has already made the bools integers.
+    array = np.array(symbols, dtype=np.int64)
+    assert AlarmSequence(array, [0.0, 1.0]).symbols == array.tolist()
+    assert k_best_paths(model, array, 1)[0].states.size == 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

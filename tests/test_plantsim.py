@@ -178,6 +178,26 @@ class TestScenarioSets:
             call()
         assert simulate_normal_trace(3, 10, seed=np.int64(2)).values.shape == (10, 3)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: generate_scenario_set(toy_graph(), {0: (1.5, 1)}),
+         "fault 0: training count must be an integer, got 1.5"),
+        (lambda: generate_scenario_set(toy_graph(), {0: (1, True)}),
+         "fault 0: test count must be an integer, got True"),
+        (lambda: generate_scenario_set(toy_graph(), {1.0: (1, 0)}),
+         "fault must be an integer, got 1.0"),
+        (lambda: ScenarioSpec(fault=True, magnitude=0.5, seed=1),
+         "fault must be an integer, got True"),
+        (lambda: ScenarioSpec(fault=-1, magnitude=0.5, seed=1),
+         "fault must be non-negative, got -1"),
+    ], ids=["train-count", "test-count", "fault-key", "spec-bool", "spec-negative"])
+    def test_faults_and_counts_are_integers(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+        spec = ScenarioSpec(fault=np.int64(1), magnitude=0.5, seed=1)
+        assert simulate_alarm_sequence(toy_graph(), spec).fault == 1
+        train, test = generate_scenario_set(toy_graph(), {1: (np.int64(1), np.int64(0))})
+        assert len(train) == 1 and test == []
+
 
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
