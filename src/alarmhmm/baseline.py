@@ -1,11 +1,11 @@
 """Sequence-similarity baseline classifier.
 
-The comparison method: collapse chattering repeats, map each alarm
-sequence to its M x M successor counts, measure Euclidean distance
-between those counts, cluster the training set with average-linkage
-agglomerative hierarchical clustering, label each cluster by majority
-vote, and classify test sequences by the nearest cluster centroid.
-Only the successor pairs that occur in some sequence are stored.
+The comparison method: collapse chattering repeats, count each alarm
+sequence's successor pairs (a sparse integer row over the M x M pairs),
+measure Euclidean distance between those counts, cluster the training
+set with average-linkage agglomerative hierarchical clustering, label
+each cluster by majority vote, and classify test sequences by the
+nearest cluster centroid.  Every distance is exact until one rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import pdist
+from scipy.sparse import csr_array
 
 from .documents import COUNT, OPTIONAL_COUNT, check_int, write_csv
 from .errors import DomainError, located
@@ -76,19 +76,22 @@ def fit_baseline(
     if not 1 <= n_clusters <= len(training):
         raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
 
-    # One column per successor pair that occurs: all-zero columns change no distance.
     keys = []
     for role, floods in (("training", [item.sequence for item in training]), ("test", test)):
         for index, flood in enumerate(floods):
             with located(f"{role} sequence {index}"):
                 keys.append(_pair_keys(flood, n_symbols))
-    occurring, column = np.unique(np.concatenate(keys), return_inverse=True)
     owner = np.repeat(np.arange(len(keys)), [k.size for k in keys])
-    width = occurring.size
-    counts = np.bincount(owner * width + column, minlength=len(keys) * width)
-    features = counts.reshape(len(keys), width).astype(float)
+    # Sparse integer counts; repeated (flood, key) entries are summed into one.
+    features = csr_array((np.ones(owner.size, dtype=np.int64), (owner, np.concatenate(keys))),
+                         shape=(len(keys), n_symbols**2))
     train, probes = features[: len(training)], features[len(training):]
-    merge_rows = linkage(pdist(train), method="average") if len(training) > 1 else np.empty((0, 4))
+    # pdist's squared distances n_i + n_j - 2 G_ij from the integer Gram matrix G are
+    # exact integers below 2**53, and sqrt rounds correctly: pdist's bits.
+    gram = (train @ train.T).toarray()
+    i, j = np.triu_indices(len(training), 1)
+    squared = gram.diagonal()[i] + gram.diagonal()[j] - 2 * gram[i, j]
+    merge_rows = linkage(np.sqrt(squared), "average") if len(training) > 1 else np.empty((0, 4))
     merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in merge_rows)
 
     # The flat clusters are those left after the first n - K merges (scipy
@@ -98,21 +101,20 @@ def fit_baseline(
         groups.append(groups[a] + groups[b])
         groups[a] = groups[b] = []
     labels = np.empty(len(training), dtype=np.int64)
-    sums = np.empty((n_clusters, width))
     for cluster, members in enumerate(sorted(filter(None, groups), key=min)):
         labels[members] = cluster
-        sums[cluster] = train[members].sum(axis=0)
+    sums = csr_array(np.arange(n_clusters)[:, None] == labels) @ train
     # One count per (cluster, fault) pair; argmax ties go to the lowest fault.
     pairs = labels * fault_ids.size + fault_codes
     votes = np.bincount(pairs, minlength=n_clusters * fault_ids.size).reshape(n_clusters, -1)
     cluster_faults = fault_ids[votes.argmax(axis=1)]
 
     # The squared distance to a centroid S/n is ||S - n v||^2 / n^2.  Every
-    # term is an integer held exactly in a float, so the division is the only
-    # rounding and exact ties go to the lowest cluster id.
-    sizes = np.bincount(labels, minlength=n_clusters).astype(float)
-    scaled = (sums**2).sum(axis=1) - 2 * sizes * (probes @ sums.T)
-    scaled += sizes**2 * (probes**2).sum(axis=1)[:, None]
+    # term is an exact integer, so the division is the only rounding and
+    # exact ties go to the lowest cluster id.
+    sizes = np.bincount(labels, minlength=n_clusters)
+    scaled = (sums * sums).sum(axis=1) - 2 * sizes * (probes @ sums.T).toarray()
+    scaled += sizes**2 * (probes * probes).sum(axis=1)[:, None]
     nearest = np.argmin(scaled / sizes**2, axis=1)
     return BaselineResult(
         dendrogram=Dendrogram(merges=merges, cut=n_clusters), train_clusters=labels,

@@ -221,8 +221,8 @@ def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
 
     The cap is set by peak RSS, not speed: on the benchmark's scaled plants,
     one batch of every sequence raised the peak RSS (``ru_maxrss``, 2 vCPUs)
-    of ``train_diagnoser`` by 17.3-17.6 MB against 14.6-14.8 MB in chunks,
-    and of ``diagnose_all`` by 5.7-6.2 MB against 0.4-0.6 MB.
+    of ``train_diagnoser`` by 17.3-17.6 MB against 9.4-9.7 MB in chunks that
+    share one workspace, and of ``diagnose_all`` by 5.7-6.2 MB against 0.4-0.6 MB.
     """
     return [_batch(seqs[start:start + n_states], start) for start in range(0, len(seqs), n_states)]
 
@@ -240,23 +240,30 @@ def _raise_first_failure(batch: _Batch, failed: np.ndarray, what: Callable[[int]
         raise InferenceError(f"sequence {batch.order[column]}: {what(step)} at step {step}")
 
 
-def _forward(model: Hmm, batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _workspace(batches: list[_Batch], n: int) -> list[np.ndarray]:
+    """One call's three flat buffers, each the size of the largest batch's (L, S, N) trellis."""
+    return [np.empty(max((b.symbols.size for b in batches), default=0) * n) for _ in range(3)]
+
+
+def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled forward recursion over every sequence of ``batch`` at once.
 
     Returns ``(emit, alpha, scale)``: the emission probabilities of the
-    observed symbols and the scaled forward variables, both (L, S, N),
-    and the (L, S) scale factors.  ``emit`` and ``alpha`` are zero and
-    ``scale`` one past a sequence's end.  A zero total probability raises
+    observed symbols and the scaled forward variables, (L, S, N) views of
+    ``work[0]`` and ``work[1]`` that are zero past a sequence's end, and the
+    (L, S) scale factors, one there.  A zero total probability raises
     :class:`InferenceError` through :func:`_raise_first_failure`.
     """
-    emit = model.emission.T[batch.symbols]
-    alpha = np.zeros_like(emit)
+    shape = (*batch.symbols.shape, model.n_states)
+    emit, alpha = (buffer[: np.prod(shape)].reshape(shape) for buffer in work[:2])
+    # The symbols are checked, so "clip" clips nothing; "raise" would fill a copy first.
+    np.take(model.emission.T, batch.symbols, axis=0, out=emit, mode="clip")
     total = np.ones(batch.symbols.shape)
     # A failed step turns the rest of its sequence NaN, which is never
     # <= 0, so each failing sequence shows exactly one failed step.
     with np.errstate(divide="ignore", invalid="ignore"):
         for t, k in enumerate(batch.active[:-1]):
-            emit[t, k:] = 0.0
+            emit[t, k:] = alpha[t, k:] = 0.0
             prior = model.initial if t == 0 else alpha[t - 1, :k] @ model.transition
             row = prior * emit[t, :k]
             total[t, :k] = row.sum(axis=1)
@@ -265,9 +272,12 @@ def _forward(model: Hmm, batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndar
     return emit, alpha, 1.0 / total
 
 
-def _backward(model: Hmm, batch: _Batch, emit: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Scaled backward variables matching :func:`_forward`, zero past each end."""
-    beta = np.zeros_like(emit)
+def _backward(
+    model: Hmm, batch: _Batch, emit: np.ndarray, scale: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """Scaled backward variables matching :func:`_forward`, zero past each end, in ``buffer``."""
+    beta = buffer[: emit.size].reshape(emit.shape)
+    beta.fill(0.0)
     for t in range(beta.shape[0] - 1, -1, -1):
         k_next, k = batch.active[t + 1], batch.active[t]
         beta[t, k_next:k] = scale[t, k_next:k, None]
@@ -288,8 +298,9 @@ def posteriors(model: Hmm, obs) -> Posteriors:
     possible when the model contains exact zeros).
     """
     batch = _batch(_observations([obs], model.n_symbols))
-    emit, alpha, scale = _forward(model, batch)
-    beta = _backward(model, batch, emit, scale)
+    work = _workspace([batch], model.n_states)
+    emit, alpha, scale = _forward(model, batch, work)
+    beta = _backward(model, batch, emit, scale, work[2])
     alpha, beta = alpha[:, 0], beta[:, 0]
     joint = alpha * beta
     gamma = joint / joint.sum(axis=1, keepdims=True)
@@ -299,14 +310,14 @@ def posteriors(model: Hmm, obs) -> Posteriors:
                       log_likelihood=float(-np.log(scale).sum()))
 
 
-def _log_likelihood(model: Hmm, batches: list[_Batch]) -> float:
-    return float(-sum(np.log(_forward(model, batch)[2]).sum() for batch in batches))
+def _log_likelihood(model: Hmm, batches: list[_Batch], work: list) -> float:
+    return float(-sum(np.log(_forward(model, batch, work)[2]).sum() for batch in batches))
 
 
 def total_log_likelihood(model: Hmm, sequences: Sequence) -> float:
     """Sum of per-sequence log likelihoods under ``model``."""
-    return _log_likelihood(model, _batches(_observations(sequences, model.n_symbols),
-                                           model.n_states))
+    batches = _batches(_observations(sequences, model.n_symbols), model.n_states)
+    return _log_likelihood(model, batches, _workspace(batches, model.n_states))
 
 
 def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
@@ -328,7 +339,7 @@ def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _expectation(
-    model: Hmm, batches: list[_Batch], fixed_transitions: bool
+    model: Hmm, batches: list[_Batch], fixed_transitions: bool, work: list
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Pooled Baum-Welch numerators of every sequence, one sweep per batch.
 
@@ -339,15 +350,15 @@ def _expectation(
     already sums to one, so the pooled state-pair posteriors are one
     matrix product and no ``xi`` tensor is built; the trellis is zero past
     each sequence's end, which drops the pairs that run into the padding;
-    ``fixed_transitions`` leaves the transition counts at zero.  The
-    (L, S, N) arrays are reused in place, so a sweep holds three of them.
+    ``fixed_transitions`` leaves the transition counts at zero.  Every
+    batch's (L, S, N) arrays are views of ``work``: a sweep allocates none.
     """
     n, m = model.n_states, model.n_symbols
     trans_num, emit_num, first = np.zeros((n, n)), np.zeros((n, m)), np.zeros(n)
     log_likelihood = 0.0
     for batch in batches:
-        emit, alpha, scale = _forward(model, batch)
-        gamma = _backward(model, batch, emit, scale)
+        emit, alpha, scale = _forward(model, batch, work)
+        gamma = _backward(model, batch, emit, scale, work[2])
         if not fixed_transitions:
             emit *= gamma
             pairs = alpha[:-1].reshape(-1, n).T @ emit[1:].reshape(-1, n)
@@ -420,10 +431,11 @@ def fit(
         raise DomainError("fit requires at least one observation sequence")
 
     batches = _batches(seqs, model.n_states)
+    work = _workspace(batches, model.n_states)
     trace: list[float] = []
     for iteration in range(config.max_iterations):
         trans_num, emit_num, first, log_likelihood = _expectation(
-            model, batches, fixed_transitions)
+            model, batches, fixed_transitions, work)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(iteration, model, log_likelihood)
@@ -432,7 +444,6 @@ def fit(
             floor = max(abs(previous), np.finfo(float).tiny)
             if log_likelihood - previous < config.rel_tol * floor:
                 break
-        # Not fused into _expectation: its (L, S, N) arrays are freed before this allocates.
         model = Hmm(
             model.transition if fixed_transitions
             else _reestimate(model.transition, trans_num, config.emission_floor),
@@ -442,7 +453,7 @@ def fit(
     else:
         # Budget exhausted: evaluate once more so the trace ends at the
         # returned model.
-        log_likelihood = _log_likelihood(model, batches)
+        log_likelihood = _log_likelihood(model, batches, work)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(config.max_iterations, model, log_likelihood)
@@ -481,7 +492,8 @@ def _list_viterbi(
     ``-inf`` mask of the taken entries; a batch of one is the plain
     single-flood step.  A cell whose last rank is ``-inf`` cannot tell its
     masked entries from its ``-inf`` ones, so its candidates are ranked
-    again, by score then entry order, in one stable sort.  A flood that
+    again, by score then entry order, in one stable sort; only a model with
+    an exact zero, checked once per pass, has such cells.  A flood that
     fails keeps being decoded on ``-inf`` scores; once every step is done,
     :func:`_raise_first_failure` names the failing flood that comes first
     in the caller's list.
@@ -491,6 +503,7 @@ def _list_viterbi(
         log_trans = np.log(model.transition)
         log_emit = np.log(model.emission)
         log_initial = np.log(model.initial)
+    zeros = any(np.isneginf(logs).any() for logs in (log_trans, log_emit, log_initial))
     # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
     bonus = log_emit.T[batch.symbols].reshape(batch.symbols.shape[0], -1)
     active = batch.active.tolist()
@@ -521,7 +534,7 @@ def _list_viterbi(
                 cand[rows, pick] = -np.inf
             picks[:, rank] = pick = cand.argmax(axis=1)
             top[:, rank] = cand[rows, pick]
-        if top[:, -1].min() == -np.inf:
+        if zeros and top[:, -1].min() == -np.inf:
             bad = np.flatnonzero(top[:, -1] == -np.inf)
             fresh = score[bad // n] + trans[bad % n]
             fresh += bonus[t, bad, None]

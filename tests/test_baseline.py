@@ -227,6 +227,52 @@ class TestAgainstDenseReference:
             fit_baseline(labeled(training), test + [probe], n_clusters, n_symbols)
 
 
+class TestLongFloods:
+    """The sparse Gram distances against ``pdist`` on the dense reference, at
+    a size the cases above miss: floods of 60-100 alarms over 40 symbols."""
+
+    @staticmethod
+    @st.composite
+    def walks(draw, n_symbols=40):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # Two successors per symbol, neither itself: nothing chatters, and a
+        # walk of 60-100 alarms over at most 80 pairs repeats some of them.
+        successors = (np.arange(n_symbols)[:, None] + rng.integers(1, n_symbols, (n_symbols, 2)))
+        successors %= n_symbols
+
+        def walk():
+            flood = [int(rng.integers(n_symbols))]
+            for _ in range(int(rng.integers(59, 100))):
+                flood.append(int(successors[flood[-1], rng.integers(2)]))
+            return flood
+
+        n_train = draw(st.integers(2, 20))
+        training = [(walk(), int(rng.integers(4))) for _ in range(n_train)]
+        test = [walk() for _ in range(draw(st.integers(0, 3)))]
+        return training, test, draw(st.integers(1, n_train)), n_symbols
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=walks())
+    # Every flood de-chatters to one alarm, so the features have no column.
+    @example(case=([([3, 3, 3], 0), ([5], 1), ([2, 2], 0), ([9], 1)], [[7, 7], [1, 2]], 2, 40))
+    @example(case=([(list(range(40)) * 2, 3)], [[0, 1, 0, 1], [5]], 1, 40))
+    def test_merges_match_pdist_on_dense_counts(self, case):
+        training, test, n_clusters, n_symbols = case
+        result = fit_baseline(labeled(training), test, n_clusters, n_symbols)
+        expected = dense_baseline(training, test, n_clusters, n_symbols)
+        merges = lambda d: [(a, b, distance.hex()) for a, b, distance in d.merges]
+        assert merges(result.dendrogram) == merges(expected.dendrogram)
+        assert result.train_clusters.tolist() == expected.train_clusters.tolist()
+        assert result.cluster_faults.tolist() == expected.cluster_faults.tolist()
+        assert result.predictions == expected.predictions
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=walks())
+    def test_the_walks_repeat_pairs(self, case):
+        training, _, _, n_symbols = case
+        assert max(dense_successor_counts(flood, n_symbols).max() for flood, _ in training) > 1
+
+
 class TestFlatCut:
     """The cut of the merge list against the union-find reference."""
 

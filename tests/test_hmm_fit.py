@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alarmhmm import (
@@ -159,6 +159,36 @@ def test_update_is_the_enumerated_numerator_over_denominator(case):
     assert np.allclose(fitted.transition, transition, rtol=0.0, atol=1e-12)
     assert np.allclose(fitted.emission, emission, rtol=0.0, atol=1e-12)
     assert np.allclose(fitted.initial, initial, rtol=0.0, atol=1e-12)
+
+
+#: two states, so chunks of two floods: (L, S) = (5, 2), (7, 2) and (2, 1)
+UNEQUAL_CHUNKS = (random_model(2, 3, seed=3),
+                  [[0, 1, 2, 0, 1], [2], [1, 1, 0], [0, 2, 2, 1, 0, 0, 1], [2, 0]])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=ragged_batches(max_states=3, max_sequences=10), fixed=st.booleans(),
+       iterations=st.integers(2, 4))
+@example(case=UNEQUAL_CHUNKS, fixed=False, iterations=3)
+@example(case=UNEQUAL_CHUNKS, fixed=True, iterations=3)
+def test_reused_workspace_gives_the_bits_of_chained_single_iterations(case, fixed, iterations):
+    # One fit keeps one workspace for every chunk and iteration, so a chunk
+    # reads its views over what earlier chunks, of other shapes, left there.
+    model, sequences = case
+    assume(len(sequences) > model.n_states)
+    fitted, trace = fit(model, sequences, FitConfig(max_iterations=iterations),
+                        fixed_transitions=fixed)
+    chained, expected = model, [trace[0]]
+    for _ in range(trace.size - 1):
+        chained, pair = fit(chained, sequences, FitConfig(max_iterations=1),
+                            fixed_transitions=fixed)
+        expected.append(pair[1])
+    # Exact equality; only the sign of a zero log likelihood may differ, as the
+    # budget's last evaluation negates a sum and the E-step subtracts from 0.0.
+    assert trace.tolist() == expected
+    for got, want in zip((fitted.transition, fitted.emission, fitted.initial),
+                         (chained.transition, chained.emission, chained.initial)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_zero_probability_reports_the_first_failing_sequence_in_list_order():

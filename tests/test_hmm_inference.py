@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarmhmm import DomainError, Hmm, InferenceError, UnknownSymbolError, posteriors, random_model
-from alarmhmm.hmm import _backward, _batch, _forward
+from alarmhmm.hmm import _backward, _batch, _forward, _workspace
 
 import oracles
 
@@ -38,8 +38,9 @@ def small_random_case(seed):
 def scaled_trellis(model, obs):
     """The kernels' scaled alpha and beta, (T, N), and scale factors, (T,), of one sequence."""
     batch = _batch([np.asarray(obs, dtype=np.int64)])
-    emit, alpha, scale = _forward(model, batch)
-    return alpha[:, 0], _backward(model, batch, emit, scale)[:, 0], scale[:, 0]
+    work = _workspace([batch], model.n_states)
+    emit, alpha, scale = _forward(model, batch, work)
+    return alpha[:, 0], _backward(model, batch, emit, scale, work[2])[:, 0], scale[:, 0]
 
 
 class TestForwardBackward:
@@ -103,6 +104,20 @@ class TestForwardBackward:
             alpha_t = scaled_alpha[t] / np.prod(c[: t + 1])
             beta_t = scaled_beta[t] / np.prod(c[t:])
             assert np.log((alpha_t * beta_t).sum()) == pytest.approx(log_likelihood, rel=1e-9)
+
+    def test_a_used_workspace_leaves_the_trellis_zero_past_each_end(self):
+        # fit hands every chunk views over what earlier chunks left, so the
+        # kernels must clear the padding themselves; NaN stands for that.
+        model = random_model(3, 4, seed=9)
+        batch = _batch([np.array([0, 1]), np.array([2, 3, 1, 0]), np.array([3])])
+        work = [np.full(batch.symbols.size * 3 + 5, np.nan) for _ in range(3)]
+        emit, alpha, scale = _forward(model, batch, work)
+        beta = _backward(model, batch, emit, scale, work[2])
+        padding = np.arange(3) >= batch.active[:-1, None]
+        assert padding.any()
+        for trellis in (emit, alpha, beta):
+            assert not trellis[padding].any()
+            assert np.isfinite(trellis).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
