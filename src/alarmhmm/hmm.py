@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .documents import (
     FORMAT_VERSION,
@@ -204,6 +205,11 @@ class _Batch:
     order: np.ndarray    # (S,)
     active: np.ndarray   # (L + 1,)
 
+    @property
+    def padding(self) -> np.ndarray:
+        """The (L, S) mask of the cells past each sequence's end."""
+        return np.arange(self.order.size) >= self.active[:-1, None]
+
 
 def _batch(seqs: list[np.ndarray], first: int = 0) -> _Batch:
     """``seqs`` as a :class:`_Batch`, ``seqs[0]`` being the caller's sequence ``first``."""
@@ -245,29 +251,39 @@ def _workspace(batches: list[_Batch], n: int) -> list[np.ndarray]:
     return [np.empty(max((b.symbols.size for b in batches), default=0) * n) for _ in range(3)]
 
 
+def _onehot(batch: _Batch, m: int) -> csr_array:
+    """The (M, L*S) indicator of every running cell's symbol, cells in position order,
+    so its product adds each symbol's weights from 0.0 as ``np.bincount`` does."""
+    cells = np.flatnonzero(~batch.padding.ravel())
+    return csr_array((np.ones(cells.size), (batch.symbols.ravel()[cells], cells)),
+                     shape=(m, batch.symbols.size))
+
+
 def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled forward recursion over every sequence of ``batch`` at once.
 
     Returns ``(emit, alpha, scale)``: the emission probabilities of the
     observed symbols and the scaled forward variables, (L, S, N) views of
     ``work[0]`` and ``work[1]`` that are zero past a sequence's end, and the
-    (L, S) scale factors, one there.  A zero total probability raises
-    :class:`InferenceError` through :func:`_raise_first_failure`.
+    (L, S) scale factors, one there.  The padding is cleared once by the
+    batch's mask, and each step writes its running rows in place.  A zero
+    total probability raises :class:`InferenceError` through :func:`_raise_first_failure`.
     """
     shape = (*batch.symbols.shape, model.n_states)
     emit, alpha = (buffer[: np.prod(shape)].reshape(shape) for buffer in work[:2])
     # The symbols are checked, so "clip" clips nothing; "raise" would fill a copy first.
     np.take(model.emission.T, batch.symbols, axis=0, out=emit, mode="clip")
+    emit[batch.padding] = alpha[batch.padding] = 0.0
     total = np.ones(batch.symbols.shape)
     # A failed step turns the rest of its sequence NaN, which is never
     # <= 0, so each failing sequence shows exactly one failed step.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, k in enumerate(batch.active[:-1]):
-            emit[t, k:] = alpha[t, k:] = 0.0
-            prior = model.initial if t == 0 else alpha[t - 1, :k] @ model.transition
-            row = prior * emit[t, :k]
-            total[t, :k] = row.sum(axis=1)
-            alpha[t, :k] = row * (1.0 / total[t, :k, None])
+        for t, k in enumerate(batch.active[:-1].tolist()):
+            row = alpha[t, :k]
+            prior = np.matmul(alpha[t - 1, :k], model.transition, out=row) if t else model.initial
+            np.multiply(prior, emit[t, :k], out=row)
+            np.add.reduce(row, axis=1, out=total[t, :k])
+            row *= 1.0 / total[t, :k, None]
     _raise_first_failure(batch, total <= 0.0, lambda step: "zero total forward probability")
     return emit, alpha, 1.0 / total
 
@@ -275,16 +291,21 @@ def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndar
 def _backward(
     model: Hmm, batch: _Batch, emit: np.ndarray, scale: np.ndarray, buffer: np.ndarray
 ) -> np.ndarray:
-    """Scaled backward variables matching :func:`_forward`, zero past each end, in ``buffer``."""
+    """Scaled backward variables matching :func:`_forward`, zero past each end, in ``buffer``.
+
+    The padding is cleared once by the batch's mask, and each step writes its rows in place.
+    """
     beta = buffer[: emit.size].reshape(emit.shape)
-    beta.fill(0.0)
+    beta[batch.padding] = 0.0
+    active = batch.active.tolist()
     for t in range(beta.shape[0] - 1, -1, -1):
-        k_next, k = batch.active[t + 1], batch.active[t]
-        beta[t, k_next:k] = scale[t, k_next:k, None]
+        k_next, k = active[t + 1], active[t]
+        if k_next < k:
+            beta[t, k_next:k] = scale[t, k_next:k, None]
         if k_next:
-            beta[t, :k_next] = scale[t, :k_next, None] * (
-                (emit[t + 1, :k_next] * beta[t + 1, :k_next]) @ model.transition.T
-            )
+            row = beta[t, :k_next]
+            np.matmul(emit[t + 1, :k_next] * beta[t + 1, :k_next], model.transition.T, out=row)
+            row *= scale[t, :k_next, None]
     return beta
 
 
@@ -307,11 +328,12 @@ def posteriors(model: Hmm, obs) -> Posteriors:
     xi = alpha[:-1, :, None] * model.transition[None, :, :] * (emit[1:, 0] * beta[1:])[:, None, :]
     xi /= xi.sum(axis=(1, 2), keepdims=True)
     return Posteriors(gamma=_frozen_array(gamma), xi=_frozen_array(xi),
-                      log_likelihood=float(-np.log(scale).sum()))
+                      log_likelihood=float(0.0 - np.log(scale).sum()))
 
 
 def _log_likelihood(model: Hmm, batches: list[_Batch], work: list) -> float:
-    return float(-sum(np.log(_forward(model, batch, work)[2]).sum() for batch in batches))
+    """0.0 minus the summed log scale factors, as the E-step counts it, so a zero is +0.0."""
+    return float(0.0 - sum(np.log(_forward(model, batch, work)[2]).sum() for batch in batches))
 
 
 def total_log_likelihood(model: Hmm, sequences: Sequence) -> float:
@@ -321,25 +343,22 @@ def total_log_likelihood(model: Hmm, sequences: Sequence) -> float:
 
 
 def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
-    """Normalize rows of positive sum to one with every entry at least ``floor``."""
+    """Normalize rows of positive sum to one with every entry at least ``floor``.
+
+    Each pass pins the sub-floor entries of every row that has one and
+    rescales the rest of that row by their own ``.sum()``, which is pairwise
+    (``np.add.reduceat`` adds in order and differs in the last bit); passes
+    repeat while a rescale pushes a borderline entry under the floor."""
     out = rows / rows.sum(axis=1, keepdims=True)
-    if floor <= 0.0:
-        return out
-    for row in out:
-        # Pin sub-floor entries and rescale the rest; repeat in case the
-        # rescaling pushed a borderline entry under the floor.
-        while True:
-            low = row < floor
-            if not low.any():
-                break
-            high = ~low
-            row[low] = floor
-            row[high] *= (1.0 - floor * low.sum()) / row[high].sum()
+    while (pinned := np.flatnonzero((out < floor).any(axis=1))).size:
+        kept, low = out[pinned], out[pinned] < floor
+        sums = np.array([row[~mask].sum() for row, mask in zip(kept, low)])
+        out[pinned] = np.where(low, floor, kept * ((1.0 - floor * low.sum(axis=1)) / sums)[:, None])
     return out
 
 
 def _expectation(
-    model: Hmm, batches: list[_Batch], fixed_transitions: bool, work: list
+    model: Hmm, batches: list[_Batch], onehots: list, fixed_transitions: bool, work: list
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Pooled Baum-Welch numerators of every sequence, one sweep per batch.
 
@@ -350,25 +369,23 @@ def _expectation(
     already sums to one, so the pooled state-pair posteriors are one
     matrix product and no ``xi`` tensor is built; the trellis is zero past
     each sequence's end, which drops the pairs that run into the padding;
-    ``fixed_transitions`` leaves the transition counts at zero.  Every
-    batch's (L, S, N) arrays are views of ``work``: a sweep allocates none.
+    ``fixed_transitions`` leaves the transition counts at zero.  A batch's
+    emission counts are one product of its :func:`_onehot` with the state
+    posteriors.  Every batch's (L, S, N) arrays are views of ``work``.
     """
     n, m = model.n_states, model.n_symbols
     trans_num, emit_num, first = np.zeros((n, n)), np.zeros((n, m)), np.zeros(n)
     log_likelihood = 0.0
-    for batch in batches:
+    for batch, onehot in zip(batches, onehots):
         emit, alpha, scale = _forward(model, batch, work)
         gamma = _backward(model, batch, emit, scale, work[2])
         if not fixed_transitions:
             emit *= gamma
             pairs = alpha[:-1].reshape(-1, n).T @ emit[1:].reshape(-1, n)
             trans_num += model.transition * pairs
-        valid = np.arange(batch.order.size) < batch.active[:-1, None]  # (L, S)
         gamma *= alpha
-        gamma /= np.where(valid, gamma.sum(axis=2), 1.0)[:, :, None]
-        symbols, rows = batch.symbols.ravel(), gamma.reshape(-1, n)
-        for state in range(n):
-            emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
+        gamma /= np.where(batch.padding, 1.0, gamma.sum(axis=2))[:, :, None]
+        emit_num += (onehot @ gamma.reshape(-1, n)).T
         first += gamma[0].sum(axis=0)
         log_likelihood -= np.log(scale).sum()
     return trans_num, emit_num, first, float(log_likelihood)
@@ -396,7 +413,9 @@ def fit(
     row; emission rows and re-estimated transition rows are then floored
     at ``config.emission_floor``.  The initial distribution is the average
     of the per-sequence first-step posteriors.  Sequences of length one
-    contribute to the initial-state and emission updates only.
+    contribute to the initial-state and emission updates only.  The
+    sequences are batched once per call, and every iteration reuses one
+    :func:`_workspace` and each chunk's :func:`_onehot`.
 
     Parameters
     ----------
@@ -432,10 +451,11 @@ def fit(
 
     batches = _batches(seqs, model.n_states)
     work = _workspace(batches, model.n_states)
+    onehots = [_onehot(batch, model.n_symbols) for batch in batches]
     trace: list[float] = []
     for iteration in range(config.max_iterations):
         trans_num, emit_num, first, log_likelihood = _expectation(
-            model, batches, fixed_transitions, work)
+            model, batches, onehots, fixed_transitions, work)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(iteration, model, log_likelihood)

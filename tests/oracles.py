@@ -5,7 +5,9 @@ runs, ...) or loop one item at a time instead of reusing the code under
 test.  The exception is :func:`loop_expectation`, and :func:`em_update`
 on top of it: they run the package's own per-sequence ``posteriors``,
 and check only how the batched E-step pools them; :func:`enum_em_update`
-is the enumerated update.
+is the enumerated update.  :func:`bincount_emission_counts` and
+:func:`loop_floor_rows` are the earlier loops of the E-step's emission
+counts and the M-step's floor, which the fast code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from alarmhmm import InferenceError, SchemaError, posteriors
+from alarmhmm import InferenceError, SchemaError, hmm, posteriors
 from alarmhmm.alarms import MeasurementTrace
 from alarmhmm.baseline import BaselineResult, Dendrogram, dechatter
 from alarmhmm.documents import open_text
@@ -111,6 +113,43 @@ def loop_expectation(model, sequences) -> dict:
         sums["initial_sum"] += post.gamma[0]
     sums["emit_num"] = sums["emit_num"].T
     return sums
+
+
+def bincount_emission_counts(model, sequences) -> np.ndarray:
+    """The E-step's (N, M) expected emission counts, one ``np.bincount`` per
+    state and chunk over every cell of the chunk, zero-padded cells included,
+    from the package's own forward/backward kernels."""
+    n, m = model.n_states, model.n_symbols
+    batches = hmm._batches([np.asarray(s, dtype=np.int64) for s in sequences], n)
+    work = hmm._workspace(batches, n)
+    emit_num = np.zeros((n, m))
+    for batch in batches:
+        emit, alpha, scale = hmm._forward(model, batch, work)
+        gamma = hmm._backward(model, batch, emit, scale, work[2])
+        valid = np.arange(batch.order.size) < batch.active[:-1, None]  # (L, S)
+        gamma *= alpha
+        gamma /= np.where(valid, gamma.sum(axis=2), 1.0)[:, :, None]
+        symbols, rows = batch.symbols.ravel(), gamma.reshape(-1, n)
+        for state in range(n):
+            emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
+    return emit_num
+
+
+def loop_floor_rows(rows, floor: float) -> np.ndarray:
+    """The M-step's floor one row at a time: normalize, then pin the
+    sub-floor entries and rescale the rest until none is left under it."""
+    out = rows / rows.sum(axis=1, keepdims=True)
+    if floor <= 0.0:
+        return out
+    for row in out:
+        while True:
+            low = row < floor
+            if not low.any():
+                break
+            high = ~low
+            row[low] = floor
+            row[high] *= (1.0 - floor * low.sum()) / row[high].sum()
+    return out
 
 
 def _divided(old, num, den) -> np.ndarray:

@@ -8,15 +8,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alarmhmm import (
+    AlarmSequence,
+    AlarmSymbolCodebook,
     DomainError,
     FitConfig,
     Hmm,
     InferenceError,
+    LabeledSequence,
     fit,
     posteriors,
     random_model,
     total_log_likelihood,
+    train_diagnoser,
 )
+from alarmhmm.hmm import _batches, _expectation, _floor_rows, _observations, _onehot, _workspace
 
 import oracles
 
@@ -183,12 +188,84 @@ def test_reused_workspace_gives_the_bits_of_chained_single_iterations(case, fixe
         chained, pair = fit(chained, sequences, FitConfig(max_iterations=1),
                             fixed_transitions=fixed)
         expected.append(pair[1])
-    # Exact equality; only the sign of a zero log likelihood may differ, as the
-    # budget's last evaluation negates a sum and the E-step subtracts from 0.0.
-    assert trace.tolist() == expected
+    assert trace.tobytes() == np.array(expected).tobytes()
     for got, want in zip((fitted.transition, fitted.emission, fitted.initial),
                          (chained.transition, chained.emission, chained.initial)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_zero_log_likelihood_is_positive_zero():
+    # The E-step and the budget's last evaluation both subtract from 0.0.
+    model, sequences = Hmm([[1.0]], [[1.0]], [1.0]), [[0], [0]]
+    _, trace = fit(model, sequences, FitConfig(max_iterations=1))
+    assert trace.tolist() == [0.0, 0.0]
+    assert not np.signbit(trace).any()
+    assert not np.signbit(total_log_likelihood(model, sequences))
+    assert not np.signbit(posteriors(model, [0]).log_likelihood)
+    flood = AlarmSequence(symbols=[0], times=[0.0], fault=0)
+    trained = train_diagnoser(
+        [LabeledSequence(sequence=flood, fault=0)] * 2, codebook=AlarmSymbolCodebook(1),
+        config=FitConfig(max_iterations=1, emission_floor=0.0), init_smoothing=0.0)
+    assert not np.signbit(trained.training["final_log_likelihood"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=ragged_batches(max_sequences=12), fixed=st.booleans())
+@example(case=UNEQUAL_CHUNKS, fixed=False)
+@example(case=(Hmm(transition=[[0.8, 0.2], [0.3, 0.7]], emission=[[1.0], [1.0]],
+                   initial=[0.5, 0.5]), [[0, 0, 0], [0], [0, 0], [0, 0, 0, 0]]), fixed=True)
+def test_emission_counts_are_the_bits_of_the_bincount_loop(case, fixed):
+    model, sequences = case
+    batches = _batches(_observations(sequences, model.n_symbols), model.n_states)
+    onehots = [_onehot(batch, model.n_symbols) for batch in batches]
+    work = _workspace(batches, model.n_states)
+    emit_num = _expectation(model, batches, onehots, fixed, work)[1]
+    assert emit_num.tobytes() == oracles.bincount_emission_counts(model, sequences).tobytes()
+
+
+def test_the_onehot_marks_each_running_cell_once():
+    # Two states, so chunks of (L, S) = (5, 2), (7, 2) and (2, 1): the
+    # zero-padded cells hold symbol 0 but get no entry.
+    model, sequences = UNEQUAL_CHUNKS
+    for batch in _batches(_observations(sequences, model.n_symbols), model.n_states):
+        onehot = _onehot(batch, model.n_symbols)
+        dense, running = onehot.toarray(), ~batch.padding.ravel()
+        assert onehot.has_sorted_indices
+        assert np.array_equal(dense.sum(axis=0), running)
+        assert (dense[batch.symbols.ravel()[running], np.flatnonzero(running)] == 1).all()
+
+
+@st.composite
+def floor_cases(draw):
+    """1-6 rows of 1-300 non-negative entries of positive sum, spread thin
+    (many under the floor), even, or small integer counts with exact zeros,
+    and a floor of 0 or below 1/M."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count, m = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    spread = draw(st.sampled_from([0.05, 1.0, None]))
+    if spread is None:
+        rows = rng.integers(0, 4, size=(count, m)).astype(float)
+        rows[rows.sum(axis=1) == 0, 0] = 1.0
+    else:
+        rows = rng.dirichlet(np.full(m, spread), size=count)
+    share = draw(st.sampled_from([0.0, 1e-10, None]))
+    floor = draw(st.floats(0.0, 1.0, exclude_max=True)) / m if share is None else share
+    return rows, floor
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=floor_cases())
+# Pinning 0.05 rescales the rest by 0.9 / 0.95, which takes 0.1005 under the
+# floor, so a second pass is needed.
+@example(case=(np.array([[0.05, 0.1005, 0.8495], [0.2, 0.3, 0.5]]), 0.1))
+@example(case=(np.array([[0.2, 0.3, 0.5]]), 0.1))  # no low entry
+@example(case=(np.array([[0.0, 1.0, 3.0]]), 0.0))
+@example(case=(np.array([[2.0], [0.5]]), 1e-10))  # a one-symbol alphabet
+def test_floor_is_the_bits_of_the_row_loop(case):
+    rows, floor = case
+    got = _floor_rows(rows, floor)
+    assert got.tobytes() == oracles.loop_floor_rows(rows, floor).tobytes()
+    assert (got >= floor).all()
 
 
 def test_zero_probability_reports_the_first_failing_sequence_in_list_order():

@@ -107,17 +107,22 @@ class TestForwardBackward:
 
     def test_a_used_workspace_leaves_the_trellis_zero_past_each_end(self):
         # fit hands every chunk views over what earlier chunks left, so the
-        # kernels must clear the padding themselves; NaN stands for that.
+        # kernels must clear the padding themselves, once per call; NaN stands
+        # for a fresh buffer, and the second chunk, of another (L, S), reads
+        # over what the first left.
         model = random_model(3, 4, seed=9)
-        batch = _batch([np.array([0, 1]), np.array([2, 3, 1, 0]), np.array([3])])
-        work = [np.full(batch.symbols.size * 3 + 5, np.nan) for _ in range(3)]
-        emit, alpha, scale = _forward(model, batch, work)
-        beta = _backward(model, batch, emit, scale, work[2])
-        padding = np.arange(3) >= batch.active[:-1, None]
-        assert padding.any()
-        for trellis in (emit, alpha, beta):
-            assert not trellis[padding].any()
-            assert np.isfinite(trellis).all()
+        batches = [_batch([np.array([0, 1]), np.array([2, 3, 1, 0]), np.array([3])]),
+                   _batch([np.array([1, 2, 0, 3, 3]), np.array([0, 2])])]
+        work = [np.full(batches[0].symbols.size * 3 + 5, np.nan) for _ in range(3)]
+        for batch in batches:
+            emit, alpha, scale = _forward(model, batch, work)
+            beta = _backward(model, batch, emit, scale, work[2])
+            padding = batch.padding
+            assert padding.any()
+            for trellis in (emit, alpha, beta):
+                assert not trellis[padding].any()
+                assert np.isfinite(trellis).all()
+            assert (alpha[~padding] > 0.0).any(axis=1).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
