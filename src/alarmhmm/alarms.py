@@ -181,6 +181,11 @@ def _required_samples(persist_t: float, sample_period: float, n_samples: int) ->
     return max(1, math.ceil(min(persist_t / sample_period - 1e-12, n_samples + 1)))
 
 
+def check_persist_t(persist_t: float) -> None:
+    if not (is_finite_number(persist_t) and persist_t >= 0):
+        raise DomainError(f"persist_t must be finite and non-negative, got {persist_t!r}")
+
+
 def extract_sequence(
     trace: MeasurementTrace,
     limits: AlarmLimits,
@@ -194,8 +199,7 @@ def extract_sequence(
     produces one symbol, stamped with the excursion start time.  Emissions
     are sorted by activation time, ties by ascending symbol index.
     """
-    if not (is_finite_number(persist_t) and persist_t >= 0):
-        raise DomainError(f"persist_t must be finite and non-negative, got {persist_t!r}")
+    check_persist_t(persist_t)
     if trace.n_measurements != codebook.n_measurements:
         raise DomainError(
             f"trace has {trace.n_measurements} measurements, codebook expects "
@@ -221,11 +225,6 @@ def extract_sequence(
     return AlarmSequence(symbols=symbols[order].tolist(), times=times[order].tolist())
 
 
-#: Rows the fast trace parser converts per numpy call: enough to spread the
-#: call's cost, few enough to keep the block's field strings small.
-_BLOCK_ROWS = 32
-
-
 def _measurement_ids(path, header: list[str]) -> list[str]:
     """The measurement ids a trace header names after its ``time`` column."""
     if not header or header[0] != "time":
@@ -244,38 +243,34 @@ def _measurement_ids(path, header: list[str]) -> list[str]:
 
 
 def _plain_trace(path, text: str):
-    """``(meas_ids, times, values)`` of a plain trace text, parsed in blocks of rows.
+    """``(meas_ids, times, values)`` of a plain trace text, read in one
+    :func:`numpy.loadtxt` call.
 
-    Plain means what the csv module reads as plain comma splitting: no ``"``,
-    LF or CRLF line ends throughout, no line beyond the csv field limit, the
-    header's field count on every line, fields ``float`` reads and finite time
-    stamps.  Any other text gives ``None``, and :func:`_csv_trace` reads it.
+    Plain means: at least two data lines, none blank (``loadtxt`` skips
+    them) and none beyond the csv field limit; a header with no ``"`` and
+    no CR before its end; no ASCII separator control ``\\x1c``-``\\x1f``
+    (``loadtxt`` strips them from a field's edge, ``float`` does not); and
+    rows ``loadtxt`` reads, of the header's width, with finite time stamps.
+    Any other text gives ``None``, and :func:`_csv_trace` reads it.
     """
-    crs = text.count("\r")
-    if '"' in text or (crs and not crs == text.count("\r\n") == text.count("\n")):
-        return None
-    lines = text.split("\r\n" if crs else "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
+    if (len(lines) < 3 or "" in lines or "\r" in lines
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(control in text for control in "\x1c\x1d\x1e\x1f")):
         return None
-    meas_ids = _measurement_ids(path, lines[0].split(","))
-    width, n_rows = len(meas_ids) + 1, len(lines) - 1
-    times, values = np.empty(n_rows), np.empty((n_rows, width - 1))
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        block = lines[start + 1:start + 1 + _BLOCK_ROWS]
-        if any(line.count(",") != width - 1 for line in block):
-            return None
-        try:
-            table = np.array(",".join(block).split(","), dtype=float)
-        except ValueError:
-            return None
-        table = table.reshape(len(block), width)
-        times[start:start + len(block)] = table[:, 0]
-        values[start:start + len(block)] = table[:, 1:]
-    if not np.isfinite(times).all():
+    header = lines[0].removesuffix("\r")
+    if '"' in header or "\r" in header:
         return None
-    return meas_ids, times, values
+    meas_ids = _measurement_ids(path, header.split(","))
+    try:  # comments=None: '#' starts no comment; a quote or stray CR raises
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(meas_ids) + 1 or not np.isfinite(table[:, 0]).all():
+        return None
+    return meas_ids, table[:, 0], table[:, 1:]
 
 
 def _csv_trace(path, text: str):
@@ -306,8 +301,9 @@ def _csv_trace(path, text: str):
 def read_trace_csv(path) -> MeasurementTrace:
     """Read a ``time,<meas_id>...`` CSV with uniformly spaced time stamps.
 
-    A plain file is parsed in blocks of rows; any other goes through the csv
-    module line by line, which accepts the same files and reads the same values.
+    A plain file is read in one :func:`numpy.loadtxt` call (see
+    :func:`_plain_trace`); any other goes through the csv module line by
+    line.  Both give the same values, or the same error, for every text.
     """
     text = read_text(path, SchemaError)
     meas_ids, times, values = _plain_trace(path, text) or _csv_trace(path, text)

@@ -17,6 +17,7 @@ from . import baseline as baseline_mod
 from . import plantsim
 from .alarms import (
     AlarmSymbolCodebook,
+    check_persist_t,
     extract_sequence,
     fit_limits,
     read_sequences_jsonl,
@@ -160,6 +161,7 @@ def cmd_simulate(args) -> int:
 def cmd_extract(args) -> int:
     if args.fault and len(args.fault) != len(args.inputs):
         raise DomainError("--fault must be given once per --in trace")
+    check_persist_t(args.persist_t)
     normal_traces = [read_trace_csv(path) for path in args.normal]
     limits = fit_limits(normal_traces, kappa=args.kappa)
     codebook = AlarmSymbolCodebook(normal_traces[0].n_measurements)

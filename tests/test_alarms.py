@@ -1,5 +1,6 @@
 """Alarm limit fitting, persistence-based extraction, and trace/sequence I/O."""
 
+import csv
 import json
 import math
 import re
@@ -359,10 +360,13 @@ class TestTraceCsv:
 
 #: Fields the trace fuzz swaps in: underscores, non-finite and overflowing
 #: numbers, signed zero, non-ASCII digits and spaces, padding, quoting, and
-#: fields no float reads.
+#: fields no float reads.  Of all code points, only the separator controls
+#: \x1c-\x1f at a field's edge are read by numpy.loadtxt (2.4) and rejected by
+#: float; '#' starts a loadtxt comment unless comments=None; both strip \x0c, \x0b.
 ODD_FIELDS = ("1_0", "nan", "inf", "-inf", "1e400", "-1e400", "-0.0", "5e-324", "1e308",
               "\u0661\u0662", "\u0663.\u0665", " 1.5", "2.5 ", "\t3", "\xa04", "", "x",
-              "0x10", "\x001", "2\u2028", "\ufeff3", '"1.0"', '"1,5"', '"2\n3"', '"', '"\r"')
+              "0x10", "\x001", "2\u2028", "\ufeff3", '"1.0"', '"1,5"', '"2\n3"', '"', '"\r"',
+              "\x1c1", "1\x1f", "#1", "1#", "\x0c1", "1\x0b")
 
 
 @st.composite
@@ -417,7 +421,7 @@ def trace_outcome(read, path):
 
 
 class TestTraceCsvBlocks:
-    """The block parser against the csv-module loop, and the writer against csv.writer."""
+    """The fast parser against the csv-module loop, and the writer against csv.writer."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(text=trace_texts())
@@ -428,20 +432,21 @@ class TestTraceCsvBlocks:
     @example(text="time,a\n0.0,1.0\n\n10.0,2.0\n")
     @example(text="time,a\n1e400,1.0\n10.0,2.0\n")
     @example(text="time,a\n0.0,0." + "0" * 131072 + "1\n10.0,2.0\n")  # beyond the csv field limit
+    @example(text="time,m0\n\n")  # numpy.loadtxt warns "input contained no data"
+    @example(text="time,a\n0.0,\x1c1\n10.0,1\x1f\n")  # numpy.loadtxt strips these; float fails
+    @example(text="time,a\n0.0,1.0\n10.0,2#\n")  # '#' starts a numpy.loadtxt comment
+    @example(text="time,a\r\n0.0,1.0\r\n10.0,2.0\r\n\r\n")  # numpy.loadtxt skips blank lines
+    @example(text="time,a\r0.0\n10.0,1.0\n20.0,2.0\n")  # a CR ends the header's csv line
     def test_equals_the_csv_module_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "mutated.csv"
         path.write_bytes(text.encode())
         assert trace_outcome(read_trace_csv, path) == \
             trace_outcome(oracles.loop_read_trace_csv, path)
 
-    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
-    @pytest.mark.parametrize("n_samples", [2, 31, 32, 33, 200])
-    def test_written_traces_take_the_block_parser(self, tmp_path, monkeypatch, newline,
-                                                  n_samples):
-        rng = np.random.default_rng(n_samples)
-        values = rng.normal(scale=1e3, size=(n_samples, 4))
-        values[0] = [-0.0, 5e-324, 1e308, -1e308]
-        trace = MeasurementTrace(sample_period=0.1, values=values, meas_ids=list("abcd"))
+    @staticmethod
+    def read_written_trace(tmp_path, monkeypatch, newline, trace):
+        """Write ``trace`` with ``newline`` line ends and read it back, failing if
+        the reader falls back to the csv module."""
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         path.write_bytes(path.read_bytes().replace(b"\r\n", newline.encode()))
@@ -451,9 +456,30 @@ class TestTraceCsvBlocks:
 
         monkeypatch.setattr(alarms, "_csv_trace", fail)
         loaded = read_trace_csv(path)
-        assert loaded.sample_period == pytest.approx(0.1)
         assert loaded.meas_ids == trace.meas_ids
-        assert loaded.values.tobytes() == values.tobytes()
+        assert loaded.values.tobytes() == trace.values.tobytes()
+        return path, loaded
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("n_samples", [2, 31, 32, 33, 200])
+    def test_written_traces_take_the_block_parser(self, tmp_path, monkeypatch, newline,
+                                                  n_samples):
+        rng = np.random.default_rng(n_samples)
+        values = rng.normal(scale=1e3, size=(n_samples, 4))
+        values[0] = [-0.0, 5e-324, 1e308, -1e308]
+        trace = MeasurementTrace(sample_period=0.1, values=values, meas_ids=list("abcd"))
+        _, loaded = self.read_written_trace(tmp_path, monkeypatch, newline, trace)
+        assert loaded.sample_period == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_bundled_size_traces_take_the_fast_parser(self, tmp_path, monkeypatch, newline):
+        # The bundled plant's fault traces: 180 samples of 41 measurements.
+        values = np.random.default_rng(41).normal(size=(180, 41))
+        trace = MeasurementTrace(sample_period=10.0, values=values,
+                                 meas_ids=[f"m{j:02d}" for j in range(41)])
+        path, loaded = self.read_written_trace(tmp_path, monkeypatch, newline, trace)
+        assert path.stat().st_size > csv.field_size_limit()  # longer than any one field may be
+        assert loaded.sample_period == 10.0
 
     @pytest.mark.parametrize("header, problem", [
         ("time,m01,m01", "'m01' in column 3 repeats column 2"),

@@ -499,6 +499,19 @@ class TestExtract:
         assert capsys.readouterr().err == (
             "error: domain-error: --fault must be given once per --in trace\n")
 
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_persistence_time_is_checked_before_any_trace_is_read(self, tmp_path, monkeypatch,
+                                                                   capsys, value, shown):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("alarmhmm.cli.read_trace_csv", unread)
+        code = main(["extract", "--normal", str(tmp_path / "normal.csv"), "--in", "a.csv",
+                     f"--persist-t={value}", "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: domain-error: persist_t must be finite and non-negative, got {shown}\n")
+
     @pytest.mark.parametrize("trace", ["normal", "fault"])
     def test_repeated_measurement_id_is_one_schema_error(self, tmp_path, capsys, trace):
         normal = tmp_path / "normal.csv"
