@@ -108,8 +108,7 @@ class AlarmLimits:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
-        if not (is_finite_number(self.kappa) and self.kappa >= 0):
-            raise DomainError(f"kappa must be finite and non-negative, got {self.kappa!r}")
+        check_kappa(self.kappa)
         if (self.std <= 0).any():
             bad = [self.meas_ids[i] for i in np.flatnonzero(self.std <= 0)]
             raise DomainError(f"zero or negative standard deviation for: {', '.join(bad)}")
@@ -160,6 +159,7 @@ def fit_limits(normal_traces: list[MeasurementTrace], kappa: float = 3.0) -> Ala
     for trace in normal_traces[1:]:
         if trace.meas_ids != ids:
             raise DomainError("all normal traces must share the same measurement ids")
+    check_kappa(float(kappa))
     pooled = np.concatenate([trace.values for trace in normal_traces], axis=0)
     if pooled.shape[0] < 2:
         raise DomainError("fit_limits needs at least two pooled samples per measurement")
@@ -179,6 +179,11 @@ def _required_samples(persist_t: float, sample_period: float, n_samples: int) ->
     # whenever persist_t is at most one period, and no window of
     # n_samples + 1 samples fits in the trace.
     return max(1, math.ceil(min(persist_t / sample_period - 1e-12, n_samples + 1)))
+
+
+def check_kappa(kappa: float) -> None:
+    if not (is_finite_number(kappa) and kappa >= 0):
+        raise DomainError(f"kappa must be finite and non-negative, got {kappa!r}")
 
 
 def check_persist_t(persist_t: float) -> None:

@@ -17,6 +17,7 @@ from . import baseline as baseline_mod
 from . import plantsim
 from .alarms import (
     AlarmSymbolCodebook,
+    check_kappa,
     check_persist_t,
     extract_sequence,
     fit_limits,
@@ -161,6 +162,7 @@ def cmd_simulate(args) -> int:
 def cmd_extract(args) -> int:
     if args.fault and len(args.fault) != len(args.inputs):
         raise DomainError("--fault must be given once per --in trace")
+    check_kappa(args.kappa)
     check_persist_t(args.persist_t)
     normal_traces = [read_trace_csv(path) for path in args.normal]
     limits = fit_limits(normal_traces, kappa=args.kappa)

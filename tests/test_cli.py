@@ -2,8 +2,13 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +517,20 @@ class TestExtract:
         assert capsys.readouterr().err == (
             f"error: domain-error: persist_t must be finite and non-negative, got {shown}\n")
 
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")],
+                             ids=["-1", "nan", "inf"])
+    def test_kappa_is_checked_before_any_trace_is_read(self, tmp_path, monkeypatch, capsys,
+                                                       value, shown):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("alarmhmm.cli.read_trace_csv", unread)
+        code = main(["extract", "--normal", str(tmp_path / "missing.csv"), "--in", "a.csv",
+                     f"--kappa={value}", "--out", str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: domain-error: kappa must be finite and non-negative, got {shown}\n")
+
     @pytest.mark.parametrize("trace", ["normal", "fault"])
     def test_repeated_measurement_id_is_one_schema_error(self, tmp_path, capsys, trace):
         normal = tmp_path / "normal.csv"
@@ -556,6 +575,42 @@ class TestDeterminism:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], f"artifact {name} differs"
+
+
+class TestImportFootprint:
+    def test_only_the_baseline_loads_scipys_clustering_stack(self, tmp_path):
+        # A fresh interpreter: tests/oracles.py has loaded scipy.cluster into this one.
+        script = textwrap.dedent("""
+            import sys
+
+            import alarmhmm
+            from alarmhmm import cli
+
+            def run(*argv):
+                assert cli.main(list(argv)) == 0, argv
+
+            def clustering():
+                return sorted(name for name in sys.modules
+                              if name.startswith(("scipy.cluster", "scipy.spatial")))
+
+            run("simulate", "--seed", "1", "--out", "data")
+            run("train", "--in", "data/train.jsonl", "--out", "model.json")
+            run("diagnose", "--model", "model.json", "--in", "data/test.jsonl",
+                "--out", "diagnosis.jsonl")
+            run("evaluate", "--model", "model.json", "--in", "data/test.jsonl",
+                "--out", "evaluation")
+            assert not clustering(), clustering()
+            run("baseline", "--train", "data/train.jsonl", "--in", "data/test.jsonl",
+                "--out", "baseline")
+            assert clustering()
+            run("report", "--evaluation", "evaluation", "--baseline", "baseline",
+                "--out", "comparison.csv")
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "comparison.csv").is_file()
 
 
 class TestErrorReporting:
