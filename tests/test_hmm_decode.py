@@ -1,5 +1,6 @@
 """Viterbi and k-best decoding against full path enumeration."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from alarmhmm import (
     DomainError,
+    FitConfig,
     Hmm,
     InferenceError,
+    fit,
     k_best_paths,
     prefix_paths,
     random_model,
@@ -18,7 +21,7 @@ from alarmhmm import (
 )
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
-from alarmhmm.hmm import _batch, _list_viterbi, _prefix_best, _trace
+from alarmhmm.hmm import _batch, _list_viterbi, _ListStep, _prefix_best, _trace, hmm_to_dict
 
 import oracles
 
@@ -251,6 +254,15 @@ class TestKBest:
             model, [0, 1, 0], 2
         )
 
+    def test_a_k_beyond_the_path_count_returns_every_path(self):
+        # 3**4 paths; a candidate buffer sized by k in place of the
+        # candidates that occur would take 67 GiB here.
+        model, obs = random_model(3, 4, seed=1), [0, 1, 2, 3]
+        paths = k_best_paths(model, obs, 10**9)
+        assert len({tuple(p.states.tolist()) for p in paths}) == 81
+        assert [(p.states.tolist(), p.log_prob) for p in paths] == oracles.loop_k_best(
+            model, obs, 10**9)
+
     def test_invalid_k_rejected(self):
         model = random_model(2, 2, seed=1)
         with pytest.raises(DomainError, match="k"):
@@ -414,3 +426,68 @@ class TestDiagnoserShape:
             for column, got in enumerate(entries):
                 # every entry, -inf ones too, in entry order and to the bit
                 assert got == expected[batch.order[column]][t]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12), k=st.sampled_from([1, 2, 3]),
+           zeros=st.booleans(), lengths=st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    def test_the_step_fed_one_symbol_at_a_time_matches_the_batch_pass(
+            self, seed, n, k, zeros, lengths):
+        rng = np.random.default_rng(seed)
+        model = self.pinned_model(rng, n, zeros)
+        floods = [rng.integers(0, model.n_symbols, size=t) for t in lengths]
+        with np.errstate(divide="ignore"):
+            log_emission = np.log(model.emission).T
+        batch = _batch(floods)
+        passed = list(_list_viterbi(model, batch, k))
+        for column, index in enumerate(batch.order.tolist()):
+            # One flood at a time, each symbol's emission row as it arrives.
+            step, score = _ListStep(model, k), None
+            for t, symbol in enumerate(floods[index].tolist()):
+                score, back = step(score, log_emission[symbol])
+                batch_score, batch_back = passed[t]
+                assert score.shape[0] == 1
+                assert score[0].tobytes() == batch_score[column].tobytes()
+                if t:
+                    assert back[0].tolist() == batch_back[column].tolist()
+                else:
+                    assert back is batch_back is None
+
+
+class TestLogSpaceCache:
+    """Each model builds its log-space arrays on its first decode and keeps them."""
+
+    @staticmethod
+    def decoded(model, obs):
+        return [[(p.states.tolist(), p.log_prob) for p in k_best_paths(model, obs, k)]
+                for k in (1, 2, 3)]
+
+    def test_models_of_one_shape_decoded_in_turn_keep_their_own_bits(self):
+        obs = np.random.default_rng(5).integers(0, 6, size=12)
+        first, second = random_model(4, 6, seed=1), random_model(4, 6, seed=2)
+        expected = {id(model): [oracles.loop_k_best(model, obs, k) for k in (1, 2, 3)]
+                    for model in (first, second)}
+        assert expected[id(first)] != expected[id(second)]
+        for model in (first, second, first, second, first):
+            assert self.decoded(model, obs) == expected[id(model)]
+
+    def test_the_cache_is_no_part_of_the_model_value(self):
+        model = random_model(4, 6, seed=3)
+        fields, text, document = dataclasses.fields(Hmm), repr(model), hmm_to_dict(model)
+        assert "_log_space" not in vars(model)
+        self.decoded(model, [0, 5, 2])
+        assert "_log_space" in vars(model)
+        assert dataclasses.fields(Hmm) == fields
+        assert repr(model) == text
+        assert hmm_to_dict(model) == document
+
+    def test_a_fitted_model_decodes_as_its_arrays_do(self):
+        rng = np.random.default_rng(7)
+        sequences = [rng.integers(0, 6, size=t) for t in (9, 4, 12)]
+        models = []
+        trained, _ = fit(random_model(4, 6, seed=4), sequences, FitConfig(max_iterations=5),
+                         on_iteration=lambda _, model, __: models.append(model))
+        # Training decodes nothing, so none of its models builds the cache.
+        assert not any("_log_space" in vars(model) for model in models)
+        rebuilt = Hmm(trained.transition, trained.emission, trained.initial)
+        for obs in sequences:
+            assert self.decoded(trained, obs) == self.decoded(rebuilt, obs)
