@@ -195,7 +195,6 @@ def cmd_train(args) -> int:
         config=config,
         codebook=codebook,
         fault_names=_fault_names_from(sequences),
-        self_transition=args.self_transition,
         init_smoothing=args.smoothing,
     )
     save_diagnoser(model, args.out)
@@ -342,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--emission-floor", type=float, default=FitConfig.emission_floor)
     train.add_argument("--measurements", type=int,
                        help="measurement count (defaults to sequence metadata)")
-    train.add_argument("--self-transition", type=float, default=None,
-                       help="re-estimate transitions from this initial diagonal mass "
-                            "(default: pin the diagonal structure)")
     train.add_argument("--smoothing", type=float, default=0.5,
                        help="additive smoothing for the emission initialization")
     train.set_defaults(func=cmd_train)

@@ -13,7 +13,6 @@ faults along the paths through one rule, :func:`_fault_counts`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,11 +46,7 @@ from .hmm import (
     k_best_paths,
 )
 
-#: re-estimated self-transition mass below this triggers a diagnostic warning,
-#: since the state-to-fault identity rests on the diagonal structure
-SELF_TRANSITION_WARN = 0.5
-
-#: off-diagonal transition mass of the default hard-masked diagonal structure
+#: off-diagonal transition mass of the pinned diagonal structure
 HARD_MASK_OFF_DIAGONAL = 1e-3
 
 #: the columns of ``accuracy.csv``, which ``report`` reads back, and their checks
@@ -154,34 +149,25 @@ def train_diagnoser(
     config: FitConfig | None = None,
     codebook: AlarmSymbolCodebook,
     fault_names: dict[int, str] | None = None,
-    self_transition: float | None = None,
     init_smoothing: float = 0.5,
 ) -> DiagnoserModel:
     """Build and train the diagnoser HMM.
 
-    Initialization uses the labels: the transition matrix starts diagonally
-    dominant, emissions start from per-fault symbol frequencies with
-    additive smoothing, and the initial distribution is uniform.
-    Baum-Welch then runs unsupervised on all sequences pooled.  An error
-    about one sequence starts with ``sequence <i>: ``, ``i`` counting from 0
-    in ``training``.
+    Initialization uses the labels: emissions start from per-fault symbol
+    frequencies with additive smoothing, and the initial distribution is
+    uniform.  Baum-Welch then runs unsupervised on all sequences pooled.
+    An error about one sequence starts with ``sequence <i>: ``, ``i``
+    counting from 0 in ``training``.
 
-    By default (``self_transition=None``) the diagonal structure is hard:
-    off-diagonal transition mass is pinned at
-    :data:`HARD_MASK_OFF_DIAGONAL` and not re-estimated, which is what
-    keeps each state identified with its seeded fault; it holds at most
-    1,001 faults.  A number starts the transitions at that diagonal mass
-    (the rest uniform) and re-estimates them freely; prolonged
-    unsupervised EM can then let one state capture alarm symbols shared
-    between faults, which degrades the modal-state diagnosis rule.
+    The diagonal transition structure is pinned: every off-diagonal entry
+    is :data:`HARD_MASK_OFF_DIAGONAL` and is not re-estimated, which is
+    what keeps each state identified with its seeded fault; it holds at
+    most 1,001 faults.
     """
     if config is None:
         config = FitConfig()
     if not (is_finite_number(init_smoothing) and init_smoothing >= 0):
         raise DomainError(f"init_smoothing must be finite and non-negative, got {init_smoothing!r}")
-    if self_transition is not None and not (
-            is_finite_number(self_transition) and 0 <= self_transition <= 1):
-        raise DomainError(f"self_transition must be finite and in [0, 1], got {self_transition!r}")
     if not training:
         raise DomainError("training requires at least one labeled sequence")
     labels = {item.fault for item in training}
@@ -192,16 +178,12 @@ def train_diagnoser(
     n_symbols = codebook.n_symbols
     observations = _observations(training, n_symbols)
 
-    if self_transition is None:
-        off_diagonal = HARD_MASK_OFF_DIAGONAL
-        limit = round(1.0 / off_diagonal) + 1
-        if n_faults > limit:
-            raise DomainError(
-                f"{n_faults} faults exceed the {limit} that the pinned transition structure "
-                f"holds (off-diagonal mass {off_diagonal} each); set self_transition to "
-                "train more")
-    else:
-        off_diagonal = (1.0 - self_transition) / (n_faults - 1) if n_faults > 1 else 0.0
+    off_diagonal = HARD_MASK_OFF_DIAGONAL
+    limit = round(1.0 / off_diagonal) + 1
+    if n_faults > limit:
+        raise DomainError(
+            f"{n_faults} faults exceed the {limit} that the pinned transition structure "
+            f"holds (off-diagonal mass {off_diagonal} each)")
     transition = np.full((n_faults, n_faults), off_diagonal)
     np.fill_diagonal(transition, 1.0 - off_diagonal * (n_faults - 1))
 
@@ -212,17 +194,7 @@ def train_diagnoser(
 
     start = Hmm(transition=transition, emission=emission,
                 initial=np.full(n_faults, 1.0 / n_faults))
-    model, trace = fit(start, observations, config, fixed_transitions=self_transition is None)
-
-    # Only re-estimated transitions can drift; a pinned diagonal never moves.
-    weak = np.flatnonzero(np.diag(model.transition) < SELF_TRANSITION_WARN)
-    if self_transition is not None and weak.size:
-        warnings.warn(
-            f"self-transition mass fell below {SELF_TRANSITION_WARN} for state(s) "
-            f"{weak.tolist()}; the state-to-fault identity may have drifted",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    model, trace = fit(start, observations, config, fixed_transitions=True)
 
     names = tuple(
         (fault_names or {}).get(fault, f"fault-{fault}") for fault in range(n_faults)
@@ -234,7 +206,6 @@ def train_diagnoser(
         "max_iterations": config.max_iterations,
         "rel_tol": config.rel_tol,
         "emission_floor": config.emission_floor,
-        "self_transition": self_transition,
         "init_smoothing": init_smoothing,
     }
     return DiagnoserModel(

@@ -190,22 +190,15 @@ class TestPipeline:
                      "--out", str(model)]) == 0
         assert json.loads(model.read_text())["training"]["n_sequences"] == 65 + 42
 
-    def test_self_transition_selects_the_soft_variant(self, pipeline):
-        tmp_path, data, hard = pipeline
-        soft = tmp_path / "soft.json"
-        assert main(["train", "--in", str(data / "train.jsonl"), "--self-transition", "0.9",
-                     "--out", str(soft)]) == 0
+    def test_train_pins_the_transition_structure(self, pipeline):
+        _, data, path = pipeline
         expected = train_diagnoser(as_labeled(read_sequences_jsonl(data / "train.jsonl")),
-                                   codebook=AlarmSymbolCodebook(5), self_transition=0.9)
-        model = load_diagnoser(soft)
+                                   codebook=AlarmSymbolCodebook(5))
+        model = load_diagnoser(path)
         for name in ("transition", "emission", "initial"):
             assert np.array_equal(getattr(model.hmm, name), getattr(expected.hmm, name)), name
-        assert model.training["self_transition"] == 0.9
-        pinned = load_diagnoser(hard)
-        off = pinned.hmm.transition[~np.eye(pinned.n_faults, dtype=bool)]
+        off = model.hmm.transition[~np.eye(model.n_faults, dtype=bool)]
         assert (off == HARD_MASK_OFF_DIAGONAL).all()
-        assert pinned.training["self_transition"] is None
-        assert not np.array_equal(model.hmm.transition, pinned.hmm.transition)
 
     def test_model_round_trips_through_cli(self, pipeline):
         tmp_path, data, model = pipeline
@@ -1047,15 +1040,16 @@ class TestErrorReporting:
         assert err.startswith("error: out-of-memory: ") and err.count("\n") == 1, err
         assert not (tmp_path / "evaluation").exists()
 
-    @pytest.mark.parametrize("value", ["1.5", "-0.2", "nan"])
-    def test_self_transition_outside_the_unit_interval_is_named(self, pipeline, capsys, value):
+    @pytest.mark.parametrize("value", ["0.9", "1.5", "-0.2", "nan"])
+    def test_removed_self_transition_flag_is_a_usage_error(self, pipeline, capsys, value):
+        # An unrecognized flag is refused whatever its value, a plausible one included.
         tmp_path, data, _ = pipeline
         capsys.readouterr()
         assert main(["train", "--in", str(data / "train.jsonl"), "--out",
-                     str(tmp_path / "new.json"), f"--self-transition={value}"]) == 1
-        assert capsys.readouterr().err == ("error: domain-error: self_transition must be finite "
-                                           f"and in [0, 1], got {value}\n")
-        assert not (tmp_path / "new.json").exists()
+                     str(tmp_path / "m.json"), "--self-transition", value]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: usage: unrecognized arguments: --self-transition {value}\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_more_faults_than_the_pinned_structure_holds_is_named(self, tmp_path, capsys):
         seqs = tmp_path / "many.jsonl"
@@ -1068,7 +1062,7 @@ class TestErrorReporting:
         assert main(["train", "--in", str(seqs), "--out", str(tmp_path / "model.json")]) == 1
         assert capsys.readouterr().err == (
             "error: domain-error: 1002 faults exceed the 1001 that the pinned transition "
-            "structure holds (off-diagonal mass 0.001 each); set self_transition to train more\n")
+            "structure holds (off-diagonal mass 0.001 each)\n")
         assert not (tmp_path / "model.json").exists()
 
     def test_empty_evaluation_input_is_one_domain_error(self, pipeline, capsys):

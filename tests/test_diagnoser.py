@@ -14,11 +14,13 @@ from alarmhmm import (
     InferenceError,
     StatePath,
     UnknownSymbolError,
+    fit,
     prefix_paths,
     viterbi,
 )
 from alarmhmm.alarms import AlarmSequence, AlarmSymbolCodebook
 from alarmhmm.diagnoser import (
+    HARD_MASK_OFF_DIAGONAL,
     AccuracyCurve,
     DiagnoserModel,
     LabeledSequence,
@@ -113,56 +115,17 @@ class TestTraining:
         assert np.allclose(off, 1e-3, atol=1e-15)
         assert np.allclose(np.diag(model.hmm.transition), 1.0 - 1e-3 * (n - 1), atol=1e-12)
 
-    def test_soft_variant_reestimates_transitions(self):
-        training, book = disjoint_training()
-        model = train_diagnoser(training, codebook=book, self_transition=0.9)
-        n = model.n_faults
-        off = model.hmm.transition[~np.eye(n, dtype=bool)]
-        # disjoint per-fault data keeps every sequence in its own state, so
-        # EM pushes the off-diagonal mass far below its 0.1/(n-1) start
-        assert (off < 1e-3).all()
-        assert (np.diag(model.hmm.transition) > 0.99).all()
-
-    @pytest.mark.parametrize("value", [1.5, -0.2, float("nan"), float("inf"), True, "0.9"])
-    def test_self_transition_must_be_a_probability(self, value):
-        training, book = disjoint_training()
-        message = f"self_transition must be finite and in [0, 1], got {value!r}"
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            train_diagnoser(training, codebook=book, self_transition=value)
-
     def test_pinned_structure_holds_at_most_1001_faults(self):
         # The pinned diagonal is 1 - (F - 1) * 1e-3, which is negative past 1,001 faults.
         book = AlarmSymbolCodebook(n_measurements=2)
         training = [labeled([fault % 4], fault) for fault in range(1002)]
         message = ("1002 faults exceed the 1001 that the pinned transition structure holds "
-                   "(off-diagonal mass 0.001 each); set self_transition to train more")
+                   "(off-diagonal mass 0.001 each)")
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             train_diagnoser(training, codebook=book)
-        # A pinned diagonal cannot drift, so this raises no drift warning.
         model = train_diagnoser(training[:-1], config=FitConfig(max_iterations=1), codebook=book)
         assert model.n_faults == 1001
         assert (np.diag(model.hmm.transition) == 0.0).all()
-        soft = train_diagnoser(training, config=FitConfig(max_iterations=1), codebook=book,
-                               self_transition=0.9)
-        assert soft.n_faults == 1002
-
-    def test_self_transition_of_one_is_accepted(self):
-        training, book = disjoint_training()
-        model = train_diagnoser(training, codebook=book, self_transition=1.0)
-        assert np.allclose(model.hmm.transition, np.eye(model.n_faults), atol=1e-9)
-
-    def test_unsupervised_drift_triggers_a_warning(self):
-        # Fault 0's only sequence runs off into fault 1's symbols; with a
-        # weak diagonal start, EM leaves state 0 transient.
-        book = AlarmSymbolCodebook(n_measurements=6)
-        training = [
-            labeled([0, 8, 9, 10, 11], 0),
-            labeled([8, 9, 10, 11], 1),
-            labeled([9, 10, 11, 8], 1),
-            labeled([8, 9, 11, 10], 1),
-        ]
-        with pytest.warns(RuntimeWarning, match="self-transition"):
-            train_diagnoser(training, codebook=book, self_transition=0.5)
 
     def test_unlabeled_sequences_rejected(self):
         seq = AlarmSequence(symbols=[1], times=[0.0], fault=None)
@@ -190,11 +153,12 @@ class TestTraining:
     def test_config_echo_recorded(self):
         training, book = disjoint_training()
         model = train_diagnoser(training, codebook=book)
+        # the exact key set, so that a dropped or an added setting shows up here
+        assert set(model.training) == {"n_sequences", "iterations", "final_log_likelihood",
+                                       "max_iterations", "rel_tol", "emission_floor",
+                                       "init_smoothing"}
         assert model.training["n_sequences"] == len(training)
-        assert model.training["self_transition"] is None
         assert model.training["iterations"] >= 1
-        soft = train_diagnoser(training, codebook=book, self_transition=0.8)
-        assert soft.training["self_transition"] == 0.8
 
 
 @st.composite
@@ -464,6 +428,38 @@ class TestModelIO:
         again = tmp_path / "again.json"
         save_diagnoser(loaded, again)
         assert path.read_bytes() == again.read_bytes()
+
+    def test_model_with_re_estimated_transitions_and_an_old_echo_still_loads(self, tmp_path):
+        # Models trained before the transitions were always pinned may carry
+        # freely re-estimated transitions and a "self_transition" training
+        # echo.  The echo is stored as read and never interpreted.
+        training, book = disjoint_training()
+        pinned = train_diagnoser(training, codebook=book)
+        n = pinned.n_faults
+        start = np.full((n, n), 0.1 / (n - 1))
+        np.fill_diagonal(start, 0.9)
+        floods = [item.symbols for item in training]
+        hmm, _ = fit(Hmm(transition=start, emission=pinned.hmm.emission,
+                         initial=pinned.hmm.initial), floods)
+        assert (hmm.transition[~np.eye(n, dtype=bool)] != HARD_MASK_OFF_DIAGONAL).all()
+        echo = dict(pinned.training, self_transition=0.9)
+        path = tmp_path / "old.json"
+        save_diagnoser(DiagnoserModel(hmm=hmm, fault_names=pinned.fault_names, codebook=book,
+                                      training=echo), path)
+        loaded = load_diagnoser(path)
+        assert loaded.training == echo
+        for name in ("transition", "emission", "initial"):
+            assert np.array_equal(getattr(loaded.hmm, name), getattr(hmm, name)), name
+
+        def fields(model):
+            return [(v.primary_fault, v.secondary_fault, v.path.states.tolist(), v.path.log_prob,
+                     v.second_path.states.tolist(), v.second_path.log_prob)
+                    for v in diagnose_all(model, floods + [[0, 5, 9], [15, 14, 1]])]
+
+        same = DiagnoserModel(hmm=hmm, fault_names=pinned.fault_names, codebook=book)
+        assert fields(loaded) == fields(same)
+        assert [verdict[0] for verdict in fields(loaded)[:len(training)]] == [
+            item.fault for item in training]
 
     def test_numpy_integer_settings_are_written_as_plain_integers(self, tmp_path):
         training, book = disjoint_training()
