@@ -4,20 +4,19 @@ One scaled forward/backward kernel pair sweeps batches of sequences at
 once; it serves pooled multi-sequence Baum-Welch training (whose E-step
 builds no pair-posterior tensor), the total log likelihood and
 :func:`posteriors`, a single sequence being a batch of one.  Exact
-decoding over a finite observation alphabet has one list-Viterbi kernel
-for Viterbi, k-best and every prefix's best path; it too decodes a batch
-side by side and yields each sequence's scores and back-pointers as
-per-sequence arrays in entry order.  Its step, :class:`_ListStep`, reads
-only the previous step's scores and that step's emission-log rows, taken
-from the log-space arrays a model caches on its first decode, and fills
-one candidate buffer in place; at N = 30 and k = 2 a step of one
-sequence costs about 11 µs (2 vCPUs, numpy 2.4.6).  The two readers of
-the pass trace the paths back once, and no other code knows their
-layout.  The forward/backward pass rescales at every step and keeps the
-normalizers private to the kernels, decoding works entirely in log
-space, so long sequences do not underflow.  Training, posteriors and
-decoding start an error about one sequence with ``sequence <i>: ``, a
-single sequence being ``sequence 0``.
+decoding over a finite observation alphabet has one list-Viterbi step,
+:class:`_ListStep`, for Viterbi, k-best and every prefix's best path: it
+reads the previous step's scores and that step's emission-log rows,
+cached on the model at its first decode, and fills one buffer in place.
+:func:`k_best_paths` pushes one sequence's symbols through it; a batch
+pass decodes many side by side, yielding per-sequence scores and
+back-pointers.  At N = 30 and k = 2 a step of one sequence costs about
+10.6 µs (2 vCPUs, numpy 2.4.6).  The readers trace the paths back once,
+and no other code knows their layout.  The forward/backward pass
+rescales at every step and keeps the normalizers private to the kernels,
+decoding works entirely in log space, so long sequences do not
+underflow.  Training, posteriors and decoding start an error about one
+sequence with ``sequence <i>: ``, a single sequence being ``sequence 0``.
 """
 
 from __future__ import annotations
@@ -531,17 +530,20 @@ class _ListStep:
     ``a`` floods (``None`` at the first step) and the ``(a * N,)`` log
     emission terms of their symbols at this step, ``bonus[s * N + j]`` for
     state ``j`` of flood ``s``, and returns this step's ``(score, back)``
-    in :func:`_list_viterbi`'s layout.  It reads nothing else, so a caller
-    that receives one symbol at a time drives it with the row of
-    ``model._log_space.emission`` at that symbol.
+    in :func:`_list_viterbi`'s layout.  It reads nothing else, so
+    :func:`k_best_paths` drives it one symbol at a time with the row of
+    ``model._log_space.emission`` at that symbol, and :func:`_list_viterbi`
+    with the rows it gathers for a batch.
 
     The candidates of a step form one contiguous ``(a * N, E)`` array in
     a buffer kept between steps: row ``s * N + j`` is state ``j`` of flood
     ``s``, and column ``i * w + r`` the previous entry ``[i, r]`` of that
-    flood.  The buffer, its row offsets and the transition block are built
-    again only when the width ``w`` changes, in the first few steps; a
-    width's first step has the most floods of any of its steps, since
-    floods only drop out of a pass, so its buffer holds every later step.
+    flood.  The buffer and the transition block are built again only when
+    the width ``w`` changes, in the first few steps; a width's first step
+    has the most floods of any of its steps, since floods only drop out of
+    a pass, so its buffer holds every later step.  Its flat slice, its
+    ``(a, N, E)`` and ``(a * N, E)`` views and the row offsets are made
+    again only when ``a`` or ``w`` changes.
     Rank ``r`` of every cell is one ``argmax`` over each row, which returns
     the first maximum and so breaks ties by entry order; the pick plus its
     row's offset indexes the buffer flat, for the gather of the values and
@@ -553,7 +555,8 @@ class _ListStep:
 
     def __init__(self, model: Hmm, k: int):
         self.log, self.k = model._log_space, k
-        self.w = 0  # the width of the previous step's cells that the buffer fits
+        # the width of the previous step's cells that the buffer fits, and its views' shape
+        self.w, self.shape = 0, None
 
     def __call__(
         self, score: np.ndarray | None, bonus: np.ndarray
@@ -562,17 +565,19 @@ class _ListStep:
         if score is None:
             return self.log.initial + bonus.reshape(-1, n), None
         rows, entries = bonus.size, score.shape[1]
-        if entries != n * self.w:
-            self.w = entries // n
-            self.trans = self.log.transitions(self.w)
-            self.buffer = np.empty(rows * entries)
+        if (rows, entries) != self.shape:
+            if entries != n * self.w:
+                self.w = entries // n
+                self.trans = self.log.transitions(self.w)
+                self.buffer = np.empty(rows * entries)
+            self.shape = rows, entries
+            self.flat = flat = self.buffer[: rows * entries]
+            self.cube, self.cand = flat.reshape(-1, n, entries), flat.reshape(rows, entries)
             self.offsets = np.arange(0, rows * entries, entries)
         width = min(self.k, entries)
-        flat = self.buffer[: rows * entries]
-        np.add(score[:, None, :], self.trans, out=flat.reshape(-1, n, entries))
-        cand = flat.reshape(rows, entries)
+        flat, cand, offsets = self.flat, self.cand, self.offsets
+        np.add(score[:, None, :], self.trans, out=self.cube)
         cand += bonus[:, None]
-        offsets = self.offsets[:rows]
         top = np.empty((rows, width))
         picks = np.empty((rows, width), dtype=np.int64)
         for rank in range(width):
@@ -614,16 +619,17 @@ def _list_viterbi(
     the first ``t + 1`` symbols, so every step's yield is the answer for
     that prefix; a flood's last yield is at its own last step.
 
-    This is the only driver of the step, which alone ranks candidates: the
-    pass gathers every step's emission rows once, from the model's cached
-    log-space arrays (``Hmm._log_space``), and hands the step its rows.  A
-    flood that fails, with no entry above ``-inf`` (only a model with an
-    exact zero can), keeps being decoded on ``-inf`` scores; once every
-    step is done, :func:`_raise_first_failure` names the failing flood
-    that comes first in the caller's list.  At N = 30 and k = 2 a pass
-    over one flood costs about 11 µs a step plus 5 µs, against 12 µs a
-    step plus 24 µs when every pass took the model's logs and allocated
-    each step's candidates afresh (2 vCPUs, numpy 2.4.6).
+    This is the step's batch driver (:func:`k_best_paths` drives it for one
+    flood), and the step alone ranks candidates: the pass gathers every
+    step's emission rows once, from the model's cached log-space arrays
+    (``Hmm._log_space``), and hands the step its rows.  A flood that
+    fails, with no entry above ``-inf`` (only a model with an exact zero
+    can), keeps being decoded on ``-inf`` scores; once every step is done,
+    :func:`_raise_first_failure` names the failing flood that comes first
+    in the caller's list.  At N = 30 and k = 2 a pass over a batch of one
+    flood costs about 11 µs a step plus 5 µs, against 12 µs a step plus
+    24 µs when every pass took the model's logs and allocated each step's
+    candidates afresh (2 vCPUs, numpy 2.4.6).
     """
     n, log = model.n_states, model._log_space
     # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
@@ -636,8 +642,12 @@ def _list_viterbi(
         if log.zeros:
             failed[t, :a] = np.isneginf(score[:, :: score.shape[1] // n]).all(axis=1)
         yield score, back
-    _raise_first_failure(batch, failed, lambda step: "no admissible state path" if step
-                         else "no state can produce the observation")
+    _raise_first_failure(batch, failed, _no_path)
+
+
+def _no_path(step: int) -> str:
+    """What a decode with no entry above ``-inf`` at ``step`` reports."""
+    return "no admissible state path" if step else "no state can produce the observation"
 
 
 def _trace(backs: list, n: int, column: int, entries) -> list[list[int]]:
@@ -669,13 +679,16 @@ def _k_best(model: Hmm, observations: list[np.ndarray], k: int) -> list[list[Sta
         for t, (score, back) in enumerate(_list_viterbi(model, batch, k)):
             backs.append(back)
             for column in range(active[t + 1], active[t]):
-                best = np.argsort(-score[column], kind="stable")[:k].tolist()
-                found[batch.order[column]] = [
-                    StatePath(states=_frozen_array(states, dtype=np.int64),
-                              log_prob=float(score[column, entry]))
-                    for entry, states in zip(best, _trace(backs, model.n_states, column, best))
-                ]
+                found[batch.order[column]] = _best_paths(score, backs, model.n_states, column, k)
     return found
+
+
+def _best_paths(score: np.ndarray, backs: list, n: int, column: int, k: int) -> list[StatePath]:
+    """The ``k`` best entries of batch column ``column``, by score then entry order, traced."""
+    best = np.argsort(-score[column], kind="stable")[:k].tolist()
+    return [StatePath(states=_frozen_array(states, dtype=np.int64),
+                      log_prob=float(score[column, entry]))
+            for entry, states in zip(best, _trace(backs, n, column, best))]
 
 
 def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
@@ -688,10 +701,22 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     ``k``.  If fewer than ``k`` distinct paths exist, all are returned.
     ``k`` is a Python or numpy integer of at least 1; anything else,
     ``True`` or ``2.0`` included, raises :class:`DomainError`.
+
+    The symbols are pushed one at a time through one :class:`_ListStep`,
+    no batch, with :func:`_k_best`'s result and errors bit for bit.  At
+    N = 30 and k = 2 a call costs about 13 µs plus 10.6 µs per alarm after
+    the first, against 27 µs and 11.5 µs as a batch of one (2 vCPUs).
     """
     if not (is_int(k) and k >= 1):
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    return _k_best(model, _observations([obs], model.n_symbols), k)[0]
+    symbols = _observations([obs], model.n_symbols)[0]
+    log, step, score, backs = model._log_space, _ListStep(model, k), None, []
+    for t, symbol in enumerate(symbols.tolist()):
+        score, back = step(score, log.emission[symbol])
+        backs.append(back)
+        if log.zeros and np.isneginf(score[0, :: score.shape[1] // log.n]).all():
+            raise InferenceError(f"sequence 0: {_no_path(t)} at step {t}")
+    return _best_paths(score, backs, log.n, 0, k)
 
 
 def viterbi(model: Hmm, obs) -> StatePath:

@@ -15,9 +15,11 @@ from alarmhmm import (
     StatePath,
     UnknownSymbolError,
     fit,
+    k_best_paths,
     prefix_paths,
     viterbi,
 )
+from alarmhmm import hmm as hmm_module
 from alarmhmm.alarms import AlarmSequence, AlarmSymbolCodebook
 from alarmhmm.diagnoser import (
     HARD_MASK_OFF_DIAGONAL,
@@ -298,6 +300,37 @@ class TestDiagnose:
         assert a.secondary_fault == b.secondary_fault
         assert a.path.states.tolist() == b.path.states.tolist()
         assert a.path.log_prob == b.path.log_prob
+
+    def test_single_floods_never_reach_the_batch_machinery(self, monkeypatch):
+        training, book = disjoint_training()
+        models = [train_diagnoser(training, codebook=book), coarse_diagnoser(27)[0]]
+        floods = [(model, item.symbols) for model in models
+                  for item in floods_under(model, 3, 2 * model.n_faults + 1)]
+
+        def decoded():
+            out = []
+            for model, obs in floods:
+                try:
+                    verdict = diagnose(model, obs)
+                except InferenceError as exc:
+                    out.append(str(exc))
+                    continue
+                out.append((verdict.primary_fault, verdict.secondary_fault, [
+                    (path.states.tolist(), path.log_prob.hex())
+                    for path in (k_best_paths(model.hmm, obs, 3) + [viterbi(model.hmm, obs)])]))
+            return out
+
+        expected = decoded()
+        assert any(isinstance(item, str) for item in expected)  # a failing flood is covered too
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a single flood went through the batch machinery")
+
+        monkeypatch.setattr(hmm_module, "_batch", fail)
+        monkeypatch.setattr(hmm_module, "_list_viterbi", fail)
+        assert decoded() == expected
+        with pytest.raises(AssertionError, match="batch machinery"):
+            diagnose_all(models[0], [obs for _, obs in floods[:2]])
 
     def test_label_permutation_equivariance(self):
         training, book = disjoint_training()

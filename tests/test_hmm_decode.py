@@ -21,7 +21,15 @@ from alarmhmm import (
 )
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
-from alarmhmm.hmm import _batch, _list_viterbi, _ListStep, _prefix_best, _trace, hmm_to_dict
+from alarmhmm.hmm import (
+    _batch,
+    _k_best,
+    _list_viterbi,
+    _ListStep,
+    _prefix_best,
+    _trace,
+    hmm_to_dict,
+)
 
 import oracles
 
@@ -451,6 +459,36 @@ class TestDiagnoserShape:
                     assert back[0].tolist() == batch_back[column].tolist()
                 else:
                     assert back is batch_back is None
+
+    @staticmethod
+    def decoded(decode):
+        """A decode's paths as (states bytes, log probability bits), or its error."""
+        try:
+            return [(path.states.tobytes(), path.log_prob.hex()) for path in decode()]
+        except InferenceError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), k=st.sampled_from([1, 2, 3]),
+           kind=st.sampled_from(["coarse", "pinned", "pinned with zeros", "random"]),
+           length=st.integers(1, 30))
+    @example(seed=3, n=6, k=2, kind="pinned", length=1)  # a one-alarm flood
+    # One state that cannot emit symbol 1: the flood first fails at step 6, and so does every
+    # later step (symbol 1 comes again at step 8), so the batch pass sees failures after it.
+    @example(seed=27, n=1, k=2, kind="coarse", length=12)
+    @example(seed=5, n=3, k=3, kind="coarse", length=5)  # no state emits the first symbol
+    def test_one_flood_pushed_through_one_step_equals_the_batch_pass(
+            self, seed, n, k, kind, length):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            model = random_model(n, 2 * n, seed=seed)
+        elif kind == "coarse":  # exact zeros, so some floods cannot be decoded; n is its own
+            model = coarse_case(seed)[0]
+        else:
+            model = self.pinned_model(rng, n, kind == "pinned with zeros")
+        obs = rng.integers(0, model.n_symbols, size=length)
+        assert self.decoded(lambda: k_best_paths(model, obs, k)) == \
+            self.decoded(lambda: _k_best(model, [obs], k)[0])
 
 
 class TestLogSpaceCache:
