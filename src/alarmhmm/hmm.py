@@ -17,6 +17,7 @@ rescales at every step and keeps the normalizers private to the kernels,
 decoding works entirely in log space, so long sequences do not
 underflow.  Training, posteriors and decoding start an error about one
 sequence with ``sequence <i>: ``, a single sequence being ``sequence 0``.
+The module needs numpy alone, so training and diagnosis load no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .documents import (
     FORMAT_VERSION,
@@ -207,12 +207,15 @@ def as_symbols(obs, n_symbols: int | None = None) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError("symbol indices must form a 1-D list")
     # numpy gives a list that mixes integers and bools an integer dtype.
-    if arr.size and not np.issubdtype(arr.dtype, np.integer) or (
+    if arr.size and arr.dtype.kind not in "iu" or (
             is_array(symbols) and not {bool, np.bool_}.isdisjoint(map(type, symbols))):
         raise DomainError("symbol indices must be integers")
-    if n_symbols is not None:
-        bad = np.flatnonzero((arr < 0) | (arr >= n_symbols))
-        if bad.size:
+    if n_symbols is not None and arr.size:
+        # Read as unsigned, a negative symbol is at least 2**(bits - 1), above every
+        # valid one, so a single max tests both ends of the range.
+        top = 2 ** (8 * arr.itemsize - (arr.dtype.kind == "i"))
+        if arr.view(arr.dtype.str.replace("i", "u")).max() >= min(n_symbols, top):
+            bad = np.flatnonzero((arr < 0) | (arr >= n_symbols))
             raise UnknownSymbolError(
                 f"symbol {arr[bad[0]]} at position {bad[0]} is outside [0, {n_symbols})")
     return arr
@@ -294,12 +297,32 @@ def _workspace(batches: list[_Batch], n: int) -> list[np.ndarray]:
     return [np.empty(max((b.symbols.size for b in batches), default=0) * n) for _ in range(3)]
 
 
-def _onehot(batch: _Batch, m: int) -> csr_array:
-    """The (M, L*S) indicator of every running cell's symbol, cells in position order,
-    so its product adds each symbol's weights from 0.0 as ``np.bincount`` does."""
+def _ranks(batch: _Batch) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(present, ranks)``: the symbols of ``batch``'s running cells, most frequent
+    first, and ``ranks[r]``, the ``r``-th cell in position order of each symbol of
+    ``present`` that has more than ``r`` cells (a prefix of ``present``).
+
+    Summing the cells' rows rank by rank from rank 0 adds each symbol's rows
+    from 0.0 in position order, as ``np.bincount`` does.
+    """
     cells = np.flatnonzero(~batch.padding.ravel())
-    return csr_array((np.ones(cells.size), (batch.symbols.ravel()[cells], cells)),
-                     shape=(m, batch.symbols.size))
+    symbols = batch.symbols.ravel()[cells]
+    counts = np.bincount(symbols)
+    present = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    # Each symbol's place in ``present``, in the smallest type: a stable sort of it is a radix sort.
+    place = np.empty(counts.size, dtype=np.min_scalar_type(present.size))
+    place[present] = np.arange(present.size)
+    counts = counts[present]
+    keys = place[symbols]
+    grouped = np.argsort(keys, kind="stable")
+    # Rank r holds the first widths[r] symbols of ``present``, and ends at cell ends[r] of the plan.
+    widths = np.searchsorted(-counts, -np.arange(counts[0]))
+    ends = np.cumsum(widths)
+    # The r-th cell of symbol present[f] goes to slot f of rank r.
+    rank = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    plan = np.empty_like(cells)
+    plan[(ends - widths)[rank] + keys[grouped]] = cells[grouped]
+    return present, [plan[end - width:end] for end, width in zip(ends.tolist(), widths.tolist())]
 
 
 def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,7 +424,7 @@ def _floor_rows(rows: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _expectation(
-    model: Hmm, batches: list[_Batch], onehots: list, fixed_transitions: bool, work: list
+    model: Hmm, batches: list[_Batch], plans: list, fixed_transitions: bool, work: list
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Pooled Baum-Welch numerators of every sequence, one sweep per batch.
 
@@ -413,13 +436,14 @@ def _expectation(
     matrix product and no ``xi`` tensor is built; the trellis is zero past
     each sequence's end, which drops the pairs that run into the padding;
     ``fixed_transitions`` leaves the transition counts at zero.  A batch's
-    emission counts are one product of its :func:`_onehot` with the state
-    posteriors.  Every batch's (L, S, N) arrays are views of ``work``.
+    emission counts (Rabiner 1989, eq. 40c) sum its state posteriors rank by
+    rank over its :func:`_ranks` plan, with the bits of per-state ``np.bincount``
+    calls.  Every batch's (L, S, N) arrays are views of ``work``.
     """
     n, m = model.n_states, model.n_symbols
     trans_num, emit_num, first = np.zeros((n, n)), np.zeros((n, m)), np.zeros(n)
     log_likelihood = 0.0
-    for batch, onehot in zip(batches, onehots):
+    for batch, (present, ranks) in zip(batches, plans):
         emit, alpha, scale = _forward(model, batch, work)
         gamma = _backward(model, batch, emit, scale, work[2])
         if not fixed_transitions:
@@ -428,7 +452,11 @@ def _expectation(
             trans_num += model.transition * pairs
         gamma *= alpha
         gamma /= np.where(batch.padding, 1.0, gamma.sum(axis=2))[:, :, None]
-        emit_num += (onehot @ gamma.reshape(-1, n)).T
+        rows = gamma.reshape(-1, n)
+        tally = rows.take(ranks[0], axis=0)
+        for cells in ranks[1:]:
+            tally[: cells.size] += rows.take(cells, axis=0)
+        emit_num[:, present] += tally.T
         first += gamma[0].sum(axis=0)
         log_likelihood -= np.log(scale).sum()
     return trans_num, emit_num, first, float(log_likelihood)
@@ -458,7 +486,7 @@ def fit(
     of the per-sequence first-step posteriors.  Sequences of length one
     contribute to the initial-state and emission updates only.  The
     sequences are batched once per call, and every iteration reuses one
-    :func:`_workspace` and each chunk's :func:`_onehot`.
+    :func:`_workspace` and each chunk's :func:`_ranks` plan.
 
     Parameters
     ----------
@@ -494,11 +522,11 @@ def fit(
 
     batches = _batches(seqs, model.n_states)
     work = _workspace(batches, model.n_states)
-    onehots = [_onehot(batch, model.n_symbols) for batch in batches]
+    plans = [_ranks(batch) for batch in batches]
     trace: list[float] = []
     for iteration in range(config.max_iterations):
         trans_num, emit_num, first, log_likelihood = _expectation(
-            model, batches, onehots, fixed_transitions, work)
+            model, batches, plans, fixed_transitions, work)
         trace.append(log_likelihood)
         if on_iteration is not None:
             on_iteration(iteration, model, log_likelihood)

@@ -5,9 +5,10 @@ runs, ...) or loop one item at a time instead of reusing the code under
 test.  The exception is :func:`loop_expectation`, and :func:`em_update`
 on top of it: they run the package's own per-sequence ``posteriors``,
 and check only how the batched E-step pools them; :func:`enum_em_update`
-is the enumerated update.  :func:`bincount_emission_counts` and
-:func:`loop_floor_rows` are the earlier loops of the E-step's emission
-counts and the M-step's floor, which the fast code must match bit for bit.
+is the enumerated update.  :func:`bincount_emission_counts`,
+:func:`sparse_emission_counts` and :func:`loop_floor_rows` are earlier
+forms of the E-step's emission counts and of the M-step's floor, which
+the fast code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
+from scipy.sparse import csr_array
 from scipy.spatial.distance import pdist
 
 from alarmhmm import InferenceError, SchemaError, hmm, posteriors
@@ -115,23 +117,44 @@ def loop_expectation(model, sequences) -> dict:
     return sums
 
 
-def bincount_emission_counts(model, sequences) -> np.ndarray:
-    """The E-step's (N, M) expected emission counts, one ``np.bincount`` per
-    state and chunk over every cell of the chunk, zero-padded cells included,
-    from the package's own forward/backward kernels."""
-    n, m = model.n_states, model.n_symbols
+def _chunk_posteriors(model, sequences):
+    """Each chunk of ``sequences`` and its (L*S, N) state posteriors, zero in
+    the padding, from the package's own forward/backward kernels."""
+    n = model.n_states
     batches = hmm._batches([np.asarray(s, dtype=np.int64) for s in sequences], n)
     work = hmm._workspace(batches, n)
-    emit_num = np.zeros((n, m))
     for batch in batches:
         emit, alpha, scale = hmm._forward(model, batch, work)
         gamma = hmm._backward(model, batch, emit, scale, work[2])
         valid = np.arange(batch.order.size) < batch.active[:-1, None]  # (L, S)
         gamma *= alpha
         gamma /= np.where(valid, gamma.sum(axis=2), 1.0)[:, :, None]
-        symbols, rows = batch.symbols.ravel(), gamma.reshape(-1, n)
+        yield batch, gamma.reshape(-1, n)
+
+
+def bincount_emission_counts(model, sequences) -> np.ndarray:
+    """The E-step's (N, M) expected emission counts, one ``np.bincount`` per
+    state and chunk over every cell of the chunk, zero-padded cells included."""
+    n, m = model.n_states, model.n_symbols
+    emit_num = np.zeros((n, m))
+    for batch, rows in _chunk_posteriors(model, sequences):
+        symbols = batch.symbols.ravel()
         for state in range(n):
             emit_num[state] += np.bincount(symbols, weights=rows[:, state], minlength=m)
+    return emit_num
+
+
+def sparse_emission_counts(model, sequences) -> np.ndarray:
+    """The E-step's (N, M) expected emission counts, one product per chunk of a
+    ``scipy.sparse.csr_array`` one-hot (an entry per running cell, in position
+    order within each symbol's row) with the state posteriors."""
+    n, m = model.n_states, model.n_symbols
+    emit_num = np.zeros((n, m))
+    for batch, rows in _chunk_posteriors(model, sequences):
+        cells = np.flatnonzero(~batch.padding.ravel())
+        onehot = csr_array((np.ones(cells.size), (batch.symbols.ravel()[cells], cells)),
+                           shape=(m, batch.symbols.size))
+        emit_num += (onehot @ rows).T
     return emit_num
 
 

@@ -571,20 +571,21 @@ class TestDeterminism:
 
 
 class TestImportFootprint:
-    def test_only_the_baseline_loads_scipys_clustering_stack(self, tmp_path):
-        # A fresh interpreter: tests/oracles.py has loaded scipy.cluster into this one.
+    def test_only_the_baseline_loads_scipy(self, tmp_path):
+        # A fresh interpreter: tests/oracles.py has loaded scipy into this one.
         script = textwrap.dedent("""
             import sys
 
+            def scipy_modules():
+                return sorted(name for name in sys.modules
+                              if name == "scipy" or name.startswith("scipy."))
+
             import alarmhmm
             from alarmhmm import cli
+            assert not scipy_modules(), scipy_modules()
 
             def run(*argv):
                 assert cli.main(list(argv)) == 0, argv
-
-            def clustering():
-                return sorted(name for name in sys.modules
-                              if name.startswith(("scipy.cluster", "scipy.spatial")))
 
             run("simulate", "--seed", "1", "--out", "data")
             run("train", "--in", "data/train.jsonl", "--out", "model.json")
@@ -592,10 +593,10 @@ class TestImportFootprint:
                 "--out", "diagnosis.jsonl")
             run("evaluate", "--model", "model.json", "--in", "data/test.jsonl",
                 "--out", "evaluation")
-            assert not clustering(), clustering()
+            assert not scipy_modules(), scipy_modules()
             run("baseline", "--train", "data/train.jsonl", "--in", "data/test.jsonl",
                 "--out", "baseline")
-            assert clustering()
+            assert {"scipy.sparse", "scipy.cluster"} <= set(scipy_modules()), scipy_modules()
             run("report", "--evaluation", "evaluation", "--baseline", "baseline",
                 "--out", "comparison.csv")
         """)

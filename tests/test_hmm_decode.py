@@ -13,6 +13,7 @@ from alarmhmm import (
     FitConfig,
     Hmm,
     InferenceError,
+    UnknownSymbolError,
     fit,
     k_best_paths,
     prefix_paths,
@@ -28,6 +29,7 @@ from alarmhmm.hmm import (
     _ListStep,
     _prefix_best,
     _trace,
+    as_symbols,
     hmm_to_dict,
 )
 
@@ -100,6 +102,28 @@ def test_symbol_range_checked():
     model = Hmm(**TWO_STATE)
     with pytest.raises(DomainError, match="position 0"):
         viterbi(model, [9])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_range_check_names_the_first_symbol_outside_the_alphabet(data):
+    # as_symbols reads signed arrays as unsigned to test the range in one pass;
+    # every integer dtype, and a list, must still give the plain comparison's verdict.
+    dtype = data.draw(st.sampled_from(["int8", "int16", "int32", "int64", ">i4",
+                                       "uint8", "uint16", "uint32", "uint64", ">u2", "list"]))
+    info = np.iinfo("int64" if dtype == "list" else dtype)
+    values = data.draw(st.lists(st.one_of(st.integers(max(-3, info.min), 12),
+                                          st.integers(info.min, info.max)),
+                                max_size=8))
+    n_symbols = data.draw(st.one_of(st.integers(0, 12), st.integers(0, 2**64)))
+    obs = values if dtype == "list" else np.array(values, dtype=dtype)
+    bad = [index for index, value in enumerate(values) if not 0 <= value < n_symbols]
+    if bad:
+        message = f"symbol {values[bad[0]]} at position {bad[0]} is outside [0, {n_symbols})"
+        with pytest.raises(UnknownSymbolError, match=f"^{re.escape(message)}$"):
+            as_symbols(obs, n_symbols)
+    else:
+        assert as_symbols(obs, n_symbols).tolist() == values
 
 
 def test_only_integer_symbols_are_decoded():

@@ -21,7 +21,7 @@ from alarmhmm import (
     total_log_likelihood,
     train_diagnoser,
 )
-from alarmhmm.hmm import _batches, _expectation, _floor_rows, _observations, _onehot, _workspace
+from alarmhmm.hmm import _batches, _expectation, _floor_rows, _observations, _ranks, _workspace
 
 import oracles
 
@@ -209,6 +209,12 @@ def test_a_zero_log_likelihood_is_positive_zero():
     assert not np.signbit(trained.training["final_log_likelihood"])
 
 
+def emission_counts(model, sequences, fixed):
+    batches = _batches(_observations(sequences, model.n_symbols), model.n_states)
+    plans = [_ranks(batch) for batch in batches]
+    return _expectation(model, batches, plans, fixed, _workspace(batches, model.n_states))[1]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=ragged_batches(max_sequences=12), fixed=st.booleans())
 @example(case=UNEQUAL_CHUNKS, fixed=False)
@@ -216,23 +222,71 @@ def test_a_zero_log_likelihood_is_positive_zero():
                    initial=[0.5, 0.5]), [[0, 0, 0], [0], [0, 0], [0, 0, 0, 0]]), fixed=True)
 def test_emission_counts_are_the_bits_of_the_bincount_loop(case, fixed):
     model, sequences = case
-    batches = _batches(_observations(sequences, model.n_symbols), model.n_states)
-    onehots = [_onehot(batch, model.n_symbols) for batch in batches]
-    work = _workspace(batches, model.n_states)
-    emit_num = _expectation(model, batches, onehots, fixed, work)[1]
+    emit_num = emission_counts(model, sequences, fixed)
     assert emit_num.tobytes() == oracles.bincount_emission_counts(model, sequences).tobytes()
 
 
-def test_the_onehot_marks_each_running_cell_once():
-    # Two states, so chunks of (L, S) = (5, 2), (7, 2) and (2, 1): the
-    # zero-padded cells hold symbol 0 but get no entry.
-    model, sequences = UNEQUAL_CHUNKS
+@st.composite
+def sparse_alphabets(draw):
+    """A model without exact zeros (N 1-4, M 1-40) and 1-12 floods of 1-15
+    alarms drawn from 1-4 of the M symbols, so most symbols never occur; or
+    floods of one alarm each; or one symbol throughout every flood."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    model = random_model(n, m, seed=draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["ragged", "single alarms", "one symbol"]))
+    lengths = draw(st.lists(st.integers(1, 15), min_size=1, max_size=12))
+    used = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4, unique=True))
+    if shape == "single alarms":
+        lengths = [1] * len(lengths)
+    if shape == "one symbol":
+        used = used[:1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return model, [rng.choice(used, size=length).tolist() for length in lengths]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=sparse_alphabets(), fixed=st.booleans())
+@example(case=UNEQUAL_CHUNKS, fixed=True)
+@example(case=(random_model(2, 9, seed=4), [[7], [3], [7], [7], [0]]), fixed=False)
+@example(case=(random_model(3, 5, seed=6), [[2] * 9, [2], [2] * 4, [2] * 12]), fixed=False)
+@example(case=(random_model(1, 30, seed=8), [[29, 4, 29, 29, 4], [4] * 14, [29, 0]]), fixed=True)
+def test_emission_counts_are_the_bits_of_the_sparse_onehot_product(case, fixed):
+    # The rank-by-rank sum against the CSR product it replaced, and the
+    # per-state bincounts before that: unequal lengths, single-alarm floods,
+    # a symbol repeated throughout and symbols that never occur.
+    model, sequences = case
+    emit_num = emission_counts(model, sequences, fixed).tobytes()
+    assert emit_num == oracles.sparse_emission_counts(model, sequences).tobytes()
+    assert emit_num == oracles.bincount_emission_counts(model, sequences).tobytes()
+
+
+@pytest.mark.parametrize("case", [UNEQUAL_CHUNKS, (random_model(4, 12, seed=7), None)],
+                         ids=["unequal-chunks", "skewed-symbols"])
+def test_the_rank_plan_holds_each_running_cell_once(case):
+    # UNEQUAL_CHUNKS has two states, so chunks of (L, S) = (5, 2), (7, 2) and
+    # (2, 1): the zero-padded cells hold symbol 0 but are in no rank.
+    model, sequences = case
+    if sequences is None:
+        rng = np.random.default_rng(9)
+        sequences = [rng.choice([0, 2, 5, 11], size=length, p=[0.1, 0.2, 0.6, 0.1]).tolist()
+                     for length in rng.integers(1, 25, size=10)]
     for batch in _batches(_observations(sequences, model.n_symbols), model.n_states):
-        onehot = _onehot(batch, model.n_symbols)
-        dense, running = onehot.toarray(), ~batch.padding.ravel()
-        assert onehot.has_sorted_indices
-        assert np.array_equal(dense.sum(axis=0), running)
-        assert (dense[batch.symbols.ravel()[running], np.flatnonzero(running)] == 1).all()
+        present, ranks = _ranks(batch)
+        symbols, running = batch.symbols.ravel(), ~batch.padding.ravel()
+        cells = np.concatenate(ranks)
+        assert np.array_equal(np.sort(cells), np.flatnonzero(running))
+        counts = np.bincount(symbols[running], minlength=model.n_symbols)
+        assert np.array_equal(np.sort(present), np.flatnonzero(counts))
+        assert (np.diff(counts[present]) <= 0).all()
+        for rank, rank_cells in enumerate(ranks):
+            # Rank r holds the r-th cell of each symbol with more than r cells,
+            # in present's order, and so no symbol twice.
+            assert symbols[rank_cells].tolist() == present[: rank_cells.size].tolist()
+            assert rank_cells.size == np.count_nonzero(counts > rank)
+        for symbol in present:
+            # A symbol's cells, rank by rank, are in position order.
+            own = np.concatenate([held[symbols[held] == symbol] for held in ranks])
+            assert own.size == counts[symbol] and (np.diff(own) > 0).all()
 
 
 @st.composite
