@@ -19,8 +19,8 @@ import numpy as np
 from .documents import (
     FORMAT_VERSION,
     check_int,
+    check_number,
     is_finite_array,
-    is_finite_number,
     is_int,
     is_int_array,
     read_jsonl,
@@ -34,6 +34,9 @@ from .hmm import as_symbols
 HIGH = "high"
 LOW = "low"
 
+#: the most measurements whose successor-pair keys a * M + b (M = 2 n symbols) fit int64
+MAX_MEASUREMENTS = 1_518_500_249
+
 
 @dataclass(frozen=True)
 class AlarmSymbolCodebook:
@@ -42,17 +45,14 @@ class AlarmSymbolCodebook:
     n_measurements: int
 
     def __post_init__(self):
-        check_int(self.n_measurements, "n_measurements")
-        if self.n_measurements < 1:
-            raise DomainError("codebook needs at least one measurement")
+        check_int(self.n_measurements, "n_measurements", 1, MAX_MEASUREMENTS)
 
     @property
     def n_symbols(self) -> int:
         return 2 * self.n_measurements
 
     def encode(self, measurement: int, direction: str) -> int:
-        if not 0 <= measurement < self.n_measurements:
-            raise DomainError(f"measurement index {measurement} out of range")
+        check_int(measurement, "measurement index", 0, self.n_measurements - 1)
         if direction == HIGH:
             return measurement
         if direction == LOW:
@@ -108,7 +108,7 @@ class AlarmLimits:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
-        check_kappa(self.kappa)
+        check_number(self.kappa, "kappa", 0)
         if (self.std <= 0).any():
             bad = [self.meas_ids[i] for i in np.flatnonzero(self.std <= 0)]
             raise DomainError(f"zero or negative standard deviation for: {', '.join(bad)}")
@@ -159,7 +159,7 @@ def fit_limits(normal_traces: list[MeasurementTrace], kappa: float = 3.0) -> Ala
     for trace in normal_traces[1:]:
         if trace.meas_ids != ids:
             raise DomainError("all normal traces must share the same measurement ids")
-    check_kappa(float(kappa))
+    check_number(kappa, "kappa", 0)
     pooled = np.concatenate([trace.values for trace in normal_traces], axis=0)
     if pooled.shape[0] < 2:
         raise DomainError("fit_limits needs at least two pooled samples per measurement")
@@ -181,16 +181,6 @@ def _required_samples(persist_t: float, sample_period: float, n_samples: int) ->
     return max(1, math.ceil(min(persist_t / sample_period - 1e-12, n_samples + 1)))
 
 
-def check_kappa(kappa: float) -> None:
-    if not (is_finite_number(kappa) and kappa >= 0):
-        raise DomainError(f"kappa must be finite and non-negative, got {kappa!r}")
-
-
-def check_persist_t(persist_t: float) -> None:
-    if not (is_finite_number(persist_t) and persist_t >= 0):
-        raise DomainError(f"persist_t must be finite and non-negative, got {persist_t!r}")
-
-
 def extract_sequence(
     trace: MeasurementTrace,
     limits: AlarmLimits,
@@ -204,7 +194,7 @@ def extract_sequence(
     produces one symbol, stamped with the excursion start time.  Emissions
     are sorted by activation time, ties by ascending symbol index.
     """
-    check_persist_t(persist_t)
+    check_number(persist_t, "persist_t", 0)
     if trace.n_measurements != codebook.n_measurements:
         raise DomainError(
             f"trace has {trace.n_measurements} measurements, codebook expects "
@@ -365,14 +355,13 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
     symbols = require(payload, "symbols", is_int_array, "an array of integers")
     times = require(payload, "times", is_finite_array, "an array of finite numbers")
     meta = require(payload, "meta", lambda value: isinstance(value, dict), "an object")
-    size = meta.get("n_measurements")
-    if size is not None and not (is_int(size) and size >= 1):
-        raise SchemaError("meta n_measurements must be a positive integer")
     if meta.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
         raise SchemaError(f"meta format_version must be {FORMAT_VERSION!r}")
+    size = meta.get("n_measurements")
     try:
+        n_symbols = None if size is None else AlarmSymbolCodebook(size).n_symbols
         sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
-        return sequence.validate(None if size is None else AlarmSymbolCodebook(size).n_symbols)
+        return sequence.validate(n_symbols)
     except UnknownSymbolError:
         raise
     except DomainError as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alarms import MAX_MEASUREMENTS
 from .documents import COUNT, OPTIONAL_COUNT, check_int, write_csv
 from .errors import DomainError, located
 from .hmm import as_symbols
@@ -75,9 +76,8 @@ def fit_baseline(
     fault_ids, fault_codes = np.unique([item.fault for item in training], return_inverse=True)
     if n_clusters is None:
         n_clusters = fault_ids.size
-    check_int(n_clusters, "n_clusters")
-    if not 1 <= n_clusters <= len(training):
-        raise DomainError(f"n_clusters must lie in [1, {len(training)}], got {n_clusters}")
+    check_int(n_clusters, "n_clusters", 1, len(training))
+    check_int(n_symbols, "n_symbols", 1, 2 * MAX_MEASUREMENTS)  # the codebook's bound
 
     keys = []
     for role, floods in (("training", [item.sequence for item in training]), ("test", test)):

@@ -17,8 +17,6 @@ from . import baseline as baseline_mod
 from . import plantsim
 from .alarms import (
     AlarmSymbolCodebook,
-    check_kappa,
-    check_persist_t,
     extract_sequence,
     fit_limits,
     read_sequences_jsonl,
@@ -37,7 +35,7 @@ from .diagnoser import (
     write_accuracy_csv,
     write_confusion_csvs,
 )
-from .documents import csv_value, read_csv, write_csv, write_jsonl
+from .documents import check_number, csv_value, read_csv, write_csv, write_jsonl
 from .errors import (
     AlarmHmmError,
     DomainError,
@@ -162,8 +160,8 @@ def cmd_simulate(args) -> int:
 def cmd_extract(args) -> int:
     if args.fault and len(args.fault) != len(args.inputs):
         raise DomainError("--fault must be given once per --in trace")
-    check_kappa(args.kappa)
-    check_persist_t(args.persist_t)
+    check_number(args.kappa, "kappa", 0)
+    check_number(args.persist_t, "persist_t", 0)
     normal_traces = [read_trace_csv(path) for path in args.normal]
     limits = fit_limits(normal_traces, kappa=args.kappa)
     codebook = AlarmSymbolCodebook(normal_traces[0].n_measurements)

@@ -23,9 +23,8 @@ from .documents import (
     COUNT,
     FRACTION,
     check_int,
+    check_number,
     is_array,
-    is_finite_number,
-    is_int,
     load_document,
     require,
     save_document,
@@ -62,9 +61,7 @@ class LabeledSequence:
     fault: int
 
     def __post_init__(self):
-        check_int(self.fault, "fault label")
-        if self.fault < 0:
-            raise DomainError(f"fault label {self.fault} must be non-negative")
+        check_int(self.fault, "fault label", 0)
 
     @property
     def symbols(self) -> list[int]:
@@ -106,6 +103,9 @@ class DiagnoserModel:
     def __post_init__(self):
         if len(self.fault_names) != self.hmm.n_states:
             raise DomainError("one fault name per hidden state required")
+        for name in self.fault_names:
+            if not isinstance(name, str):
+                raise DomainError(f"fault name {name!r} is not a string")
         if self.codebook.n_symbols != self.hmm.n_symbols:
             raise DomainError("codebook size does not match the model alphabet")
 
@@ -166,8 +166,7 @@ def train_diagnoser(
     """
     if config is None:
         config = FitConfig()
-    if not (is_finite_number(init_smoothing) and init_smoothing >= 0):
-        raise DomainError(f"init_smoothing must be finite and non-negative, got {init_smoothing!r}")
+    check_number(init_smoothing, "init_smoothing", 0)
     if not training:
         raise DomainError("training requires at least one labeled sequence")
     labels = {item.fault for item in training}
@@ -275,17 +274,17 @@ def evaluate_prefix_accuracy(
     list-Viterbi pass per chunk whose back-pointers are traced back once;
     every step of the pass gives each running flood's verdict for that
     prefix: the mode of its rank-0 path, the first of its best entries.
-    ``l_max`` is a Python or numpy integer of at least 1; anything else,
-    ``True`` or ``2.0`` included, raises :class:`DomainError`.  An error
+    ``l_max`` is a Python or numpy integer of at least 1, and at most the
+    largest count whose confusion numpy can size; anything else, ``True``
+    or ``2.0`` included, raises :class:`DomainError`.  An error
     about one sequence starts with ``sequence <i>: ``, ``i`` counting from
     0 in ``test``.
     """
-    check_int(l_max, "l_max")
-    if l_max < 1:
-        raise DomainError("l_max must be >= 1")
+    n = model.n_faults
+    # the byte size of the (l_max, n, n) int64 confusion must fit numpy's index type
+    check_int(l_max, "l_max", 1, np.iinfo(np.intp).max // (8 * n * n))
     if not test:
         raise DomainError("evaluation requires at least one labeled sequence")
-    n = model.n_faults
     observations = []
     for index, item in enumerate(test):
         with located(f"sequence {index}"):
@@ -350,19 +349,17 @@ def diagnoser_to_dict(model: DiagnoserModel) -> dict:
 
 def diagnoser_from_dict(payload: dict) -> DiagnoserModel:
     hmm = hmm_from_dict(payload)
-    faults = require(payload, "faults", lambda value: is_array(value) and all(
-        isinstance(name, str) for name in value), "an array of fault names", ModelFormatError)
-    codebook = require(payload, "codebook", lambda value: isinstance(value, dict),
-                     "an object", ModelFormatError)
-    size = require(codebook, "n_measurements", lambda value: is_int(value) and value >= 1,
-                 "a positive integer", ModelFormatError)
+    faults = require(payload, "faults", is_array, "an array", ModelFormatError)
+    codebook = require(payload, "codebook", lambda value: isinstance(value, dict)
+                       and "n_measurements" in value, "an object with 'n_measurements'",
+                       ModelFormatError)
     training = require(payload, "training", lambda value: isinstance(value, dict),
                        "an object", ModelFormatError) if "training" in payload else {}
     try:
         return DiagnoserModel(
             hmm=hmm,
             fault_names=tuple(faults),
-            codebook=AlarmSymbolCodebook(size),
+            codebook=AlarmSymbolCodebook(codebook["n_measurements"]),
             training=training,
         )
     except DomainError as exc:

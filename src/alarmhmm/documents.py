@@ -31,23 +31,58 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_int(value, what: str) -> None:
-    """Raise :class:`DomainError` naming ``what`` unless ``value`` passes :func:`is_int`."""
-    if not is_int(value):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
 def is_int_array(value) -> bool:
     return is_array(value) and all(is_int(item) for item in value)
 
 
 def is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """The package's one real-number test: a finite Python or numpy int or float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return False
     try:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _range(low, high, strict: bool) -> str:
+    """The bounds in the rules' words: ``be non-negative``, ``be >= 1``,
+    ``lie in [1, 8]``, or with ``strict``, ``be positive`` or ``lie in (0, 1]``."""
+    if high is None:
+        if low == 0:
+            return "be positive" if strict else "be non-negative"
+        return f"be {'>' if strict else '>='} {low}"
+    if low is None:
+        return f"be <= {high}"
+    return f"lie in {'(' if strict else '['}{low}, {high}]"
+
+
+def _outside(value, low, high, strict: bool) -> bool:
+    return (low is not None and (value <= low if strict else value < low)
+            or high is not None and value > high)
+
+
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> None:
+    """The integer rule: raise :class:`DomainError` naming ``what`` unless
+    ``value`` passes :func:`is_int` and lies in [``low``, ``high``]; a bound of
+    ``None`` is no bound."""
+    if not is_int(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if _outside(int(value), low, high, False):
+        raise DomainError(f"{what} must {_range(low, high, False)}, got {value}")
+
+
+def check_number(value, what: str, low=None, high=None, *, strict: bool = False) -> None:
+    """The real-number rule: raise :class:`DomainError` naming ``what`` unless
+    ``value`` passes :func:`is_finite_number` and lies in [``low``, ``high``],
+    or in (``low``, ``high``] if ``strict``; a bound of ``None`` is no bound."""
+    if is_finite_number(value):
+        exact = value.item() if isinstance(value, np.generic) else value  # as Python compares
+        if not _outside(exact, low, high, strict):
+            return
+    bounds = ("" if low is None and high is None
+              else " and " + _range(low, high, strict).removeprefix("be "))
+    raise DomainError(f"{what} must be finite{bounds}, got {value!r}")
 
 
 def csv_value(text: str):
@@ -136,9 +171,11 @@ def read_jsonl(path, build) -> list:
 
 
 def _json_default(value):
-    """Both JSON writers' hook: a numpy integer, which :func:`is_int` accepts, as an int."""
+    """Both JSON writers' hook: a numpy number, which the two rules accept, as a Python one."""
     if isinstance(value, np.integer):
         return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

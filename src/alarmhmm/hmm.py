@@ -10,13 +10,12 @@ reads the previous step's scores and that step's emission-log rows,
 cached on the model at its first decode, and fills one buffer in place.
 :func:`k_best_paths` pushes one sequence's symbols through it; a batch
 pass decodes many side by side, yielding per-sequence scores and
-back-pointers.  At N = 30 and k = 2 a step of one sequence costs about
-10.6 µs (2 vCPUs, numpy 2.4.6).  The readers trace the paths back once,
-and no other code knows their layout.  The forward/backward pass
-rescales at every step and keeps the normalizers private to the kernels,
-decoding works entirely in log space, so long sequences do not
-underflow.  Training, posteriors and decoding start an error about one
-sequence with ``sequence <i>: ``, a single sequence being ``sequence 0``.
+back-pointers.  The readers trace the paths back once, and no other code
+knows their layout.  The forward/backward pass rescales at every step
+and keeps the normalizers private to the kernels, decoding works
+entirely in log space, so long sequences do not underflow.  Training,
+posteriors and decoding start an error about one sequence with
+``sequence <i>: ``, a single sequence being ``sequence 0``.
 The module needs numpy alone, so training and diagnosis load no scipy.
 """
 
@@ -31,10 +30,10 @@ import numpy as np
 from .documents import (
     FORMAT_VERSION,
     check_int,
+    check_number,
     check_version,
     is_array,
     is_finite_array,
-    is_finite_number,
     is_int,
     require,
 )
@@ -185,15 +184,9 @@ class FitConfig:
     emission_floor: float = 1e-10
 
     def __post_init__(self):
-        check_int(self.max_iterations, "max_iterations")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        if not (is_finite_number(self.rel_tol) and self.rel_tol > 0):
-            raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
-        if not (is_finite_number(self.emission_floor) and self.emission_floor >= 0):
-            raise DomainError(
-                f"emission_floor must be finite and non-negative, got {self.emission_floor!r}"
-            )
+        check_int(self.max_iterations, "max_iterations", 1)
+        check_number(self.rel_tol, "rel_tol", 0, strict=True)
+        check_number(self.emission_floor, "emission_floor", 0)
 
 
 def as_symbols(obs, n_symbols: int | None = None) -> np.ndarray:
@@ -650,14 +643,12 @@ def _list_viterbi(
     This is the step's batch driver (:func:`k_best_paths` drives it for one
     flood), and the step alone ranks candidates: the pass gathers every
     step's emission rows once, from the model's cached log-space arrays
-    (``Hmm._log_space``), and hands the step its rows.  A flood that
+    (``Hmm._log_space``), and hands the step its rows, so no pass takes
+    the model's logs or allocates a step's candidates afresh.  A flood that
     fails, with no entry above ``-inf`` (only a model with an exact zero
     can), keeps being decoded on ``-inf`` scores; once every step is done,
     :func:`_raise_first_failure` names the failing flood that comes first
-    in the caller's list.  At N = 30 and k = 2 a pass over a batch of one
-    flood costs about 11 µs a step plus 5 µs, against 12 µs a step plus
-    24 µs when every pass took the model's logs and allocated each step's
-    candidates afresh (2 vCPUs, numpy 2.4.6).
+    in the caller's list.
     """
     n, log = model.n_states, model._log_space
     # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
@@ -731,12 +722,10 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     ``True`` or ``2.0`` included, raises :class:`DomainError`.
 
     The symbols are pushed one at a time through one :class:`_ListStep`,
-    no batch, with :func:`_k_best`'s result and errors bit for bit.  At
-    N = 30 and k = 2 a call costs about 13 µs plus 10.6 µs per alarm after
-    the first, against 27 µs and 11.5 µs as a batch of one (2 vCPUs).
+    no batch (a batch of one costs more per call and per alarm), with
+    :func:`_k_best`'s result and errors bit for bit.
     """
-    if not (is_int(k) and k >= 1):
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    check_int(k, "k", 1)
     symbols = _observations([obs], model.n_symbols)[0]
     log, step, score, backs = model._log_space, _ListStep(model, k), None, []
     for t, symbol in enumerate(symbols.tolist()):
@@ -809,10 +798,8 @@ def prefix_paths(model: Hmm, obs) -> list[StatePath]:
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:
     """A random valid model with Dirichlet(1) rows; useful for tests."""
-    check_int(n_states, "n_states")
-    check_int(n_symbols, "n_symbols")
-    if n_states < 1 or n_symbols < 1:
-        raise DomainError("n_states and n_symbols must be positive")
+    check_int(n_states, "n_states", 1)
+    check_int(n_symbols, "n_symbols", 1)
     rng = np.random.default_rng(seed)
     return Hmm(
         transition=rng.dirichlet(np.ones(n_states), size=n_states),

@@ -20,6 +20,7 @@ from .alarms import HIGH, AlarmSequence, AlarmSymbolCodebook, MeasurementTrace
 from .documents import (
     FORMAT_VERSION,
     check_int,
+    check_number,
     check_version,
     is_array,
     is_finite_array,
@@ -84,12 +85,9 @@ class PropagationGraph:
     faults: tuple[FaultPath, ...]
 
     def __post_init__(self):
-        check_int(self.n_measurements, "n_measurements")
-        if self.n_measurements < 1:
-            raise DomainError("graph needs at least one measurement")
+        n_symbols = self.n_symbols  # the codebook checks n_measurements
         if not self.faults:
             raise DomainError("graph needs at least one fault")
-        n_symbols = self.n_symbols
         for index, fault in enumerate(self.faults):
             if not fault.stages:
                 raise DomainError(f"fault {index} has no stages")
@@ -110,9 +108,7 @@ class PropagationGraph:
             with located(f"fault {index}"):
                 for stage in fault.stages:
                     for symbol in stage.symbols:
-                        check_int(symbol, "symbol")
-                        if not 0 <= symbol < n_symbols:
-                            raise DomainError(f"symbol {symbol} outside [0, {n_symbols})")
+                        check_int(symbol, "symbol", 0, n_symbols - 1)
                         if symbol in seen:
                             raise DomainError(f"symbol {symbol} listed twice")
                         seen.add(symbol)
@@ -130,12 +126,6 @@ class PropagationGraph:
         return AlarmSymbolCodebook(self.n_measurements)
 
 
-def _check_non_negative(value, what: str) -> None:
-    check_int(value, what)
-    if value < 0:
-        raise DomainError(f"{what} must be non-negative, got {value}")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A single simulated scenario: fault, severity and noise settings."""
@@ -147,12 +137,11 @@ class ScenarioSpec:
     drop_prob: float = 0.0
 
     def __post_init__(self):
-        _check_non_negative(self.fault, "fault")
-        _check_non_negative(self.seed, "seed")
-        if not 0.0 <= self.swap_prob <= 1.0:
-            raise DomainError("swap_prob must lie in [0, 1]")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise DomainError("drop_prob must lie in [0, 1]")
+        check_int(self.fault, "fault", 0)
+        check_number(self.magnitude, "magnitude", 0, 1, strict=True)
+        check_int(self.seed, "seed", 0)
+        check_number(self.swap_prob, "swap_prob", 0, 1)
+        check_number(self.drop_prob, "drop_prob", 0, 1)
 
 
 def depth_for_magnitude(fault: FaultPath, magnitude: float) -> int:
@@ -170,8 +159,6 @@ def simulate_alarm_sequence(graph: PropagationGraph, spec: ScenarioSpec) -> Alar
     """
     if not 0 <= spec.fault < graph.n_faults:
         raise DomainError(f"fault {spec.fault} not present in the graph")
-    if not 0.0 < spec.magnitude <= 1.0:
-        raise DomainError("magnitude must lie in (0, 1]")
     fault = graph.faults[spec.fault]
     depth = depth_for_magnitude(fault, spec.magnitude)
     rng = np.random.default_rng(spec.seed)
@@ -223,21 +210,19 @@ def generate_scenario_set(
     (base_seed, split, fault, replicate); training and test use disjoint
     seed streams.
     """
-    _check_non_negative(base_seed, "seed")
+    check_int(base_seed, "seed", 0)
     lo, hi = magnitude_range
-    if not 0.0 < lo < hi <= 1.0:
+    check_number(lo, "magnitude range lo", 0, 1, strict=True)
+    check_number(hi, "magnitude range hi", 0, 1, strict=True)
+    if not lo < hi:
         raise DomainError("magnitude range must satisfy 0 < lo < hi <= 1")
     train: list[AlarmSequence] = []
     test: list[AlarmSequence] = []
     for fault in sorted(per_fault_counts):
-        _check_non_negative(fault, "fault")  # the seed streams are derived from it
+        check_int(fault, "fault", 0)  # the seed streams are derived from it
         n_train, n_test = per_fault_counts[fault]
-        check_int(n_train, f"fault {fault}: training count")
-        check_int(n_test, f"fault {fault}: test count")
-        if n_train < 1:
-            raise DomainError(f"fault {fault}: at least one training scenario required")
-        if n_test < 0:
-            raise DomainError(f"fault {fault}: test count must be non-negative")
+        check_int(n_train, f"fault {fault}: training count", 1)
+        check_int(n_test, f"fault {fault}: test count", 0)
         for split, count, bucket in ((0, n_train, train), (1, n_test, test)):
             for replicate in range(count):
                 key = (base_seed, split, fault, replicate)
@@ -496,7 +481,7 @@ def load_graph(path) -> PropagationGraph:
 
 def simulate_normal_trace(n_measurements: int, n_samples: int, seed: int = 0) -> MeasurementTrace:
     """Normal-operation readings: zero baseline plus unit-variance Gaussian noise."""
-    _check_non_negative(seed, "seed")
+    check_int(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50)))
     values = rng.normal(0.0, 1.0, size=(n_samples, n_measurements))
     return MeasurementTrace(

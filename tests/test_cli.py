@@ -473,7 +473,7 @@ class TestExtract:
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: domain-error: sequence 0: fault label -1 must be non-negative\n")
+            "error: domain-error: sequence 0: fault label must be non-negative, got -1\n")
         assert not out.exists()
 
     def test_fault_count_mismatch(self, tmp_path, capsys):
@@ -903,7 +903,8 @@ class TestErrorReporting:
         capsys.readouterr()
         assert main([str(arg) for arg in argv]) == 1
         err = capsys.readouterr().err
-        assert err == "error: domain-error: sequence 2: fault label -1 must be non-negative\n", err
+        assert err == ("error: domain-error: sequence 2: fault label must be non-negative, "
+                       "got -1\n"), err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--rel-tol", "--emission-floor", "--smoothing",
@@ -1027,7 +1028,8 @@ class TestErrorReporting:
         capsys.readouterr()
         assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
                      "--lmax", "0", "--out", str(tmp_path / "evaluation")]) == 1
-        assert capsys.readouterr().err == "error: domain-error: l_max must be >= 1\n"
+        assert capsys.readouterr().err == (
+            "error: domain-error: l_max must lie in [1, 288230376151711743], got 0\n")
         assert not (tmp_path / "evaluation").exists()
 
     def test_lmax_too_large_to_allocate_is_one_error_line(self, pipeline, capsys):
@@ -1040,6 +1042,34 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: out-of-memory: ") and err.count("\n") == 1, err
         assert not (tmp_path / "evaluation").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("train", "schema-mismatch: {floods}:1: n_measurements must lie in [1, 1518500249], "
+                  "got 100000000000000000000"),
+        ("baseline", "schema-mismatch: {floods}:1: n_measurements must lie in [1, 1518500249], "
+                     "got 5000000000"),
+        ("evaluate", "domain-error: l_max must lie in [1, 288230376151711743], "
+                     "got 1000000000000000000"),
+    ])
+    def test_sizes_numpy_cannot_hold_are_one_domain_error(self, pipeline, capsys, command,
+                                                          message):
+        # Arrays of these sizes cannot even be indexed by numpy, so each size
+        # is refused where it enters, as an input error, before any allocation.
+        tmp_path, data, model = pipeline
+        size = {"train": 10**20, "baseline": 5 * 10**9}.get(command)
+        floods = edited_jsonl(data / "train.jsonl", tmp_path / "floods.jsonl",
+                              lambda _, record: record["meta"].update(n_measurements=size))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--in", floods, "--out", out],
+            "baseline": ["baseline", "--train", floods, "--in", floods, "--out", out],
+            "evaluate": ["evaluate", "--model", model, "--in", data / "test.jsonl",
+                         "--lmax", str(10**18), "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == "error: " + message.format(floods=floods) + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0.9", "1.5", "-0.2", "nan"])
     def test_removed_self_transition_flag_is_a_usage_error(self, pipeline, capsys, value):

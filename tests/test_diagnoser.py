@@ -135,11 +135,12 @@ class TestTraining:
             as_labeled([seq])
 
     def test_negative_fault_label_rejected(self):
-        with pytest.raises(DomainError, match="fault label -1 must be non-negative"):
+        with pytest.raises(DomainError, match="^fault label must be non-negative, got -1$"):
             labeled([0], -1)
         good = AlarmSequence(symbols=[1], times=[0.0], fault=0)
         bad = AlarmSequence(symbols=[1], times=[0.0], fault=-2)
-        with pytest.raises(DomainError, match="^sequence 1: fault label -2 must be non-negative$"):
+        with pytest.raises(DomainError,
+                           match="^sequence 1: fault label must be non-negative, got -2$"):
             as_labeled([good, bad])
 
     @pytest.mark.parametrize("fault", [1.5, True])
@@ -493,6 +494,21 @@ class TestModelIO:
         assert fields(loaded) == fields(same)
         assert [verdict[0] for verdict in fields(loaded)[:len(training)]] == [
             item.fault for item in training]
+
+    def test_fault_names_must_be_strings(self):
+        # A model that trains also loads: the name rule is the model's, not the loader's.
+        training, book = disjoint_training()
+        with pytest.raises(DomainError, match=r"^fault name 5 is not a string$"):
+            train_diagnoser(training, codebook=book, fault_names={0: 5})
+
+    def test_numpy_float_settings_are_written_as_plain_floats(self, tmp_path):
+        training, book = disjoint_training()
+        config = FitConfig(max_iterations=3, rel_tol=np.float32(1e-6))
+        model = train_diagnoser(training, config=config, codebook=book,
+                                init_smoothing=np.float32(0.5))
+        save_diagnoser(model, tmp_path / "model.json")
+        echo = load_diagnoser(tmp_path / "model.json").training
+        assert (echo["rel_tol"], echo["init_smoothing"]) == (float(np.float32(1e-6)), 0.5)
 
     def test_numpy_integer_settings_are_written_as_plain_integers(self, tmp_path):
         training, book = disjoint_training()

@@ -300,10 +300,13 @@ class TestKBest:
         with pytest.raises(DomainError, match="k"):
             k_best_paths(model, [0, 1], 0)
 
-    @pytest.mark.parametrize("k", [2.0, True, "2", None, 0, np.int64(-1)])
-    def test_k_must_be_an_integer(self, k):
+    @pytest.mark.parametrize("k, message", [
+        (2.0, "k must be an integer, got 2.0"), (True, "k must be an integer, got True"),
+        ("2", "k must be an integer, got '2'"), (None, "k must be an integer, got None"),
+        (0, "k must be >= 1, got 0"), (np.int64(-1), "k must be >= 1, got -1"),
+    ], ids=["2.0", "True", "2", "None", "0", "k5"])
+    def test_k_must_be_an_integer(self, k, message):
         model = random_model(2, 2, seed=1)
-        message = f"k must be an integer >= 1, got {k!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             k_best_paths(model, [0, 1], k)
 

@@ -156,7 +156,7 @@ class TestScenarioSets:
 
     def test_invalid_counts_and_ranges(self):
         graph = toy_graph()
-        with pytest.raises(DomainError, match="training scenario"):
+        with pytest.raises(DomainError, match=r"^fault 0: training count must be >= 1, got 0$"):
             generate_scenario_set(graph, {0: (0, 1)})
         with pytest.raises(DomainError, match="magnitude range"):
             generate_scenario_set(graph, {0: (1, 1)}, magnitude_range=(0.9, 0.2))
