@@ -49,13 +49,10 @@ from .errors import (
 from .hmm import (
     FitConfig,
     Hmm,
-    Posteriors,
     StatePath,
     fit,
     k_best_paths,
-    posteriors,
     prefix_paths,
-    random_model,
     total_log_likelihood,
     viterbi,
 )

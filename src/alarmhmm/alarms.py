@@ -76,10 +76,8 @@ class MeasurementTrace:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        period = float(self.sample_period)
-        if not (math.isfinite(period) and period > 0):
-            raise DomainError(f"sample_period must be finite and positive, got {period!r}")
-        self.sample_period = period
+        check_number(self.sample_period, "sample_period", 0, strict=True)
+        self.sample_period = float(self.sample_period)
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise DomainError("trace values must be a (samples, measurements) matrix")
         if not np.isfinite(self.values).all():

@@ -2,8 +2,7 @@
 
 One scaled forward/backward kernel pair sweeps batches of sequences at
 once; it serves pooled multi-sequence Baum-Welch training (whose E-step
-builds no pair-posterior tensor), the total log likelihood and
-:func:`posteriors`, a single sequence being a batch of one.  Exact
+builds no pair-posterior tensor) and the total log likelihood.  Exact
 decoding over a finite observation alphabet has one list-Viterbi step,
 :class:`_ListStep`, for Viterbi, k-best and every prefix's best path: it
 reads the previous step's scores and that step's emission-log rows,
@@ -14,7 +13,7 @@ back-pointers.  The readers trace the paths back once, and no other code
 knows their layout.  The forward/backward pass rescales at every step
 and keeps the normalizers private to the kernels, decoding works
 entirely in log space, so long sequences do not underflow.  Training,
-posteriors and decoding start an error about one sequence with
+the likelihood and decoding start an error about one sequence with
 ``sequence <i>: ``, a single sequence being ``sequence 0``.
 The module needs numpy alone, so training and diagnosis load no scipy.
 """
@@ -147,15 +146,6 @@ class _LogSpace:
             block = self._transitions[w] = self._transitions[1].repeat(w, axis=1)
             block.setflags(write=False)
         return block
-
-
-@dataclass(frozen=True)
-class Posteriors:
-    """State and state-pair posteriors of a full observation sequence, and its log likelihood."""
-
-    gamma: np.ndarray  # (T, N): gamma[t, i] = P(q_t = i | observations)
-    xi: np.ndarray     # (T-1, N, N): xi[t, i, j] = P(q_t = i, q_{t+1} = j | observations)
-    log_likelihood: float
 
 
 @dataclass(frozen=True)
@@ -366,28 +356,6 @@ def _backward(
             np.matmul(emit[t + 1, :k_next] * beta[t + 1, :k_next], model.transition.T, out=row)
             row *= scale[t, :k_next, None]
     return beta
-
-
-def posteriors(model: Hmm, obs) -> Posteriors:
-    """State and state-pair posteriors of ``obs`` under ``model``, and its log likelihood.
-
-    One scaled forward/backward pass over a batch of one; the scale factors
-    cancel, so the results equal the unscaled posterior definitions
-    exactly.  Every index of ``obs`` must be < ``model.n_symbols``.  Raises
-    :class:`InferenceError` if some step has zero total probability (only
-    possible when the model contains exact zeros).
-    """
-    batch = _batch(_observations([obs], model.n_symbols))
-    work = _workspace([batch], model.n_states)
-    emit, alpha, scale = _forward(model, batch, work)
-    beta = _backward(model, batch, emit, scale, work[2])
-    alpha, beta = alpha[:, 0], beta[:, 0]
-    joint = alpha * beta
-    gamma = joint / joint.sum(axis=1, keepdims=True)
-    xi = alpha[:-1, :, None] * model.transition[None, :, :] * (emit[1:, 0] * beta[1:])[:, None, :]
-    xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return Posteriors(gamma=_frozen_array(gamma), xi=_frozen_array(xi),
-                      log_likelihood=float(0.0 - np.log(scale).sum()))
 
 
 def _log_likelihood(model: Hmm, batches: list[_Batch], work: list) -> float:
@@ -794,18 +762,6 @@ def prefix_paths(model: Hmm, obs) -> list[StatePath]:
     """
     return [StatePath(states=_frozen_array(states[0], dtype=np.int64), log_prob=float(log_prob[0]))
             for _, log_prob, states in _prefix_best(model, _observations([obs], model.n_symbols))]
-
-
-def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:
-    """A random valid model with Dirichlet(1) rows; useful for tests."""
-    check_int(n_states, "n_states", 1)
-    check_int(n_symbols, "n_symbols", 1)
-    rng = np.random.default_rng(seed)
-    return Hmm(
-        transition=rng.dirichlet(np.ones(n_states), size=n_states),
-        emission=rng.dirichlet(np.ones(n_symbols), size=n_states),
-        initial=rng.dirichlet(np.ones(n_states)),
-    )
 
 
 def hmm_to_dict(model: Hmm) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .alarms import HIGH, AlarmSequence, AlarmSymbolCodebook, MeasurementTrace
+from .alarms import HIGH, MAX_MEASUREMENTS, AlarmSequence, AlarmSymbolCodebook, MeasurementTrace
 from .documents import (
     FORMAT_VERSION,
     check_int,
@@ -91,9 +91,13 @@ class PropagationGraph:
         for index, fault in enumerate(self.faults):
             if not fault.stages:
                 raise DomainError(f"fault {index} has no stages")
+            # NaN fails every comparison, so strictly increasing delays with
+            # finite ends are all finite; the same holds for the thresholds.
             delays = [stage.delay_s for stage in fault.stages]
-            if any(b <= a for a, b in zip(delays, delays[1:])):
-                raise DomainError(f"fault {index}: stage delays must strictly increase")
+            if not (all(a < b for a, b in zip(delays, delays[1:]))
+                    and is_finite_number(delays[0]) and is_finite_number(delays[-1])):
+                raise DomainError(
+                    f"fault {index}: stage delays must be finite and strictly increase")
             # onsets are drawn uniformly from [-jitter, +jitter], a span that must be finite
             if not all(0.0 <= 2.0 * stage.jitter_s < math.inf for stage in fault.stages):
                 raise DomainError(f"fault {index}: jitter must be non-negative and finite")
@@ -102,8 +106,10 @@ class PropagationGraph:
                 raise DomainError(f"fault {index}: one depth threshold per stage required")
             if thresholds[0] != 0.0:
                 raise DomainError(f"fault {index}: the first depth threshold must be 0")
-            if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-                raise DomainError(f"fault {index}: depth thresholds must be non-decreasing")
+            if not (all(a <= b for a, b in zip(thresholds, thresholds[1:]))
+                    and is_finite_number(thresholds[-1])):
+                raise DomainError(
+                    f"fault {index}: depth thresholds must be finite and non-decreasing")
             seen: set[int] = set()
             with located(f"fault {index}"):
                 for stage in fault.stages:
@@ -196,6 +202,15 @@ def simulate_alarm_sequence(graph: PropagationGraph, spec: ScenarioSpec) -> Alar
     return sequence.validate(graph.n_symbols)
 
 
+def _pair(value, what: str) -> tuple:
+    """``value`` unpacked into two items, else :class:`DomainError` naming ``what``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a pair, got {value!r}") from None
+    return first, second
+
+
 def generate_scenario_set(
     graph: PropagationGraph,
     per_fault_counts: dict[int, tuple[int, int]],
@@ -211,16 +226,17 @@ def generate_scenario_set(
     seed streams.
     """
     check_int(base_seed, "seed", 0)
-    lo, hi = magnitude_range
+    lo, hi = _pair(magnitude_range, "magnitude range")
     check_number(lo, "magnitude range lo", 0, 1, strict=True)
     check_number(hi, "magnitude range hi", 0, 1, strict=True)
     if not lo < hi:
         raise DomainError("magnitude range must satisfy 0 < lo < hi <= 1")
     train: list[AlarmSequence] = []
     test: list[AlarmSequence] = []
-    for fault in sorted(per_fault_counts):
+    for fault in per_fault_counts:
         check_int(fault, "fault", 0)  # the seed streams are derived from it
-        n_train, n_test = per_fault_counts[fault]
+    for fault in sorted(per_fault_counts):
+        n_train, n_test = _pair(per_fault_counts[fault], f"fault {fault}: counts")
         check_int(n_train, f"fault {fault}: training count", 1)
         check_int(n_test, f"fault {fault}: test count", 0)
         for split, count, bucket in ((0, n_train, train), (1, n_test, test)):
@@ -481,6 +497,8 @@ def load_graph(path) -> PropagationGraph:
 
 def simulate_normal_trace(n_measurements: int, n_samples: int, seed: int = 0) -> MeasurementTrace:
     """Normal-operation readings: zero baseline plus unit-variance Gaussian noise."""
+    check_int(n_measurements, "n_measurements", 1, MAX_MEASUREMENTS)  # the codebook's bound
+    check_int(n_samples, "n_samples", 1)
     check_int(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50)))
     values = rng.normal(0.0, 1.0, size=(n_samples, n_measurements))

@@ -2,10 +2,13 @@
 
 Most of them enumerate explicitly (all N**T state paths, all sample
 runs, ...) or loop one item at a time instead of reusing the code under
-test.  The exception is :func:`loop_expectation`, and :func:`em_update`
-on top of it: they run the package's own per-sequence ``posteriors``,
-and check only how the batched E-step pools them; :func:`enum_em_update`
-is the enumerated update.  :func:`bincount_emission_counts`,
+test.  The exception is :func:`posteriors`, which runs the package's own
+forward/backward kernels on a batch of one and builds the full γ and ξ
+the package never keeps; the tests hold it to enumeration, and
+:func:`loop_expectation` and :func:`em_update` on top of it check only
+how the batched E-step pools them; :func:`enum_em_update` is the
+enumerated update.  :func:`random_model` draws the seeded models the
+tests run on.  :func:`bincount_emission_counts`,
 :func:`sparse_emission_counts` and :func:`loop_floor_rows` are earlier
 forms of the E-step's emission counts and of the M-step's floor, which
 the fast code must match bit for bit.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +27,54 @@ from scipy.cluster.hierarchy import linkage
 from scipy.sparse import csr_array
 from scipy.spatial.distance import pdist
 
-from alarmhmm import InferenceError, SchemaError, hmm, posteriors
+from alarmhmm import Hmm, InferenceError, SchemaError, hmm
 from alarmhmm.alarms import MeasurementTrace
 from alarmhmm.baseline import BaselineResult, Dendrogram, dechatter
-from alarmhmm.documents import open_text
+from alarmhmm.documents import check_int, open_text
+
+
+def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:
+    """A random valid model with Dirichlet(1) rows."""
+    check_int(n_states, "n_states", 1)
+    check_int(n_symbols, "n_symbols", 1)
+    rng = np.random.default_rng(seed)
+    return Hmm(
+        transition=rng.dirichlet(np.ones(n_states), size=n_states),
+        emission=rng.dirichlet(np.ones(n_symbols), size=n_states),
+        initial=rng.dirichlet(np.ones(n_states)),
+    )
+
+
+@dataclass(frozen=True)
+class Posteriors:
+    """State and state-pair posteriors of a full observation sequence, and its log likelihood."""
+
+    gamma: np.ndarray  # (T, N): gamma[t, i] = P(q_t = i | observations)
+    xi: np.ndarray     # (T-1, N, N): xi[t, i, j] = P(q_t = i, q_{t+1} = j | observations)
+    log_likelihood: float
+
+
+def posteriors(model, obs) -> Posteriors:
+    """State and state-pair posteriors of ``obs`` under ``model``, and its log likelihood.
+
+    One scaled forward/backward pass of the package's kernels over a batch
+    of one; the scale factors cancel, so the results equal the unscaled
+    posterior definitions exactly.  Every index of ``obs`` must be
+    < ``model.n_symbols``.  Raises :class:`InferenceError` if some step has
+    zero total probability (only possible when the model contains exact
+    zeros).
+    """
+    batch = hmm._batch(hmm._observations([obs], model.n_symbols))
+    work = hmm._workspace([batch], model.n_states)
+    emit, alpha, scale = hmm._forward(model, batch, work)
+    beta = hmm._backward(model, batch, emit, scale, work[2])
+    alpha, beta = alpha[:, 0], beta[:, 0]
+    joint = alpha * beta
+    gamma = joint / joint.sum(axis=1, keepdims=True)
+    xi = alpha[:-1, :, None] * model.transition[None, :, :] * (emit[1:, 0] * beta[1:])[:, None, :]
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return Posteriors(gamma=hmm._frozen_array(gamma), xi=hmm._frozen_array(xi),
+                      log_likelihood=float(0.0 - np.log(scale).sum()))
 
 
 def all_paths(n_states: int, t_len: int) -> np.ndarray:
@@ -97,9 +145,9 @@ def enum_pair_posteriors(model, obs) -> np.ndarray:
 def loop_expectation(model, sequences) -> dict:
     """Pooled Baum-Welch sums, one sequence at a time through ``xi``.
 
-    The reference for the batched E-step: per sequence, the public
-    ``posteriors`` (which builds the full (T-1, N, N) ``xi`` tensor),
-    accumulated in list order.
+    The reference for the batched E-step: per sequence, :func:`posteriors`
+    (which builds the full (T-1, N, N) ``xi`` tensor), accumulated in list
+    order.
     """
     n, m = model.n_states, model.n_symbols
     sums = dict(trans_num=np.zeros((n, n)), trans_den=np.zeros(n), emit_num=np.zeros((m, n)),

@@ -16,8 +16,7 @@ from alarmhmm import (
     FitConfig,
     fit,
     k_best_paths,
-    posteriors,
-    random_model,
+    total_log_likelihood,
     viterbi,
 )
 from alarmhmm.alarms import AlarmLimits, AlarmSymbolCodebook, MeasurementTrace, extract_sequence
@@ -53,7 +52,7 @@ def small_instances():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(2, 6))
         t = int(rng.integers(1, 9))
-        model = random_model(n, m, seed=int(rng.integers(0, 2**31)))
+        model = oracles.random_model(n, m, seed=int(rng.integers(0, 2**31)))
         obs = rng.integers(0, m, size=t)
         instances.append((model, obs))
     return instances
@@ -95,7 +94,7 @@ def test_c01_forward_oracle(small_instances):
     start = time.perf_counter()
     worst = 0.0
     for model, obs in small_instances:
-        got = np.exp(posteriors(model, obs).log_likelihood)
+        got = np.exp(total_log_likelihood(model, [obs]))
         want = np.exp(oracles.enum_log_likelihood(model, obs))
         worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - start
@@ -144,7 +143,7 @@ def test_c04_em_monotonicity():
     def check_posteriors(iteration, model, log_likelihood, seqs):
         nonlocal posterior_ok
         for seq in seqs[:2]:
-            post = posteriors(model, seq)
+            post = oracles.posteriors(model, seq)
             if not np.allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9):
                 posterior_ok = False
             if post.xi.size and not (
@@ -156,7 +155,7 @@ def test_c04_em_monotonicity():
     for _ in range(50):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 6))
-        generator = random_model(n, m, seed=int(rng.integers(0, 2**31)))
+        generator = oracles.random_model(n, m, seed=int(rng.integers(0, 2**31)))
         seqs = []
         for _ in range(int(rng.integers(3, 7))):
             t = int(rng.integers(5, 21))
@@ -166,7 +165,7 @@ def test_c04_em_monotonicity():
                 symbols.append(int(rng.choice(m, p=generator.emission[state])))
                 state = rng.choice(n, p=generator.transition[state])
             seqs.append(symbols)
-        start = random_model(n, m, seed=int(rng.integers(0, 2**31)))
+        start = oracles.random_model(n, m, seed=int(rng.integers(0, 2**31)))
         _, trace = fit(
             start,
             seqs,

@@ -334,7 +334,7 @@ class TestTraceCsv:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             MeasurementTrace(sample_period=1.0, values=values, meas_ids=ids)
 
-    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0, "10", True])
     def test_period_must_be_finite_and_positive(self, period):
         with pytest.raises(DomainError, match="^sample_period must be finite and positive"):
             MeasurementTrace(sample_period=period, values=[[1.0], [2.0]], meas_ids=["x"])

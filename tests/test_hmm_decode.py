@@ -17,7 +17,6 @@ from alarmhmm import (
     fit,
     k_best_paths,
     prefix_paths,
-    random_model,
     viterbi,
 )
 from alarmhmm.alarms import AlarmSequence
@@ -263,7 +262,7 @@ class TestKBest:
         assert paths[0].states.tolist() == [0, 0, 0]
 
     def test_requesting_more_paths_than_exist_returns_all(self):
-        model = random_model(2, 2, seed=23)
+        model = oracles.random_model(2, 2, seed=23)
         paths = k_best_paths(model, [0, 1], 10)
         assert len(paths) == 4
         as_tuples = [tuple(p.states.tolist()) for p in paths]
@@ -289,14 +288,14 @@ class TestKBest:
     def test_a_k_beyond_the_path_count_returns_every_path(self):
         # 3**4 paths; a candidate buffer sized by k in place of the
         # candidates that occur would take 67 GiB here.
-        model, obs = random_model(3, 4, seed=1), [0, 1, 2, 3]
+        model, obs = oracles.random_model(3, 4, seed=1), [0, 1, 2, 3]
         paths = k_best_paths(model, obs, 10**9)
         assert len({tuple(p.states.tolist()) for p in paths}) == 81
         assert [(p.states.tolist(), p.log_prob) for p in paths] == oracles.loop_k_best(
             model, obs, 10**9)
 
     def test_invalid_k_rejected(self):
-        model = random_model(2, 2, seed=1)
+        model = oracles.random_model(2, 2, seed=1)
         with pytest.raises(DomainError, match="k"):
             k_best_paths(model, [0, 1], 0)
 
@@ -306,13 +305,13 @@ class TestKBest:
         (0, "k must be >= 1, got 0"), (np.int64(-1), "k must be >= 1, got -1"),
     ], ids=["2.0", "True", "2", "None", "0", "k5"])
     def test_k_must_be_an_integer(self, k, message):
-        model = random_model(2, 2, seed=1)
+        model = oracles.random_model(2, 2, seed=1)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             k_best_paths(model, [0, 1], k)
 
     @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_integer_k_is_an_integer(self, k):
-        model = random_model(2, 2, seed=1)
+        model = oracles.random_model(2, 2, seed=1)
         assert [(p.states.tolist(), p.log_prob) for p in k_best_paths(model, [0, 1], k)] == [
             (p.states.tolist(), p.log_prob) for p in k_best_paths(model, [0, 1], 3)]
 
@@ -361,7 +360,7 @@ class TestKBest:
         n = int(rng.integers(1, 4))
         m = int(rng.integers(2, 5))
         t = int(rng.integers(1, 7))
-        model = random_model(n, m, seed=seed)
+        model = oracles.random_model(n, m, seed=seed)
         obs = rng.integers(0, m, size=t)
 
         paths = k_best_paths(model, obs, k)
@@ -508,7 +507,7 @@ class TestDiagnoserShape:
             self, seed, n, k, kind, length):
         rng = np.random.default_rng(seed)
         if kind == "random":
-            model = random_model(n, 2 * n, seed=seed)
+            model = oracles.random_model(n, 2 * n, seed=seed)
         elif kind == "coarse":  # exact zeros, so some floods cannot be decoded; n is its own
             model = coarse_case(seed)[0]
         else:
@@ -528,7 +527,7 @@ class TestLogSpaceCache:
 
     def test_models_of_one_shape_decoded_in_turn_keep_their_own_bits(self):
         obs = np.random.default_rng(5).integers(0, 6, size=12)
-        first, second = random_model(4, 6, seed=1), random_model(4, 6, seed=2)
+        first, second = oracles.random_model(4, 6, seed=1), oracles.random_model(4, 6, seed=2)
         expected = {id(model): [oracles.loop_k_best(model, obs, k) for k in (1, 2, 3)]
                     for model in (first, second)}
         assert expected[id(first)] != expected[id(second)]
@@ -536,7 +535,7 @@ class TestLogSpaceCache:
             assert self.decoded(model, obs) == expected[id(model)]
 
     def test_the_cache_is_no_part_of_the_model_value(self):
-        model = random_model(4, 6, seed=3)
+        model = oracles.random_model(4, 6, seed=3)
         fields, text, document = dataclasses.fields(Hmm), repr(model), hmm_to_dict(model)
         assert "_log_space" not in vars(model)
         self.decoded(model, [0, 5, 2])
@@ -549,7 +548,7 @@ class TestLogSpaceCache:
         rng = np.random.default_rng(7)
         sequences = [rng.integers(0, 6, size=t) for t in (9, 4, 12)]
         models = []
-        trained, _ = fit(random_model(4, 6, seed=4), sequences, FitConfig(max_iterations=5),
+        trained, _ = fit(oracles.random_model(4, 6, seed=4), sequences, FitConfig(max_iterations=5),
                          on_iteration=lambda _, model, __: models.append(model))
         # Training decodes nothing, so none of its models builds the cache.
         assert not any("_log_space" in vars(model) for model in models)

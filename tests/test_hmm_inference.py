@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmhmm import DomainError, Hmm, InferenceError, UnknownSymbolError, posteriors, random_model
+from alarmhmm import DomainError, Hmm, InferenceError, UnknownSymbolError, total_log_likelihood
 from alarmhmm.hmm import _backward, _batch, _forward, _workspace
 
 import oracles
@@ -30,7 +30,7 @@ def small_random_case(seed):
     n = int(rng.integers(1, 5))
     m = int(rng.integers(2, 6))
     t = int(rng.integers(1, 9))
-    model = random_model(n, m, seed=seed)
+    model = oracles.random_model(n, m, seed=seed)
     obs = rng.integers(0, m, size=t)
     return model, obs
 
@@ -48,12 +48,12 @@ class TestForwardBackward:
         model = Hmm(transition=[[1.0]], emission=[[0.3, 0.7]], initial=[1.0])
         obs = [0, 1, 1]
         expected = np.log(0.3) + np.log(0.7) + np.log(0.7)
-        assert posteriors(model, obs).log_likelihood == pytest.approx(expected, rel=1e-12)
+        assert total_log_likelihood(model, [obs]) == pytest.approx(expected, rel=1e-12)
         assert np.allclose(scaled_trellis(model, obs)[0], 1.0)
 
     def test_two_state_matches_enumeration(self):
         model = Hmm(**TWO_STATE)
-        log_likelihood = posteriors(model, TWO_STATE_OBS).log_likelihood
+        log_likelihood = total_log_likelihood(model, [TWO_STATE_OBS])
         assert log_likelihood == pytest.approx(TWO_STATE_LOG_LIKELIHOOD, abs=1e-12)
         assert log_likelihood == pytest.approx(
             oracles.enum_log_likelihood(model, TWO_STATE_OBS), rel=1e-12
@@ -66,7 +66,7 @@ class TestForwardBackward:
             emission=np.full((n, m), 1.0 / m),
             initial=np.full(n, 1.0 / n),
         )
-        log_likelihood = posteriors(model, [0, 3, 1, 2, 2]).log_likelihood
+        log_likelihood = total_log_likelihood(model, [[0, 3, 1, 2, 2]])
         assert log_likelihood == pytest.approx(5 * np.log(1.0 / m), rel=1e-12)
 
     def test_scaled_alpha_rows_sum_to_one(self):
@@ -77,14 +77,14 @@ class TestForwardBackward:
     def test_log_likelihood_is_negative_log_scale_sum(self):
         model, obs = small_random_case(11)
         _, _, scale_factors = scaled_trellis(model, obs)
-        assert posteriors(model, obs).log_likelihood == pytest.approx(
+        assert total_log_likelihood(model, [obs]) == pytest.approx(
             -np.log(scale_factors).sum(), rel=1e-12
         )
 
     def test_symbol_out_of_range_names_position(self):
         model = Hmm(**TWO_STATE)
         with pytest.raises(DomainError, match="position 2"):
-            posteriors(model, [0, 1, 5])
+            total_log_likelihood(model, [[0, 1, 5]])
 
     def test_zero_probability_step_is_reported(self):
         model = Hmm(
@@ -93,13 +93,13 @@ class TestForwardBackward:
             initial=[0.5, 0.5],
         )
         with pytest.raises(InferenceError, match="step 1"):
-            posteriors(model, [0, 1])
+            total_log_likelihood(model, [[0, 1]])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_unscaled_alpha_beta_reconstruct_likelihood(self, seed):
         model, obs = small_random_case(seed)
         scaled_alpha, scaled_beta, c = scaled_trellis(model, obs)
-        log_likelihood = posteriors(model, obs).log_likelihood
+        log_likelihood = total_log_likelihood(model, [obs])
         for t in range(obs.size):
             alpha_t = scaled_alpha[t] / np.prod(c[: t + 1])
             beta_t = scaled_beta[t] / np.prod(c[t:])
@@ -110,7 +110,7 @@ class TestForwardBackward:
         # kernels must clear the padding themselves, once per call; NaN stands
         # for a fresh buffer, and the second chunk, of another (L, S), reads
         # over what the first left.
-        model = random_model(3, 4, seed=9)
+        model = oracles.random_model(3, 4, seed=9)
         batches = [_batch([np.array([0, 1]), np.array([2, 3, 1, 0]), np.array([3])]),
                    _batch([np.array([1, 2, 0, 3, 3]), np.array([0, 2])])]
         work = [np.full(batches[0].symbols.size * 3 + 5, np.nan) for _ in range(3)]
@@ -128,7 +128,7 @@ class TestForwardBackward:
     @given(seed=st.integers(0, 10_000))
     def test_likelihood_matches_path_enumeration(self, seed):
         model, obs = small_random_case(seed)
-        log_likelihood = posteriors(model, obs).log_likelihood
+        log_likelihood = total_log_likelihood(model, [obs])
         expected = oracles.enum_log_likelihood(model, obs)
         assert np.exp(log_likelihood) == pytest.approx(np.exp(expected), rel=1e-9)
 
@@ -137,14 +137,14 @@ class TestPosteriors:
     def test_single_state_posteriors_are_all_ones(self):
         model = Hmm(transition=[[1.0]], emission=[[0.4, 0.6]], initial=[1.0])
         obs = [1, 0, 1, 1]
-        post = posteriors(model, obs)
+        post = oracles.posteriors(model, obs)
         assert np.allclose(post.gamma, 1.0)
         assert post.xi.shape == (3, 1, 1)
         assert np.allclose(post.xi, 1.0)
 
     def test_two_state_gamma_matches_enumeration(self):
         model = Hmm(**TWO_STATE)
-        post = posteriors(model, TWO_STATE_OBS)
+        post = oracles.posteriors(model, TWO_STATE_OBS)
         assert np.allclose(post.gamma, TWO_STATE_GAMMA, atol=1e-8)
         assert np.allclose(
             post.gamma, oracles.enum_state_posteriors(model, TWO_STATE_OBS), atol=1e-10
@@ -160,21 +160,51 @@ class TestPosteriors:
             initial=[1.0, 0.0],
         )
         obs = [0, 1, 0]
-        post = posteriors(model, obs)
+        post = oracles.posteriors(model, obs)
         assert np.allclose(post.gamma[:, 0], 1.0)
 
     def test_unknown_symbol_names_sequence_0(self):
         model = Hmm(**TWO_STATE)
         with pytest.raises(UnknownSymbolError,
                            match=r"^sequence 0: symbol 5 at position 1 is outside \[0, 2\)$"):
-            posteriors(model, [0, 5])
+            total_log_likelihood(model, [[0, 5]])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
     def test_normalization_and_marginal_consistency(self, seed):
         model, obs = small_random_case(seed)
-        post = posteriors(model, obs)
+        post = oracles.posteriors(model, obs)
         assert np.allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9)
         if post.xi.size:
             assert np.allclose(post.xi.sum(axis=(1, 2)), 1.0, atol=1e-9)
             assert np.allclose(post.xi.sum(axis=2), post.gamma[:-1], atol=1e-9)
+
+
+@st.composite
+def acceptance_instances(draw):
+    """A model and sequence from acceptance criterion 1's family: N in 1..4, M in 2..5, T in 1..8."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    model = oracles.random_model(n, m, seed=draw(st.integers(0, 2**31 - 1)))
+    return model, np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=acceptance_instances(), data=st.data())
+def test_total_log_likelihood_keeps_the_posterior_oracle_bits(case, data):
+    # The forward-pass tests call total_log_likelihood(model, [obs]) where
+    # they called the single-sequence posteriors; both run the same _forward.
+    model, obs = case
+    direct = total_log_likelihood(model, [obs])
+    assert np.float64(direct).tobytes() == np.float64(
+        oracles.posteriors(model, obs).log_likelihood).tobytes()
+    # A symbol no state emits makes its first occurrence a zero-probability step.
+    emission = model.emission.copy()
+    emission[:, obs[data.draw(st.integers(0, obs.size - 1))]] = 0.0
+    emission /= emission.sum(axis=1, keepdims=True)
+    zeroed = Hmm(transition=model.transition, emission=emission, initial=model.initial)
+    with pytest.raises(InferenceError) as direct_error:
+        total_log_likelihood(zeroed, [obs])
+    with pytest.raises(InferenceError) as oracle_error:
+        oracles.posteriors(zeroed, obs)
+    assert str(direct_error.value) == str(oracle_error.value)
+    assert str(direct_error.value).startswith("sequence 0: zero total forward probability at step ")

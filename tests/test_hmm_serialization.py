@@ -15,16 +15,17 @@ from alarmhmm import (
     ModelFormatError,
     SchemaError,
     load_diagnoser,
-    random_model,
     read_sequences_jsonl,
     save_diagnoser,
 )
 from alarmhmm.diagnoser import diagnoser_to_dict
 
+import oracles
+
 
 def random_diagnoser(n_faults, n_measurements, seed):
     return DiagnoserModel(
-        hmm=random_model(n_faults, 2 * n_measurements, seed=seed),
+        hmm=oracles.random_model(n_faults, 2 * n_measurements, seed=seed),
         fault_names=tuple(f"fault-{fault}" for fault in range(n_faults)),
         codebook=AlarmSymbolCodebook(n_measurements),
     )

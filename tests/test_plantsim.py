@@ -189,7 +189,14 @@ class TestScenarioSets:
          "fault must be an integer, got True"),
         (lambda: ScenarioSpec(fault=-1, magnitude=0.5, seed=1),
          "fault must be non-negative, got -1"),
-    ], ids=["train-count", "test-count", "fault-key", "spec-bool", "spec-negative"])
+        (lambda: generate_scenario_set(toy_graph(), {0: 5}),
+         "fault 0: counts must be a pair, got 5"),
+        (lambda: generate_scenario_set(toy_graph(), {0: (1, 1), "a": (1, 1)}),
+         "fault must be an integer, got 'a'"),
+        (lambda: generate_scenario_set(toy_graph(), {0: (1, 1)}, magnitude_range=(0.5,)),
+         "magnitude range must be a pair, got (0.5,)"),
+    ], ids=["train-count", "test-count", "fault-key", "spec-bool", "spec-negative",
+            "count-not-a-pair", "mixed-key-types", "range-not-a-pair"])
     def test_faults_and_counts_are_integers(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
@@ -197,6 +204,16 @@ class TestScenarioSets:
         assert simulate_alarm_sequence(toy_graph(), spec).fault == 1
         train, test = generate_scenario_set(toy_graph(), {1: (np.int64(1), np.int64(0))})
         assert len(train) == 1 and test == []
+
+    @pytest.mark.parametrize("n_measurements, n_samples, message", [
+        (-1, 10, "n_measurements must lie in [1, 1518500249], got -1"),
+        (0, 10, "n_measurements must lie in [1, 1518500249], got 0"),
+        (3, 2.5, "n_samples must be an integer, got 2.5"),
+        (3, 0, "n_samples must be >= 1, got 0"),
+    ], ids=["negative-measurements", "zero-measurements", "float-samples", "zero-samples"])
+    def test_normal_trace_sizes_are_checked(self, n_measurements, n_samples, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            simulate_normal_trace(n_measurements, n_samples)
 
 
 class TestGraphIO:
@@ -231,6 +248,25 @@ class TestGraphIO:
         fault = FaultPath(name="f", stages=(Stage(symbols, 10.0, 0.0),), depth_thresholds=(0.0,))
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             PropagationGraph(n_measurements=n_measurements, faults=(fault,))
+
+    @pytest.mark.parametrize("delays, thresholds, message", [
+        ((10.0, np.nan), (0.0, 0.5), "stage delays must be finite and strictly increase"),
+        ((np.nan, 10.0), (0.0, 0.5), "stage delays must be finite and strictly increase"),
+        ((np.nan,), (0.0,), "stage delays must be finite and strictly increase"),
+        ((-np.inf, 10.0), (0.0, 0.5), "stage delays must be finite and strictly increase"),
+        ((10.0, np.inf), (0.0, 0.5), "stage delays must be finite and strictly increase"),
+        (("10",), (0.0,), "stage delays must be finite and strictly increase"),
+        ((10.0, 20.0), (0.0, np.nan), "depth thresholds must be finite and non-decreasing"),
+        ((10.0, 20.0, 30.0), (0.0, np.nan, 0.5),
+         "depth thresholds must be finite and non-decreasing"),
+        ((10.0, 20.0), (0.0, np.inf), "depth thresholds must be finite and non-decreasing"),
+    ], ids=["nan-second-delay", "nan-first-delay", "nan-only-delay", "minus-inf-first-delay",
+            "inf-last-delay", "string-delay", "nan-last-threshold", "nan-middle-threshold", "inf-last-threshold"])
+    def test_non_finite_delays_and_thresholds_rejected(self, delays, thresholds, message):
+        stages = tuple(Stage((symbol,), delay, 0.0) for symbol, delay in enumerate(delays))
+        fault = FaultPath(name="f", stages=stages, depth_thresholds=thresholds)
+        with pytest.raises(DomainError, match=f"^fault 0: {re.escape(message)}$"):
+            PropagationGraph(n_measurements=2, faults=(fault,))
 
     def test_structural_invariants_enforced(self):
         with pytest.raises(DomainError, match="strictly increase"):
