@@ -2,7 +2,11 @@
 
 One scaled forward/backward kernel pair sweeps batches of sequences at
 once; it serves pooled multi-sequence Baum-Welch training (whose E-step
-builds no pair-posterior tensor) and the total log likelihood.  Exact
+builds no pair-posterior tensor) and the total log likelihood.  A
+transition with one value ``d`` on its diagonal and one ``e`` elsewhere,
+the diagnoser's pinned one, is ``(d - e) I + e J``, so the kernels apply it
+in O(N) per row (Felzenszwalb, Huttenlocher & Kleinberg 2004); any other
+transition takes an (N, N) product per step.  Exact
 decoding over a finite observation alphabet has one list-Viterbi step,
 :class:`_ListStep`, for Viterbi, k-best and every prefix's best path: it
 reads the previous step's scores and that step's emission-log rows,
@@ -75,9 +79,11 @@ class Hmm:
     initial : (N,) array; start-state distribution, sums to one.
 
     Arrays are copied and made read-only, so instances are immutable values
-    that can be shared freely across threads.  The first decode keeps the
-    model's log-space arrays on the instance, outside the dataclass fields,
-    so equality, ``repr`` and :func:`hmm_to_dict` never see them.
+    that can be shared freely across threads.  Two caches derived from the
+    arrays live on the instance, outside the dataclass fields, so equality,
+    ``repr`` and :func:`hmm_to_dict` never see them: the first forward pass
+    keeps ``_pinned``, the transition's ``(d - e, e)`` form or ``None``, and
+    the first decode keeps ``_log_space``, the model's log-space arrays.
     """
 
     transition: np.ndarray
@@ -109,6 +115,18 @@ class Hmm:
     @property
     def n_symbols(self) -> int:
         return self.emission.shape[1]
+
+    @cached_property
+    def _pinned(self) -> tuple[float, float] | None:
+        """``(d - e, e)`` when every diagonal entry of the transition is one
+        number ``d`` and every other entry one number ``e`` (N >= 2), else
+        ``None``.  Such a transition is ``(d - e) I + e J``, so the
+        forward/backward steps apply it without an (N, N) product."""
+        n = self.n_states
+        d, e = self.transition[0, 0], self.transition[0, -1]
+        form = np.full((n, n), e)
+        np.fill_diagonal(form, d)
+        return (float(d - e), float(e)) if n > 1 and np.array_equal(self.transition, form) else None
 
     @cached_property
     def _log_space(self) -> _LogSpace:
@@ -315,8 +333,12 @@ def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndar
     observed symbols and the scaled forward variables, (L, S, N) views of
     ``work[0]`` and ``work[1]`` that are zero past a sequence's end, and the
     (L, S) scale factors, one there.  The padding is cleared once by the
-    batch's mask, and each step writes its running rows in place.  A zero
-    total probability raises :class:`InferenceError` through :func:`_raise_first_failure`.
+    batch's mask, and each step writes its running rows in place.  A step
+    carries the previous rows through the transition by its ``(d - e) I + e J``
+    form when the model has one (``Hmm._pinned``): ``(d - e) alpha[t - 1] + e``,
+    with no row sum, since each scaled row sums to one; else by the (N, N)
+    product.  A zero total probability raises :class:`InferenceError` through
+    :func:`_raise_first_failure`.
     """
     shape = (*batch.symbols.shape, model.n_states)
     emit, alpha = (buffer[: np.prod(shape)].reshape(shape) for buffer in work[:2])
@@ -324,12 +346,20 @@ def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndar
     np.take(model.emission.T, batch.symbols, axis=0, out=emit, mode="clip")
     emit[batch.padding] = alpha[batch.padding] = 0.0
     total = np.ones(batch.symbols.shape)
+    pinned = model._pinned
     # A failed step turns the rest of its sequence NaN, which is never
     # <= 0, so each failing sequence shows exactly one failed step.
     with np.errstate(divide="ignore", invalid="ignore"):
         for t, k in enumerate(batch.active[:-1].tolist()):
             row = alpha[t, :k]
-            prior = np.matmul(alpha[t - 1, :k], model.transition, out=row) if t else model.initial
+            if not t:
+                prior = model.initial
+            elif pinned:
+                # The previous row sums to one, so its product with e J is e.
+                prior = np.multiply(alpha[t - 1, :k], pinned[0], out=row)
+                row += pinned[1]
+            else:
+                prior = np.matmul(alpha[t - 1, :k], model.transition, out=row)
             np.multiply(prior, emit[t, :k], out=row)
             np.add.reduce(row, axis=1, out=total[t, :k])
             row *= 1.0 / total[t, :k, None]
@@ -343,17 +373,30 @@ def _backward(
     """Scaled backward variables matching :func:`_forward`, zero past each end, in ``buffer``.
 
     The padding is cleared once by the batch's mask, and each step writes its rows in place.
+    With ``x = emit[t + 1] beta[t + 1]``, a step is ``(d - e) x + e sum(x)`` for a
+    transition of the ``(d - e) I + e J`` form (``Hmm._pinned``), and the (N, N)
+    product ``x A.T`` otherwise; either is then scaled.
     """
     beta = buffer[: emit.size].reshape(emit.shape)
     beta[batch.padding] = 0.0
-    active = batch.active.tolist()
+    active, pinned = batch.active.tolist(), model._pinned
+    if pinned:
+        diagonal, off = pinned[0], np.full(model.n_states, pinned[1])
     for t in range(beta.shape[0] - 1, -1, -1):
         k_next, k = active[t + 1], active[t]
         if k_next < k:
             beta[t, k_next:k] = scale[t, k_next:k, None]
         if k_next:
             row = beta[t, :k_next]
-            np.matmul(emit[t + 1, :k_next] * beta[t + 1, :k_next], model.transition.T, out=row)
+            if pinned:
+                # x is built in place and e sum(x) is x @ (e, ..., e): at N = 10 each
+                # numpy call saved counts, as a step is only a few microseconds.
+                np.multiply(emit[t + 1, :k_next], beta[t + 1, :k_next], out=row)
+                lift = row @ off
+                row *= diagonal
+                row += lift[:, None]
+            else:
+                np.matmul(emit[t + 1, :k_next] * beta[t + 1, :k_next], model.transition.T, out=row)
             row *= scale[t, :k_next, None]
     return beta
 

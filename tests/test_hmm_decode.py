@@ -17,6 +17,7 @@ from alarmhmm import (
     fit,
     k_best_paths,
     prefix_paths,
+    total_log_likelihood,
     viterbi,
 )
 from alarmhmm.alarms import AlarmSequence
@@ -518,7 +519,8 @@ class TestDiagnoserShape:
 
 
 class TestLogSpaceCache:
-    """Each model builds its log-space arrays on its first decode and keeps them."""
+    """Each model builds its log-space arrays on its first decode, and its
+    transition's pinned form on its first forward pass, and keeps them."""
 
     @staticmethod
     def decoded(model, obs):
@@ -535,14 +537,23 @@ class TestLogSpaceCache:
             assert self.decoded(model, obs) == expected[id(model)]
 
     def test_the_cache_is_no_part_of_the_model_value(self):
-        model = oracles.random_model(4, 6, seed=3)
-        fields, text, document = dataclasses.fields(Hmm), repr(model), hmm_to_dict(model)
-        assert "_log_space" not in vars(model)
-        self.decoded(model, [0, 5, 2])
-        assert "_log_space" in vars(model)
-        assert dataclasses.fields(Hmm) == fields
-        assert repr(model) == text
-        assert hmm_to_dict(model) == document
+        # Decoding builds _log_space; the forward pass builds _pinned, the
+        # transition's (d - e, e) form, or None when it has none.
+        dense = oracles.random_model(4, 6, seed=3)
+        pinned = Hmm(np.full((4, 4), 0.25), dense.emission, dense.initial)
+        for model in (dense, pinned):
+            fields, text, document = dataclasses.fields(Hmm), repr(model), hmm_to_dict(model)
+            for cache, use in (("_log_space", lambda: self.decoded(model, [0, 5, 2])),
+                               ("_pinned", lambda: total_log_likelihood(model, [[0, 5, 2]]))):
+                assert cache not in vars(model)
+                use()
+                assert cache in vars(model)
+            assert (vars(model)["_pinned"] is None) == (model is dense)
+            # The generated __eq__ compares the fields alone.
+            assert dataclasses.fields(Hmm) == fields
+            assert not {"_log_space", "_pinned"} & {field.name for field in fields}
+            assert repr(model) == text
+            assert hmm_to_dict(model) == document
 
     def test_a_fitted_model_decodes_as_its_arrays_do(self):
         rng = np.random.default_rng(7)

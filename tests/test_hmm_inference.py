@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alarmhmm import DomainError, Hmm, InferenceError, UnknownSymbolError, total_log_likelihood
+from alarmhmm import (
+    DomainError,
+    FitConfig,
+    Hmm,
+    InferenceError,
+    UnknownSymbolError,
+    fit,
+    total_log_likelihood,
+)
 from alarmhmm.hmm import _backward, _batch, _forward, _workspace
 
 import oracles
@@ -208,3 +216,83 @@ def test_total_log_likelihood_keeps_the_posterior_oracle_bits(case, data):
         oracles.posteriors(zeroed, obs)
     assert str(direct_error.value) == str(oracle_error.value)
     assert str(direct_error.value).startswith("sequence 0: zero total forward probability at step ")
+
+
+def pinned_transition(n, d):
+    """The (N, N) transition with ``d`` on the diagonal and ``(1 - d) / (N - 1)``
+    elsewhere; ``"uniform"`` is ``1 / N`` everywhere, so ``d`` equals the rest."""
+    if d == "uniform":
+        return np.full((n, n), 1.0 / n)
+    transition = np.full((n, n), (1.0 - d) / (n - 1))
+    np.fill_diagonal(transition, d)
+    return transition
+
+
+@st.composite
+def pinned_cases(draw):
+    """A model with a pinned transition (N 2-4, M 2-4, random emissions and
+    start) and 1-3 sequences of 1-5 symbols."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    d = draw(st.one_of(st.just(1.0), st.just("uniform"), st.floats(1e-3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = Hmm(transition=pinned_transition(n, d), emission=rng.dirichlet(np.ones(m), size=n),
+                initial=rng.dirichlet(np.ones(n)))
+    symbols = st.lists(st.integers(0, m - 1), min_size=1, max_size=5)
+    return model, draw(st.lists(symbols, min_size=1, max_size=3))
+
+
+class TestPinnedTransition:
+    """A transition ``(d - e) I + e J`` takes the forward/backward steps without
+    the (N, N) product; every other transition keeps the product."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=pinned_cases())
+    @example(case=(Hmm(np.eye(2), [[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5]), [[0, 1, 1, 0]]))
+    @example(case=(Hmm(pinned_transition(3, "uniform"), [[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]],
+                       [0.2, 0.3, 0.5]), [[1, 0, 1], [0]]))
+    def test_the_structured_steps_match_enumeration(self, case):
+        model, sequences = case
+        assert model._pinned is not None
+        for obs in sequences:
+            assert total_log_likelihood(model, [obs]) == pytest.approx(
+                oracles.enum_log_likelihood(model, obs), rel=1e-12)
+            assert np.allclose(oracles.posteriors(model, obs).gamma,
+                               oracles.enum_state_posteriors(model, obs), rtol=0.0, atol=1e-9)
+        fitted, _ = fit(model, sequences, FitConfig(max_iterations=1, emission_floor=0.0),
+                        fixed_transitions=True)
+        _, emission, initial = oracles.enum_em_update(model, sequences)
+        assert np.allclose(fitted.emission, emission, rtol=0.0, atol=1e-12)
+        assert np.allclose(fitted.initial, initial, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1.0, "uniform", 0.9, 0.1])
+    def test_a_zero_step_names_the_first_failing_sequence_as_the_dense_path_does(self, d):
+        # No state emits symbol 2.  Two states make chunks of two: sequence 2 is
+        # the first in list order that fails (at step 3), and sequence 3, longer
+        # and so in the chunk's first column, fails at step 0; the third chunk
+        # fails too.
+        transition = pinned_transition(2, d)
+        emission = [[0.6, 0.4, 0.0], [0.3, 0.7, 0.0]]
+        pinned = Hmm(transition, emission, [0.5, 0.5])
+        dense_transition = transition.copy()
+        dense_transition[0, 1] = np.nextafter(dense_transition[0, 1], 1.0)
+        dense = Hmm(dense_transition, emission, [0.5, 0.5])
+        assert pinned._pinned is not None and dense._pinned is None
+        sequences = [[0, 1], [1], [0, 1, 0, 2], [2, 0, 1, 1, 0], [1, 1], [2, 2, 0]]
+        message = r"^sequence 2: zero total forward probability at step 3$"
+        for model in (pinned, dense):
+            with pytest.raises(InferenceError, match=message):
+                total_log_likelihood(model, sequences)
+            with pytest.raises(InferenceError, match=message):
+                fit(model, sequences, fixed_transitions=True)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1)])
+    def test_one_entry_one_ulp_off_the_form_is_dense(self, entry):
+        transition = pinned_transition(3, 0.998)
+        emission, initial = [[0.5, 0.5]] * 3, [0.2, 0.3, 0.5]
+        assert Hmm(transition, emission, initial)._pinned == (
+            0.998 - transition[0, 1], transition[0, 1])
+        transition[entry] = np.nextafter(transition[entry], 0.0)
+        assert Hmm(transition, emission, initial)._pinned is None
+
+    def test_one_state_is_dense(self):
+        assert Hmm([[1.0]], [[0.3, 0.7]], [1.0])._pinned is None
