@@ -52,7 +52,6 @@ from .hmm import (
     StatePath,
     fit,
     k_best_paths,
-    prefix_paths,
     total_log_likelihood,
     viterbi,
 )

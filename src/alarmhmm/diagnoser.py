@@ -7,8 +7,8 @@ labeled per-fault statistics, state ``i`` is identified with fault ``i``
 throughout.  Diagnosis decodes a sequence once, for its two best paths,
 and reports the most recurring state of the best one as the fault, plus a
 second opinion from the runner-up; one pass yields every prefix verdict.
-Both decode their floods side by side, in chunks of at most N, and count
-faults along the paths through one rule, :func:`_fault_counts`.
+Both decode their floods side by side, in chunks of at most N, and read
+state ``j`` as fault ``j``, in :func:`_fault_counts` and in the prefix counts.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class AccuracyCurve:
 
 def _fault_counts(states: np.ndarray, n_faults: int) -> np.ndarray:
     """How often each fault occurs on each path: (paths, T) states to
-    (paths, n_faults) counts, in one bincount.  This is the one place that
-    maps a decoded state to its fault."""
+    (paths, n_faults) counts, in one bincount, state ``j`` being fault ``j``
+    as in the prefix counts of :func:`evaluate_prefix_accuracy`."""
     cells = states + n_faults * np.arange(states.shape[0])[:, None]
     return np.bincount(cells.ravel(), minlength=states.shape[0] * n_faults).reshape(-1, n_faults)
 
@@ -239,10 +239,10 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     The floods are decoded side by side in chunks of at most N (the number
     of faults); each verdict equals the one the flood gets alone.  The
     primary fault is the most recurring state of the Viterbi path (ties to
-    the lowest index); that path is rank 0 of the k=2 decode and the last
-    of :func:`prefix_paths`, so the primary fault is also the full-length
-    verdict of :func:`evaluate_prefix_accuracy`.  The secondary fault is
-    the mode of the second-best path; when that coincides with the primary,
+    the lowest index); that path is rank 0 of the k=2 decode and the best
+    path of the full-length prefix, so the primary fault is also the
+    full-length verdict of :func:`evaluate_prefix_accuracy`.  The secondary
+    fault is the mode of the second-best path; when that coincides with the primary,
     the second most frequent state of the best path stands in, and if the
     best path is constant, the second path supplies its own runner-up
     state.  Only a single-path model (one fault) yields no secondary.  An
@@ -273,7 +273,7 @@ def evaluate_prefix_accuracy(
     floods are decoded side by side in chunks of at most N, in one k=1
     list-Viterbi pass per chunk whose back-pointers are traced back once;
     every step of the pass gives each running flood's verdict for that
-    prefix: the mode of its rank-0 path, the first of its best entries.
+    prefix: the most counted state of its rank-0 path, ties to the lowest.
     ``l_max`` is a Python or numpy integer of at least 1, and at most the
     largest count whose confusion numpy can size; anything else, ``True``
     or ``2.0`` included, raises :class:`DomainError`.  An error
@@ -294,8 +294,8 @@ def evaluate_prefix_accuracy(
     ends = np.array([obs.size for obs in observations])[:, None] - 1
     steps = np.arange(ends.max() + 1)
     verdicts = np.empty((len(test), steps.size), dtype=np.int64)
-    for floods, _, states in _prefix_best(model.hmm, observations):
-        verdicts[floods, states.shape[1] - 1] = _fault_counts(states, n).argmax(axis=1)
+    for step, floods, counts in _prefix_best(model.hmm, observations):
+        verdicts[floods, step] = counts.argmax(axis=1)
     # Past its end, a flood keeps its full-length verdict.
     verdicts = np.take_along_axis(verdicts, np.minimum(steps, ends), axis=1)
     faults = np.array([item.fault for item in test])
@@ -322,11 +322,12 @@ def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
     ))
 
 
-def write_confusion_csvs(curve: AccuracyCurve, directory) -> list[Path]:
-    """One ``confusion_L<p>.csv`` per prefix length, true x diagnosed counts."""
+def write_confusion_csvs(curve: AccuracyCurve, directory) -> None:
+    """One ``confusion_L<p>.csv`` per prefix length, true x diagnosed counts;
+    any other ``confusion_L*.csv`` in ``directory``, a longer run's, is removed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = set()
     n = curve.confusion.shape[1]
     for index, length in enumerate(curve.lengths):
         path = directory / f"confusion_L{int(length):02d}.csv"
@@ -335,8 +336,9 @@ def write_confusion_csvs(curve: AccuracyCurve, directory) -> list[Path]:
             for true_fault in range(n)
             for diagnosed in range(n)
         ))
-        written.append(path)
-    return written
+        written.add(path)
+    for stale in set(directory.glob("confusion_L*.csv")) - written:
+        stale.unlink()
 
 
 def diagnoser_to_dict(model: DiagnoserModel) -> dict:

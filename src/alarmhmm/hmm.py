@@ -13,12 +13,12 @@ reads the previous step's scores and that step's emission-log rows,
 cached on the model at its first decode, and fills one buffer in place.
 :func:`k_best_paths` pushes one sequence's symbols through it; a batch
 pass decodes many side by side, yielding per-sequence scores and
-back-pointers.  The readers trace the paths back once, and no other code
-knows their layout.  The forward/backward pass rescales at every step
-and keeps the normalizers private to the kernels, decoding works
-entirely in log space, so long sequences do not underflow.  Training,
-the likelihood and decoding start an error about one sequence with
-``sequence <i>: ``, a single sequence being ``sequence 0``.
+back-pointers.  Its two readers alone know their layout: the k-best one
+traces paths, the prefix one counts states.  The forward/backward pass
+rescales at every step and keeps the normalizers private to the kernels,
+decoding works entirely in log space, so long sequences do not underflow.
+Training, the likelihood and decoding start an error about one sequence
+with ``sequence <i>: ``, a single sequence being ``sequence 0``.
 The module needs numpy alone, so training and diagnosis load no scipy.
 """
 
@@ -641,10 +641,10 @@ def _list_viterbi(
     state ``j``: ``score[s, e]`` (shape ``(a, E)``) is its log probability
     and ``back[s, e]`` (shape ``(a, E)``) the entry of flood ``s`` at step
     ``t - 1`` that it extends, a back-pointer; step 0 extends nothing and
-    yields ``back=None``.  No path is stored: :func:`_trace` and
-    :func:`_prefix_best` follow the back-pointers to the states, and no
-    other code knows the layout.  The back-pointers of a flood hold
-    ``E`` entries per step, no more than its final ``(E, T)`` paths.
+    yields ``back=None``.  No path is stored: :func:`_trace` follows the
+    back-pointers to the states, :func:`_prefix_best` to each prefix's state
+    counts, and no other code knows the layout.  The back-pointers of a
+    flood hold ``E`` entries per step, no more than its final ``(E, T)`` paths.
     Candidates rank by total score, emission term included, then by entry
     order (lowest entry of the previous step first), within each flood, so
     the first best entry of a flood is its rank 0.  Step ``t`` reads only
@@ -760,51 +760,49 @@ def viterbi(model: Hmm, obs) -> StatePath:
 
 def _prefix_best(
     model: Hmm, observations: list[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The best path of every prefix of every validated flood, from one k=1
-    pass per :func:`_batches` chunk: for each step ``t`` of a chunk, in
-    order, the list indices (a,) of its ``a`` running floods and the log
-    probabilities (a,) and states (a, t + 1) of their first best entries,
-    the states in the smallest unsigned integer type that holds N - 1.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """How the best path of every prefix of every validated flood spends its
+    steps, from one k=1 pass per :func:`_batches` chunk: for each step ``t``
+    of a chunk, in order, ``(t, floods, counts)``, where ``floods`` (a,) are
+    the list indices of its ``a`` running floods and ``counts[s, j]`` (a, N)
+    is how many of the first ``t + 1`` symbols the first best entry of flood
+    ``floods[s]`` spends in state ``j``, in the smallest unsigned integer type
+    that holds the chunk's step count.
 
     The pass keeps each step's back-pointers and best entries; then one
-    backward numpy sweep over the chunk's L steps traces the best entries
-    of all (step, flood) pairs together, in O(L) numpy calls.  The sweep's
-    states hold one cell per (prefix, step) pair: for N <= 256, one byte,
-    so no more memory than the int64 back-pointers while L <= 8 N.
+    backward numpy sweep over the chunk's L steps traces the best entries of
+    all (step, flood) pairs together, in O(L) numpy calls, counting each
+    prefix's state at every step it reaches.  The sweep holds one state and N
+    counts per prefix, no path, so its memory grows with L, not with L**2.
     """
     n = model.n_states
     for batch in _batches(observations, n):
-        best, log_probs, backs = [], [], []
+        best, backs = [], []
         for score, back in _list_viterbi(model, batch, 1):
             best.append(score.argmax(axis=1))
-            log_probs.append(score.max(axis=1))
             backs.append(back)
         # Columns: the running floods of the last step, then of each earlier
-        # step, so the prefixes that reach step u lead; states[u, c] is the
-        # state of prefix c at step u, and also its entry, as k = 1 keeps one
-        # entry per state.  A prefix starts from its best entry at its own step.
+        # step, so the prefixes that reach step u lead; states[c] is the state
+        # of prefix c at the step being traced, and also its entry, as k = 1
+        # keeps one entry per state.  A prefix starts from its best entry at
+        # its own step.  counts[rows[c] + j] is cell (c, j) of the (prefixes, N)
+        # counts: a flat index costs a third of a (row, state) pair at N = 30,
+        # and as the rows are unique, no count is lost.
         sizes = [entries.size for entries in best[::-1]]
         ends = np.cumsum(sizes)[::-1].tolist()
-        states = np.empty((len(best), ends[0]), dtype=np.min_scalar_type(n - 1))
-        steps = np.arange(len(best) - 1, -1, -1).repeat(sizes)
-        states[steps, np.arange(ends[0])] = np.concatenate(best[::-1])
+        states = np.concatenate(best[::-1]).astype(np.min_scalar_type(n - 1))
+        counts = np.zeros(ends[0] * n, dtype=np.min_scalar_type(len(best)))
+        rows = np.arange(0, counts.size, n)
         flood = np.concatenate([np.arange(size) * n for size in sizes])
-        for u in range(len(best) - 1, 0, -1):
+        for u in range(len(best) - 1, -1, -1):
             lead = ends[u]
-            states[u - 1, :lead] = backs[u].ravel()[flood[:lead] + states[u, :lead]]
+            counts[rows[:lead] + states[:lead]] += 1
+            if u:
+                states[:lead] = backs[u].ravel()[flood[:lead] + states[:lead]]
+        counts = counts.reshape(-1, n)
         for t, end in enumerate(ends):
             a = best[t].size
-            yield batch.order[:a], log_probs[t], states[: t + 1, end - a:end].T
-
-
-def prefix_paths(model: Hmm, obs) -> list[StatePath]:
-    """``viterbi(model, obs[:p+1])`` for every ``p``, from one decoding pass.
-
-    The last element is rank 0 of :func:`k_best_paths` for any ``k``.
-    """
-    return [StatePath(states=_frozen_array(states[0], dtype=np.int64), log_prob=float(log_prob[0]))
-            for _, log_prob, states in _prefix_best(model, _observations([obs], model.n_symbols))]
+            yield t, batch.order[:a], counts[end - a:end]
 
 
 def hmm_to_dict(model: Hmm) -> dict:

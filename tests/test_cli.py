@@ -119,6 +119,15 @@ class TestPipeline:
         counts = read_csv(confusions[0])
         assert sum(int(row["count"]) for row in counts) == 6
 
+    def test_evaluate_removes_the_confusions_of_a_longer_earlier_run(self, pipeline):
+        tmp_path, data, model = pipeline
+        out = tmp_path / "evaluation"
+        for l_max in ("38", "3"):
+            assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+                         "--lmax", l_max, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "accuracy.csv", "confusion_L01.csv", "confusion_L02.csv", "confusion_L03.csv"]
+
     def test_baseline_and_report(self, pipeline):
         tmp_path, data, model = pipeline
         evaluation = tmp_path / "evaluation"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from alarmhmm import (
     UnknownSymbolError,
     fit,
     k_best_paths,
-    prefix_paths,
     total_log_likelihood,
     viterbi,
 )
@@ -186,17 +186,26 @@ def coarse_case(seed):
     return model, rng.integers(0, m, size=t)
 
 
+def oracle_counts(model, obs):
+    """How many steps the oracle's best path of ``obs`` spends in each state."""
+    return np.bincount(oracles.loop_k_best(model, obs, 1)[0][0], minlength=model.n_states).tolist()
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), coarse=st.booleans())
 def test_prefix_paths_equal_viterbi_of_every_prefix(seed, coarse):
+    # The prefix reader's state counts of one flood, step by step, against
+    # the counts of each prefix's best path.
     model, obs = coarse_case(seed) if coarse else small_random_case(seed)
     try:
-        expected = [oracles.loop_k_best(model, obs[:p], 1)[0] for p in range(1, len(obs) + 1)]
+        expected = [(p - 1, [0], oracle_counts(model, obs[:p])) for p in range(1, len(obs) + 1)]
     except InferenceError as exc:
         with pytest.raises(InferenceError, match=f"^{re.escape(f'sequence 0: {exc}')}$"):
-            prefix_paths(model, obs)
+            list(_prefix_best(model, [obs]))
         return
-    assert [(path.states.tolist(), path.log_prob) for path in prefix_paths(model, obs)] == expected
+    got = [(step, floods.tolist(), counts[0].tolist())
+           for step, floods, counts in _prefix_best(model, [obs])]
+    assert got == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -212,7 +221,7 @@ def test_prefix_best_of_floods_ending_at_different_steps_matches_the_oracle(
     for index, obs in enumerate(floods):
         try:
             for p in range(1, obs.size + 1):
-                expected[index, p] = oracles.loop_k_best(model, obs[:p], 1)[0]
+                expected[index, p] = oracle_counts(model, obs[:p])
         except InferenceError as exc:
             failed.append(f"sequence {index}: {exc}")
     if failed:
@@ -220,10 +229,26 @@ def test_prefix_best_of_floods_ending_at_different_steps_matches_the_oracle(
             list(_prefix_best(model, floods))
         return
     got = {}
-    for indices, log_probs, states in _prefix_best(model, floods):
-        for index, log_prob, path in zip(indices.tolist(), log_probs.tolist(), states.tolist()):
-            got[index, len(path)] = (path, log_prob)
+    for step, indices, counts in _prefix_best(model, floods):
+        for index, row in zip(indices.tolist(), counts.tolist()):
+            got[index, step + 1] = row
     assert got == expected
+
+
+def test_prefix_counts_of_long_floods_take_memory_linear_in_their_length():
+    # 10 floods of 1,000 symbols at N = 10 hold 0.8 MB of int64 back-pointers;
+    # a path per prefix would hold 10 * 1,000**2 / 2 more cells.
+    model = oracles.random_model(10, 20, seed=3)
+    rng = np.random.default_rng(0)
+    floods = [rng.integers(0, model.n_symbols, size=1_000) for _ in range(10)]
+    tracemalloc.start()
+    try:
+        for _ in _prefix_best(model, floods):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_symbol_relabeling_leaves_the_decoded_path_unchanged():
