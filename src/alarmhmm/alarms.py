@@ -28,11 +28,13 @@ from .documents import (
     require,
     write_jsonl,
 )
-from .errors import DomainError, SchemaError, UnknownSymbolError
+from .errors import DomainError, SchemaError
 from .hmm import as_symbols
 
 HIGH = "high"
 LOW = "low"
+DEFAULT_KAPPA = 3.0        # alarm-limit multiplier
+DEFAULT_PERSIST_T = 300.0  # persistence time, seconds
 
 #: the most measurements whose successor-pair keys a * M + b (M = 2 n symbols) fit int64
 MAX_MEASUREMENTS = 1_518_500_249
@@ -122,7 +124,11 @@ class AlarmLimits:
 
 @dataclass
 class AlarmSequence:
-    """Ordered, deduplicated alarm activations for one scenario."""
+    """Ordered alarm activations for one scenario, and its root-cause fault if known.
+
+    Construction checks that the symbols are integers and that ``fault`` is
+    ``None`` or a non-negative integer.  A record's lengths, order, repeats and
+    alphabet are the reader's to check: :func:`sequence_from_dict`."""
 
     symbols: list[int]
     times: list[float]
@@ -132,22 +138,14 @@ class AlarmSequence:
     def __post_init__(self):
         self.symbols = as_symbols(self.symbols).tolist()
         self.times = [float(t) for t in self.times]
+        if self.fault is not None:
+            check_int(self.fault, "fault label", 0)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def validate(self, n_symbols: int | None = None) -> "AlarmSequence":
-        if len(self.symbols) != len(self.times):
-            raise DomainError("symbols and activation times differ in length")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DomainError("alarm symbols must be pairwise distinct")
-        if any(b < a for a, b in zip(self.times, self.times[1:])):
-            raise DomainError("activation times must be non-decreasing")
-        as_symbols(self.symbols, n_symbols)
-        return self
 
-
-def fit_limits(normal_traces: list[MeasurementTrace], kappa: float = 3.0) -> AlarmLimits:
+def fit_limits(normal_traces: list[MeasurementTrace], kappa: float = DEFAULT_KAPPA) -> AlarmLimits:
     """Estimate per-measurement mean and standard deviation at normal
     operation, pooling the samples of all traces; limits are mean +/- kappa*std.
     """
@@ -183,7 +181,7 @@ def extract_sequence(
     trace: MeasurementTrace,
     limits: AlarmLimits,
     codebook: AlarmSymbolCodebook,
-    persist_t: float = 300.0,
+    persist_t: float = DEFAULT_PERSIST_T,
 ) -> AlarmSequence:
     """Extract the ordered alarm-symbol sequence of a trace.
 
@@ -345,9 +343,9 @@ def sequence_to_dict(sequence: AlarmSequence) -> dict:
 def sequence_from_dict(payload: dict) -> AlarmSequence:
     """Check one JSONL record against the sequence schema and build it.
 
-    Nothing is coerced, and the result satisfies :meth:`AlarmSequence.validate`,
-    with the alphabet of ``meta.n_measurements`` when the record declares it.
-    """
+    Nothing is coerced.  Beyond what :class:`AlarmSequence` checks, symbols
+    and times must be equally many, the symbols pairwise distinct and in the
+    alphabet of ``meta.n_measurements`` if declared, the times non-decreasing."""
     fault = require(payload, "fault", lambda value: value is None or is_int(value),
                     "an integer or null")
     symbols = require(payload, "symbols", is_int_array, "an array of integers")
@@ -359,11 +357,16 @@ def sequence_from_dict(payload: dict) -> AlarmSequence:
     try:
         n_symbols = None if size is None else AlarmSymbolCodebook(size).n_symbols
         sequence = AlarmSequence(symbols=symbols, times=times, fault=fault, meta=meta)
-        return sequence.validate(n_symbols)
-    except UnknownSymbolError:
-        raise
     except DomainError as exc:
         raise SchemaError(str(exc)) from None
+    if len(symbols) != len(times):
+        raise SchemaError("symbols and activation times differ in length")
+    if len(set(symbols)) != len(symbols):
+        raise SchemaError("alarm symbols must be pairwise distinct")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise SchemaError("activation times must be non-decreasing")
+    as_symbols(sequence, n_symbols)
+    return sequence
 
 
 def write_sequences_jsonl(path, sequences: list[AlarmSequence]) -> None:

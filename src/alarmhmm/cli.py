@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import baseline as baseline_mod
 from . import plantsim
 from .alarms import (
+    DEFAULT_KAPPA,
+    DEFAULT_PERSIST_T,
     AlarmSymbolCodebook,
     extract_sequence,
     fit_limits,
@@ -25,8 +28,8 @@ from .alarms import (
 )
 from .diagnoser import (
     ACCURACY_FIELDS,
+    DEFAULT_INIT_SMOOTHING,
     as_labeled,
-    check_labels,
     diagnose_all,
     evaluate_prefix_accuracy,
     load_diagnoser,
@@ -105,11 +108,8 @@ def _codebook_for(groups, size: int | None, source: str = "--measurements") -> A
 
 
 def _read_inputs(paths) -> list:
-    """The sequences of every ``--in`` file, pooled in the order given, with
-    every label they carry checked."""
-    sequences = [sequence for path in paths for sequence in read_sequences_jsonl(path)]
-    check_labels(sequences)
-    return sequences
+    """The sequences of every ``--in`` file, pooled in the order given."""
+    return [sequence for path in paths for sequence in read_sequences_jsonl(path)]
 
 
 def _read_floods(paths, model) -> list:
@@ -170,13 +170,9 @@ def cmd_extract(args) -> int:
         trace = read_trace_csv(path)
         with located(path):
             sequence = extract_sequence(trace, limits, codebook, persist_t=args.persist_t)
-        if args.fault:
-            sequence.fault = args.fault[index]
-        sequence.meta.update(
-            {"source": Path(path).name, "n_measurements": codebook.n_measurements}
-        )
-        sequences.append(sequence)
-    check_labels(sequences)
+            sequences.append(replace(
+                sequence, fault=args.fault[index] if args.fault else None,
+                meta={"source": Path(path).name, "n_measurements": codebook.n_measurements}))
     write_sequences_jsonl(args.out, sequences)
     print(f"extracted {len(sequences)} sequence(s) to {args.out}")
     return 0
@@ -323,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trace CSV to extract (repeatable)")
     extract.add_argument("--fault", type=int, action="append",
                          help="fault label per --in trace (repeatable)")
-    extract.add_argument("--persist-t", type=float, default=300.0,
-                         help="persistence time in seconds (default 300)")
-    extract.add_argument("--kappa", type=float, default=3.0,
-                         help="alarm limit multiplier (default 3)")
+    extract.add_argument("--persist-t", type=float, default=DEFAULT_PERSIST_T,
+                         help="persistence time in seconds (default %(default)s)")
+    extract.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
+                         help="alarm limit multiplier (default %(default)s)")
     extract.add_argument("--out", required=True, help="output JSONL path")
     extract.set_defaults(func=cmd_extract)
 
@@ -339,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--emission-floor", type=float, default=FitConfig.emission_floor)
     train.add_argument("--measurements", type=int,
                        help="measurement count (defaults to sequence metadata)")
-    train.add_argument("--smoothing", type=float, default=0.5,
-                       help="additive smoothing for the emission initialization")
+    train.add_argument("--smoothing", type=float, default=DEFAULT_INIT_SMOOTHING,
+                       help="additive smoothing of the seeded emissions (default %(default)s)")
     train.set_defaults(func=cmd_train)
 
     diag = sub.add_parser("diagnose", help="decode fault verdicts for alarm sequences")

@@ -45,6 +45,8 @@ from .hmm import (
     k_best_paths,
 )
 
+DEFAULT_INIT_SMOOTHING = 0.5  # additive smoothing of the seeded emission counts
+
 #: off-diagonal transition mass of the pinned diagonal structure
 HARD_MASK_OFF_DIAGONAL = 1e-3
 
@@ -53,42 +55,33 @@ ACCURACY_FIELDS = {"prefix_length": COUNT, "accuracy": FRACTION, "n_correct": CO
                    "n_total": COUNT}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledSequence:
-    """An alarm sequence together with its known root-cause fault index."""
+    """An alarm sequence whose ``fault``, its known root cause, is set."""
 
     sequence: AlarmSequence
-    fault: int
 
     def __post_init__(self):
-        check_int(self.fault, "fault label", 0)
+        if self.sequence.fault is None:
+            raise DomainError("no fault label")
+
+    @property
+    def fault(self) -> int:
+        return self.sequence.fault
 
     @property
     def symbols(self) -> list[int]:
         return self.sequence.symbols
 
 
-def _labeled(index: int, sequence: AlarmSequence) -> LabeledSequence:
-    with located(f"sequence {index}"):
-        return LabeledSequence(sequence=sequence, fault=sequence.fault)
-
-
 def as_labeled(sequences: list[AlarmSequence]) -> list[LabeledSequence]:
-    """Wrap alarm sequences whose ``fault`` field is set; reject unlabeled ones."""
+    """Each alarm sequence as a :class:`LabeledSequence`; an unlabeled one
+    raises :class:`DomainError` naming it ``sequence <i>``, ``i`` counting from 0."""
     labeled = []
     for index, sequence in enumerate(sequences):
-        if sequence.fault is None:
-            raise DomainError(f"sequence {index} has no fault label")
-        labeled.append(_labeled(index, sequence))
+        with located(f"sequence {index}"):
+            labeled.append(LabeledSequence(sequence))
     return labeled
-
-
-def check_labels(sequences: list[AlarmSequence]) -> None:
-    """Apply the label rule of :func:`as_labeled` to the sequences that carry a
-    label; unlabeled ones pass, since a test set need not be labeled."""
-    for index, sequence in enumerate(sequences):
-        if sequence.fault is not None:
-            _labeled(index, sequence)
 
 
 @dataclass
@@ -149,7 +142,7 @@ def train_diagnoser(
     config: FitConfig | None = None,
     codebook: AlarmSymbolCodebook,
     fault_names: dict[int, str] | None = None,
-    init_smoothing: float = 0.5,
+    init_smoothing: float = DEFAULT_INIT_SMOOTHING,
 ) -> DiagnoserModel:
     """Build and train the diagnoser HMM.
 
@@ -189,7 +182,11 @@ def train_diagnoser(
     counts = np.full((n_faults, n_symbols), init_smoothing, dtype=float)
     for item, obs in zip(training, observations):
         np.add.at(counts[item.fault], obs, 1.0)
-    emission = counts / counts.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        totals = counts.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise DomainError(f"init_smoothing {init_smoothing} overflows a seeded emission row sum")
+    emission = counts / totals
 
     start = Hmm(transition=transition, emission=emission,
                 initial=np.full(n_faults, 1.0 / n_faults))

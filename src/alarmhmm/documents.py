@@ -57,6 +57,10 @@ def _range(low, high, strict: bool) -> str:
     return f"lie in {'(' if strict else '['}{low}, {high}]"
 
 
+def _plain(value):  # a numpy number as the Python number it holds
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _outside(value, low, high, strict: bool) -> bool:
     return (low is not None and (value <= low if strict else value < low)
             or high is not None and value > high)
@@ -67,7 +71,7 @@ def check_int(value, what: str, low: int | None = None, high: int | None = None)
     ``value`` passes :func:`is_int` and lies in [``low``, ``high``]; a bound of
     ``None`` is no bound."""
     if not is_int(value):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {_plain(value)!r}")
     if _outside(int(value), low, high, False):
         raise DomainError(f"{what} must {_range(low, high, False)}, got {value}")
 
@@ -76,13 +80,11 @@ def check_number(value, what: str, low=None, high=None, *, strict: bool = False)
     """The real-number rule: raise :class:`DomainError` naming ``what`` unless
     ``value`` passes :func:`is_finite_number` and lies in [``low``, ``high``],
     or in (``low``, ``high``] if ``strict``; a bound of ``None`` is no bound."""
-    if is_finite_number(value):
-        exact = value.item() if isinstance(value, np.generic) else value  # as Python compares
-        if not _outside(exact, low, high, strict):
-            return
+    if is_finite_number(value) and not _outside(_plain(value), low, high, strict):
+        return
     bounds = ("" if low is None and high is None
               else " and " + _range(low, high, strict).removeprefix("be "))
-    raise DomainError(f"{what} must be finite{bounds}, got {value!r}")
+    raise DomainError(f"{what} must be finite{bounds}, got {_plain(value)!r}")
 
 
 def csv_value(text: str):

@@ -58,11 +58,12 @@ def _check_distribution(name: str, arr: np.ndarray) -> None:
         raise DomainError(f"{name} contains non-finite entries")
     if (rows < 0).any():
         raise DomainError(f"{name} contains negative entries")
-    sums = rows.sum(axis=1)
+    with np.errstate(over="ignore"):  # a row of huge entries sums to inf
+        sums = rows.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         raise DomainError(
-            f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1 within {ROW_SUM_TOL}"
+            f"{name} row {bad[0]} sums to {float(sums[bad[0]])!r}, expected 1 within {ROW_SUM_TOL}"
         )
 
 

@@ -23,6 +23,7 @@ from alarmhmm.alarms import (
     fit_limits,
     read_sequences_jsonl,
     read_trace_csv,
+    sequence_from_dict,
     write_sequences_jsonl,
     write_trace_csv,
 )
@@ -581,14 +582,21 @@ class TestSequenceJsonl:
         assert len(read_sequences_jsonl(path)) == 2
 
     def test_validate_enforces_sequence_invariants(self):
-        with pytest.raises(DomainError, match="distinct"):
-            AlarmSequence(symbols=[1, 1], times=[0.0, 1.0]).validate()
-        with pytest.raises(DomainError, match="non-decreasing"):
-            AlarmSequence(symbols=[1, 2], times=[5.0, 1.0]).validate()
+        def record(symbols, times, **meta):
+            return {"fault": None, "symbols": symbols, "times": times, "meta": meta}
+
+        with pytest.raises(SchemaError, match="^symbols and activation times differ in length$"):
+            sequence_from_dict(record([1, 2], [0.0]))
+        with pytest.raises(SchemaError, match="distinct"):
+            sequence_from_dict(record([1, 1], [0.0, 1.0]))
+        with pytest.raises(SchemaError, match="non-decreasing"):
+            sequence_from_dict(record([1, 2], [5.0, 1.0]))
         with pytest.raises(UnknownSymbolError,
                            match=r"^symbol 9 at position 1 is outside \[0, 4\)$"):
-            AlarmSequence(symbols=[0, 9], times=[0.0, 1.0]).validate(n_symbols=4)
-        assert AlarmSequence(symbols=[], times=[]).validate(n_symbols=4).symbols == []
+            sequence_from_dict(record([0, 9], [0.0, 1.0], n_measurements=2))
+        assert sequence_from_dict(record([], [], n_measurements=2)).symbols == []
+        # In memory a flood may repeat a symbol out of order, as dechatter's input does.
+        assert AlarmSequence(symbols=[1, 1], times=[5.0, 1.0]).symbols == [1, 1]
 
     @pytest.mark.parametrize("symbols", [[1.5, 2], [True, False], [[1, 2]]])
     def test_symbols_must_be_integers(self, symbols):

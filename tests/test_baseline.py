@@ -29,7 +29,7 @@ def seq(symbols, fault=None):
 
 def labeled(pairs):
     """(symbol list, fault) pairs as labeled sequences."""
-    return [LabeledSequence(sequence=seq(symbols, fault), fault=fault) for symbols, fault in pairs]
+    return [LabeledSequence(seq(symbols, fault)) for symbols, fault in pairs]
 
 
 class TestDechatter:

@@ -482,7 +482,7 @@ class TestExtract:
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: domain-error: sequence 0: fault label must be non-negative, got -1\n")
+            f"error: domain-error: {normal}: fault label must be non-negative, got -1\n")
         assert not out.exists()
 
     def test_fault_count_mismatch(self, tmp_path, capsys):
@@ -891,29 +891,59 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "baseline", "diagnose",
                                          "baseline-in"])
-    def test_negative_fault_label_is_one_domain_error(self, pipeline, tmp_path, capsys, command):
+    def test_negative_fault_label_is_one_located_schema_error(self, pipeline, tmp_path,
+                                                              capsys, command):
+        # The bad record is line 2 of the second file read: the error names that
+        # line, not the record's place among the pooled floods.
         _, data, model = pipeline
-        lines = (data / "train.jsonl").read_text().splitlines()
-        record = json.loads(lines[2])
-        record["fault"] = -1
-        lines[2] = json.dumps(record)
-        bad = tmp_path / "negative.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = edited_jsonl(data / "train.jsonl", tmp_path / "negative.jsonl",
+                           lambda index, record: record.update(fault=-1) if index == 1 else None)
+        train, test = data / "train.jsonl", data / "test.jsonl"
+        out = tmp_path / "out"
         argv = {
-            "train": ["train", "--in", bad, "--out", tmp_path / "model.json"],
-            "evaluate": ["evaluate", "--model", model, "--in", bad, "--out", tmp_path / "eval"],
-            "baseline": ["baseline", "--train", bad, "--in", data / "test.jsonl",
-                         "--out", tmp_path / "base"],
-            "diagnose": ["diagnose", "--model", model, "--in", bad,
-                         "--out", tmp_path / "verdicts.jsonl"],
-            "baseline-in": ["baseline", "--train", data / "train.jsonl", "--in", bad,
-                            "--out", tmp_path / "base"],
+            "train": ["train", "--in", train, "--in", bad, "--out", out],
+            "evaluate": ["evaluate", "--model", model, "--in", test, "--in", bad, "--out", out],
+            "baseline": ["baseline", "--train", bad, "--in", test, "--out", out],
+            "diagnose": ["diagnose", "--model", model, "--in", test, "--in", bad, "--out", out],
+            "baseline-in": ["baseline", "--train", train, "--in", test, "--in", bad,
+                            "--out", out],
         }[command]
         capsys.readouterr()
         assert main([str(arg) for arg in argv]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: domain-error: sequence 2: fault label must be non-negative, "
+        assert err == (f"error: schema-mismatch: {bad}:2: fault label must be non-negative, "
                        "got -1\n"), err
+        assert not out.exists()
+
+    def test_overflowing_smoothing_is_one_domain_error(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        out = tmp_path / "new.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--in", str(data / "train.jsonl"), "--out", str(out),
+                         "--smoothing", "1e308"]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: domain-error: init_smoothing 1e+308 overflows a seeded emission row sum\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("head, total", [([0.6, 0.5], "1.1"), ([1e308, 1e308], "inf")],
+                             ids=["above-one", "overflowing"])
+    def test_row_sum_of_an_invalid_model_is_a_python_number(self, pipeline, capsys, head, total):
+        tmp_path, data, model = pipeline
+        doc = json.loads(model.read_text())
+        doc["emission"][0] = head + [0.0] * (len(doc["emission"][0]) - 2)
+        bad = tmp_path / "bad-model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "verdicts.jsonl"
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(bad), "--in", str(data / "test.jsonl"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid-model: {bad}: model arrays are invalid: emission row 0 sums to "
+            f"{total}, expected 1 within 1e-09\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--rel-tol", "--emission-floor", "--smoothing",

@@ -44,9 +44,7 @@ from test_hmm_decode import coarse_case
 
 def labeled(symbols, fault):
     times = [float(10 * i) for i in range(len(symbols))]
-    return LabeledSequence(
-        sequence=AlarmSequence(symbols=list(symbols), times=times, fault=fault), fault=fault
-    )
+    return LabeledSequence(AlarmSequence(symbols=list(symbols), times=times, fault=fault))
 
 
 def coarse_diagnoser(seed):
@@ -142,25 +140,22 @@ class TestTraining:
 
     def test_unlabeled_sequences_rejected(self):
         seq = AlarmSequence(symbols=[1], times=[0.0], fault=None)
-        with pytest.raises(DomainError, match="no fault label"):
-            as_labeled([seq])
+        with pytest.raises(DomainError, match="^no fault label$"):
+            LabeledSequence(seq)
+        good = AlarmSequence(symbols=[1], times=[0.0], fault=0)
+        with pytest.raises(DomainError, match="^sequence 1: no fault label$"):
+            as_labeled([good, seq])
 
     def test_negative_fault_label_rejected(self):
         with pytest.raises(DomainError, match="^fault label must be non-negative, got -1$"):
             labeled([0], -1)
-        good = AlarmSequence(symbols=[1], times=[0.0], fault=0)
-        bad = AlarmSequence(symbols=[1], times=[0.0], fault=-2)
-        with pytest.raises(DomainError,
-                           match="^sequence 1: fault label must be non-negative, got -2$"):
-            as_labeled([good, bad])
+        with pytest.raises(DomainError, match="^fault label must be non-negative, got -2$"):
+            AlarmSequence(symbols=[1], times=[0.0], fault=-2)
 
     @pytest.mark.parametrize("fault", [1.5, True])
     def test_fault_label_must_be_an_integer(self, fault):
-        good = AlarmSequence(symbols=[1], times=[0.0], fault=0)
-        bad = AlarmSequence(symbols=[1], times=[0.0], fault=fault)
-        with pytest.raises(DomainError,
-                           match=f"^sequence 1: fault label must be an integer, got {fault}$"):
-            as_labeled([good, bad])
+        with pytest.raises(DomainError, match=f"^fault label must be an integer, got {fault}$"):
+            AlarmSequence(symbols=[1], times=[0.0], fault=fault)
         numpy_label = AlarmSequence(symbols=[1], times=[0.0], fault=np.int64(1))
         assert as_labeled([numpy_label])[0].fault == 1
 

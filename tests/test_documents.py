@@ -87,12 +87,16 @@ def test_real_number_rule(value, low, high, strict):
     (lambda: check_int(np.int64(0), "k", 1), "k must be >= 1, got 0"),
     (lambda: check_int(9, "k", None, 8), "k must be <= 8, got 9"),
     (lambda: check_int(2.0, "k", 1), "k must be an integer, got 2.0"),
+    pytest.param(lambda: check_int(np.float64(2.0), "k", 1), "k must be an integer, got 2.0",
+                 id="numpy-float-k"),
     (lambda: check_number(-1.0, "kappa", 0), "kappa must be finite and non-negative, got -1.0"),
     (lambda: check_number(0.0, "rel_tol", 0, strict=True),
      "rel_tol must be finite and positive, got 0.0"),
     (lambda: check_number(math.nan, "p", 0, 1), "p must be finite and lie in [0, 1], got nan"),
     (lambda: check_number(0, "m", 0, 1, strict=True), "m must be finite and lie in (0, 1], got 0"),
     (lambda: check_number("1", "x"), "x must be finite, got '1'"),
+    pytest.param(lambda: check_number(np.float32("nan"), "x"), "x must be finite, got nan",
+                 id="numpy-nan-x"),
 ])
 def test_messages(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

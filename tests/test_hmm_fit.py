@@ -202,7 +202,7 @@ def test_a_zero_log_likelihood_is_positive_zero():
     assert not np.signbit(total_log_likelihood(model, [[0]]))
     flood = AlarmSequence(symbols=[0], times=[0.0], fault=0)
     trained = train_diagnoser(
-        [LabeledSequence(sequence=flood, fault=0)] * 2, codebook=AlarmSymbolCodebook(1),
+        [LabeledSequence(flood)] * 2, codebook=AlarmSymbolCodebook(1),
         config=FitConfig(max_iterations=1, emission_floor=0.0), init_smoothing=0.0)
     assert not np.signbit(trained.training["final_log_likelihood"])
 

@@ -30,6 +30,15 @@ from alarmhmm.plantsim import (
 )
 
 
+def assert_flood_invariants(seq, graph):
+    """A simulated flood: one time per symbol, symbols pairwise distinct and in
+    the graph's alphabet, times sorted."""
+    assert len(seq.symbols) == len(seq.times)
+    assert len(set(seq.symbols)) == len(seq.symbols)
+    assert all(0 <= symbol < graph.n_symbols for symbol in seq.symbols)
+    assert seq.times == sorted(seq.times)
+
+
 def toy_graph():
     return PropagationGraph(
         n_measurements=5,
@@ -117,7 +126,7 @@ class TestSimulate:
                 fault=fault, magnitude=magnitude, seed=seed, swap_prob=swap, drop_prob=drop
             )
             seq = simulate_alarm_sequence(graph, spec)
-            seq.validate(graph.n_symbols)
+            assert_flood_invariants(seq, graph)
             assert len(seq) >= 1
             assert seq.fault == fault
 
@@ -130,7 +139,7 @@ class TestScenarioSets:
         assert len(test) == sum(DEFAULT_TEST_COUNTS) == 42
         assert sorted({seq.fault for seq in train}) == list(range(10))
         for seq in train + test:
-            seq.validate(graph.n_symbols)
+            assert_flood_invariants(seq, graph)
 
     def test_same_seed_reproduces_bit_identical_sets(self):
         graph = default_graph()
