@@ -381,6 +381,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AlarmHmmError, OSError, MemoryError) as exc:
         message = " ".join(str(exc).split())
+        if not message and isinstance(exc, MemoryError):  # Python's own carry no text
+            message = "an allocation failed"
         kind = next(kind for cls, kind in _ERROR_KINDS if isinstance(exc, cls))
         print(f"error: {kind}: {message}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

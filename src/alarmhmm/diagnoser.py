@@ -162,11 +162,11 @@ def train_diagnoser(
     check_number(init_smoothing, "init_smoothing", 0)
     if not training:
         raise DomainError("training requires at least one labeled sequence")
-    labels = {item.fault for item in training}
-    n_faults = max(labels) + 1
-    missing = sorted(set(range(n_faults)) - labels)
-    if missing:
-        raise DomainError(f"fault {missing[0]} has no training sequences")
+    labels = sorted({item.fault for item in training})
+    for fault, label in enumerate(labels):  # labels are non-negative: a gap is a missing fault
+        if fault != label:
+            raise DomainError(f"fault {fault} has no training sequences")
+    n_faults = len(labels)
     n_symbols = codebook.n_symbols
     observations = _observations(training, n_symbols)
 
@@ -180,8 +180,9 @@ def train_diagnoser(
     np.fill_diagonal(transition, 1.0 - off_diagonal * (n_faults - 1))
 
     counts = np.full((n_faults, n_symbols), init_smoothing, dtype=float)
-    for item, obs in zip(training, observations):
-        np.add.at(counts[item.fault], obs, 1.0)
+    # add.at adds in index order, so each count grows as flood by flood would.
+    faults = np.repeat([item.fault for item in training], [obs.size for obs in observations])
+    np.add.at(counts, (faults, np.concatenate(observations)), 1.0)
     with np.errstate(over="ignore"):
         totals = counts.sum(axis=1, keepdims=True)
     if not np.isfinite(totals).all():

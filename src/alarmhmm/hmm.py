@@ -9,8 +9,8 @@ in O(N) per row (Felzenszwalb, Huttenlocher & Kleinberg 2004); any other
 transition takes an (N, N) product per step.  Exact
 decoding over a finite observation alphabet has one list-Viterbi step,
 :class:`_ListStep`, for Viterbi, k-best and every prefix's best path: it
-reads the previous step's scores and that step's emission-log rows,
-cached on the model at its first decode, and fills one buffer in place.
+alone knows a step's widths and ``-inf`` scores, reads the previous step's
+scores and that step's emission-log rows, and fills one buffer in place.
 :func:`k_best_paths` pushes one sequence's symbols through it; a batch
 pass decodes many side by side, yielding per-sequence scores and
 back-pointers.  Its two readers alone know their layout: the k-best one
@@ -44,6 +44,9 @@ from .errors import DomainError, InferenceError, ModelFormatError, UnknownSymbol
 
 #: tolerance used when checking that probability rows sum to one
 ROW_SUM_TOL = 1e-9
+
+#: the least float: no sum of log probabilities reaches it, and it lies above ``-inf``
+_LEAST = np.finfo(float).min
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -84,7 +87,7 @@ class Hmm:
     arrays live on the instance, outside the dataclass fields, so equality,
     ``repr`` and :func:`hmm_to_dict` never see them: the first forward pass
     keeps ``_pinned``, the transition's ``(d - e, e)`` form or ``None``, and
-    the first decode keeps ``_log_space``, the model's log-space arrays.
+    the first decode keeps ``_log_space``, the model's read-only log arrays.
     """
 
     transition: np.ndarray
@@ -139,9 +142,10 @@ class Hmm:
 class _LogSpace:
     """A model's arrays in log space, as the list-Viterbi step reads them.
 
-    ``emission`` is the C-contiguous (M, N) ``log(emission).T``, a row of N
-    emission terms per symbol; ``zeros`` says whether any log is ``-inf``.
-    All arrays are read-only, like the model's.
+    ``transition`` and ``emission`` are the C-contiguous ``log(transition).T``
+    (N, N), a row per next state, and ``log(emission).T`` (M, N), a row per
+    symbol; ``zeros`` says whether any log is ``-inf``.  Everything is
+    read-only and fixed once built, like the model.
     """
 
     def __init__(self, model: Hmm):
@@ -150,21 +154,11 @@ class _LogSpace:
                                                              model.initial))
         self.n = model.n_states
         self.initial = initial
+        self.transition = np.ascontiguousarray(trans.T)
         self.emission = np.ascontiguousarray(emit.T)
         self.zeros = any(np.isneginf(logs).any() for logs in (trans, emit, initial))
-        self._transitions = {1: np.ascontiguousarray(trans.T)}
-        for arr in (initial, self.emission, self._transitions[1]):
+        for arr in (initial, self.transition, self.emission):
             arr.setflags(write=False)
-
-    def transitions(self, w: int) -> np.ndarray:
-        """The (N, N * w) ``log(transition).T`` repeated ``w`` times along the
-        entries: ``[j, i * w + r]`` is the log probability of moving from state
-        ``i`` to state ``j``.  Built once per width and kept."""
-        block = self._transitions.get(w)
-        if block is None:
-            block = self._transitions[w] = self._transitions[1].repeat(w, axis=1)
-            block.setflags(write=False)
-        return block
 
 
 @dataclass(frozen=True)
@@ -566,42 +560,45 @@ class _ListStep:
     in :func:`_list_viterbi`'s layout.  It reads nothing else, so
     :func:`k_best_paths` drives it one symbol at a time with the row of
     ``model._log_space.emission`` at that symbol, and :func:`_list_viterbi`
-    with the rows it gathers for a batch.
+    with the rows it gathers for a batch.  After a call, ``dead`` flags the
+    floods with no entry above ``-inf``, or is ``None`` if no log is ``-inf``.
 
     The candidates of a step form one contiguous ``(a * N, E)`` array in
     a buffer kept between steps: row ``s * N + j`` is state ``j`` of flood
     ``s``, and column ``i * w + r`` the previous entry ``[i, r]`` of that
-    flood.  The buffer and the transition block are built again only when
-    the width ``w`` changes, in the first few steps; a width's first step
-    has the most floods of any of its steps, since floods only drop out of
-    a pass, so its buffer holds every later step.  Its flat slice, its
-    ``(a, N, E)`` and ``(a * N, E)`` views and the row offsets are made
-    again only when ``a`` or ``w`` changes.
+    flood.  The buffer and the transition block, ``_LogSpace.transition``
+    repeated ``w`` times along the entries, are built again only when the
+    width ``w`` changes, in the first few steps; a width's first step has
+    the most floods of any of its steps, since floods only drop out of a
+    pass, so its buffer holds every later step.  Its flat slice, its views
+    and the row offsets are made again only when ``a`` or ``w`` changes.
     Rank ``r`` of every cell is one ``argmax`` over each row, which returns
     the first maximum and so breaks ties by entry order; the pick plus its
-    row's offset indexes the buffer flat, for the gather of the values and
-    for the ``-inf`` mask of the taken entries.  A cell whose last rank is
-    ``-inf`` cannot tell its masked entries from its ``-inf`` ones, so its
-    candidates are ranked again, by score then entry order, in one stable
-    sort; only a model with an exact zero has such cells.
+    row's offset indexes the buffer flat, to gather the values and to mask
+    the taken entries to ``-inf``.  With ``-inf`` logs, the step first raises
+    ``-inf`` candidates to ``_LEAST``, above the masked entries, so they too
+    rank by entry order, and sets ranks that read ``_LEAST`` back to ``-inf``.
     """
 
     def __init__(self, model: Hmm, k: int):
         self.log, self.k = model._log_space, k
-        # the width of the previous step's cells that the buffer fits, and its views' shape
-        self.w, self.shape = 0, None
+        # the width of the previous step's cells that the buffer fits, its views' shape, ``dead``
+        self.w, self.shape, self.dead = 0, None, None
 
     def __call__(
         self, score: np.ndarray | None, bonus: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        n = self.log.n
+        n, zeros = self.log.n, self.log.zeros
         if score is None:
-            return self.log.initial + bonus.reshape(-1, n), None
+            top = self.log.initial + bonus.reshape(-1, n)
+            if zeros:
+                self.dead = np.isneginf(top).all(axis=1)
+            return top, None
         rows, entries = bonus.size, score.shape[1]
         if (rows, entries) != self.shape:
             if entries != n * self.w:
                 self.w = entries // n
-                self.trans = self.log.transitions(self.w)
+                self.trans = self.log.transition.repeat(self.w, axis=1)
                 self.buffer = np.empty(rows * entries)
             self.shape = rows, entries
             self.flat = flat = self.buffer[: rows * entries]
@@ -611,6 +608,8 @@ class _ListStep:
         flat, cand, offsets = self.flat, self.cand, self.offsets
         np.add(score[:, None, :], self.trans, out=self.cube)
         cand += bonus[:, None]
+        if zeros:
+            np.maximum(cand, _LEAST, out=cand)
         top = np.empty((rows, width))
         picks = np.empty((rows, width), dtype=np.int64)
         for rank in range(width):
@@ -619,12 +618,10 @@ class _ListStep:
             picks[:, rank] = pick = cand.argmax(axis=1)
             cells = pick + offsets
             top[:, rank] = flat[cells]
-        if self.log.zeros and top[:, -1].min() == -np.inf:
-            bad = np.flatnonzero(top[:, -1] == -np.inf)
-            fresh = score[bad // n] + self.trans[bad % n]
-            fresh += bonus[bad, None]
-            picks[bad] = np.argsort(-fresh, axis=1, kind="stable")[:, :width]
-            top[bad] = np.take_along_axis(fresh, picks[bad], axis=1)
+        if zeros:
+            least = top == _LEAST
+            top[least] = -np.inf
+            self.dead = least[:, 0].reshape(-1, n).all(axis=1)
         return top.reshape(-1, n * width), picks.reshape(-1, n * width)
 
 
@@ -655,23 +652,21 @@ def _list_viterbi(
     This is the step's batch driver (:func:`k_best_paths` drives it for one
     flood), and the step alone ranks candidates: the pass gathers every
     step's emission rows once, from the model's cached log-space arrays
-    (``Hmm._log_space``), and hands the step its rows, so no pass takes
-    the model's logs or allocates a step's candidates afresh.  A flood that
-    fails, with no entry above ``-inf`` (only a model with an exact zero
-    can), keeps being decoded on ``-inf`` scores; once every step is done,
-    :func:`_raise_first_failure` names the failing flood that comes first
-    in the caller's list.
+    (``Hmm._log_space``), and hands the step its rows.  A flood the step
+    flags ``dead`` keeps being decoded on ``-inf`` scores; once every step
+    is done, :func:`_raise_first_failure` names the first such flood in the
+    caller's list.
     """
-    n, log = model.n_states, model._log_space
+    n = model.n_states
     # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
-    bonus = log.emission[batch.symbols].reshape(batch.symbols.shape[0], -1)
+    bonus = model._log_space.emission[batch.symbols].reshape(batch.symbols.shape[0], -1)
     # failed[t, s] marks a step at which flood s has no entry above -inf.
     failed = np.zeros(batch.symbols.shape, dtype=bool)
     step, score = _ListStep(model, k), None
     for t, a in enumerate(batch.active[:-1].tolist()):
         score, back = step(score[:a] if t else None, bonus[t, : a * n])
-        if log.zeros:
-            failed[t, :a] = np.isneginf(score[:, :: score.shape[1] // n]).all(axis=1)
+        if step.dead is not None:
+            failed[t, :a] = step.dead
         yield score, back
     _raise_first_failure(batch, failed, _no_path)
 
@@ -743,7 +738,7 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     for t, symbol in enumerate(symbols.tolist()):
         score, back = step(score, log.emission[symbol])
         backs.append(back)
-        if log.zeros and np.isneginf(score[0, :: score.shape[1] // log.n]).all():
+        if step.dead is not None and step.dead[0]:
             raise InferenceError(f"sequence 0: {_no_path(t)} at step {t}")
     return _best_paths(score, backs, log.n, 0, k)
 

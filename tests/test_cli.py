@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import textwrap
@@ -1081,6 +1082,41 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: out-of-memory: ") and err.count("\n") == 1, err
         assert not (tmp_path / "evaluation").exists()
+
+    def test_a_bare_memory_error_still_has_a_message(self, tmp_path, monkeypatch, capsys):
+        # Python's own allocation failures raise MemoryError with no text.
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr("alarmhmm.cli.cmd_report", exhausted)
+        assert main(["report", "--evaluation", str(tmp_path), "--baseline", str(tmp_path),
+                     "--out", str(tmp_path / "comparison.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out-of-memory: ") and err.count("\n") == 1, err
+        assert err.removeprefix("error: out-of-memory: ").strip(), err
+
+    def test_a_huge_fault_label_is_one_domain_error(self, tmp_path):
+        # Faults 0 and 10**12: the missing fault 1 is found from the labels
+        # present, so train fails at once even in a 4 GB address space, where
+        # a set of every fault up to the largest label could not be built.
+        floods = tmp_path / "floods.jsonl"
+        floods.write_text("".join(
+            json.dumps({"fault": fault, "symbols": [0], "times": [0.0],
+                        "meta": {"n_measurements": 1}}) + "\n" for fault in (0, 10**12)))
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (4 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "alarmhmm.cli", "train", "--in", str(floods),
+             "--out", str(tmp_path / "model.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=capped, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            1, "error: domain-error: fault 1 has no training sequences\n"), done.stderr
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("command, message", [
         ("train", "schema-mismatch: {floods}:1: n_measurements must lie in [1, 1518500249], "

@@ -532,15 +532,41 @@ class TestDiagnoserShape:
     def test_one_flood_pushed_through_one_step_equals_the_batch_pass(
             self, seed, n, k, kind, length):
         rng = np.random.default_rng(seed)
-        if kind == "random":
-            model = oracles.random_model(n, 2 * n, seed=seed)
-        elif kind == "coarse":  # exact zeros, so some floods cannot be decoded; n is its own
-            model = coarse_case(seed)[0]
-        else:
-            model = self.pinned_model(rng, n, kind == "pinned with zeros")
+        model = self.model_of_kind(kind, rng, n, seed)
         obs = rng.integers(0, model.n_symbols, size=length)
         assert self.decoded(lambda: k_best_paths(model, obs, k)) == \
             self.decoded(lambda: _k_best(model, [obs], k)[0])
+
+    @classmethod
+    def model_of_kind(cls, kind, rng, n, seed):
+        if kind == "random":
+            return oracles.random_model(n, 2 * n, seed=seed)
+        if kind == "coarse":  # exact zeros, so some floods cannot be decoded; n is its own
+            return coarse_case(seed)[0]
+        return cls.pinned_model(rng, n, kind == "pinned with zeros")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), k=st.sampled_from([1, 2, 3]),
+           kind=st.sampled_from(["coarse", "pinned", "pinned with zeros", "random"]),
+           lengths=st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    @example(seed=27, n=1, k=2, kind="coarse", lengths=[12, 3])
+    @example(seed=5, n=3, k=3, kind="coarse", lengths=[5, 2])  # no state emits the first symbol
+    def test_the_step_flags_each_flood_with_no_entry_above_minus_inf(
+            self, seed, n, k, kind, lengths):
+        rng = np.random.default_rng(seed)
+        model = self.model_of_kind(kind, rng, n, seed)
+        zeros = any((arr == 0).any() for arr in (model.transition, model.emission, model.initial))
+        floods = [rng.integers(0, model.n_symbols, size=t) for t in lengths]
+        batch, n = _batch(floods), model.n_states
+        bonus = model._log_space.emission[batch.symbols].reshape(batch.symbols.shape[0], -1)
+        step, score = _ListStep(model, k), None
+        for t, a in enumerate(batch.active[:-1].tolist()):
+            score, _ = step(score[:a] if t else None, bonus[t, : a * n])
+            if zeros:
+                expected = np.isneginf(score[:, :: score.shape[1] // n]).all(axis=1)
+                assert step.dead.tolist() == expected.tolist()
+            else:
+                assert step.dead is None
 
 
 class TestLogSpaceCache:
@@ -579,6 +605,21 @@ class TestLogSpaceCache:
             assert not {"_log_space", "_pinned"} & {field.name for field in fields}
             assert repr(model) == text
             assert hmm_to_dict(model) == document
+
+    @pytest.mark.parametrize("case", ["dense", "coarse with zeros"])
+    def test_decoding_leaves_the_log_arrays_as_first_built(self, case):
+        model, obs = ((oracles.random_model(4, 6, seed=6), np.array([0, 5, 2, 3, 1]))
+                      if case == "dense" else coarse_case(1419))
+        log = model._log_space
+        assert log.zeros == (case != "dense")
+        built = dict(vars(log))
+        for k in (1, 2, 3):
+            k_best_paths(model, obs, k)
+            _k_best(model, [obs], k)
+        assert vars(log).keys() == built.keys()
+        for key, value in vars(log).items():
+            assert value is built[key], key
+            assert isinstance(value, (int, bool)) or not value.flags.writeable, key
 
     def test_a_fitted_model_decodes_as_its_arrays_do(self):
         rng = np.random.default_rng(7)
