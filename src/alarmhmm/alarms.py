@@ -373,5 +373,14 @@ def write_sequences_jsonl(path, sequences: list[AlarmSequence]) -> None:
     write_jsonl(path, map(sequence_to_dict, sequences))
 
 
-def read_sequences_jsonl(path) -> list[AlarmSequence]:
-    return read_jsonl(path, sequence_from_dict)
+def read_sequences_jsonl(path, labeled: bool = False) -> list[AlarmSequence]:
+    """The floods of a JSON Lines file; with ``labeled``, a record whose fault is
+    null fails with ``no fault label``, named by its ``<path>:<line>``."""
+
+    def build(record) -> AlarmSequence:
+        sequence = sequence_from_dict(record)
+        if labeled and sequence.fault is None:
+            raise DomainError("no fault label")
+        return sequence
+
+    return read_jsonl(path, build)

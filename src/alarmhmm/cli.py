@@ -107,14 +107,15 @@ def _codebook_for(groups, size: int | None, source: str = "--measurements") -> A
     return codebook
 
 
-def _read_inputs(paths) -> list:
-    """The sequences of every ``--in`` file, pooled in the order given."""
-    return [sequence for path in paths for sequence in read_sequences_jsonl(path)]
+def _read_inputs(paths, labeled: bool = False) -> list:
+    """The sequences of every ``--in`` file, pooled in the order given; with
+    ``labeled``, an unlabeled one fails, named by its ``<path>:<line>``."""
+    return [sequence for path in paths for sequence in read_sequences_jsonl(path, labeled)]
 
 
-def _read_floods(paths, model) -> list:
+def _read_floods(paths, model, labeled: bool = False) -> list:
     """:func:`_read_inputs`, each record declaring the model's count if it declares one."""
-    sequences = _read_inputs(paths)
+    sequences = _read_inputs(paths, labeled)
     _codebook_for([("sequence", sequences)], model.codebook.n_measurements, "the model's")
     return sequences
 
@@ -179,7 +180,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    sequences = _read_inputs(args.inputs)
+    sequences = _read_inputs(args.inputs, labeled=True)
     labeled = as_labeled(sequences)
     codebook = _codebook_for([("sequence", sequences)], args.measurements)
     config = FitConfig(max_iterations=args.max_iters, rel_tol=args.rel_tol,
@@ -233,11 +234,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_diagnoser(args.model)
-    sequences = _read_floods(args.inputs, model)
-    labeled = as_labeled(sequences)
+    labeled = as_labeled(_read_floods(args.inputs, model, labeled=True))
     # At least 1, so that an empty input or floods without alarms meet the
     # checks of evaluate_prefix_accuracy, as with an explicit --lmax.
-    l_max = args.lmax if args.lmax is not None else max([1] + [len(i.sequence) for i in labeled])
+    l_max = args.lmax if args.lmax is not None else max([1] + [len(i.symbols) for i in labeled])
     curve = evaluate_prefix_accuracy(model, labeled, l_max=l_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,7 +251,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    train_sequences = read_sequences_jsonl(args.train)
+    train_sequences = read_sequences_jsonl(args.train, labeled=True)
     labeled = as_labeled(train_sequences)
     test_sequences = _read_inputs(args.inputs)
     codebook = _codebook_for([("training sequence", train_sequences),

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from alarmhmm import DomainError, UnknownSymbolError
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.baseline import (
+    _average_linkage,
     dechatter,
     fit_baseline,
     write_dendrogram_csv,
@@ -295,6 +298,31 @@ class TestFlatCut:
             assert result.train_clusters.tolist() == expected.tolist()
             votes = [np.bincount(faults[expected == c]) for c in range(n_clusters)]
             assert result.cluster_faults.tolist() == [int(np.argmax(v)) for v in votes]
+
+
+class TestAverageLinkage:
+    """The numpy port of average linkage against scipy's ``linkage``, bit for bit."""
+
+    @staticmethod
+    @st.composite
+    def condensed(draw):
+        # Square roots of integers from a small range: ties and zeros are common,
+        # and distances are what fit_baseline passes, the roots of exact integers.
+        n = draw(st.integers(2, 30))
+        top = draw(st.integers(0, 12))
+        pairs = st.lists(st.integers(0, top), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        return np.sqrt(np.array(draw(pairs), dtype=float))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(y=condensed())
+    @example(y=np.full(7 * 6 // 2, 2.0))   # all distances equal
+    @example(y=np.zeros(9 * 8 // 2))       # all distances zero
+    @example(y=np.zeros(30 * 29 // 2))
+    @example(y=np.array([1.0]))
+    def test_matches_scipy(self, y):
+        expected = [(int(a), int(b), float(d).hex()) for a, b, d, _ in linkage(y, "average")]
+        merges = _average_linkage(squareform(y))
+        assert [(a, b, distance.hex()) for a, b, distance in merges] == expected
 
 
 class TestCsvOutputs:

@@ -581,7 +581,7 @@ class TestDeterminism:
 
 
 class TestImportFootprint:
-    def test_only_the_baseline_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         # A fresh interpreter: tests/oracles.py has loaded scipy into this one.
         script = textwrap.dedent("""
             import sys
@@ -592,21 +592,25 @@ class TestImportFootprint:
 
             import alarmhmm
             from alarmhmm import cli
+            from alarmhmm.alarms import write_trace_csv
+            from alarmhmm.plantsim import simulate_normal_trace
             assert not scipy_modules(), scipy_modules()
 
             def run(*argv):
                 assert cli.main(list(argv)) == 0, argv
+                assert not scipy_modules(), (argv[0], scipy_modules())
 
             run("simulate", "--seed", "1", "--out", "data")
+            for index in range(2):
+                write_trace_csv(f"trace{index}.csv", simulate_normal_trace(3, 100, seed=index))
+            run("extract", "--normal", "trace0.csv", "--in", "trace1.csv", "--out", "x.jsonl")
             run("train", "--in", "data/train.jsonl", "--out", "model.json")
             run("diagnose", "--model", "model.json", "--in", "data/test.jsonl",
                 "--out", "diagnosis.jsonl")
             run("evaluate", "--model", "model.json", "--in", "data/test.jsonl",
                 "--out", "evaluation")
-            assert not scipy_modules(), scipy_modules()
             run("baseline", "--train", "data/train.jsonl", "--in", "data/test.jsonl",
                 "--out", "baseline")
-            assert {"scipy.sparse", "scipy.cluster"} <= set(scipy_modules()), scipy_modules()
             run("report", "--evaluation", "evaluation", "--baseline", "baseline",
                 "--out", "comparison.csv")
         """)
@@ -1199,4 +1203,25 @@ class TestErrorReporting:
         seqs.write_text('{"fault": null, "symbols": [0], "times": [0.0], "meta": {}}\n')
         code = main(["train", "--in", str(seqs), "--out", str(tmp_path / "model.json")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: domain-error:")
+        assert capsys.readouterr().err == f"error: domain-error: {seqs}:1: no fault label\n"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "baseline"])
+    def test_an_unlabeled_flood_is_named_by_its_file_and_line(self, pipeline, capsys, command):
+        # The unlabeled record is on line 3 of the second file, after a blank
+        # line: a count of the records pooled from both files would name neither.
+        tmp_path, data, model = pipeline
+        unlabeled = tmp_path / "unl.jsonl"
+        labeled_line, _ = (data / "test.jsonl").read_text().split("\n", 1)
+        record = json.loads(labeled_line)
+        unlabeled.write_text(f"{labeled_line}\n\n{json.dumps({**record, 'fault': None})}\n")
+        capsys.readouterr()
+        inputs = ["--in", str(data / "train.jsonl"), "--in", str(unlabeled)]
+        argv = {
+            "train": ["train", *inputs, "--out", str(tmp_path / "m.json")],
+            "evaluate": ["evaluate", "--model", str(model), *inputs,
+                         "--out", str(tmp_path / "evaluation")],
+            "baseline": ["baseline", "--train", str(unlabeled), "--in", str(data / "test.jsonl"),
+                         "--out", str(tmp_path / "baseline")],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: domain-error: {unlabeled}:3: no fault label\n"
