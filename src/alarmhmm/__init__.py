@@ -22,7 +22,6 @@ from .alarms import (
 from .baseline import (
     BaselineResult,
     Dendrogram,
-    dechatter,
     fit_baseline,
 )
 from .diagnoser import (

@@ -25,12 +25,6 @@ from .hmm import as_symbols
 PREDICTION_FIELDS = {"sequence_id": COUNT, "true_fault": OPTIONAL_COUNT, "predicted_fault": COUNT}
 
 
-def dechatter(symbols) -> list[int]:
-    """Collapse consecutive repeats of the same symbol to one occurrence."""
-    symbols = list(symbols)
-    return [s for i, s in enumerate(symbols) if i == 0 or s != symbols[i - 1]]
-
-
 def _entries(rows, columns, counts, n_columns: int) -> np.ndarray:
     """A sparse integer matrix as the (3, E) int64 stack of its ``rows``,
     ``columns`` (below ``n_columns``) and ``counts``, sorted by row, then

@@ -4,11 +4,13 @@ Training seeds one state per fault (diagonally dominant transitions,
 per-fault alarm frequencies as emissions) and then runs unsupervised
 Baum-Welch over all sequences pooled; because the states start from the
 labeled per-fault statistics, state ``i`` is identified with fault ``i``
-throughout.  Diagnosis decodes a sequence once, for its two best paths,
-and reports the most recurring state of the best one as the fault, plus a
-second opinion from the runner-up; one pass yields every prefix verdict.
-Both decode their floods side by side, in chunks of at most N, and read
-state ``j`` as fault ``j``, in :func:`_fault_counts` and in the prefix counts.
+throughout.  A verdict is read off each fault's summed log emission terms
+(``hmm._fault_scores``), the fault posterior of the flood less a term all
+faults share: the best-scoring fault is the primary, the runner-up the
+secondary, and every prefix of a flood gets its verdict from the same
+sums.  Diagnosis also decodes each flood once, for its two best paths, the
+explanation it reports.  Both score their floods side by side, in chunks
+of at most N.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from .hmm import (
     FitConfig,
     Hmm,
     StatePath,
+    _batches,
+    _fault_scores,
     _k_best,
     _observations,
-    _prefix_best,
     as_observations,
     fit,
     hmm_from_dict,
@@ -128,14 +131,6 @@ class AccuracyCurve:
     confusion: np.ndarray   # (L_max, n_faults, n_faults): true x diagnosed counts
 
 
-def _fault_counts(states: np.ndarray, n_faults: int) -> np.ndarray:
-    """How often each fault occurs on each path: (paths, T) states to
-    (paths, n_faults) counts, in one bincount, state ``j`` being fault ``j``
-    as in the prefix counts of :func:`evaluate_prefix_accuracy`."""
-    cells = states + n_faults * np.arange(states.shape[0])[:, None]
-    return np.bincount(cells.ravel(), minlength=states.shape[0] * n_faults).reshape(-1, n_faults)
-
-
 def train_diagnoser(
     training: list[LabeledSequence],
     *,
@@ -210,52 +205,53 @@ def train_diagnoser(
     )
 
 
-def _verdict(paths: list[StatePath], n: int) -> Diagnosis:
-    """The verdict of one flood's best paths (best first, equal lengths);
-    every count ties to the lowest fault index."""
-    counts = _fault_counts(np.array([path.states for path in paths]), n)
-    primary = int(counts[0].argmax())
-    secondary = None
-    if len(paths) > 1:
-        secondary = int(counts[1].argmax())
-        if secondary == primary:
-            # the best path's runner-up fault, else the second path's
-            counts[:, primary] = 0
-            holders = np.flatnonzero(counts.any(axis=1))
-            secondary = int(counts[holders[0]].argmax()) if holders.size else None
+def _verdict(scores: np.ndarray, paths: list[StatePath]) -> Diagnosis:
+    """The verdict of one flood from its (N,) fault scores at its last step
+    and its best paths, best first: the faults in descending order of score,
+    ties to the lower fault (one stable sort), give the primary and the
+    secondary fault; a one-fault model has no secondary."""
+    ranked = np.argsort(-scores, kind="stable")[:2].tolist()
     return Diagnosis(
-        primary_fault=primary,
-        secondary_fault=secondary,
+        primary_fault=ranked[0],
+        secondary_fault=ranked[1] if len(ranked) > 1 else None,
         path=paths[0],
         second_path=paths[1] if len(paths) > 1 else None,
     )
 
 
 def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
-    """Diagnose every alarm sequence, each with a single list-Viterbi decode.
+    """Diagnose every alarm sequence from its fault scores, and decode it once.
 
-    The floods are decoded side by side in chunks of at most N (the number
-    of faults); each verdict equals the one the flood gets alone.  The
-    primary fault is the most recurring state of the Viterbi path (ties to
-    the lowest index); that path is rank 0 of the k=2 decode and the best
-    path of the full-length prefix, so the primary fault is also the
-    full-length verdict of :func:`evaluate_prefix_accuracy`.  The secondary
-    fault is the mode of the second-best path; when that coincides with the primary,
-    the second most frequent state of the best path stands in, and if the
-    best path is constant, the second path supplies its own runner-up
-    state.  Only a single-path model (one fault) yields no secondary.  An
-    error about one sequence starts with ``sequence <i>: ``, ``i`` counting
-    from 0 in ``sequences``; of several floods that cannot be decoded, the
-    first in the list is named.
+    The primary fault is the one whose log emission terms summed over the
+    whole flood (``hmm._fault_scores``) are highest, ties to the lowest
+    index, which is the full-length verdict of
+    :func:`evaluate_prefix_accuracy` bit for bit; the secondary fault is the
+    runner-up in the same order, and only a one-fault model yields none.
+    The two best state paths, from one k=2 list-Viterbi decode, explain the
+    verdict and do not enter it.  The floods are scored, then decoded, side
+    by side in chunks of at most N (the number of faults); each verdict
+    equals the one the flood gets alone.  An error about one sequence
+    starts with ``sequence <i>: ``, ``i`` counting from 0 in ``sequences``.
+    Every flood is scored before any is decoded, so of the floods where
+    every fault scores ``-inf``, the first in the list is named; else, of
+    those that cannot be decoded, the first.
     """
     observations = _observations(sequences, model.hmm.n_symbols)
-    return [_verdict(paths, model.n_faults) for paths in _k_best(model.hmm, observations, 2)]
+    ends = np.array([obs.size for obs in observations], dtype=np.int64) - 1
+    last = np.empty((len(observations), model.n_faults))
+    for batch in _batches(observations, model.n_faults):
+        scores = _fault_scores(model.hmm, batch.symbols, batch)
+        last[batch.order] = scores[ends[batch.order], np.arange(batch.order.size)]
+    return [_verdict(row, paths) for row, paths in zip(last, _k_best(model.hmm, observations, 2))]
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
-    """The :func:`diagnose_all` verdict of one sequence, decoded through
-    :func:`k_best_paths`; an error names it ``sequence 0``."""
-    return _verdict(k_best_paths(model.hmm, sequence, 2), model.n_faults)
+    """The :func:`diagnose_all` verdict of one sequence, scored as one column
+    and decoded through :func:`k_best_paths`, with no batch; an error names
+    it ``sequence 0``."""
+    symbols = _observations([sequence], model.hmm.n_symbols)[0]
+    scores = _fault_scores(model.hmm, symbols[:, None])
+    return _verdict(scores[-1, 0], k_best_paths(model.hmm, symbols, 2))
 
 
 def evaluate_prefix_accuracy(
@@ -268,15 +264,15 @@ def evaluate_prefix_accuracy(
     verdict for lengths beyond the sequence is the full-sequence verdict,
     the primary fault :func:`diagnose` gives.  Every flood is checked in
     full (its label, then its symbols) before it is cut to ``l_max``.  The
-    floods are decoded side by side in chunks of at most N, in one k=1
-    list-Viterbi pass per chunk whose back-pointers are traced back once;
-    every step of the pass gives each running flood's verdict for that
-    prefix: the most counted state of its rank-0 path, ties to the lowest.
-    ``l_max`` is a Python or numpy integer of at least 1, and at most the
-    largest count whose confusion numpy can size; anything else, ``True``
-    or ``2.0`` included, raises :class:`DomainError`.  An error
-    about one sequence starts with ``sequence <i>: ``, ``i`` counting from
-    0 in ``test``.
+    floods are scored side by side in chunks of at most N, and nothing is
+    decoded: step ``t`` of a flood's fault scores (``hmm._fault_scores``)
+    gives its verdict for the prefix of ``t + 1`` alarms, the best-scoring
+    fault, ties to the lowest.  ``l_max`` is a Python or numpy integer of
+    at least 1, and at most the largest count whose confusion numpy can
+    size; anything else, ``True`` or ``2.0`` included, raises
+    :class:`DomainError`.  An error about one sequence starts with
+    ``sequence <i>: ``, ``i`` counting from 0 in ``test``; of the cut floods
+    where every fault scores ``-inf``, the first is named.
     """
     n = model.n_faults
     # the byte size of the (l_max, n, n) int64 confusion must fit numpy's index type
@@ -292,8 +288,9 @@ def evaluate_prefix_accuracy(
     ends = np.array([obs.size for obs in observations])[:, None] - 1
     steps = np.arange(ends.max() + 1)
     verdicts = np.empty((len(test), steps.size), dtype=np.int64)
-    for step, floods, counts in _prefix_best(model.hmm, observations):
-        verdicts[floods, step] = counts.argmax(axis=1)
+    for batch in _batches(observations, n):
+        scores = _fault_scores(model.hmm, batch.symbols, batch)
+        verdicts[batch.order, : scores.shape[0]] = scores.argmax(axis=2).T
     # Past its end, a flood keeps its full-length verdict.
     verdicts = np.take_along_axis(verdicts, np.minimum(steps, ends), axis=1)
     faults = np.array([item.fault for item in test])

@@ -8,13 +8,14 @@ the diagnoser's pinned one, is ``(d - e) I + e J``, so the kernels apply it
 in O(N) per row (Felzenszwalb, Huttenlocher & Kleinberg 2004); any other
 transition takes an (N, N) product per step.  Exact
 decoding over a finite observation alphabet has one list-Viterbi step,
-:class:`_ListStep`, for Viterbi, k-best and every prefix's best path: it
-alone knows a step's widths and ``-inf`` scores, reads the previous step's
-scores and that step's emission-log rows, and fills one buffer in place.
-:func:`k_best_paths` pushes one sequence's symbols through it; a batch
-pass decodes many side by side, yielding per-sequence scores and
-back-pointers.  Its two readers alone know their layout: the k-best one
-traces paths, the prefix one counts states.  The forward/backward pass
+:class:`_ListStep`, for Viterbi and k-best: it alone knows a step's widths
+and ``-inf`` scores, reads the previous step's scores and that step's
+emission-log rows, and fills one buffer in place.  :func:`k_best_paths`
+pushes one sequence's symbols through it; a batch pass decodes many side
+by side, yielding per-sequence scores and back-pointers, which only the
+k-best reader traces.  The diagnoser's verdicts decode nothing: they read
+:func:`_fault_scores`, each state's log emission terms summed along time.
+The forward/backward pass
 rescales at every step and keeps the normalizers private to the kernels,
 decoding works entirely in log space, so long sequences do not underflow.
 Training, the likelihood and decoding start an error about one sequence
@@ -265,7 +266,8 @@ def _batch(seqs: list[np.ndarray], first: int = 0) -> _Batch:
 
 
 def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
-    """``seqs`` in list-order chunks of at most ``n_states`` sequences.
+    """``seqs`` in list-order chunks of at most ``n_states`` sequences, as the
+    E-step, the k-best pass and :func:`_fault_scores` take them.
 
     The cap is set by peak RSS, not speed: on the benchmark's scaled plants,
     one batch of every sequence raised the peak RSS (``ru_maxrss``, 2 vCPUs)
@@ -275,17 +277,18 @@ def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
     return [_batch(seqs[start:start + n_states], start) for start in range(0, len(seqs), n_states)]
 
 
-def _raise_first_failure(batch: _Batch, failed: np.ndarray, what: Callable[[int], str]) -> None:
+def _raise_first_failure(order: np.ndarray, failed: np.ndarray, what: Callable[[int], str]) -> None:
     """Raise :class:`InferenceError` if any cell of the (L, S) ``failed`` mask is set.
 
-    Of the failing sequences, the one that comes first in the caller's list
-    is named, with ``what(step)`` at its first failed step.
+    Column ``c`` is sequence ``order[c]`` of the caller's list.  Of the
+    failing sequences, the one that comes first in that list is named, with
+    ``what(step)`` at its first failed step.
     """
     if failed.any():
         columns = np.flatnonzero(failed.any(axis=0))
-        column = columns[np.argmin(batch.order[columns])]
+        column = columns[np.argmin(order[columns])]
         step = int(np.argmax(failed[:, column]))
-        raise InferenceError(f"sequence {batch.order[column]}: {what(step)} at step {step}")
+        raise InferenceError(f"sequence {order[column]}: {what(step)} at step {step}")
 
 
 def _workspace(batches: list[_Batch], n: int) -> list[np.ndarray]:
@@ -358,7 +361,7 @@ def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndar
             np.multiply(prior, emit[t, :k], out=row)
             np.add.reduce(row, axis=1, out=total[t, :k])
             row *= 1.0 / total[t, :k, None]
-    _raise_first_failure(batch, total <= 0.0, lambda step: "zero total forward probability")
+    _raise_first_failure(batch.order, total <= 0.0, lambda step: "zero total forward probability")
     return emit, alpha, 1.0 / total
 
 
@@ -640,14 +643,13 @@ def _list_viterbi(
     and ``back[s, e]`` (shape ``(a, E)``) the entry of flood ``s`` at step
     ``t - 1`` that it extends, a back-pointer; step 0 extends nothing and
     yields ``back=None``.  No path is stored: :func:`_trace` follows the
-    back-pointers to the states, :func:`_prefix_best` to each prefix's state
-    counts, and no other code knows the layout.  The back-pointers of a
-    flood hold ``E`` entries per step, no more than its final ``(E, T)`` paths.
-    Candidates rank by total score, emission term included, then by entry
-    order (lowest entry of the previous step first), within each flood, so
-    the first best entry of a flood is its rank 0.  Step ``t`` reads only
-    the first ``t + 1`` symbols, so every step's yield is the answer for
-    that prefix; a flood's last yield is at its own last step.
+    back-pointers to the states, and no other code knows the layout.  The
+    back-pointers of a flood hold ``E`` entries per step, no more than its
+    final ``(E, T)`` paths.  Candidates rank by total score, emission term
+    included, then by entry order (lowest entry of the previous step first),
+    within each flood, so the first best entry of a flood is its rank 0.
+    Step ``t`` reads only the first ``t + 1`` symbols; a flood's last yield
+    is at its own last step.
 
     This is the step's batch driver (:func:`k_best_paths` drives it for one
     flood), and the step alone ranks candidates: the pass gathers every
@@ -668,7 +670,7 @@ def _list_viterbi(
         if step.dead is not None:
             failed[t, :a] = step.dead
         yield score, back
-    _raise_first_failure(batch, failed, _no_path)
+    _raise_first_failure(batch.order, failed, _no_path)
 
 
 def _no_path(step: int) -> str:
@@ -754,51 +756,36 @@ def viterbi(model: Hmm, obs) -> StatePath:
     return k_best_paths(model, obs, 1)[0]
 
 
-def _prefix_best(
-    model: Hmm, observations: list[np.ndarray]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """How the best path of every prefix of every validated flood spends its
-    steps, from one k=1 pass per :func:`_batches` chunk: for each step ``t``
-    of a chunk, in order, ``(t, floods, counts)``, where ``floods`` (a,) are
-    the list indices of its ``a`` running floods and ``counts[s, j]`` (a, N)
-    is how many of the first ``t + 1`` symbols the first best entry of flood
-    ``floods[s]`` spends in state ``j``, in the smallest unsigned integer type
-    that holds the chunk's step count.
+def _fault_scores(model: Hmm, symbols: np.ndarray, batch: _Batch | None = None) -> np.ndarray:
+    """Each state's log emission terms summed along time: for the (T, S)
+    ``symbols``, ``scores[t, s, f]`` is the sum of ``log b_f(o_u)`` over the
+    first ``t + 1`` symbols ``o_u`` of column ``s``.
 
-    The pass keeps each step's back-pointers and best entries; then one
-    backward numpy sweep over the chunk's L steps traces the best entries of
-    all (step, flood) pairs together, in O(L) numpy calls, counting each
-    prefix's state at every step it reaches.  The sweep holds one state and N
-    counts per prefix, no path, so its memory grows with L, not with L**2.
+    Read with state ``f`` as fault ``f``, this is the log fault posterior
+    of every prefix of a flood (Rabiner 1989; Chow 1970) with the
+    transitions between faults removed, up to a term that every fault
+    shares, and with no initial distribution: its argmax, ties to the
+    lowest fault, is the diagnoser's verdict.  One gather of the cached log
+    emission rows is summed in place, so the (T, S, N) result is the only
+    array of its size.  ``np.cumsum`` adds each column left to right, so a
+    flood's scores have the same bits alone as in a batch.
+
+    ``symbols`` is ``batch.symbols``, or without ``batch`` one flood as a
+    (T, 1) column.  With exact zeros (``_LogSpace.zeros``), the first step
+    at which every fault of a flood, padding aside, scores ``-inf`` raises
+    :class:`InferenceError` through :func:`_raise_first_failure`, naming the
+    batch's first such flood in the caller's list, or ``sequence 0``.
     """
-    n = model.n_states
-    for batch in _batches(observations, n):
-        best, backs = [], []
-        for score, back in _list_viterbi(model, batch, 1):
-            best.append(score.argmax(axis=1))
-            backs.append(back)
-        # Columns: the running floods of the last step, then of each earlier
-        # step, so the prefixes that reach step u lead; states[c] is the state
-        # of prefix c at the step being traced, and also its entry, as k = 1
-        # keeps one entry per state.  A prefix starts from its best entry at
-        # its own step.  counts[rows[c] + j] is cell (c, j) of the (prefixes, N)
-        # counts: a flat index costs a third of a (row, state) pair at N = 30,
-        # and as the rows are unique, no count is lost.
-        sizes = [entries.size for entries in best[::-1]]
-        ends = np.cumsum(sizes)[::-1].tolist()
-        states = np.concatenate(best[::-1]).astype(np.min_scalar_type(n - 1))
-        counts = np.zeros(ends[0] * n, dtype=np.min_scalar_type(len(best)))
-        rows = np.arange(0, counts.size, n)
-        flood = np.concatenate([np.arange(size) * n for size in sizes])
-        for u in range(len(best) - 1, -1, -1):
-            lead = ends[u]
-            counts[rows[:lead] + states[:lead]] += 1
-            if u:
-                states[:lead] = backs[u].ravel()[flood[:lead] + states[:lead]]
-        counts = counts.reshape(-1, n)
-        for t, end in enumerate(ends):
-            a = best[t].size
-            yield t, batch.order[:a], counts[end - a:end]
+    log = model._log_space
+    scores = log.emission[symbols]
+    np.cumsum(scores, axis=0, out=scores)
+    if log.zeros:
+        failed = np.isneginf(scores.max(axis=2))
+        if batch is None:
+            _raise_first_failure(np.zeros(1, dtype=np.int64), failed, _no_path)
+        else:
+            _raise_first_failure(batch.order, failed & ~batch.padding, _no_path)
+    return scores
 
 
 def hmm_to_dict(model: Hmm) -> dict:

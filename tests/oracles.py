@@ -11,7 +11,9 @@ enumerated update.  :func:`random_model` draws the seeded models the
 tests run on.  :func:`bincount_emission_counts`,
 :func:`sparse_emission_counts` and :func:`loop_floor_rows` are earlier
 forms of the E-step's emission counts and of the M-step's floor, which
-the fast code must match bit for bit.
+the fast code must match bit for bit.  :func:`dechatter` is the chattering
+removal that the baseline does inline, and :func:`loop_posterior_verdicts`
+the diagnoser's verdict rule, one prefix at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy.spatial.distance import pdist
 
 from alarmhmm import Hmm, InferenceError, SchemaError, hmm
 from alarmhmm.alarms import MeasurementTrace
-from alarmhmm.baseline import BaselineResult, Dendrogram, dechatter
+from alarmhmm.baseline import BaselineResult, Dendrogram
 from alarmhmm.documents import check_int, open_text
 
 
@@ -280,6 +282,12 @@ def enum_em_update(model, sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray
     )
 
 
+def dechatter(symbols) -> list[int]:
+    """Collapse consecutive repeats of the same symbol to one occurrence."""
+    symbols = list(symbols)
+    return [s for i, s in enumerate(symbols) if i == 0 or s != symbols[i - 1]]
+
+
 def dense_successor_counts(sequence, n_symbols: int) -> np.ndarray:
     """The full M x M successor-count matrix of the de-chattered sequence."""
     symbols = np.asarray(dechatter(getattr(sequence, "symbols", sequence)), dtype=np.int64)
@@ -434,35 +442,28 @@ def loop_k_best(model, obs, k) -> list[tuple[list[int], float]]:
     return sorted(entries, key=lambda entry: -entry[1])[:k]
 
 
-def loop_verdict(paths, n) -> tuple[int, int | None]:
-    """The diagnoser's verdict rule, counted in plain Python.
+def loop_posterior_verdicts(model, flood) -> list[tuple[int, int | None]]:
+    """The diagnoser's verdict at every prefix of ``flood``, summed in plain Python.
 
-    ``paths`` holds one or two state lists, best first.  The primary fault
-    is the best path's most frequent state.  The secondary fault is the
-    second path's most frequent state; if that is the primary, the best
-    path's most frequent other state; if the best path holds no other, the
-    second path's.  A single path has no secondary.  Every count ties to
-    the lowest fault index.  Returns ``(primary, secondary)``.
+    Each fault's score adds the model's log emission rows
+    (``model._log_space.emission``) as Python floats, left to right, from
+    0.0, so its bits match the package's cumulative sum.  At each prefix the
+    faults are ranked by descending score in one stable sort, ties to the
+    lower fault: ``(primary, secondary)`` are the first two, the secondary
+    ``None`` for a one-fault model.  Raises :class:`InferenceError` at the
+    first prefix where every fault scores ``-inf``.
     """
-    def mode(states, skip=None):
-        counts = [0] * n
-        for state in states:
-            counts[state] += 1
-        found = None
-        for fault in range(n):
-            if fault != skip and counts[fault] and (found is None or counts[fault] > counts[found]):
-                found = fault
-        return found
-
-    primary = mode(paths[0])
-    if len(paths) == 1:
-        return primary, None
-    secondary = mode(paths[1])
-    if secondary == primary:
-        secondary = mode(paths[0], skip=primary)
-        if secondary is None:
-            secondary = mode(paths[1], skip=primary)
-    return primary, secondary
+    rows = model._log_space.emission
+    totals = [0.0] * model.n_states
+    verdicts = []
+    for t, symbol in enumerate(flood):
+        totals = [total + term for total, term in zip(totals, rows[symbol].tolist())]
+        if all(total == -math.inf for total in totals):
+            what = "no admissible state path" if t else "no state can produce the observation"
+            raise InferenceError(f"{what} at step {t}")
+        ranked = sorted(range(model.n_states), key=lambda fault: -totals[fault])
+        verdicts.append((ranked[0], ranked[1] if len(ranked) > 1 else None))
+    return verdicts
 
 
 def _scores_close(a: float, b: float, tol: float) -> bool:

@@ -14,14 +14,13 @@ from alarmhmm import DomainError, UnknownSymbolError
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.baseline import (
     _average_linkage,
-    dechatter,
     fit_baseline,
     write_dendrogram_csv,
     write_predictions_csv,
 )
 from alarmhmm.diagnoser import LabeledSequence
 
-from oracles import dense_baseline, dense_successor_counts, loop_flat_clusters
+from oracles import dechatter, dense_baseline, dense_successor_counts, loop_flat_clusters
 
 
 def seq(symbols, fault=None):

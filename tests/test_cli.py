@@ -188,9 +188,8 @@ class TestPipeline:
                      "--out", str(out)]) == 0
         (record,) = [json.loads(line) for line in out.read_text().splitlines()]
         model = load_diagnoser(model_path)
-        expected = int(np.argmax(model.hmm.initial * model.hmm.emission[:, 4]))
-        assert record["path"] == [expected]
-        assert record["primary_fault"] == expected
+        assert record["path"] == [int(np.argmax(model.hmm.initial * model.hmm.emission[:, 4]))]
+        assert record["primary_fault"] == int(np.argmax(model.hmm.emission[:, 4]))
 
     def test_repeated_in_pools_every_file(self, tmp_path):
         data = tmp_path / "data"
@@ -848,14 +847,18 @@ class TestErrorReporting:
             assert not out.exists()
 
     def test_first_flood_in_the_list_that_cannot_be_decoded_is_named(self, tmp_path, capsys):
-        # State 0 emits only symbols 0-2, states 1 and 2 only 3-5, and no state
-        # is ever left.  The floods are decoded in chunks of three: the first
-        # chunk decodes, and in the second flood 4 fails at step 3 and flood 5,
-        # longer and so decoded in an earlier column, already at step 1.
+        # Fault 0 emits only symbols 0-2, faults 1 and 2 only 3-5.  The
+        # transitions are uniform, so every flood has a state path, but no
+        # fault alone emits floods 4 and 5, and the fault scores are checked
+        # before anything is decoded.  They are scored in chunks of three:
+        # the first chunk passes, and in the second every fault scores -inf on
+        # flood 4 from step 3 and on flood 5, longer and so in an earlier
+        # column, already from step 1.
         model = tmp_path / "model.json"
         low, high = [1 / 3] * 3 + [0.0] * 3, [0.0] * 3 + [1 / 3] * 3
         save_diagnoser(DiagnoserModel(
-            hmm=Hmm(transition=np.eye(3), emission=[low, high, high], initial=[1 / 3] * 3),
+            hmm=Hmm(transition=np.full((3, 3), 1 / 3), emission=[low, high, high],
+                    initial=[1 / 3] * 3),
             fault_names=("a", "b", "c"), codebook=AlarmSymbolCodebook(3),
         ), model)
         floods = tmp_path / "floods.jsonl"

@@ -24,10 +24,10 @@ from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import (
     _batch,
+    _fault_scores,
     _k_best,
     _list_viterbi,
     _ListStep,
-    _prefix_best,
     _trace,
     as_symbols,
     hmm_to_dict,
@@ -186,69 +186,26 @@ def coarse_case(seed):
     return model, rng.integers(0, m, size=t)
 
 
-def oracle_counts(model, obs):
-    """How many steps the oracle's best path of ``obs`` spends in each state."""
-    return np.bincount(oracles.loop_k_best(model, obs, 1)[0][0], minlength=model.n_states).tolist()
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10_000), coarse=st.booleans())
-def test_prefix_paths_equal_viterbi_of_every_prefix(seed, coarse):
-    # The prefix reader's state counts of one flood, step by step, against
-    # the counts of each prefix's best path.
-    model, obs = coarse_case(seed) if coarse else small_random_case(seed)
-    try:
-        expected = [(p - 1, [0], oracle_counts(model, obs[:p])) for p in range(1, len(obs) + 1)]
-    except InferenceError as exc:
-        with pytest.raises(InferenceError, match=f"^{re.escape(f'sequence 0: {exc}')}$"):
-            list(_prefix_best(model, [obs]))
-        return
-    got = [(step, floods.tolist(), counts[0].tolist())
-           for step, floods, counts in _prefix_best(model, [obs])]
-    assert got == expected
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10_000), coarse=st.booleans(),
-       lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4))
-@example(seed=0, coarse=False, lengths=[11, 2, 9])  # N = 4: one chunk, three sweeps
-def test_prefix_best_of_floods_ending_at_different_steps_matches_the_oracle(
-        seed, coarse, lengths):
-    # At most N floods make one chunk, and floods longer than N take more than one sweep.
-    model, floods = TestBatched.floods(seed, coarse, lengths)
-    floods = floods[:model.n_states]
-    expected, failed = {}, []
-    for index, obs in enumerate(floods):
-        try:
-            for p in range(1, obs.size + 1):
-                expected[index, p] = oracle_counts(model, obs[:p])
-        except InferenceError as exc:
-            failed.append(f"sequence {index}: {exc}")
-    if failed:
-        with pytest.raises(InferenceError, match=f"^{re.escape(failed[0])}$"):
-            list(_prefix_best(model, floods))
-        return
-    got = {}
-    for step, indices, counts in _prefix_best(model, floods):
-        for index, row in zip(indices.tolist(), counts.tolist()):
-            got[index, step + 1] = row
-    assert got == expected
-
-
-def test_prefix_counts_of_long_floods_take_memory_linear_in_their_length():
-    # 10 floods of 1,000 symbols at N = 10 hold 0.8 MB of int64 back-pointers;
-    # a path per prefix would hold 10 * 1,000**2 / 2 more cells.
+def test_fault_scores_sum_in_place_with_the_bits_of_each_flood_alone():
+    # The gathered (L, S, N) block is the only array of its size, and each
+    # column holds the running sums its flood gets as a (T, 1) column.
     model = oracles.random_model(10, 20, seed=3)
+    model._log_space  # built before the trace, as every later call finds it
     rng = np.random.default_rng(0)
-    floods = [rng.integers(0, model.n_symbols, size=1_000) for _ in range(10)]
+    floods = [rng.integers(0, model.n_symbols, size=size) for size in (5, 1_000, 1, 600)]
+    batch = _batch(floods)
     tracemalloc.start()
     try:
-        for _ in _prefix_best(model, floods):
-            pass
+        scores = _fault_scores(model, batch.symbols, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4_000_000
+    assert scores.shape == (1_000, 4, 10)
+    assert peak <= 1.1 * scores.nbytes
+    for column, index in enumerate(batch.order.tolist()):
+        alone = _fault_scores(model, floods[index][:, None])[:, 0]
+        assert np.array_equal(scores[: floods[index].size, column], alone)
+        assert np.allclose(alone[-1], np.log(model.emission[:, floods[index]]).sum(axis=1))
 
 
 def test_symbol_relabeling_leaves_the_decoded_path_unchanged():
