@@ -239,10 +239,11 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     observations = _observations(sequences, model.hmm.n_symbols)
     ends = np.array([obs.size for obs in observations], dtype=np.int64) - 1
     last = np.empty((len(observations), model.n_faults))
-    for batch in _batches(observations, model.n_faults):
+    batches = _batches(observations, model.n_faults)
+    for batch in batches:
         scores = _fault_scores(model.hmm, batch.symbols, batch)
         last[batch.order] = scores[ends[batch.order], np.arange(batch.order.size)]
-    return [_verdict(row, paths) for row, paths in zip(last, _k_best(model.hmm, observations, 2))]
+    return [_verdict(row, paths) for row, paths in zip(last, _k_best(model.hmm, batches, 2))]
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:

@@ -697,12 +697,13 @@ def _trace(backs: list, n: int, column: int, entries) -> list[list[int]]:
     return paths
 
 
-def _k_best(model: Hmm, observations: list[np.ndarray], k: int) -> list[list[StatePath]]:
-    """The ``k`` best paths of every validated flood, in list order, decoded
-    side by side in :func:`_batches` chunks.  A flood's are picked at its last
-    step, by score then by entry order (one stable sort), and traced back."""
-    found: list[list[StatePath]] = [[] for _ in observations]
-    for batch in _batches(observations, model.n_states):
+def _k_best(model: Hmm, batches: list[_Batch], k: int) -> list[list[StatePath]]:
+    """The ``k`` best paths of every validated flood of the :func:`_batches`
+    chunks ``batches``, in list order, decoded side by side a chunk at a
+    time.  A flood's are picked at its last step, by score then by entry
+    order (one stable sort), and traced back."""
+    found: list[list[StatePath]] = [[] for batch in batches for _ in batch.order]
+    for batch in batches:
         backs, active = [], batch.active.tolist()
         for t, (score, back) in enumerate(_list_viterbi(model, batch, k)):
             backs.append(back)

@@ -6,13 +6,16 @@ scenario draws per-symbol onset jitter, optional symbol drops and adjacent
 swaps from a single seed.  Fault magnitude controls how deep into the
 propagation path a scenario gets, so sequence order and length both vary
 across replicates, while everything stays a pure function of (graph,
-scenario spec).
+scenario spec).  A flood draws its variates as three arrays (jitters,
+drops, swaps) over its graph's flat per-fault arrays, in the order of a
+loop of one scalar draw per symbol and per pair, and so with its doubles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,12 +113,14 @@ class PropagationGraph:
                     and is_finite_number(thresholds[-1])):
                 raise DomainError(
                     f"fault {index}: depth thresholds must be finite and non-decreasing")
+            # One pass in stage order; check_int runs only on a symbol that
+            # fails, so the first error is the rule's own text.
             seen: set[int] = set()
             with located(f"fault {index}"):
                 for stage in fault.stages:
                     for symbol in stage.symbols:
-                        check_int(symbol, "symbol", 0, n_symbols - 1)
-                        if symbol in seen:
+                        if not (is_int(symbol) and 0 <= symbol < n_symbols) or symbol in seen:
+                            check_int(symbol, "symbol", 0, n_symbols - 1)
                             raise DomainError(f"symbol {symbol} listed twice")
                         seen.add(symbol)
 
@@ -130,6 +135,29 @@ class PropagationGraph:
     @property
     def codebook(self) -> AlarmSymbolCodebook:
         return AlarmSymbolCodebook(self.n_measurements)
+
+    @cached_property
+    def _flat(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per fault, its stages laid end to end as read-only arrays
+        ``(symbols, delays, jitters, ends)``: one entry per symbol in stage
+        order, with its stage's delay and jitter, and ``ends[s]`` the number
+        of symbols in stages ``0..s``.  A flood of depth ``d`` reads the first
+        ``ends[d - 1]`` entries.  Built on the first flood and fixed from
+        then on, like the graph."""
+        flat = []
+        for fault in self.faults:
+            stages = fault.stages
+            sizes = [len(stage.symbols) for stage in stages]
+            arrays = (
+                np.array([symbol for stage in stages for symbol in stage.symbols], dtype=np.int64),
+                np.repeat(np.array([stage.delay_s for stage in stages], dtype=float), sizes),
+                np.repeat(np.array([stage.jitter_s for stage in stages], dtype=float), sizes),
+                np.cumsum(sizes),
+            )
+            for arr in arrays:
+                arr.flags.writeable = False
+            flat.append(arrays)
+        return tuple(flat)
 
 
 @dataclass(frozen=True)
@@ -159,35 +187,38 @@ def simulate_alarm_sequence(graph: PropagationGraph, spec: ScenarioSpec) -> Alar
     """Generate one labeled alarm sequence.
 
     Stages up to the magnitude-determined depth fire; each symbol's onset
-    is its stage delay plus uniform jitter; non-first-stage symbols may
-    drop, then adjacent activations may swap.  Deterministic per (graph,
-    spec).  The symbols are pairwise distinct and in the graph's alphabet,
-    as :class:`PropagationGraph` guarantees, and the onsets sorted.
+    is its stage delay plus uniform jitter, clamped at 0; non-first-stage
+    symbols may drop, then adjacent activations may swap.  Deterministic
+    per (graph, spec).  The symbols are pairwise distinct and in the
+    graph's alphabet, as :class:`PropagationGraph` guarantees, and the
+    onsets sorted.
+
+    The flood draws three arrays from its generator, in this order: one
+    jitter per reached symbol, one drop variate per reached symbol (first
+    stage included, though it never drops), and one swap variate per
+    adjacent pair of kept symbols, ``i`` deciding whether positions ``i``
+    and ``i + 1`` trade places after the swaps before it.  numpy draws one
+    double per element, in order, for array arguments, so these are the
+    doubles of a loop that draws one scalar per symbol and per pair.
     """
     if not 0 <= spec.fault < graph.n_faults:
         raise DomainError(f"fault {spec.fault} not present in the graph")
     fault = graph.faults[spec.fault]
-    depth = depth_for_magnitude(fault, spec.magnitude)
+    symbols, delays, jitters, ends = graph._flat[spec.fault]
+    reached = ends[depth_for_magnitude(fault, spec.magnitude) - 1]
+    symbols, delays, jitters = symbols[:reached], delays[:reached], jitters[:reached]
     rng = np.random.default_rng(spec.seed)
 
-    events = []
-    for stage_index, stage in enumerate(fault.stages[:depth]):
-        for symbol in stage.symbols:
-            onset = stage.delay_s + rng.uniform(-stage.jitter_s, stage.jitter_s)
-            events.append((max(0.0, onset), symbol, stage_index))
+    onsets = np.maximum(delays + rng.uniform(-jitters, jitters), 0.0)
+    kept = rng.random(reached) >= spec.drop_prob
+    kept[:ends[0]] = True
+    onsets, symbols = onsets[kept], symbols[kept]
+    order = np.lexsort((symbols, onsets))
 
-    kept = []
-    for onset, symbol, stage_index in events:
-        dropped = rng.random() < spec.drop_prob
-        if stage_index == 0 or not dropped:
-            kept.append((onset, symbol))
-    kept.sort(key=lambda event: (event[0], event[1]))
-
-    times = [onset for onset, _ in kept]
-    symbols = [symbol for _, symbol in kept]
-    for i in range(len(symbols) - 1):
-        if rng.random() < spec.swap_prob:
-            symbols[i], symbols[i + 1] = symbols[i + 1], symbols[i]
+    times = onsets[order].tolist()
+    symbols = symbols[order].tolist()
+    for i in np.flatnonzero(rng.random(max(len(symbols) - 1, 0)) < spec.swap_prob).tolist():
+        symbols[i], symbols[i + 1] = symbols[i + 1], symbols[i]
 
     return AlarmSequence(
         symbols=symbols,

@@ -14,6 +14,9 @@ forms of the E-step's emission counts and of the M-step's floor, which
 the fast code must match bit for bit.  :func:`dechatter` is the chattering
 removal that the baseline does inline, and :func:`loop_posterior_verdicts`
 the diagnoser's verdict rule, one prefix at a time.
+:func:`loop_alarm_sequence` is the simulator's flood drawn one scalar
+variate per symbol and per pair, which the array draws must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from scipy.cluster.hierarchy import linkage
 from scipy.sparse import csr_array
 from scipy.spatial.distance import pdist
 
-from alarmhmm import Hmm, InferenceError, SchemaError, hmm
-from alarmhmm.alarms import MeasurementTrace
+from alarmhmm import DomainError, Hmm, InferenceError, SchemaError, hmm
+from alarmhmm.alarms import AlarmSequence, MeasurementTrace
 from alarmhmm.baseline import BaselineResult, Dendrogram
 from alarmhmm.documents import check_int, open_text
+from alarmhmm.plantsim import depth_for_magnitude
 
 
 def random_model(n_states: int, n_symbols: int, seed: int = 0) -> Hmm:
@@ -603,3 +607,46 @@ def csv_write_trace(path, trace: MeasurementTrace) -> None:
         writer.writerow(["time"] + list(trace.meas_ids))
         for i, row in enumerate(trace.values):
             writer.writerow([repr(i * trace.sample_period)] + [repr(float(v)) for v in row])
+
+
+def loop_alarm_sequence(graph, spec) -> AlarmSequence:
+    """:func:`alarmhmm.plantsim.simulate_alarm_sequence` as a loop of scalar
+    draws: per reached symbol in stage order, a jitter; then per reached
+    symbol a drop variate; then per adjacent pair of the sorted kept
+    symbols, left to right, a swap variate."""
+    if not 0 <= spec.fault < graph.n_faults:
+        raise DomainError(f"fault {spec.fault} not present in the graph")
+    fault = graph.faults[spec.fault]
+    depth = depth_for_magnitude(fault, spec.magnitude)
+    rng = np.random.default_rng(spec.seed)
+
+    events = []
+    for stage_index, stage in enumerate(fault.stages[:depth]):
+        for symbol in stage.symbols:
+            onset = stage.delay_s + rng.uniform(-stage.jitter_s, stage.jitter_s)
+            events.append((max(0.0, onset), symbol, stage_index))
+
+    kept = []
+    for onset, symbol, stage_index in events:
+        dropped = rng.random() < spec.drop_prob
+        if stage_index == 0 or not dropped:
+            kept.append((onset, symbol))
+    kept.sort(key=lambda event: (event[0], event[1]))
+
+    times = [onset for onset, _ in kept]
+    symbols = [symbol for _, symbol in kept]
+    for i in range(len(symbols) - 1):
+        if rng.random() < spec.swap_prob:
+            symbols[i], symbols[i + 1] = symbols[i + 1], symbols[i]
+
+    return AlarmSequence(
+        symbols=symbols,
+        times=times,
+        fault=spec.fault,
+        meta={
+            "fault_name": fault.name,
+            "magnitude": spec.magnitude,
+            "seed": spec.seed,
+            "n_measurements": graph.n_measurements,
+        },
+    )

@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline, artifact formats, error reporting."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -577,6 +578,27 @@ class TestDeterminism:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], f"artifact {name} differs"
+
+
+    # sha256 of the bundled plant's simulate output as the scalar-draw simulator
+    # wrote it; the per-flood array draws must keep these bytes.
+    SIMULATE_DIGESTS = {
+        0: ("7616d9c3ffba1cbbd2442a70858d3fbc0bc5e8161c37694c3ca85a2b31512bd8",
+            "cb5721d2baf8a4ac930ab98affe69eb00f51d12efd74437ada03512d18603489"),
+        1: ("2dd71f4fa0c46471a0f592e9dfa52c5da563f486435a3f3735b8a41106522002",
+            "b9e86548dc157e7522eeebe4d6a9166278be1a8bf8f37c9c9cb01eb1b814adca"),
+        2: ("142bfa863bf2bcdd3ab6bf799e821584c7d4378133807032ca6bda5f97ec427b",
+            "a97a668360df506ab8bd6d15b98d4916bfbf174d7a3c50c1b52e84eacd401b4a"),
+        3: ("ecc0c468bc94a61ebedca57937f2438e34dbc61dacc2b2e53399ce3f40779332",
+            "7a98d6f24112e774199ca6b32593bded21c6825cb897d214950aecb38e183326"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SIMULATE_DIGESTS))
+    def test_simulate_writes_the_pinned_bytes(self, tmp_path, seed):
+        assert main(["simulate", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("train.jsonl", "test.jsonl"))
+        assert digests == self.SIMULATE_DIGESTS[seed]
 
 
 class TestImportFootprint:

@@ -24,6 +24,7 @@ from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import (
     _batch,
+    _batches,
     _fault_scores,
     _k_best,
     _list_viterbi,
@@ -492,7 +493,7 @@ class TestDiagnoserShape:
         model = self.model_of_kind(kind, rng, n, seed)
         obs = rng.integers(0, model.n_symbols, size=length)
         assert self.decoded(lambda: k_best_paths(model, obs, k)) == \
-            self.decoded(lambda: _k_best(model, [obs], k)[0])
+            self.decoded(lambda: _k_best(model, _batches([obs], model.n_states), k)[0])
 
     @classmethod
     def model_of_kind(cls, kind, rng, n, seed):
@@ -572,7 +573,7 @@ class TestLogSpaceCache:
         built = dict(vars(log))
         for k in (1, 2, 3):
             k_best_paths(model, obs, k)
-            _k_best(model, [obs], k)
+            _k_best(model, _batches([obs], model.n_states), k)
         assert vars(log).keys() == built.keys()
         for key, value in vars(log).items():
             assert value is built[key], key

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alarmhmm import DomainError, SchemaError
@@ -28,6 +28,8 @@ from alarmhmm.plantsim import (
     simulate_fault_trace,
     simulate_normal_trace,
 )
+
+import oracles
 
 
 def assert_flood_invariants(seq, graph):
@@ -129,6 +131,83 @@ class TestSimulate:
             assert_flood_invariants(seq, graph)
             assert len(seq) >= 1
             assert seq.fault == fault
+
+
+@st.composite
+def graphs_and_specs(draw):
+    """A random graph of up to three faults and a scenario of one of them.
+
+    Stages hold one to three symbols; the first delay may be negative and the
+    jitter zero or many times the gaps, so onsets tie, cross stages and clamp
+    at 0; the depth thresholds let a flood stop after any stage, the first
+    included; the swap and drop probabilities are often exactly 0 or 1."""
+    n_measurements = draw(st.integers(6, 8))
+    symbols = draw(st.permutations(range(2 * n_measurements)))
+    faults = []
+    for index in range(draw(st.integers(1, 3))):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        delay = draw(st.floats(-50.0, 100.0))
+        stages, start = [], 0
+        for size in sizes:
+            jitter = draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 200.0))
+            stages.append(Stage(tuple(symbols[start:start + size]), delay, jitter))
+            start += size
+            delay += draw(st.sampled_from([1.0, 10.0]) | st.floats(0.5, 100.0))
+        thresholds = [0.0] + sorted(draw(st.lists(
+            st.floats(0.0, 1.0), min_size=len(sizes) - 1, max_size=len(sizes) - 1)))
+        faults.append(FaultPath(f"f{index}", tuple(stages), tuple(thresholds)))
+    graph = PropagationGraph(n_measurements=n_measurements, faults=tuple(faults))
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    spec = ScenarioSpec(
+        fault=draw(st.integers(0, len(faults) - 1)),
+        magnitude=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        seed=draw(st.integers(0, 2**63)),
+        swap_prob=draw(probability),
+        drop_prob=draw(probability),
+    )
+    return graph, spec
+
+
+def _clamp_graph():
+    """Three stages, the first two with a jitter above their delays, so many onsets clamp to 0."""
+    stages = (Stage((0, 3), 5.0, 50.0), Stage((1,), 10.0, 40.0), Stage((2, 5), 12.0, 0.0))
+    return PropagationGraph(n_measurements=3, faults=(FaultPath("clamp", stages, (0.0, 0.0, 0.6)),))
+
+
+class TestArrayDraws:
+    """simulate_alarm_sequence against the loop of scalar draws it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=graphs_and_specs())
+    @example(case=(toy_graph(), ScenarioSpec(0, 1.0, 11, swap_prob=1.0, drop_prob=1.0)))
+    @example(case=(toy_graph(), ScenarioSpec(0, 0.1, 11, swap_prob=1.0)))  # depth 1
+    @example(case=(_clamp_graph(), ScenarioSpec(0, 1.0, 3, drop_prob=0.5)))
+    @example(case=(_clamp_graph(), ScenarioSpec(0, 0.5, 4, swap_prob=0.5)))
+    def test_equals_the_scalar_loop_bit_for_bit(self, case):
+        graph, spec = case
+        got, expected = simulate_alarm_sequence(graph, spec), oracles.loop_alarm_sequence(graph, spec)
+        assert got.symbols == expected.symbols
+        assert all(type(symbol) is int for symbol in got.symbols)
+        assert [time.hex() for time in got.times] == [time.hex() for time in expected.times]
+        assert all(type(time) is float for time in got.times)
+        assert (got.fault, got.meta) == (expected.fault, expected.meta)
+
+    def test_clamped_onsets_tie_at_zero_in_symbol_order(self):
+        seq = simulate_alarm_sequence(_clamp_graph(), ScenarioSpec(0, 1.0, 3))
+        assert seq.times.count(0.0) >= 2
+        zeros = [symbol for symbol, time in zip(seq.symbols, seq.times) if time == 0.0]
+        assert zeros == sorted(zeros)
+
+    def test_flat_arrays_are_built_once_and_read_only(self):
+        graph = toy_graph()
+        flat = graph._flat
+        assert graph._flat is flat
+        symbols, delays, jitters, ends = flat[0]
+        assert symbols.tolist() == [4, 1, 7, 2, 8]
+        assert delays.tolist() == [10.0, 10.0, 20.0, 30.0, 30.0]
+        assert jitters.tolist() == [0.0] * 5
+        assert ends.tolist() == [2, 3, 5]
+        assert not any(arr.flags.writeable for fault in flat for arr in fault)
 
 
 class TestScenarioSets:
