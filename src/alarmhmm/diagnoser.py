@@ -8,9 +8,9 @@ throughout.  A verdict is read off each fault's summed log emission terms
 (``hmm._fault_scores``), the fault posterior of the flood less a term all
 faults share: the best-scoring fault is the primary, the runner-up the
 secondary, and every prefix of a flood gets its verdict from the same
-sums.  Diagnosis also decodes each flood once, for its two best paths, the
-explanation it reports.  Both score their floods side by side, in chunks
-of at most N.
+sums, scored for many floods side by side in chunks of at most N.
+Diagnosis also decodes each flood once, on its own, for its two best
+paths, the explanation it reports.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .hmm import (
     StatePath,
     _batches,
     _fault_scores,
-    _k_best,
     _observations,
+    _paths,
     as_observations,
     fit,
     hmm_from_dict,
@@ -112,7 +112,8 @@ class DiagnoserModel:
 
 @dataclass(frozen=True)
 class Diagnosis:
-    """Primary and secondary fault candidates with their decoded paths."""
+    """Primary and secondary fault candidates with their decoded paths;
+    ``second_path`` is ``None`` unless a second path of nonzero probability exists."""
 
     primary_fault: int
     secondary_fault: int | None
@@ -209,13 +210,15 @@ def _verdict(scores: np.ndarray, paths: list[StatePath]) -> Diagnosis:
     """The verdict of one flood from its (N,) fault scores at its last step
     and its best paths, best first: the faults in descending order of score,
     ties to the lower fault (one stable sort), give the primary and the
-    secondary fault; a one-fault model has no secondary."""
+    secondary fault; a one-fault model has no secondary.  A second path of
+    probability zero (log probability ``-inf``, which JSON cannot hold) is
+    reported as none, as a one-state model's missing one is."""
     ranked = np.argsort(-scores, kind="stable")[:2].tolist()
     return Diagnosis(
         primary_fault=ranked[0],
         secondary_fault=ranked[1] if len(ranked) > 1 else None,
         path=paths[0],
-        second_path=paths[1] if len(paths) > 1 else None,
+        second_path=paths[1] if len(paths) > 1 and paths[1].log_prob > -np.inf else None,
     )
 
 
@@ -228,22 +231,25 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     :func:`evaluate_prefix_accuracy` bit for bit; the secondary fault is the
     runner-up in the same order, and only a one-fault model yields none.
     The two best state paths, from one k=2 list-Viterbi decode, explain the
-    verdict and do not enter it.  The floods are scored, then decoded, side
-    by side in chunks of at most N (the number of faults); each verdict
-    equals the one the flood gets alone.  An error about one sequence
-    starts with ``sequence <i>: ``, ``i`` counting from 0 in ``sequences``.
-    Every flood is scored before any is decoded, so of the floods where
-    every fault scores ``-inf``, the first in the list is named; else, of
-    those that cannot be decoded, the first.
+    verdict and do not enter it.  The floods are scored side by side in
+    chunks of at most N (the number of faults), then decoded one at a time
+    in list order, so each verdict equals the one the flood gets alone.  An
+    error about one sequence starts with ``sequence <i>: ``, ``i`` counting
+    from 0 in ``sequences``.  Every flood is scored before any is decoded,
+    so of the floods where every fault scores ``-inf``, the first in the
+    list is named; else, of those that cannot be decoded, the first.
     """
     observations = _observations(sequences, model.hmm.n_symbols)
     ends = np.array([obs.size for obs in observations], dtype=np.int64) - 1
     last = np.empty((len(observations), model.n_faults))
-    batches = _batches(observations, model.n_faults)
-    for batch in batches:
+    for batch in _batches(observations, model.n_faults):
         scores = _fault_scores(model.hmm, batch.symbols, batch)
         last[batch.order] = scores[ends[batch.order], np.arange(batch.order.size)]
-    return [_verdict(row, paths) for row, paths in zip(last, _k_best(model.hmm, batches, 2))]
+    verdicts = []
+    for index, (row, symbols) in enumerate(zip(last, observations)):
+        with located(f"sequence {index}"):
+            verdicts.append(_verdict(row, _paths(model.hmm, symbols, 2)))
+    return verdicts
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:

@@ -9,11 +9,11 @@ in O(N) per row (Felzenszwalb, Huttenlocher & Kleinberg 2004); any other
 transition takes an (N, N) product per step.  Exact
 decoding over a finite observation alphabet has one list-Viterbi step,
 :class:`_ListStep`, for Viterbi and k-best: it alone knows a step's widths
-and ``-inf`` scores, reads the previous step's scores and that step's
-emission-log rows, and fills one buffer in place.  :func:`k_best_paths`
-pushes one sequence's symbols through it; a batch pass decodes many side
-by side, yielding per-sequence scores and back-pointers, which only the
-k-best reader traces.  The diagnoser's verdicts decode nothing: they read
+and ``-inf`` scores, reads the previous step's scores and one emission-log
+row, and fills one buffer in place.  One driver, :func:`_paths`, pushes one
+sequence's symbols through it and traces the back-pointers it returns;
+:func:`k_best_paths` and the diagnoser decode every flood that way, on its
+own.  The diagnoser's verdicts decode nothing: they read
 :func:`_fault_scores`, each state's log emission terms summed along time.
 The forward/backward pass
 rescales at every step and keeps the normalizers private to the kernels,
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -267,12 +267,12 @@ def _batch(seqs: list[np.ndarray], first: int = 0) -> _Batch:
 
 def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
     """``seqs`` in list-order chunks of at most ``n_states`` sequences, as the
-    E-step, the k-best pass and :func:`_fault_scores` take them.
+    E-step and :func:`_fault_scores` take them.
 
     The cap is set by peak RSS, not speed: on the benchmark's scaled plants,
     one batch of every sequence raised the peak RSS (``ru_maxrss``, 2 vCPUs)
     of ``train_diagnoser`` by 17.3-17.6 MB against 9.4-9.7 MB in chunks that
-    share one workspace, and of ``diagnose_all`` by 5.7-6.2 MB against 0.4-0.6 MB.
+    share one workspace.
     """
     return [_batch(seqs[start:start + n_states], start) for start in range(0, len(seqs), n_states)]
 
@@ -554,67 +554,66 @@ def fit(
 
 
 class _ListStep:
-    """The list-Viterbi step (Seshadri & Sundberg 1994) of one model and ``k``.
+    """The list-Viterbi step (Seshadri & Sundberg 1994) of one model and ``k``,
+    over one flood.
 
-    ``step(score, bonus)`` takes the previous step's ``(a, E)`` scores of
-    ``a`` floods (``None`` at the first step) and the ``(a * N,)`` log
-    emission terms of their symbols at this step, ``bonus[s * N + j]`` for
-    state ``j`` of flood ``s``, and returns this step's ``(score, back)``
-    in :func:`_list_viterbi`'s layout.  It reads nothing else, so
-    :func:`k_best_paths` drives it one symbol at a time with the row of
-    ``model._log_space.emission`` at that symbol, and :func:`_list_viterbi`
-    with the rows it gathers for a batch.  After a call, ``dead`` flags the
-    floods with no entry above ``-inf``, or is ``None`` if no log is ``-inf``.
+    ``step(score, bonus)`` takes the previous step's ``(E,)`` scores
+    (``None`` at the first step) and the ``(N,)`` log emission terms of this
+    step's symbol, the row of ``model._log_space.emission`` at it, and
+    returns this step's ``(score, back)``, both ``(E,)``.  A cell keeps
+    ``w = min(k, N**t)`` entries and is never padded, so ``E = N * w``, and
+    entry ``j * w + r`` is the ``r``-th best path over the symbols so far
+    that ends in state ``j``: ``score`` holds its log probability and
+    ``back`` the previous step's entry that it extends (``None`` at the
+    first step).  No path is stored: :func:`_trace` follows the
+    back-pointers to the states.  Candidates rank by total score, emission
+    term included, then by entry order (lowest entry of the previous step
+    first), so the first best entry is rank 0.  After a call, ``dead`` says
+    whether no entry is above ``-inf``; it stays ``False`` if no log is ``-inf``.
 
-    The candidates of a step form one contiguous ``(a * N, E)`` array in
-    a buffer kept between steps: row ``s * N + j`` is state ``j`` of flood
-    ``s``, and column ``i * w + r`` the previous entry ``[i, r]`` of that
-    flood.  The buffer and the transition block, ``_LogSpace.transition``
-    repeated ``w`` times along the entries, are built again only when the
-    width ``w`` changes, in the first few steps; a width's first step has
-    the most floods of any of its steps, since floods only drop out of a
-    pass, so its buffer holds every later step.  Its flat slice, its views
-    and the row offsets are made again only when ``a`` or ``w`` changes.
-    Rank ``r`` of every cell is one ``argmax`` over each row, which returns
-    the first maximum and so breaks ties by entry order; the pick plus its
-    row's offset indexes the buffer flat, to gather the values and to mask
-    the taken entries to ``-inf``.  With ``-inf`` logs, the step first raises
-    ``-inf`` candidates to ``_LEAST``, above the masked entries, so they too
-    rank by entry order, and sets ranks that read ``_LEAST`` back to ``-inf``.
+    The candidates of a step form one contiguous ``(N, E)`` array in a
+    buffer kept between steps: row ``j`` is next state ``j``, and column
+    ``i * w + r`` the previous entry ``[i, r]``.  The buffer, its row
+    offsets and the transition block, ``_LogSpace.transition`` repeated
+    ``w`` times along the entries, are built again only when the width
+    ``w`` changes, in the first few steps.  Rank ``r`` of every cell is one
+    ``argmax`` over each row, which returns the first maximum and so breaks
+    ties by entry order; the pick plus its row's offset indexes the buffer
+    flat, to gather the values and to mask the taken entries to ``-inf``.
+    With ``-inf`` logs, the step first raises ``-inf`` candidates to
+    ``_LEAST``, above the masked entries, so they too rank by entry order,
+    and sets ranks that read ``_LEAST`` back to ``-inf``.
     """
 
     def __init__(self, model: Hmm, k: int):
         self.log, self.k = model._log_space, k
-        # the width of the previous step's cells that the buffer fits, its views' shape, ``dead``
-        self.w, self.shape, self.dead = 0, None, None
+        # the previous step's entries that the buffer fits, and whether no entry is above -inf
+        self.entries, self.dead = 0, False
 
     def __call__(
         self, score: np.ndarray | None, bonus: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
         n, zeros = self.log.n, self.log.zeros
         if score is None:
-            top = self.log.initial + bonus.reshape(-1, n)
+            top = self.log.initial + bonus
             if zeros:
-                self.dead = np.isneginf(top).all(axis=1)
+                self.dead = bool(np.isneginf(top).all())
             return top, None
-        rows, entries = bonus.size, score.shape[1]
-        if (rows, entries) != self.shape:
-            if entries != n * self.w:
-                self.w = entries // n
-                self.trans = self.log.transition.repeat(self.w, axis=1)
-                self.buffer = np.empty(rows * entries)
-            self.shape = rows, entries
-            self.flat = flat = self.buffer[: rows * entries]
-            self.cube, self.cand = flat.reshape(-1, n, entries), flat.reshape(rows, entries)
-            self.offsets = np.arange(0, rows * entries, entries)
+        entries = score.size
+        if entries != self.entries:
+            self.entries = entries
+            self.trans = self.log.transition.repeat(entries // n, axis=1)
+            self.flat = np.empty(n * entries)
+            self.cand = self.flat.reshape(n, entries)
+            self.offsets = np.arange(0, n * entries, entries)
         width = min(self.k, entries)
         flat, cand, offsets = self.flat, self.cand, self.offsets
-        np.add(score[:, None, :], self.trans, out=self.cube)
+        np.add(score, self.trans, out=cand)
         cand += bonus[:, None]
         if zeros:
             np.maximum(cand, _LEAST, out=cand)
-        top = np.empty((rows, width))
-        picks = np.empty((rows, width), dtype=np.int64)
+        top = np.empty((n, width))
+        picks = np.empty((n, width), dtype=np.int64)
         for rank in range(width):
             if rank:
                 flat[cells] = -np.inf
@@ -624,53 +623,8 @@ class _ListStep:
         if zeros:
             least = top == _LEAST
             top[least] = -np.inf
-            self.dead = least[:, 0].reshape(-1, n).all(axis=1)
-        return top.reshape(-1, n * width), picks.reshape(-1, n * width)
-
-
-def _list_viterbi(
-    model: Hmm, batch: _Batch, k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Parallel list-Viterbi pass (Seshadri & Sundberg 1994) over every flood
-    of ``batch`` side by side, one :class:`_ListStep` call per step.
-
-    After step ``t`` it yields ``(score, back)`` for the ``a = active[t]``
-    floods still running, which are the batch's leading columns: flood
-    ``s`` has ``E = N * w`` entries in entry order, where a cell keeps
-    ``w = min(k, N**t)`` entries and is never padded.  Entry ``j * w + r``
-    is the ``r``-th best path over the first ``t + 1`` symbols that ends in
-    state ``j``: ``score[s, e]`` (shape ``(a, E)``) is its log probability
-    and ``back[s, e]`` (shape ``(a, E)``) the entry of flood ``s`` at step
-    ``t - 1`` that it extends, a back-pointer; step 0 extends nothing and
-    yields ``back=None``.  No path is stored: :func:`_trace` follows the
-    back-pointers to the states, and no other code knows the layout.  The
-    back-pointers of a flood hold ``E`` entries per step, no more than its
-    final ``(E, T)`` paths.  Candidates rank by total score, emission term
-    included, then by entry order (lowest entry of the previous step first),
-    within each flood, so the first best entry of a flood is its rank 0.
-    Step ``t`` reads only the first ``t + 1`` symbols; a flood's last yield
-    is at its own last step.
-
-    This is the step's batch driver (:func:`k_best_paths` drives it for one
-    flood), and the step alone ranks candidates: the pass gathers every
-    step's emission rows once, from the model's cached log-space arrays
-    (``Hmm._log_space``), and hands the step its rows.  A flood the step
-    flags ``dead`` keeps being decoded on ``-inf`` scores; once every step
-    is done, :func:`_raise_first_failure` names the first such flood in the
-    caller's list.
-    """
-    n = model.n_states
-    # bonus[t, s * N + j] is the log emission term of state j for flood s at step t.
-    bonus = model._log_space.emission[batch.symbols].reshape(batch.symbols.shape[0], -1)
-    # failed[t, s] marks a step at which flood s has no entry above -inf.
-    failed = np.zeros(batch.symbols.shape, dtype=bool)
-    step, score = _ListStep(model, k), None
-    for t, a in enumerate(batch.active[:-1].tolist()):
-        score, back = step(score[:a] if t else None, bonus[t, : a * n])
-        if step.dead is not None:
-            failed[t, :a] = step.dead
-        yield score, back
-    _raise_first_failure(batch.order, failed, _no_path)
+            self.dead = bool(least[:, 0].all())
+        return top.ravel(), picks.ravel()
 
 
 def _no_path(step: int) -> str:
@@ -678,46 +632,44 @@ def _no_path(step: int) -> str:
     return "no admissible state path" if step else "no state can produce the observation"
 
 
-def _trace(backs: list, n: int, column: int, entries) -> list[list[int]]:
-    """The states of ``entries``, entries of the flood in batch column
-    ``column`` at step ``len(backs) - 1``, followed back through the
-    back-pointers ``backs`` that :func:`_list_viterbi` yielded up to that
-    step.  One walk over Python ints per entry: cheap for the few entries
-    of one flood's verdict, where numpy calls would cost more than they save.
+def _trace(backs: list, n: int, entries) -> list[list[int]]:
+    """The states of ``entries``, entries at step ``len(backs) - 1``,
+    followed back through the back-pointers ``backs`` that :class:`_ListStep`
+    returned up to that step.  One walk over Python ints per entry: cheap
+    for the few entries of one flood's verdict, where numpy calls would cost
+    more than they save.
     """
-    steps = [(back, back.shape[1] // n) for back in reversed(backs[1:])]
+    steps = [(back, back.size // n) for back in reversed(backs[1:])]
     paths = []
     for entry in entries:
         path = []
         for back, width in steps:
             path.append(entry // width)
-            entry = back.item(column, entry)
+            entry = back.item(entry)
         path.append(entry)
         paths.append(path[::-1])
     return paths
 
 
-def _k_best(model: Hmm, batches: list[_Batch], k: int) -> list[list[StatePath]]:
-    """The ``k`` best paths of every validated flood of the :func:`_batches`
-    chunks ``batches``, in list order, decoded side by side a chunk at a
-    time.  A flood's are picked at its last step, by score then by entry
-    order (one stable sort), and traced back."""
-    found: list[list[StatePath]] = [[] for batch in batches for _ in batch.order]
-    for batch in batches:
-        backs, active = [], batch.active.tolist()
-        for t, (score, back) in enumerate(_list_viterbi(model, batch, k)):
-            backs.append(back)
-            for column in range(active[t + 1], active[t]):
-                found[batch.order[column]] = _best_paths(score, backs, model.n_states, column, k)
-    return found
+def _paths(model: Hmm, symbols: np.ndarray, k: int) -> list[StatePath]:
+    """The ``k`` best paths of one checked flood, best first; the one driver
+    of :class:`_ListStep`.
 
-
-def _best_paths(score: np.ndarray, backs: list, n: int, column: int, k: int) -> list[StatePath]:
-    """The ``k`` best entries of batch column ``column``, by score then entry order, traced."""
-    best = np.argsort(-score[column], kind="stable")[:k].tolist()
-    return [StatePath(states=_frozen_array(states, dtype=np.int64),
-                      log_prob=float(score[column, entry]))
-            for entry, states in zip(best, _trace(backs, n, column, best))]
+    The symbols go through one step one at a time, each with its row of the
+    model's cached log emission (``Hmm._log_space``), and the step's
+    back-pointers are kept.  The ``k`` best final entries, by score then
+    entry order (one stable sort), are traced back.  The first step with no
+    entry above ``-inf`` raises :class:`InferenceError`.
+    """
+    log, step, score, backs = model._log_space, _ListStep(model, k), None, []
+    for t, symbol in enumerate(symbols.tolist()):
+        score, back = step(score, log.emission[symbol])
+        backs.append(back)
+        if step.dead:
+            raise InferenceError(f"{_no_path(t)} at step {t}")
+    best = np.argsort(-score, kind="stable")[:k].tolist()
+    return [StatePath(states=_frozen_array(states, dtype=np.int64), log_prob=float(score[entry]))
+            for entry, states in zip(best, _trace(backs, log.n, best))]
 
 
 def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
@@ -729,21 +681,12 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     its cell ranked first), so the first path is :func:`viterbi`'s for any
     ``k``.  If fewer than ``k`` distinct paths exist, all are returned.
     ``k`` is a Python or numpy integer of at least 1; anything else,
-    ``True`` or ``2.0`` included, raises :class:`DomainError`.
-
-    The symbols are pushed one at a time through one :class:`_ListStep`,
-    no batch (a batch of one costs more per call and per alarm), with
-    :func:`_k_best`'s result and errors bit for bit.
+    ``True`` or ``2.0`` included, raises :class:`DomainError`.  The flood is
+    checked, then decoded by :func:`_paths`; an error names it ``sequence 0``.
     """
     check_int(k, "k", 1)
-    symbols = _observations([obs], model.n_symbols)[0]
-    log, step, score, backs = model._log_space, _ListStep(model, k), None, []
-    for t, symbol in enumerate(symbols.tolist()):
-        score, back = step(score, log.emission[symbol])
-        backs.append(back)
-        if step.dead is not None and step.dead[0]:
-            raise InferenceError(f"sequence 0: {_no_path(t)} at step {t}")
-    return _best_paths(score, backs, log.n, 0, k)
+    with located("sequence 0"):
+        return _paths(model, as_observations(obs, model.n_symbols), k)
 
 
 def viterbi(model: Hmm, obs) -> StatePath:

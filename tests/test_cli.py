@@ -192,6 +192,30 @@ class TestPipeline:
         assert record["path"] == [int(np.argmax(model.hmm.initial * model.hmm.emission[:, 4]))]
         assert record["primary_fault"] == int(np.argmax(model.hmm.emission[:, 4]))
 
+    def test_a_second_path_of_probability_zero_is_written_as_null(self, tmp_path):
+        # With no floor and no smoothing, each fault emits only its own two
+        # symbols, so a flood's second path has probability zero.  JSON has no
+        # -Infinity: the record holds null, as a one-state model's does.
+        floods = tmp_path / "floods.jsonl"
+        floods.write_text("".join(
+            json.dumps({"fault": fault, "symbols": symbols, "times": [0.0, 1.0],
+                        "meta": {"n_measurements": 2}}) + "\n"
+            for fault, symbols in ((0, [0, 1]), (1, [2, 3]))))
+        model, out = tmp_path / "model.json", tmp_path / "diagnosis.jsonl"
+        assert main(["train", "--in", str(floods), "--out", str(model),
+                     "--emission-floor", "0", "--smoothing", "0"]) == 0
+        assert main(["diagnose", "--model", str(model), "--in", str(floods),
+                     "--out", str(out)]) == 0
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        records = [json.loads(line, parse_constant=strict) for line in out.read_text().splitlines()]
+        assert [(r["primary_fault"], r["secondary_fault"]) for r in records] == [(0, 1), (1, 0)]
+        for record in records:
+            assert record["second_log_prob"] is None and record["second_path"] is None
+            assert record["log_prob"] < 0.0
+
     def test_repeated_in_pools_every_file(self, tmp_path):
         data = tmp_path / "data"
         assert main(["simulate", "--seed", "0", "--out", str(data)]) == 0
@@ -592,6 +616,25 @@ class TestDeterminism:
         3: ("ecc0c468bc94a61ebedca57937f2438e34dbc61dacc2b2e53399ce3f40779332",
             "7a98d6f24112e774199ca6b32593bded21c6825cb897d214950aecb38e183326"),
     }
+
+    # sha256 of diagnose's verdicts after simulate and train on the bundled
+    # plant, as the side-by-side decoder wrote them; decoding one flood at a
+    # time must keep these bytes.
+    DIAGNOSE_DIGESTS = {
+        0: "92519a5058fe5842b935a53720a433fbfb12c5c1894b2d04393de62135c1b95d",
+        1: "8592cc83e69daae82f7f5e185decc4ef219dc5c53aacf6cbe315df2a9d3d7f33",
+        2: "30c516a3a1b1b530a48b52c715b5e0e30a5b4af4e59281557e8c83a809c8408e",
+        3: "2df7f470eb286635f4c6a6c14105fe3c980a700ff87641728bf9ffeeb0d16957",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIAGNOSE_DIGESTS))
+    def test_diagnose_writes_the_pinned_bytes(self, tmp_path, seed):
+        data, model, out = tmp_path / "data", tmp_path / "model.json", tmp_path / "out.jsonl"
+        assert main(["simulate", "--seed", str(seed), "--out", str(data)]) == 0
+        assert main(["train", "--in", str(data / "train.jsonl"), "--out", str(model)]) == 0
+        assert main(["diagnose", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIAGNOSE_DIGESTS[seed]
 
     @pytest.mark.parametrize("seed", sorted(SIMULATE_DIGESTS))
     def test_simulate_writes_the_pinned_bytes(self, tmp_path, seed):

@@ -364,7 +364,6 @@ class TestDiagnose:
             raise AssertionError("a single flood went through the batch machinery")
 
         monkeypatch.setattr(hmm_module, "_batch", fail)
-        monkeypatch.setattr(hmm_module, "_list_viterbi", fail)
         assert decoded() == expected
         with pytest.raises(AssertionError, match="batch machinery"):
             diagnose_all(models[0], [obs for _, obs in floods[:2]])

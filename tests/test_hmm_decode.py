@@ -24,10 +24,7 @@ from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import (
     _batch,
-    _batches,
     _fault_scores,
-    _k_best,
-    _list_viterbi,
     _ListStep,
     _trace,
     as_symbols,
@@ -337,6 +334,16 @@ class TestKBest:
         assert first.states.tolist() == best.states.tolist() == [0, 2, 0, 2, 0, 0, 2]
         assert second.states.tolist() == [2, 0, 0, 2, 0, 0, 2]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 2, 3]), coarse=st.booleans(),
+           lengths=st.lists(st.integers(1, 7), max_size=6))
+    @example(seed=1419, k=2, coarse=True, lengths=[3, 1, 3, 7])  # an exact tie, equal lengths
+    def test_every_step_of_every_flood_matches_the_loop_reference(self, seed, k, coarse, lengths):
+        model, obs = coarse_case(seed) if coarse else small_random_case(seed)
+        rng = np.random.default_rng(seed + 1)
+        for flood in [obs] + [rng.integers(0, model.n_symbols, size=t) for t in lengths]:
+            assert_every_step_matches_the_loop_reference(model, flood, k)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
     def test_matches_enumeration_ranking(self, seed, k):
@@ -355,56 +362,33 @@ class TestKBest:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
-def traced_entries(model, batch, k):
-    """After each step of the list-Viterbi pass over ``batch``: every entry of
-    every running flood as a ``(states, log_prob)`` pair, in entry order, the
-    states traced back through the package's own back-pointers."""
-    backs = []
-    for score, back in _list_viterbi(model, batch, k):
+def traced_entries(model, obs, k):
+    """After each step of one flood through the list-Viterbi step: the step's
+    ``dead`` flag and every entry as a ``(states, log_prob)`` pair, in entry
+    order, the states traced back through the package's own back-pointers."""
+    step, score, backs = _ListStep(model, k), None, []
+    for symbol in np.asarray(obs).tolist():
+        score, back = step(score, model._log_space.emission[symbol])
         backs.append(back)
-        yield [list(zip(_trace(backs, model.n_states, column, range(score.shape[1])),
-                        score[column].tolist()))
-               for column in range(score.shape[0])]
+        yield step.dead, list(zip(_trace(backs, model.n_states, range(score.size)),
+                                  score.tolist()))
 
 
-class TestBatched:
-    """Floods decoded side by side give each flood its decode alone."""
-
-    @staticmethod
-    def floods(seed, coarse, lengths):
-        """A small case's model, its sequence and more floods of ``lengths`` under it."""
-        model, obs = coarse_case(seed) if coarse else small_random_case(seed)
-        rng = np.random.default_rng(seed + 1)
-        return model, [obs] + [rng.integers(0, model.n_symbols, size=t) for t in lengths]
-
-    @staticmethod
-    def alone(model, obs, k):
+def assert_every_step_matches_the_loop_reference(model, obs, k):
+    """Every entry of every step of ``obs``, -inf ones too, equals the loop
+    reference's in entry order and to the bit; the step is flagged ``dead``
+    exactly where the reference fails, and the decoder then names that step."""
+    expected = oracles.loop_list_viterbi(model, obs, k)
+    for dead, got in traced_entries(model, obs, k):
         try:
-            return list(oracles.loop_list_viterbi(model, obs, k))
+            want = next(expected)
         except InferenceError as exc:
-            return exc
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 2, 3]), coarse=st.booleans(),
-           lengths=st.lists(st.integers(1, 7), max_size=6))
-    @example(seed=1419, k=2, coarse=True, lengths=[3, 1, 3, 7])  # an exact tie, equal lengths
-    def test_every_step_of_every_flood_matches_its_decode_alone(self, seed, k, coarse, lengths):
-        model, floods = self.floods(seed, coarse, lengths)
-        expected = [self.alone(model, obs, k) for obs in floods]
-        failed = [i for i, result in enumerate(expected) if isinstance(result, InferenceError)]
-        batch = _batch(floods)
-        steps = traced_entries(model, batch, k)
-        if failed:
-            # every flood is decoded to its end, then the first failing one is named
-            message = f"sequence {failed[0]}: {expected[failed[0]]}"
-            with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
-                list(steps)
+            assert dead
+            with pytest.raises(InferenceError, match=f"^sequence 0: {re.escape(str(exc))}$"):
+                k_best_paths(model, obs, k)
             return
-        for t, entries in enumerate(steps):
-            assert len(entries) == batch.active[t]
-            for column, got in enumerate(entries):
-                # every entry, -inf ones too, in entry order and to the bit
-                assert got == expected[batch.order[column]][t]
+        assert not dead
+        assert got == want
 
 
 class TestDiagnoserShape:
@@ -432,68 +416,34 @@ class TestDiagnoserShape:
     def test_every_step_matches_the_loop_reference_exactly(self, seed, n, k, zeros, lengths):
         rng = np.random.default_rng(seed)
         model = self.pinned_model(rng, n, zeros)
-        floods = [rng.integers(0, model.n_symbols, size=t) for t in lengths]
-        expected = [list(oracles.loop_list_viterbi(model, obs, k)) for obs in floods]
-        for obs in floods:
+        for obs in [rng.integers(0, model.n_symbols, size=t) for t in lengths]:
             got = k_best_paths(model, obs, k)
             assert [(p.states.tolist(), p.log_prob) for p in got] == oracles.loop_k_best(
                 model, obs, k)
-        batch = _batch(floods)
-        for t, entries in enumerate(traced_entries(model, batch, k)):
-            assert len(entries) == batch.active[t]
-            for column, got in enumerate(entries):
-                # every entry, -inf ones too, in entry order and to the bit
-                assert got == expected[batch.order[column]][t]
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12), k=st.sampled_from([1, 2, 3]),
-           zeros=st.booleans(), lengths=st.lists(st.integers(1, 30), min_size=1, max_size=3))
-    def test_the_step_fed_one_symbol_at_a_time_matches_the_batch_pass(
-            self, seed, n, k, zeros, lengths):
-        rng = np.random.default_rng(seed)
-        model = self.pinned_model(rng, n, zeros)
-        floods = [rng.integers(0, model.n_symbols, size=t) for t in lengths]
-        with np.errstate(divide="ignore"):
-            log_emission = np.log(model.emission).T
-        batch = _batch(floods)
-        passed = list(_list_viterbi(model, batch, k))
-        for column, index in enumerate(batch.order.tolist()):
-            # One flood at a time, each symbol's emission row as it arrives.
-            step, score = _ListStep(model, k), None
-            for t, symbol in enumerate(floods[index].tolist()):
-                score, back = step(score, log_emission[symbol])
-                batch_score, batch_back = passed[t]
-                assert score.shape[0] == 1
-                assert score[0].tobytes() == batch_score[column].tobytes()
-                if t:
-                    assert back[0].tolist() == batch_back[column].tolist()
-                else:
-                    assert back is batch_back is None
-
-    @staticmethod
-    def decoded(decode):
-        """A decode's paths as (states bytes, log probability bits), or its error."""
-        try:
-            return [(path.states.tobytes(), path.log_prob.hex()) for path in decode()]
-        except InferenceError as exc:
-            return type(exc), str(exc)
+            assert_every_step_matches_the_loop_reference(model, obs, k)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), k=st.sampled_from([1, 2, 3]),
            kind=st.sampled_from(["coarse", "pinned", "pinned with zeros", "random"]),
            length=st.integers(1, 30))
     @example(seed=3, n=6, k=2, kind="pinned", length=1)  # a one-alarm flood
-    # One state that cannot emit symbol 1: the flood first fails at step 6, and so does every
-    # later step (symbol 1 comes again at step 8), so the batch pass sees failures after it.
+    # One state that cannot emit symbol 1: the flood first fails at step 6, and so does
+    # every later step (symbol 1 comes again at step 8); the first is the one named.
     @example(seed=27, n=1, k=2, kind="coarse", length=12)
     @example(seed=5, n=3, k=3, kind="coarse", length=5)  # no state emits the first symbol
-    def test_one_flood_pushed_through_one_step_equals_the_batch_pass(
-            self, seed, n, k, kind, length):
+    def test_one_flood_decodes_as_the_loop_reference(self, seed, n, k, kind, length):
         rng = np.random.default_rng(seed)
         model = self.model_of_kind(kind, rng, n, seed)
         obs = rng.integers(0, model.n_symbols, size=length)
-        assert self.decoded(lambda: k_best_paths(model, obs, k)) == \
-            self.decoded(lambda: _k_best(model, _batches([obs], model.n_states), k)[0])
+        try:
+            expected = [(states, log_prob.hex())
+                        for states, log_prob in oracles.loop_k_best(model, obs, k)]
+        except InferenceError as exc:
+            with pytest.raises(InferenceError, match=f"^sequence 0: {re.escape(str(exc))}$"):
+                k_best_paths(model, obs, k)
+            return
+        got = k_best_paths(model, obs, k)
+        assert [(p.states.tolist(), p.log_prob.hex()) for p in got] == expected
 
     @classmethod
     def model_of_kind(cls, kind, rng, n, seed):
@@ -514,17 +464,13 @@ class TestDiagnoserShape:
         rng = np.random.default_rng(seed)
         model = self.model_of_kind(kind, rng, n, seed)
         zeros = any((arr == 0).any() for arr in (model.transition, model.emission, model.initial))
-        floods = [rng.integers(0, model.n_symbols, size=t) for t in lengths]
-        batch, n = _batch(floods), model.n_states
-        bonus = model._log_space.emission[batch.symbols].reshape(batch.symbols.shape[0], -1)
-        step, score = _ListStep(model, k), None
-        for t, a in enumerate(batch.active[:-1].tolist()):
-            score, _ = step(score[:a] if t else None, bonus[t, : a * n])
-            if zeros:
-                expected = np.isneginf(score[:, :: score.shape[1] // n]).all(axis=1)
-                assert step.dead.tolist() == expected.tolist()
-            else:
-                assert step.dead is None
+        n = model.n_states
+        for obs in [rng.integers(0, model.n_symbols, size=t) for t in lengths]:
+            step, score = _ListStep(model, k), None
+            for symbol in obs.tolist():
+                score, _ = step(score, model._log_space.emission[symbol])
+                # the rank-0 entries, one per state, are the best of their cells
+                assert step.dead is (zeros and bool(np.isneginf(score[:: score.size // n]).all()))
 
 
 class TestLogSpaceCache:
@@ -573,7 +519,6 @@ class TestLogSpaceCache:
         built = dict(vars(log))
         for k in (1, 2, 3):
             k_best_paths(model, obs, k)
-            _k_best(model, _batches([obs], model.n_states), k)
         assert vars(log).keys() == built.keys()
         for key, value in vars(log).items():
             assert value is built[key], key
