@@ -8,9 +8,8 @@ throughout.  A verdict is read off each fault's summed log emission terms
 (``hmm._fault_scores``), the fault posterior of the flood less a term all
 faults share: the best-scoring fault is the primary, the runner-up the
 secondary, and every prefix of a flood gets its verdict from the same
-sums, scored for many floods side by side in chunks of at most N.
-Diagnosis also decodes each flood once, on its own, for its two best
-paths, the explanation it reports.
+sums, one (T, N) block per flood.  Diagnosis also decodes each flood once,
+on its own, for its two best paths, the explanation it reports.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .hmm import (
     FitConfig,
     Hmm,
     StatePath,
-    _batches,
     _fault_scores,
     _observations,
     _paths,
@@ -231,34 +229,29 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     :func:`evaluate_prefix_accuracy` bit for bit; the secondary fault is the
     runner-up in the same order, and only a one-fault model yields none.
     The two best state paths, from one k=2 list-Viterbi decode, explain the
-    verdict and do not enter it.  The floods are scored side by side in
-    chunks of at most N (the number of faults), then decoded one at a time
-    in list order, so each verdict equals the one the flood gets alone.  An
-    error about one sequence starts with ``sequence <i>: ``, ``i`` counting
-    from 0 in ``sequences``.  Every flood is scored before any is decoded,
-    so of the floods where every fault scores ``-inf``, the first in the
-    list is named; else, of those that cannot be decoded, the first.
+    verdict and do not enter it.  Every flood is checked first; then, in
+    list order, each is scored and decoded on its own, so each verdict is
+    the one :func:`diagnose` gives it.  An error about one sequence starts
+    with ``sequence <i>: ``, ``i`` counting from 0 in ``sequences``: the
+    first malformed flood, else the first whose scoring or decoding fails.
     """
     observations = _observations(sequences, model.hmm.n_symbols)
-    ends = np.array([obs.size for obs in observations], dtype=np.int64) - 1
-    last = np.empty((len(observations), model.n_faults))
-    for batch in _batches(observations, model.n_faults):
-        scores = _fault_scores(model.hmm, batch.symbols, batch)
-        last[batch.order] = scores[ends[batch.order], np.arange(batch.order.size)]
     verdicts = []
-    for index, (row, symbols) in enumerate(zip(last, observations)):
+    for index, symbols in enumerate(observations):
         with located(f"sequence {index}"):
-            verdicts.append(_verdict(row, _paths(model.hmm, symbols, 2)))
+            scores = _fault_scores(model.hmm, symbols)
+            verdicts.append(_verdict(scores[-1], _paths(model.hmm, symbols, 2)))
     return verdicts
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
-    """The :func:`diagnose_all` verdict of one sequence, scored as one column
-    and decoded through :func:`k_best_paths`, with no batch; an error names
-    it ``sequence 0``."""
+    """The :func:`diagnose_all` verdict of one sequence, scored as one (T, N)
+    block and decoded through :func:`k_best_paths`; an error names it
+    ``sequence 0``."""
     symbols = _observations([sequence], model.hmm.n_symbols)[0]
-    scores = _fault_scores(model.hmm, symbols[:, None])
-    return _verdict(scores[-1, 0], k_best_paths(model.hmm, symbols, 2))
+    with located("sequence 0"):
+        scores = _fault_scores(model.hmm, symbols)
+    return _verdict(scores[-1], k_best_paths(model.hmm, symbols, 2))
 
 
 def evaluate_prefix_accuracy(
@@ -270,14 +263,14 @@ def evaluate_prefix_accuracy(
     diagnoser sees the first ``min(p, len(sequence))`` alarms, so the
     verdict for lengths beyond the sequence is the full-sequence verdict,
     the primary fault :func:`diagnose` gives.  Every flood is checked in
-    full (its label, then its symbols) before it is cut to ``l_max``.  The
-    floods are scored side by side in chunks of at most N, and nothing is
-    decoded: step ``t`` of a flood's fault scores (``hmm._fault_scores``)
-    gives its verdict for the prefix of ``t + 1`` alarms, the best-scoring
-    fault, ties to the lowest.  ``l_max`` is a Python or numpy integer of
-    at least 1, and at most the largest count whose confusion numpy can
-    size; anything else, ``True`` or ``2.0`` included, raises
-    :class:`DomainError`.  An error about one sequence starts with
+    full (its label, then its symbols) before it is cut to ``l_max``.  Then
+    each cut flood is scored on its own, and nothing is decoded: step ``t``
+    of its fault scores (``hmm._fault_scores``) gives its verdict for the
+    prefix of ``t + 1`` alarms, the best-scoring fault, ties to the lowest,
+    and its last verdict fills its row past its end.  ``l_max`` is a Python
+    or numpy integer of at least 1, and at most the largest count whose
+    confusion numpy can size; anything else, ``True`` or ``2.0`` included,
+    raises :class:`DomainError`.  An error about one sequence starts with
     ``sequence <i>: ``, ``i`` counting from 0 in ``test``; of the cut floods
     where every fault scores ``-inf``, the first is named.
     """
@@ -292,14 +285,13 @@ def evaluate_prefix_accuracy(
             if item.fault >= n:
                 raise DomainError(f"test label {item.fault} outside the model's faults")
             observations.append(as_observations(item, model.hmm.n_symbols)[:l_max])
-    ends = np.array([obs.size for obs in observations])[:, None] - 1
-    steps = np.arange(ends.max() + 1)
+    steps = np.arange(max(obs.size for obs in observations))
     verdicts = np.empty((len(test), steps.size), dtype=np.int64)
-    for batch in _batches(observations, n):
-        scores = _fault_scores(model.hmm, batch.symbols, batch)
-        verdicts[batch.order, : scores.shape[0]] = scores.argmax(axis=2).T
-    # Past its end, a flood keeps its full-length verdict.
-    verdicts = np.take_along_axis(verdicts, np.minimum(steps, ends), axis=1)
+    for index, (row, symbols) in enumerate(zip(verdicts, observations)):
+        with located(f"sequence {index}"):
+            row[: symbols.size] = _fault_scores(model.hmm, symbols).argmax(axis=1)
+        # Past its end, a flood keeps its full-length verdict.
+        row[symbols.size:] = row[symbols.size - 1]
     faults = np.array([item.fault for item in test])
     cells = (steps * n + faults[:, None]) * n + verdicts
     confusion = np.bincount(cells.ravel(), minlength=steps.size * n * n).reshape(-1, n, n)

@@ -14,8 +14,8 @@ row, and fills one buffer in place.  One driver, :func:`_paths`, pushes one
 sequence's symbols through it and traces the back-pointers it returns;
 :func:`k_best_paths` and the diagnoser decode every flood that way, on its
 own.  The diagnoser's verdicts decode nothing: they read
-:func:`_fault_scores`, each state's log emission terms summed along time.
-The forward/backward pass
+:func:`_fault_scores`, each state's log emission terms summed along one
+flood, which scores every flood on its own too.  The forward/backward pass
 rescales at every step and keeps the normalizers private to the kernels,
 decoding works entirely in log space, so long sequences do not underflow.
 Training, the likelihood and decoding start an error about one sequence
@@ -267,7 +267,7 @@ def _batch(seqs: list[np.ndarray], first: int = 0) -> _Batch:
 
 def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
     """``seqs`` in list-order chunks of at most ``n_states`` sequences, as the
-    E-step and :func:`_fault_scores` take them.
+    E-step and its forward pass take them; nothing else batches floods.
 
     The cap is set by peak RSS, not speed: on the benchmark's scaled plants,
     one batch of every sequence raised the peak RSS (``ru_maxrss``, 2 vCPUs)
@@ -277,18 +277,20 @@ def _batches(seqs: list[np.ndarray], n_states: int) -> list[_Batch]:
     return [_batch(seqs[start:start + n_states], start) for start in range(0, len(seqs), n_states)]
 
 
-def _raise_first_failure(order: np.ndarray, failed: np.ndarray, what: Callable[[int], str]) -> None:
-    """Raise :class:`InferenceError` if any cell of the (L, S) ``failed`` mask is set.
+def _raise_first_failure(order: np.ndarray, failed: np.ndarray) -> None:
+    """Raise :class:`InferenceError` if any cell of a forward pass's (L, S)
+    ``failed`` mask, its steps of zero total probability, is set.
 
     Column ``c`` is sequence ``order[c]`` of the caller's list.  Of the
-    failing sequences, the one that comes first in that list is named, with
-    ``what(step)`` at its first failed step.
+    failing sequences, the one that comes first in that list is named, at
+    its first failed step.
     """
     if failed.any():
         columns = np.flatnonzero(failed.any(axis=0))
         column = columns[np.argmin(order[columns])]
         step = int(np.argmax(failed[:, column]))
-        raise InferenceError(f"sequence {order[column]}: {what(step)} at step {step}")
+        raise InferenceError(
+            f"sequence {order[column]}: zero total forward probability at step {step}")
 
 
 def _workspace(batches: list[_Batch], n: int) -> list[np.ndarray]:
@@ -361,7 +363,7 @@ def _forward(model: Hmm, batch: _Batch, work: list) -> tuple[np.ndarray, np.ndar
             np.multiply(prior, emit[t, :k], out=row)
             np.add.reduce(row, axis=1, out=total[t, :k])
             row *= 1.0 / total[t, :k, None]
-    _raise_first_failure(batch.order, total <= 0.0, lambda step: "zero total forward probability")
+    _raise_first_failure(batch.order, total <= 0.0)
     return emit, alpha, 1.0 / total
 
 
@@ -700,35 +702,31 @@ def viterbi(model: Hmm, obs) -> StatePath:
     return k_best_paths(model, obs, 1)[0]
 
 
-def _fault_scores(model: Hmm, symbols: np.ndarray, batch: _Batch | None = None) -> np.ndarray:
-    """Each state's log emission terms summed along time: for the (T, S)
-    ``symbols``, ``scores[t, s, f]`` is the sum of ``log b_f(o_u)`` over the
-    first ``t + 1`` symbols ``o_u`` of column ``s``.
+def _fault_scores(model: Hmm, symbols: np.ndarray) -> np.ndarray:
+    """Each state's log emission terms summed along time: for one checked
+    flood's (T,) ``symbols``, ``scores[t, f]`` is the sum of ``log b_f(o_u)``
+    over its first ``t + 1`` symbols ``o_u``.
 
     Read with state ``f`` as fault ``f``, this is the log fault posterior
     of every prefix of a flood (Rabiner 1989; Chow 1970) with the
     transitions between faults removed, up to a term that every fault
     shares, and with no initial distribution: its argmax, ties to the
-    lowest fault, is the diagnoser's verdict.  One gather of the cached log
-    emission rows is summed in place, so the (T, S, N) result is the only
-    array of its size.  ``np.cumsum`` adds each column left to right, so a
-    flood's scores have the same bits alone as in a batch.
+    lowest fault, is the diagnoser's verdict.  One ``take`` of the cached
+    log emission rows is summed in place, left to right, so the (T, N)
+    result is the only array of its size; fancy indexing would cost about
+    3 KB more per call.
 
-    ``symbols`` is ``batch.symbols``, or without ``batch`` one flood as a
-    (T, 1) column.  With exact zeros (``_LogSpace.zeros``), the first step
-    at which every fault of a flood, padding aside, scores ``-inf`` raises
-    :class:`InferenceError` through :func:`_raise_first_failure`, naming the
-    batch's first such flood in the caller's list, or ``sequence 0``.
+    With exact zeros (``_LogSpace.zeros``), the first step at which every
+    fault scores ``-inf`` raises :class:`InferenceError` with the decoder's
+    text.  A fault at ``-inf`` stays there, so the last row tells whether
+    any step fails, and only a flood that fails is scanned step by step.
     """
     log = model._log_space
-    scores = log.emission[symbols]
-    np.cumsum(scores, axis=0, out=scores)
-    if log.zeros:
-        failed = np.isneginf(scores.max(axis=2))
-        if batch is None:
-            _raise_first_failure(np.zeros(1, dtype=np.int64), failed, _no_path)
-        else:
-            _raise_first_failure(batch.order, failed & ~batch.padding, _no_path)
+    scores = log.emission.take(symbols, axis=0)
+    np.add.accumulate(scores, axis=0, out=scores)
+    if log.zeros and np.isneginf(scores[-1].max()):
+        step = int(np.argmax(np.isneginf(scores.max(axis=1))))
+        raise InferenceError(f"{_no_path(step)} at step {step}")
     return scores
 
 

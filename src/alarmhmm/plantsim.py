@@ -13,6 +13,7 @@ loop of one scalar draw per symbol and per pair, and so with its doubles.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -179,8 +180,10 @@ class ScenarioSpec:
 
 
 def depth_for_magnitude(fault: FaultPath, magnitude: float) -> int:
-    """Number of stages a fault of the given magnitude reaches."""
-    return sum(1 for threshold in fault.depth_thresholds if threshold <= magnitude)
+    """Number of stages a fault of the given magnitude reaches: the count of
+    its thresholds at or below ``magnitude``, found by bisection, since the
+    thresholds are non-decreasing, as :class:`PropagationGraph` checks."""
+    return bisect.bisect_right(fault.depth_thresholds, magnitude)
 
 
 def simulate_alarm_sequence(graph: PropagationGraph, spec: ScenarioSpec) -> AlarmSequence:

@@ -636,6 +636,31 @@ class TestDeterminism:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIAGNOSE_DIGESTS[seed]
 
+    # sha256 of the sha256sum-style listing ("<sha256>  <name>" lines in name
+    # order) of evaluate's accuracy.csv and confusion_L*.csv after simulate and
+    # train on the bundled plant, as the chunked scorer wrote them; scoring one
+    # flood at a time must keep these bytes.
+    EVALUATE_DIGESTS = {
+        0: "f204f147286114bc3b8db5df03c6b06b88404867abbc6ee93be9bc1965c0b77a",
+        1: "b0b3dc18b3658e34f8fe72c10b03feed0832014f58dc1bb9fe99cd99b2761a2a",
+        2: "5cd187f36253017f82af3980e6716b5d55d54ec8595e7dbc2e41f46e33679781",
+        3: "983cd16f2863cbb3b41fb9df175d0e6b8cbbda96b6154d0a30080e0b9b076a1d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EVALUATE_DIGESTS))
+    def test_evaluate_writes_the_pinned_bytes(self, tmp_path, seed):
+        data, model, out = tmp_path / "data", tmp_path / "model.json", tmp_path / "evaluation"
+        assert main(["simulate", "--seed", str(seed), "--out", str(data)]) == 0
+        assert main(["train", "--in", str(data / "train.jsonl"), "--out", str(model)]) == 0
+        assert main(["evaluate", "--model", str(model), "--in", str(data / "test.jsonl"),
+                     "--out", str(out)]) == 0
+        names = sorted(path.name for path in out.iterdir())
+        assert names[0] == "accuracy.csv" and len(names) > 1
+        assert all(name.startswith("confusion_L") for name in names[1:])
+        listing = "".join(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}\n"
+                          for name in names)
+        assert hashlib.sha256(listing.encode()).hexdigest() == self.EVALUATE_DIGESTS[seed]
+
     @pytest.mark.parametrize("seed", sorted(SIMULATE_DIGESTS))
     def test_simulate_writes_the_pinned_bytes(self, tmp_path, seed):
         assert main(["simulate", "--seed", str(seed), "--out", str(tmp_path)]) == 0
@@ -914,11 +939,8 @@ class TestErrorReporting:
     def test_first_flood_in_the_list_that_cannot_be_decoded_is_named(self, tmp_path, capsys):
         # Fault 0 emits only symbols 0-2, faults 1 and 2 only 3-5.  The
         # transitions are uniform, so every flood has a state path, but no
-        # fault alone emits floods 4 and 5, and the fault scores are checked
-        # before anything is decoded.  They are scored in chunks of three:
-        # the first chunk passes, and in the second every fault scores -inf on
-        # flood 4 from step 3 and on flood 5, longer and so in an earlier
-        # column, already from step 1.
+        # fault alone emits floods 4 and 5: every fault scores -inf on flood 4
+        # from step 3 and on flood 5 already from step 1.  Flood 4 comes first.
         model = tmp_path / "model.json"
         low, high = [1 / 3] * 3 + [0.0] * 3, [0.0] * 3 + [1 / 3] * 3
         save_diagnoser(DiagnoserModel(

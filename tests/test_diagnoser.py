@@ -303,21 +303,16 @@ class TestDiagnose:
             training, book = disjoint_training()
             model = train_diagnoser(training, codebook=book)
         floods = [item.symbols for item in floods_under(model, seed, 2 * model.n_faults + 1)]
-        alone, scored, decoded = [], [], []
+        alone, failures = [], []
         for index, obs in enumerate(floods):
             try:
                 alone.append(diagnose(model, obs))
             except InferenceError as exc:
                 # a flood that fails is named by its list index
-                message = str(exc).replace("sequence 0: ", f"sequence {index}: ", 1)
-                try:
-                    oracles.loop_posterior_verdicts(model.hmm, obs)
-                    decoded.append(message)
-                except InferenceError:
-                    scored.append(message)
-        if scored or decoded:
-            # every flood is scored before any is decoded
-            with pytest.raises(InferenceError, match=f"^{re.escape((scored + decoded)[0])}$"):
+                failures.append(str(exc).replace("sequence 0: ", f"sequence {index}: ", 1))
+        if failures:
+            # each flood is scored and decoded in turn, so the first to fail is named
+            with pytest.raises(InferenceError, match=f"^{re.escape(failures[0])}$"):
                 diagnose_all(model, floods)
             return
 
@@ -338,35 +333,61 @@ class TestDiagnose:
         assert a.path.states.tolist() == b.path.states.tolist()
         assert a.path.log_prob == b.path.log_prob
 
-    def test_single_floods_never_reach_the_batch_machinery(self, monkeypatch):
+    def test_a_flood_that_cannot_be_decoded_is_named_before_a_later_one_that_cannot_be_scored(
+            self):
+        # Only state 0 may start, and it emits only symbol 0.  Flood 0 scores
+        # (fault 1 emits symbol 1) but has no state path; every fault scores
+        # -inf on flood 1 from step 1.
+        model = DiagnoserModel(
+            hmm=Hmm(transition=np.full((2, 2), 0.5), emission=np.eye(2), initial=[1.0, 0.0]),
+            fault_names=("a", "b"), codebook=AlarmSymbolCodebook(1),
+        )
+        with pytest.raises(InferenceError, match="^sequence 0: no state can produce the "
+                                                 "observation at step 0$"):
+            diagnose_all(model, [[1], [0, 1]])
+
+    def test_no_verdict_reaches_the_batch_machinery(self, monkeypatch):
         training, book = disjoint_training()
         models = [train_diagnoser(training, codebook=book), coarse_diagnoser(27)[0]]
-        floods = [(model, item.symbols) for model in models
-                  for item in floods_under(model, 3, 2 * model.n_faults + 1)]
+        floods = [(model, floods_under(model, 3, 2 * model.n_faults + 1)) for model in models]
 
-        def decoded():
+        def outcome(call):
+            try:
+                return call()
+            except InferenceError as exc:
+                return str(exc)
+
+        def bits(paths):
+            return [None if path is None else (path.states.tolist(), path.log_prob.hex())
+                    for path in paths]
+
+        def fields(verdict):
+            return (verdict.primary_fault, verdict.secondary_fault,
+                    *bits([verdict.path, verdict.second_path]))
+
+        def verdicts():
             out = []
-            for model, obs in floods:
-                try:
-                    verdict = diagnose(model, obs)
-                except InferenceError as exc:
-                    out.append(str(exc))
-                    continue
-                out.append((verdict.primary_fault, verdict.secondary_fault, [
-                    (path.states.tolist(), path.log_prob.hex())
-                    for path in (k_best_paths(model.hmm, obs, 3) + [viterbi(model.hmm, obs)])]))
+            for model, test in floods:
+                symbols = [item.symbols for item in test]
+                out.append(outcome(lambda: [fields(v) for v in diagnose_all(model, symbols)]))
+                for obs in symbols:
+                    out.append(outcome(lambda: fields(diagnose(model, obs))))
+                    out.append(outcome(lambda: bits(
+                        k_best_paths(model.hmm, obs, 3) + [viterbi(model.hmm, obs)])))
+                for l_max in (1, 3, 8):
+                    out.append(outcome(lambda: evaluate_prefix_accuracy(
+                        model, test, l_max).confusion.tolist()))
             return out
 
-        expected = decoded()
+        expected = verdicts()
         assert any(isinstance(item, str) for item in expected)  # a failing flood is covered too
+        assert not isinstance(expected[0], str)  # and a diagnose_all that succeeds
 
         def fail(*args, **kwargs):
-            raise AssertionError("a single flood went through the batch machinery")
+            raise AssertionError("a verdict went through the batch machinery")
 
         monkeypatch.setattr(hmm_module, "_batch", fail)
-        assert decoded() == expected
-        with pytest.raises(AssertionError, match="batch machinery"):
-            diagnose_all(models[0], [obs for _, obs in floods[:2]])
+        assert verdicts() == expected
 
     def test_label_permutation_equivariance(self):
         training, book = disjoint_training()
@@ -447,7 +468,7 @@ class TestEvaluation:
         assert (curve.accuracy[4:] == full.accuracy[-1]).all()
 
     def test_the_padding_past_a_short_flood_is_not_scored(self):
-        # No fault emits symbol 0, the symbol that pads a chunk past a flood's end.
+        # No fault emits symbol 0, which a zero-padded layout would score past a flood's end.
         model = uniform_diagnoser([[0, 1, 0, 0], [0, 0, 1, 1]])
         test = [labeled([1, 1, 1], 0), labeled([2], 1)]
         assert evaluate_prefix_accuracy(model, test, l_max=3).n_correct.tolist() == [2, 2, 2]
@@ -464,7 +485,6 @@ class TestEvaluation:
             training, book = disjoint_training()
             model = train_diagnoser(training, codebook=book)
         n = model.n_faults
-        # more than N floods, so that at least two chunks are decoded
         test = floods_under(model, seed, 2 * n + 1)
         confusion = np.zeros((l_max, n, n), dtype=np.int64)
         for index, item in enumerate(test):

@@ -1,6 +1,7 @@
 """Viterbi and k-best decoding against full path enumeration."""
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -23,7 +24,6 @@ from alarmhmm import (
 from alarmhmm.alarms import AlarmSequence
 from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import (
-    _batch,
     _fault_scores,
     _ListStep,
     _trace,
@@ -184,26 +184,27 @@ def coarse_case(seed):
     return model, rng.integers(0, m, size=t)
 
 
-def test_fault_scores_sum_in_place_with_the_bits_of_each_flood_alone():
-    # The gathered (L, S, N) block is the only array of its size, and each
-    # column holds the running sums its flood gets as a (T, 1) column.
-    model = oracles.random_model(10, 20, seed=3)
-    model._log_space  # built before the trace, as every later call finds it
-    rng = np.random.default_rng(0)
-    floods = [rng.integers(0, model.n_symbols, size=size) for size in (5, 1_000, 1, 600)]
-    batch = _batch(floods)
+@pytest.mark.parametrize("size", [1, 5, 600, 1_000])
+def test_fault_scores_sum_one_flood_in_place_left_to_right(size):
+    # The gathered (T, N) block is the only array of its size: with 1,000
+    # faults, numpy's few hundred fixed bytes per call stay under 10% of even
+    # a one-alarm block.  Column f holds fault f's emission logs summed left
+    # to right.
+    model = oracles.random_model(1_000, 20, seed=3)
+    log = model._log_space  # built before the trace, as every later call finds it
+    flood = np.random.default_rng(size).integers(0, model.n_symbols, size=size)
     tracemalloc.start()
     try:
-        scores = _fault_scores(model, batch.symbols, batch)
+        scores = _fault_scores(model, flood)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scores.shape == (1_000, 4, 10)
+    assert scores.shape == (size, 1_000)
     assert peak <= 1.1 * scores.nbytes
-    for column, index in enumerate(batch.order.tolist()):
-        alone = _fault_scores(model, floods[index][:, None])[:, 0]
-        assert np.array_equal(scores[: floods[index].size, column], alone)
-        assert np.allclose(alone[-1], np.log(model.emission[:, floods[index]]).sum(axis=1))
+    rows = log.emission[flood]
+    for fault in range(model.n_states):
+        expected = np.array(list(itertools.accumulate(rows[:, fault].tolist())))
+        assert scores[:, fault].tobytes() == expected.tobytes()
 
 
 def test_symbol_relabeling_leaves_the_decoded_path_unchanged():

@@ -81,6 +81,14 @@ class TestSimulate:
         assert depth_for_magnitude(fault, 0.3) == 2
         assert depth_for_magnitude(fault, 1.0) == 3
 
+    def test_depth_by_bisection_is_the_count_of_thresholds_reached(self):
+        for fault in default_graph().faults:
+            for threshold in fault.depth_thresholds:
+                for magnitude in (np.nextafter(threshold, -np.inf), threshold,
+                                  np.nextafter(threshold, np.inf)):
+                    count = sum(1 for bound in fault.depth_thresholds if bound <= magnitude)
+                    assert depth_for_magnitude(fault, float(magnitude)) == count
+
     def test_magnitude_bounds_enforced(self):
         for magnitude in (0.0, -0.5, 1.5):
             with pytest.raises(DomainError, match="magnitude"):
