@@ -39,6 +39,7 @@ from .hmm import (
     _fault_scores,
     _observations,
     _paths,
+    _terms,
     as_observations,
     fit,
     hmm_from_dict,
@@ -230,27 +231,31 @@ def diagnose_all(model: DiagnoserModel, sequences) -> list[Diagnosis]:
     runner-up in the same order, and only a one-fault model yields none.
     The two best state paths, from one k=2 list-Viterbi decode, explain the
     verdict and do not enter it.  Every flood is checked first; then, in
-    list order, each is scored and decoded on its own, so each verdict is
-    the one :func:`diagnose` gives it.  An error about one sequence starts
-    with ``sequence <i>: ``, ``i`` counting from 0 in ``sequences``: the
-    first malformed flood, else the first whose scoring or decoding fails.
+    list order, each is gathered once (``hmm._terms``), decoded and scored,
+    so each verdict and error is the one :func:`diagnose` gives it.  An
+    error names ``sequence <i>``, ``i`` counting from 0 in ``sequences``:
+    the first malformed flood, else the first whose decode or scoring fails.
     """
     observations = _observations(sequences, model.hmm.n_symbols)
     verdicts = []
     for index, symbols in enumerate(observations):
         with located(f"sequence {index}"):
-            scores = _fault_scores(model.hmm, symbols)
-            verdicts.append(_verdict(scores[-1], _paths(model.hmm, symbols, 2)))
+            terms = _terms(model.hmm, symbols)
+            try:
+                paths = _paths(model.hmm, terms, 2)
+            finally:  # the decode leaves the rows as they were; a scoring error wins
+                scores = _fault_scores(model.hmm, terms)
+            verdicts.append(_verdict(scores[-1], paths))
     return verdicts
 
 
 def diagnose(model: DiagnoserModel, sequence) -> Diagnosis:
-    """The :func:`diagnose_all` verdict of one sequence, scored as one (T, N)
-    block and decoded through :func:`k_best_paths`; an error names it
-    ``sequence 0``."""
+    """The :func:`diagnose_all` verdict of one sequence: its (T, N) log terms
+    (``hmm._terms``) are scored first, then it is decoded through
+    :func:`k_best_paths`; an error names it ``sequence 0``."""
     symbols = _observations([sequence], model.hmm.n_symbols)[0]
     with located("sequence 0"):
-        scores = _fault_scores(model.hmm, symbols)
+        scores = _fault_scores(model.hmm, _terms(model.hmm, symbols))
     return _verdict(scores[-1], k_best_paths(model.hmm, symbols, 2))
 
 
@@ -289,7 +294,8 @@ def evaluate_prefix_accuracy(
     verdicts = np.empty((len(test), steps.size), dtype=np.int64)
     for index, (row, symbols) in enumerate(zip(verdicts, observations)):
         with located(f"sequence {index}"):
-            row[: symbols.size] = _fault_scores(model.hmm, symbols).argmax(axis=1)
+            scores = _fault_scores(model.hmm, _terms(model.hmm, symbols))
+        row[: symbols.size] = scores.argmax(axis=1)
         # Past its end, a flood keeps its full-length verdict.
         row[symbols.size:] = row[symbols.size - 1]
     faults = np.array([item.fault for item in test])

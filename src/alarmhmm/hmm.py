@@ -6,21 +6,21 @@ builds no pair-posterior tensor) and the total log likelihood.  A
 transition with one value ``d`` on its diagonal and one ``e`` elsewhere,
 the diagnoser's pinned one, is ``(d - e) I + e J``, so the kernels apply it
 in O(N) per row (Felzenszwalb, Huttenlocher & Kleinberg 2004); any other
-transition takes an (N, N) product per step.  Exact
-decoding over a finite observation alphabet has one list-Viterbi step,
-:class:`_ListStep`, for Viterbi and k-best: it alone knows a step's widths
-and ``-inf`` scores, reads the previous step's scores and one emission-log
-row, and fills one buffer in place.  One driver, :func:`_paths`, pushes one
-sequence's symbols through it and traces the back-pointers it returns;
-:func:`k_best_paths` and the diagnoser decode every flood that way, on its
-own.  The diagnoser's verdicts decode nothing: they read
-:func:`_fault_scores`, each state's log emission terms summed along one
-flood, which scores every flood on its own too.  The forward/backward pass
-rescales at every step and keeps the normalizers private to the kernels,
-decoding works entirely in log space, so long sequences do not underflow.
-Training, the likelihood and decoding start an error about one sequence
-with ``sequence <i>: ``, a single sequence being ``sequence 0``.
-The module needs numpy alone, so training and diagnosis load no scipy.
+transition takes an (N, N) product per step.  Exact decoding over a finite
+observation alphabet has one list-Viterbi step, :class:`_ListStep`, for
+Viterbi and k-best: it alone knows a step's widths and ``-inf`` scores,
+reads the previous step's scores and one row of a flood's log terms
+(:func:`_terms`, the one gather of the log emission by symbol), and fills
+one buffer in place.  One driver, :func:`_paths`, pushes the rows through
+it and traces the back-pointers it returns; :func:`k_best_paths` and the
+diagnoser decode every flood that way, on its own.  The diagnoser's
+verdicts decode nothing: they read :func:`_fault_scores`, the same rows
+summed along the flood.  The forward/backward pass rescales at every step
+and keeps the normalizers private to the kernels, decoding works entirely
+in log space, so long sequences do not underflow.  Training, the likelihood
+and decoding start an error about one sequence with ``sequence <i>: ``, a
+single sequence being ``sequence 0``.  The module needs numpy alone, so
+training and diagnosis load no scipy.
 """
 
 from __future__ import annotations
@@ -561,7 +561,7 @@ class _ListStep:
 
     ``step(score, bonus)`` takes the previous step's ``(E,)`` scores
     (``None`` at the first step) and the ``(N,)`` log emission terms of this
-    step's symbol, the row of ``model._log_space.emission`` at it, and
+    step's symbol, the flood's row of :func:`_terms` at this step, and
     returns this step's ``(score, back)``, both ``(E,)``.  A cell keeps
     ``w = min(k, N**t)`` entries and is never padded, so ``E = N * w``, and
     entry ``j * w + r`` is the ``r``-th best path over the symbols so far
@@ -653,25 +653,32 @@ def _trace(backs: list, n: int, entries) -> list[list[int]]:
     return paths
 
 
-def _paths(model: Hmm, symbols: np.ndarray, k: int) -> list[StatePath]:
+def _terms(model: Hmm, symbols: np.ndarray) -> np.ndarray:
+    """One checked flood's fresh (T, N) log terms, ``log b_f(o_t)`` in row
+    ``t``: one ``take`` (fancy indexing costs about 3 KB more per call) of
+    the cached log emission, which nothing else indexes by symbol."""
+    return model._log_space.emission.take(symbols, axis=0)
+
+
+def _paths(model: Hmm, terms: np.ndarray, k: int) -> list[StatePath]:
     """The ``k`` best paths of one checked flood, best first; the one driver
     of :class:`_ListStep`.
 
-    The symbols go through one step one at a time, each with its row of the
-    model's cached log emission (``Hmm._log_space``), and the step's
+    Row ``t`` of the flood's (T, N) log terms (:func:`_terms`) goes through
+    one step at step ``t``, the rows are not written, and the step's
     back-pointers are kept.  The ``k`` best final entries, by score then
     entry order (one stable sort), are traced back.  The first step with no
     entry above ``-inf`` raises :class:`InferenceError`.
     """
-    log, step, score, backs = model._log_space, _ListStep(model, k), None, []
-    for t, symbol in enumerate(symbols.tolist()):
-        score, back = step(score, log.emission[symbol])
+    step, score, backs = _ListStep(model, k), None, []
+    for t, bonus in enumerate(terms):
+        score, back = step(score, bonus)
         backs.append(back)
         if step.dead:
             raise InferenceError(f"{_no_path(t)} at step {t}")
     best = np.argsort(-score, kind="stable")[:k].tolist()
     return [StatePath(states=_frozen_array(states, dtype=np.int64), log_prob=float(score[entry]))
-            for entry, states in zip(best, _trace(backs, log.n, best))]
+            for entry, states in zip(best, _trace(backs, model.n_states, best))]
 
 
 def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
@@ -688,43 +695,40 @@ def k_best_paths(model: Hmm, obs, k: int) -> list[StatePath]:
     """
     check_int(k, "k", 1)
     with located("sequence 0"):
-        return _paths(model, as_observations(obs, model.n_symbols), k)
+        return _paths(model, _terms(model, as_observations(obs, model.n_symbols)), k)
 
 
 def viterbi(model: Hmm, obs) -> StatePath:
     """Most probable state path for ``obs``, computed in log space.
 
     Ties in every maximization resolve toward the lowest state index, so
-    this is rank 0 of :func:`k_best_paths` for any ``k``.  Raises
-    :class:`InferenceError` when no state can produce the observed symbol
-    at some step (possible only for models with exact zeros).
+    this is rank 0 of :func:`k_best_paths` for any ``k``.  With exact
+    zeros, raises :class:`InferenceError`: no state can produce the symbol
+    at step 0, or there is no admissible state path at a later step.
     """
     return k_best_paths(model, obs, 1)[0]
 
 
-def _fault_scores(model: Hmm, symbols: np.ndarray) -> np.ndarray:
+def _fault_scores(model: Hmm, terms: np.ndarray) -> np.ndarray:
     """Each state's log emission terms summed along time: for one checked
-    flood's (T,) ``symbols``, ``scores[t, f]`` is the sum of ``log b_f(o_u)``
-    over its first ``t + 1`` symbols ``o_u``.
+    flood's (T, N) log terms (:func:`_terms`), ``scores[t, f]`` is the sum
+    of ``log b_f(o_u)`` over its first ``t + 1`` symbols ``o_u``.
 
     Read with state ``f`` as fault ``f``, this is the log fault posterior
     of every prefix of a flood (Rabiner 1989; Chow 1970) with the
     transitions between faults removed, up to a term that every fault
     shares, and with no initial distribution: its argmax, ties to the
-    lowest fault, is the diagnoser's verdict.  One ``take`` of the cached
-    log emission rows is summed in place, left to right, so the (T, N)
-    result is the only array of its size; fancy indexing would cost about
-    3 KB more per call.
+    lowest fault, is the diagnoser's verdict.  The rows are summed in
+    place, left to right, and ``terms`` itself is returned, so no other
+    array of its size is made.
 
     With exact zeros (``_LogSpace.zeros``), the first step at which every
     fault scores ``-inf`` raises :class:`InferenceError` with the decoder's
     text.  A fault at ``-inf`` stays there, so the last row tells whether
     any step fails, and only a flood that fails is scanned step by step.
     """
-    log = model._log_space
-    scores = log.emission.take(symbols, axis=0)
-    np.add.accumulate(scores, axis=0, out=scores)
-    if log.zeros and np.isneginf(scores[-1].max()):
+    scores = np.add.accumulate(terms, axis=0, out=terms)
+    if model._log_space.zeros and np.isneginf(scores[-1].max()):
         step = int(np.argmax(np.isneginf(scores.max(axis=1))))
         raise InferenceError(f"{_no_path(step)} at step {step}")
     return scores

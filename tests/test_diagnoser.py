@@ -1,6 +1,7 @@
 """Diagnoser training, the primary/secondary fault rule, prefix evaluation."""
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -18,8 +19,10 @@ from alarmhmm import (
     k_best_paths,
     viterbi,
 )
+from alarmhmm import diagnoser as diagnoser_module
 from alarmhmm import hmm as hmm_module
 from alarmhmm.alarms import AlarmSequence, AlarmSymbolCodebook
+from alarmhmm.cli import main
 from alarmhmm.diagnoser import (
     HARD_MASK_OFF_DIAGONAL,
     AccuracyCurve,
@@ -68,6 +71,18 @@ def floods_under(model, seed, count):
                 int(rng.integers(0, model.n_faults)))
         for _ in range(count)
     ]
+
+
+def path_bits(paths):
+    """Each path's states and the bits of its log probability; ``None`` stays."""
+    return [None if path is None else (path.states.tolist(), path.log_prob.hex())
+            for path in paths]
+
+
+def verdict_bits(verdict):
+    """A verdict's faults and the bits of both its paths."""
+    return (verdict.primary_fault, verdict.secondary_fault,
+            *path_bits([verdict.path, verdict.second_path]))
 
 
 def disjoint_training(n_faults=4, per_fault=3, block=4):
@@ -334,7 +349,7 @@ class TestDiagnose:
         assert a.path.log_prob == b.path.log_prob
 
     def test_a_flood_that_cannot_be_decoded_is_named_before_a_later_one_that_cannot_be_scored(
-            self):
+            self, tmp_path, capsys):
         # Only state 0 may start, and it emits only symbol 0.  Flood 0 scores
         # (fault 1 emits symbol 1) but has no state path; every fault scores
         # -inf on flood 1 from step 1.
@@ -342,9 +357,62 @@ class TestDiagnose:
             hmm=Hmm(transition=np.full((2, 2), 0.5), emission=np.eye(2), initial=[1.0, 0.0]),
             fault_names=("a", "b"), codebook=AlarmSymbolCodebook(1),
         )
-        with pytest.raises(InferenceError, match="^sequence 0: no state can produce the "
-                                                 "observation at step 0$"):
+        decoding = "sequence 0: no state can produce the observation at step 0"
+        with pytest.raises(InferenceError, match=f"^{decoding}$"):
             diagnose_all(model, [[1], [0, 1]])
+        # The flood [1, 0] fails both: no state can start it, and every fault
+        # scores -inf from step 1.  Every verdict names the scoring's error,
+        # and only the decoder itself names its own.
+        scoring = "sequence 0: no admissible state path at step 1"
+        for verdict in (lambda: diagnose(model, [1, 0]), lambda: diagnose_all(model, [[1, 0]])):
+            with pytest.raises(InferenceError, match=f"^{scoring}$"):
+                verdict()
+        with pytest.raises(InferenceError, match=f"^{decoding}$"):
+            k_best_paths(model.hmm, [1, 0], 2)
+        save_diagnoser(model, tmp_path / "model.json")
+        floods = tmp_path / "floods.jsonl"
+        floods.write_text(json.dumps({"fault": 0, "symbols": [1, 0], "times": [0.0, 10.0],
+                                      "meta": {}}) + "\n")
+        for command in ("diagnose", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--model", str(tmp_path / "model.json"), "--in", str(floods),
+                         "--out", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err == f"error: inference-error: {scoring}\n"
+
+    def test_every_verdict_reads_the_log_terms_through_one_gather(self, monkeypatch):
+        # Patched to gather a second model's terms, every reader gives that
+        # model's outputs to the bit: none looks the log emission up itself.
+        training, book = disjoint_training()
+        model = train_diagnoser(training, codebook=book)
+        weights = np.random.default_rng(5).integers(1, 9, size=model.hmm.emission.shape)
+        other = DiagnoserModel(
+            hmm=Hmm(transition=model.hmm.transition, initial=model.hmm.initial,
+                    emission=weights / weights.sum(axis=1, keepdims=True)),
+            fault_names=model.fault_names, codebook=book,
+        )
+        test = floods_under(model, 11, 2 * model.n_faults + 1)
+        symbols = [item.symbols for item in test]
+
+        def outputs(model):
+            return ([verdict_bits(v) for v in diagnose_all(model, symbols)],
+                    [verdict_bits(diagnose(model, obs)) for obs in symbols],
+                    [path_bits(k_best_paths(model.hmm, obs, 3)) for obs in symbols],
+                    evaluate_prefix_accuracy(model, test, 9).confusion.tobytes())
+
+        expected = outputs(other)
+        assert outputs(model) != expected  # the two models disagree
+        gathered, calls = hmm_module._terms, []
+
+        def terms(hmm, flood):
+            calls.append(len(flood))
+            return gathered(other.hmm, flood)
+
+        for module in (hmm_module, diagnoser_module):
+            monkeypatch.setattr(module, "_terms", terms)
+        assert outputs(model) == expected
+        calls.clear()
+        diagnose_all(model, symbols)
+        assert calls == [len(obs) for obs in symbols]  # one gather per flood
 
     def test_no_verdict_reaches_the_batch_machinery(self, monkeypatch):
         training, book = disjoint_training()
@@ -357,22 +425,14 @@ class TestDiagnose:
             except InferenceError as exc:
                 return str(exc)
 
-        def bits(paths):
-            return [None if path is None else (path.states.tolist(), path.log_prob.hex())
-                    for path in paths]
-
-        def fields(verdict):
-            return (verdict.primary_fault, verdict.secondary_fault,
-                    *bits([verdict.path, verdict.second_path]))
-
         def verdicts():
             out = []
             for model, test in floods:
                 symbols = [item.symbols for item in test]
-                out.append(outcome(lambda: [fields(v) for v in diagnose_all(model, symbols)]))
+                out.append(outcome(lambda: [verdict_bits(v) for v in diagnose_all(model, symbols)]))
                 for obs in symbols:
-                    out.append(outcome(lambda: fields(diagnose(model, obs))))
-                    out.append(outcome(lambda: bits(
+                    out.append(outcome(lambda: verdict_bits(diagnose(model, obs))))
+                    out.append(outcome(lambda: path_bits(
                         k_best_paths(model.hmm, obs, 3) + [viterbi(model.hmm, obs)])))
                 for l_max in (1, 3, 8):
                     out.append(outcome(lambda: evaluate_prefix_accuracy(

@@ -26,6 +26,7 @@ from alarmhmm.diagnoser import HARD_MASK_OFF_DIAGONAL
 from alarmhmm.hmm import (
     _fault_scores,
     _ListStep,
+    _terms,
     _trace,
     as_symbols,
     hmm_to_dict,
@@ -186,16 +187,16 @@ def coarse_case(seed):
 
 @pytest.mark.parametrize("size", [1, 5, 600, 1_000])
 def test_fault_scores_sum_one_flood_in_place_left_to_right(size):
-    # The gathered (T, N) block is the only array of its size: with 1,000
-    # faults, numpy's few hundred fixed bytes per call stay under 10% of even
-    # a one-alarm block.  Column f holds fault f's emission logs summed left
-    # to right.
+    # The gathered (T, N) terms are the only array of their size, summed in
+    # place: with 1,000 faults, numpy's few hundred fixed bytes per call stay
+    # under 10% of even a one-alarm block.  Column f holds fault f's emission
+    # logs summed left to right.
     model = oracles.random_model(1_000, 20, seed=3)
     log = model._log_space  # built before the trace, as every later call finds it
     flood = np.random.default_rng(size).integers(0, model.n_symbols, size=size)
     tracemalloc.start()
     try:
-        scores = _fault_scores(model, flood)
+        scores = _fault_scores(model, _terms(model, flood))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -368,8 +369,8 @@ def traced_entries(model, obs, k):
     ``dead`` flag and every entry as a ``(states, log_prob)`` pair, in entry
     order, the states traced back through the package's own back-pointers."""
     step, score, backs = _ListStep(model, k), None, []
-    for symbol in np.asarray(obs).tolist():
-        score, back = step(score, model._log_space.emission[symbol])
+    for bonus in _terms(model, np.asarray(obs)):
+        score, back = step(score, bonus)
         backs.append(back)
         yield step.dead, list(zip(_trace(backs, model.n_states, range(score.size)),
                                   score.tolist()))
@@ -468,8 +469,8 @@ class TestDiagnoserShape:
         n = model.n_states
         for obs in [rng.integers(0, model.n_symbols, size=t) for t in lengths]:
             step, score = _ListStep(model, k), None
-            for symbol in obs.tolist():
-                score, _ = step(score, model._log_space.emission[symbol])
+            for bonus in _terms(model, obs):
+                score, _ = step(score, bonus)
                 # the rank-0 entries, one per state, are the best of their cells
                 assert step.dead is (zeros and bool(np.isneginf(score[:: score.size // n]).all()))
 
